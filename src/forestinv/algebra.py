@@ -31,6 +31,18 @@ def rat(x) -> Fraction:
     raise DomainError(f"not an exact scalar: {x!r}")
 
 
+def _merge_bounds(a, b):
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return min(a, b)
+
+
+def _fits(size, bound):
+    return bound is None or size <= bound
+
+
 def one_like(x):
     """Multiplicative unit of the algebra that x belongs to."""
     if isinstance(x, (Fraction, int)):
@@ -217,14 +229,15 @@ class QSym:
     `terms` maps a composition (a_1, ..., a_r) of positive integers to its
     rational coefficient; the empty composition () is the unit.  Every
     operation drops terms whose degree exceeds the bound, and an operation
-    on operands with different bounds truncates to the smaller one.
-    Equality compares terms only; the bound is bookkeeping, not identity.
+    on operands with different bounds truncates to the smaller one.  A
+    bound of None means unbounded.  Equality compares terms only; the
+    bound is bookkeeping, not identity.
     """
 
     __slots__ = ("terms", "max_degree")
 
-    def __init__(self, terms, max_degree: int):
-        if max_degree < 0:
+    def __init__(self, terms, max_degree: int | None):
+        if max_degree is not None and max_degree < 0:
             raise DomainError("truncation bound must be non-negative")
         clean = {}
         for comp, coeff in terms.items():
@@ -232,17 +245,17 @@ class QSym:
             if any(part < 1 for part in comp):
                 raise DomainError(f"composition parts must be positive: {comp}")
             coeff = rat(coeff)
-            if coeff != 0 and sum(comp) <= max_degree:
+            if coeff != 0 and _fits(sum(comp), max_degree):
                 clean[comp] = coeff
         self.terms = clean
         self.max_degree = max_degree
 
     @classmethod
-    def zero(cls, max_degree: int):
+    def zero(cls, max_degree: int | None):
         return cls({}, max_degree)
 
     @classmethod
-    def one(cls, max_degree: int):
+    def one(cls, max_degree: int | None):
         return cls({(): Fraction(1)}, max_degree)
 
     @classmethod
@@ -269,7 +282,7 @@ class QSym:
     def __add__(self, other):
         if not isinstance(other, QSym):
             return NotImplemented
-        bound = min(self.max_degree, other.max_degree)
+        bound = _merge_bounds(self.max_degree, other.max_degree)
         merged = dict(self.terms)
         for comp, coeff in other.terms.items():
             merged[comp] = merged.get(comp, Fraction(0)) + coeff
@@ -285,12 +298,12 @@ class QSym:
 
     def __mul__(self, other):
         if isinstance(other, QSym):
-            bound = min(self.max_degree, other.max_degree)
+            bound = _merge_bounds(self.max_degree, other.max_degree)
             out = {}
             for ca, va in self.terms.items():
                 deg_a = sum(ca)
                 for cb, vb in other.terms.items():
-                    if deg_a + sum(cb) > bound:
+                    if bound is not None and deg_a + sum(cb) > bound:
                         continue
                     v = va * vb
                     for comp, m in quasi_shuffle(ca, cb):
@@ -492,10 +505,12 @@ def qsym_to_finite(element: QSym, num_vars: int, max_degree=None) -> FiniteVarPo
 
     Each composition (a_1, ..., a_r) becomes the sum of the monomials
     x_{i_1}^{a_1} ... x_{i_r}^{a_r} over strictly increasing index tuples.
+    The degree cap defaults to the element's bound, or to its highest
+    degree when the element is unbounded.
     """
-    if max_degree is None:
-        max_degree = element.max_degree
     highest = max((sum(c) for c in element.terms), default=0)
+    if max_degree is None:
+        max_degree = highest if element.max_degree is None else element.max_degree
     if max_degree < highest:
         raise DomainError("degree cap below the element's highest term")
     out = {}

@@ -52,14 +52,12 @@ def build_parser() -> _Parser:
     p = sub.add_parser("invariant", help="evaluate one invariant on one tree")
     p.add_argument("--tree", required=True)
     p.add_argument("--operator", choices=BUILT_IN_NAMES, required=True)
-    p.add_argument("--max-degree", type=int, default=None)
     add_format(p)
 
     p = sub.add_parser("genfun", help="leading terms of the tree generating function")
     p.add_argument("--operator", choices=BUILT_IN_NAMES, required=True)
     p.add_argument("--terms", type=int, required=True)
     p.add_argument("--mode", choices=("recurrence", "enumerate", "verify"), default="recurrence")
-    p.add_argument("--max-degree", type=int, default=None)
     add_format(p)
 
     p = sub.add_parser("verify", help="run a named verification suite")
@@ -70,7 +68,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("collisions", help="search for equal values on distinct trees")
     p.add_argument("--operator", choices=BUILT_IN_NAMES, required=True)
     p.add_argument("--max-n", type=int, required=True)
-    p.add_argument("--max-degree", type=int, default=None)
     add_format(p)
 
     p = sub.add_parser("planar", help="evaluate a labeled planar tree")
@@ -80,12 +77,6 @@ def build_parser() -> _Parser:
     add_format(p)
 
     return parser
-
-
-def _spec_for(name: str, max_degree, fallback_bound):
-    if name in ("lambda-bar", "lambda"):
-        return built_in_spec(name, max_degree if max_degree is not None else fallback_bound)
-    return built_in_spec(name)
 
 
 def _emit_csv(header, rows) -> str:
@@ -110,7 +101,7 @@ def _cmd_enumerate(args):
 
 def _cmd_invariant(args):
     tree = parse_tree(args.tree)
-    spec = _spec_for(args.operator, args.max_degree, tree.vertex_count)
+    spec = built_in_spec(args.operator)
     value = evaluate(tree, spec)
     alpha = automorphism_order(tree)
     if args.format == "json":
@@ -126,7 +117,7 @@ def _cmd_invariant(args):
 def _cmd_genfun(args):
     if args.terms < 1:
         raise DomainError("--terms must be at least 1")
-    spec = _spec_for(args.operator, args.max_degree, args.terms)
+    spec = built_in_spec(args.operator)
     if args.mode == "recurrence":
         terms = u_by_recurrence(spec, args.terms).terms
         payload = {"operator": args.operator, "mode": args.mode,
@@ -170,7 +161,7 @@ def _cmd_verify(args):
 
 
 def _cmd_collisions(args):
-    spec = _spec_for(args.operator, args.max_degree, args.max_n)
+    spec = built_in_spec(args.operator)
     pairs = collision_report(args.max_n, spec)
     if args.format == "json":
         return json.dumps([p.to_jsonable() for p in pairs])

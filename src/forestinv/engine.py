@@ -35,16 +35,16 @@ from .trees import RootedForest, RootedTree, automorphism_order, enumerate_trees
 class InvariantSpec:
     """An operator, the unit of its target algebra, and a value cache.
 
-    degree_bound carries the truncation bound of graded carriers (the
-    quasi-symmetric instances); evaluation refuses trees that outgrow it
-    rather than silently truncating.
+    degree_bound is the truncation bound of the unit's carrier, or None
+    when the carrier is ungraded or unbounded; evaluation refuses trees
+    that outgrow it rather than silently truncating.
     """
 
-    def __init__(self, name: str, operator: LinearOperator, one, degree_bound=None):
+    def __init__(self, name: str, operator: LinearOperator, one):
         self.name = name
         self.operator = operator
         self.one = one
-        self.degree_bound = degree_bound
+        self.degree_bound = getattr(one, "max_degree", None)
         self._cache: dict[str, object] = {}
 
     @property
@@ -89,73 +89,60 @@ def weak_order_spec() -> InvariantSpec:
     return InvariantSpec("nabla-inv", NABLA_INV, Polynomial.one())
 
 
-def qsym_strict_spec(max_degree: int) -> InvariantSpec:
-    return InvariantSpec(
-        "lambda-bar", LAMBDA_BAR, QSym.one(max_degree), degree_bound=max_degree
+def qsym_strict_spec(max_degree: int | None) -> InvariantSpec:
+    return InvariantSpec("lambda-bar", LAMBDA_BAR, QSym.one(max_degree))
+
+
+def qsym_weak_spec(max_degree: int | None) -> InvariantSpec:
+    return InvariantSpec("lambda", LAMBDA, QSym.one(max_degree))
+
+
+# A tree's quasi-symmetric value is homogeneous of degree equal to its
+# vertex count, so the shared quasi-symmetric specs need no bound and one
+# cache per invariant serves trees of every size.
+_SHARED = {
+    spec.name: spec
+    for spec in (
+        strict_order_spec(),
+        weak_order_spec(),
+        qsym_strict_spec(None),
+        qsym_weak_spec(None),
     )
-
-
-def qsym_weak_spec(max_degree: int) -> InvariantSpec:
-    return InvariantSpec("lambda", LAMBDA, QSym.one(max_degree), degree_bound=max_degree)
-
-
-_SHARED_STRICT = strict_order_spec()
-_SHARED_WEAK = weak_order_spec()
-_SHARED_QSYM: dict[tuple[str, int], InvariantSpec] = {}
-
-
-def _shared_qsym(strict: bool, max_degree: int) -> InvariantSpec:
-    key = ("strict" if strict else "weak", max_degree)
-    spec = _SHARED_QSYM.get(key)
-    if spec is None:
-        spec = qsym_strict_spec(max_degree) if strict else qsym_weak_spec(max_degree)
-        _SHARED_QSYM[key] = spec
-    return spec
+}
 
 
 def strict_order_poly(tree: RootedTree) -> Polynomial:
     """Polynomial counting strictly order-preserving labelings from
     {1..m}: labels must increase along every root-to-leaf edge."""
-    return evaluate(tree, _SHARED_STRICT)
+    return evaluate(tree, _SHARED["delta-inv"])
 
 
 def order_poly(tree: RootedTree) -> Polynomial:
     """Polynomial counting weakly order-preserving labelings from
     {1..m}: labels must not decrease along any root-to-leaf edge."""
-    return evaluate(tree, _SHARED_WEAK)
+    return evaluate(tree, _SHARED["nabla-inv"])
 
 
-def qsym_strict(tree: RootedTree, max_degree=None) -> QSym:
+def qsym_strict(tree: RootedTree) -> QSym:
     """Quasi-symmetric refinement of the strict count; homogeneous of
     degree equal to the vertex count."""
-    bound = tree.vertex_count if max_degree is None else max_degree
-    if bound < tree.vertex_count:
-        raise DomainError("truncation bound below the vertex count")
-    return evaluate(tree, _shared_qsym(True, bound))
+    return evaluate(tree, _SHARED["lambda-bar"])
 
 
-def qsym_weak(tree: RootedTree, max_degree=None) -> QSym:
+def qsym_weak(tree: RootedTree) -> QSym:
     """Quasi-symmetric refinement of the weak count."""
-    bound = tree.vertex_count if max_degree is None else max_degree
-    if bound < tree.vertex_count:
-        raise DomainError("truncation bound below the vertex count")
-    return evaluate(tree, _shared_qsym(False, bound))
+    return evaluate(tree, _SHARED["lambda"])
 
 
-def built_in_spec(name: str, max_degree=None) -> InvariantSpec:
+def built_in_spec(name: str) -> InvariantSpec:
     """Look up one of the four shipped invariants by operator name."""
-    if name == "delta-inv":
-        return _SHARED_STRICT
-    if name == "nabla-inv":
-        return _SHARED_WEAK
-    if name in ("lambda-bar", "lambda"):
-        if max_degree is None:
-            raise DomainError(f"{name} needs a truncation bound")
-        return _shared_qsym(name == "lambda-bar", max_degree)
-    raise DomainError(f"unknown operator name: {name}")
+    spec = _SHARED.get(name)
+    if spec is None:
+        raise DomainError(f"unknown operator name: {name}")
+    return spec
 
 
-BUILT_IN_NAMES = ("delta-inv", "nabla-inv", "lambda-bar", "lambda")
+BUILT_IN_NAMES = tuple(_SHARED)
 
 
 def _parent_array(tree: RootedTree) -> list[int]:

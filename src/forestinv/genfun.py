@@ -21,9 +21,7 @@ from .engine import InvariantSpec, evaluate
 from .errors import DomainError, ResourceLimitError
 from .operators import NONCOMMUTATIVE_TAGS
 from .series import Series, exp
-from .trees import automorphism_order, enumerate_trees
-
-_ENUMERATION_CAP = 16
+from .trees import _ENUMERATION_CAP, automorphism_order, enumerate_trees
 
 
 def _require_commutative(spec: InvariantSpec) -> None:

@@ -70,24 +70,20 @@ def delta_inv(g: Polynomial) -> Polynomial:
 def nabla_inv(g: Polynomial) -> Polynomial:
     """The unique f with f(t) - f(t - 1) = g(t) and f(0) = 0.
 
-    f(t) - f(t - 1) = g(t) is the forward equation f(s + 1) - f(s) =
-    g(s + 1), so this is delta_inv applied to the shifted input.
+    With h = delta_inv(g), the map t -> h(t + 1) - g(0) solves it, and
+    h(t + 1) = h(t) + g(t), so no shift of the input is needed.
     """
-    return delta_inv(g.shift(1))
+    return delta_inv(g) + g - Polynomial((g.coefficient(0),))
 
 
 def lambda_bar(a: QSym) -> QSym:
     """Prepend a new part 1 to every composition.
 
     M_(a_1, ..., a_r) goes to M_(1, a_1, ..., a_r) and the unit goes to
-    M_(1); terms pushed past the truncation bound are dropped.
+    M_(1); the QSym constructor drops terms pushed past the truncation
+    bound.
     """
-    out = {}
-    for comp, coeff in a.terms.items():
-        grown = (1,) + comp
-        if sum(grown) <= a.max_degree:
-            out[grown] = out.get(grown, Fraction(0)) + coeff
-    return QSym(out, a.max_degree)
+    return QSym({(1,) + comp: coeff for comp, coeff in a.terms.items()}, a.max_degree)
 
 
 def lambda_(a: QSym) -> QSym:
@@ -99,8 +95,7 @@ def lambda_(a: QSym) -> QSym:
     out = {}
     for comp, coeff in a.terms.items():
         for grown in ((1,) + comp,) + (((1 + comp[0],) + comp[1:],) if comp else ()):
-            if sum(grown) <= a.max_degree:
-                out[grown] = out.get(grown, Fraction(0)) + coeff
+            out[grown] = out.get(grown, Fraction(0)) + coeff
     return QSym(out, a.max_degree)
 
 

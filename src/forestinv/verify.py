@@ -262,6 +262,18 @@ def suite_automorphisms(max_n: int = 7) -> SuiteResult:
     return _result("automorphisms", checks, lines)
 
 
+# fixed basis monomials beside the random inputs; with max_n <= 6 the
+# window is six variables wide and the shifts push x_6 out of it
+_FIXED_SHIFT_INPUTS = [
+    (0, 0, 0, 0, 0, 0),
+    (1, 0, 0, 0, 0, 0),
+    (0, 0, 1, 0, 0, 0),
+    (1, 1, 0, 0, 1, 0),
+    (0, 2, 0, 1, 0, 0),
+    (2, 0, 0, 0, 0, 1),
+]
+
+
 def suite_shift_identities(max_n: int = 10) -> SuiteResult:
     """Operator identities in the finite-variable model: the variable and
     shift commutation x_m S^k = S^k x_{m-k}, and (1 - S) after the strict
@@ -281,11 +293,14 @@ def suite_shift_identities(max_n: int = 10) -> SuiteResult:
             terms[tuple(expo)] = Fraction(rng.randint(-5, 5))
         return FiniteVarPoly(terms, num_vars, 4)
 
+    fixed = [
+        FiniteVarPoly({expo + (0,) * (num_vars - 6): Fraction(1)}, num_vars, 4)
+        for expo in _FIXED_SHIFT_INPUTS
+    ]
     commute_ok = True
     for m in range(2, 7):
         for k in range(1, m):
-            for _ in range(8):
-                p = random_poly()
+            for p in fixed + [random_poly() for _ in range(8)]:
                 left = FiniteVarPoly.variable(m, num_vars, 4 + 1)
                 lhs = left * _iterate_shift(p, k)
                 rhs = _iterate_shift(
@@ -297,8 +312,7 @@ def suite_shift_identities(max_n: int = 10) -> SuiteResult:
     lines.append(f"x_m S^k == S^k x_(m-k) for 1 <= k < m <= 6: {commute_ok}")
 
     telescope_ok = True
-    for _ in range(40):
-        p = random_poly()
+    for p in fixed + [random_poly() for _ in range(40)]:
         image = finite_lambda_bar(p)
         lhs = image - shift_s(image)
         rhs = FiniteVarPoly.variable(1, num_vars, 4 + 1) * shift_s(p)

@@ -13,23 +13,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import rat
+from .algebra import _fits, _merge_bounds, rat
 from .errors import DomainError
 from .series import register_noncommutative
 
 Word = tuple
-
-
-def _merge_bounds(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
-
-
-def _fits(length, bound):
-    return bound is None or length <= bound
 
 
 class FreeWord:

@@ -1,43 +1,30 @@
 """Acceptance suite: the eleven checks that gate a release.
 
-Each test prints one always-visible line, ACCEPTANCE NN <name>: PASS or
-FAIL, with timing or findings in parentheses.  Everything is exact
-rational arithmetic; there are no tolerances to tune.
+Each test runs the `verify` suites at their contractual sizes and prints
+one always-visible line, ACCEPTANCE NN <name>: PASS or FAIL, with timing
+or findings in parentheses.  Everything is exact rational arithmetic;
+there are no tolerances to tune.
 """
 
 import time
-from fractions import Fraction
-from math import factorial
 
 import pytest
 
-from forestinv import oracles
-from forestinv.algebra import FiniteVarPoly, principal_specialization, qsym_to_finite
-from forestinv.engine import (
-    brute_force_order_count,
-    brute_force_qsym,
-    collision_report,
-    order_poly,
-    qsym_strict,
-    qsym_strict_spec,
-    qsym_weak,
-    qsym_weak_spec,
-    strict_order_poly,
-    strict_order_spec,
-    weak_order_spec,
+from forestinv.trees import enumerate_trees
+from forestinv.verify import (
+    suite_automorphisms,
+    suite_cayley,
+    suite_census,
+    suite_collisions,
+    suite_functional_equation,
+    suite_grafting,
+    suite_order_oracle,
+    suite_planar,
+    suite_qsym_oracle,
+    suite_recurrence,
+    suite_shift_identities,
+    suite_specialization,
 )
-from forestinv.genfun import cayley_check, u_by_enumeration, u_by_recurrence, verify_functional_equation
-from forestinv.operators import finite_lambda_bar, shift_s
-from forestinv.planar import (
-    check_tensor_grafting,
-    enumerate_planar,
-    enumerate_planar_forests,
-    free_word_family,
-    planar_tree_count,
-    u_planar_by_enumeration,
-    u_planar_by_recurrence,
-)
-from forestinv.trees import automorphism_order, enumerate_trees
 
 
 TREE_COUNTS = [1, 1, 2, 4, 9, 20, 48, 115]
@@ -57,15 +44,8 @@ def announce(capsys):
 
 def test_01_census_matches_independent_enumerator(announce):
     started = time.monotonic()
-    ok = True
-    for n in range(1, 9):
-        trees = enumerate_trees(n)
-        ok = ok and len(trees) == TREE_COUNTS[n - 1]
-        ok = ok and oracles.count_trees_by_level_sequence(n) == TREE_COUNTS[n - 1]
-        rebuilt = {
-            oracles.tree_from_level_sequence(seq) for seq in oracles.level_sequences(n)
-        }
-        ok = ok and rebuilt == set(trees)
+    ok = [len(enumerate_trees(n)) for n in range(1, 9)] == TREE_COUNTS
+    ok = suite_census(8).passed and ok
     elapsed = time.monotonic() - started
     ok = ok and elapsed < 10
     announce(1, "tree census vs level-sequence oracle", ok, f"{elapsed:.2f}s")
@@ -73,154 +53,56 @@ def test_01_census_matches_independent_enumerator(announce):
 
 def test_02_cayley_sums_exact_through_twelve(announce):
     started = time.monotonic()
-    report = cayley_check(12)
+    ok = suite_cayley(12).passed
     elapsed = time.monotonic() - started
-    ok = report.ok and elapsed < 60
+    ok = ok and elapsed < 60
     announce(2, "automorphism-weighted sums equal n^(n-1)/n!", ok, f"{elapsed:.2f}s")
 
 
 def test_03_recurrence_equals_enumeration_order_eight(announce):
     started = time.monotonic()
-    ok = True
-    for spec in (
-        strict_order_spec(),
-        weak_order_spec(),
-        qsym_strict_spec(8),
-        qsym_weak_spec(8),
-    ):
-        ok = ok and u_by_recurrence(spec, 8).terms == u_by_enumeration(spec, 8).terms
+    ok = suite_recurrence(8).passed
     elapsed = time.monotonic() - started
     ok = ok and elapsed < 120
     announce(3, "generating function: recurrence equals enumeration", ok, f"{elapsed:.2f}s")
 
 
 def test_04_fixed_point_residuals_vanish_order_eight(announce):
-    ok = True
-    for spec in (
-        strict_order_spec(),
-        weak_order_spec(),
-        qsym_strict_spec(8),
-        qsym_weak_spec(8),
-    ):
-        ok = ok and verify_functional_equation(spec, 8).is_zero()
-    announce(4, "fixed-point equation residuals vanish", ok)
+    announce(4, "fixed-point equation residuals vanish", suite_functional_equation(8).passed)
 
 
 def test_05_order_polynomials_match_map_counts(announce):
-    ok = True
-    for n in range(1, 7):
-        for tree in enumerate_trees(n):
-            strict = strict_order_poly(tree)
-            weak = order_poly(tree)
-            for m in range(0, 6):
-                ok = ok and strict(m) == brute_force_order_count(tree, m, strict=True)
-                ok = ok and weak(m) == brute_force_order_count(tree, m, strict=False)
-    announce(5, "order polynomials vs labeling brute force", ok)
+    announce(5, "order polynomials vs labeling brute force", suite_order_oracle(6, 5).passed)
 
 
 def test_06_qsym_values_match_monomial_expansion(announce):
-    ok = True
-    for n in range(1, 6):
-        m = n + 2
-        for tree in enumerate_trees(n):
-            ok = ok and qsym_to_finite(qsym_strict(tree), m) == brute_force_qsym(
-                tree, m, strict=True
-            )
-            ok = ok and qsym_to_finite(qsym_weak(tree), m) == brute_force_qsym(
-                tree, m, strict=False
-            )
+    ok = suite_qsym_oracle(5).passed
     announce(6, "quasi-symmetric values vs monomial brute force", ok)
 
 
 def test_07_specialization_bridge(announce):
-    ok = True
-    for n in range(1, 7):
-        for tree in enumerate_trees(n):
-            strict = strict_order_poly(tree)
-            weak = order_poly(tree)
-            ks = qsym_strict(tree)
-            kw = qsym_weak(tree)
-            for m in range(0, 7):
-                ok = ok and principal_specialization(ks, m) == strict(m)
-                ok = ok and principal_specialization(kw, m) == weak(m)
+    ok = suite_specialization(6, 6).passed
     announce(7, "principal specialization recovers order polynomials", ok)
 
 
 def test_08_collision_search_reports_findings(announce):
     # collisions are findings to report, never failures; the alpha flag
     # records whether the colliding trees also share automorphism order
-    pairs = collision_report(7, qsym_strict_spec(7))
-    if pairs:
-        detail = "; ".join(
-            f"n={p.n} {p.tree_a} vs {p.tree_b} alpha_collision={p.alpha_collision}"
-            for p in pairs
-        )
-    else:
-        detail = "0 collisions for the strict quasi-symmetric invariant, n <= 7"
-    announce(8, "collision search", True, detail)
+    result = suite_collisions(7)
+    announce(8, "collision search", result.passed, "; ".join(result.lines))
 
 
 def test_09_planar_recurrence_matches_enumeration_and_census(announce):
-    ok = True
-    for labels in (("a",), ("a", "b")):
-        family = free_word_family(labels)
-        rec = u_planar_by_recurrence(family, 6)
-        enum = u_planar_by_enumeration(family, 6)
-        ok = ok and rec.per_label == enum.per_label
-        for n in range(1, 7):
-            count = len(enumerate_planar(n, labels))
-            ok = ok and count == planar_tree_count(n, len(labels))
+    ok = suite_planar(6).passed
     announce(9, "planar recurrence, enumeration, and census agree", ok)
 
 
 def test_10_tensor_grafting_identity_on_small_forests(announce):
-    base = free_word_family(["a", "b"])
-    samples = []
-    for n in range(0, 5):
-        samples.extend(enumerate_planar_forests(n, ["a", "b"]))
-    report = check_tensor_grafting(samples, base, product_vertex_cap=4)
-    ok = report.ok
-    announce(
-        10,
-        "tensor operators commute with grafting",
-        ok,
-        f"{len(report.graft_checks)} grafts, {len(report.product_checks)} products",
-    )
-
-
-def _shift_power(p, k):
-    for _ in range(k):
-        p = shift_s(p)
-    return p
+    result = suite_grafting(4)
+    announce(10, "tensor operators commute with grafting", result.passed, "; ".join(result.lines))
 
 
 def test_11_automorphism_and_shift_identities(announce):
-    ok = True
-    for n in range(1, 8):
-        for tree in enumerate_trees(n):
-            ok = ok and automorphism_order(tree) == oracles.count_root_automorphisms(tree)
-    # shift commutation x_m S^k = S^k x_(m-k) inside the variable window,
-    # and the telescoping identity (1 - S) applied after the prepend
-    # operator equals multiplication by x_1 S
-    num_vars, bound = 6, 8
-    basis = [
-        FiniteVarPoly({expo: Fraction(1)}, num_vars, bound)
-        for expo in [
-            (0,) * 6,
-            (1, 0, 0, 0, 0, 0),
-            (0, 0, 1, 0, 0, 0),
-            (1, 1, 0, 0, 1, 0),
-            (0, 2, 0, 1, 0, 0),
-            (2, 0, 0, 0, 0, 1),
-        ]
-    ]
-    x1 = FiniteVarPoly.variable(1, num_vars, bound)
-    for p in basis:
-        for k in range(1, 6):
-            for m in range(k + 1, 7):
-                x_m = FiniteVarPoly.variable(m, num_vars, bound)
-                x_mk = FiniteVarPoly.variable(m - k, num_vars, bound)
-                ok = ok and x_m * _shift_power(p, k) == _shift_power(x_mk * p, k)
-        lifted = finite_lambda_bar(p)
-        ok = ok and lifted - shift_s(lifted) == x1 * shift_s(p)
+    # six variables put the suite's fixed shift inputs at the window edge
+    ok = suite_automorphisms(7).passed and suite_shift_identities(6).passed
     announce(11, "automorphism counts and shift identities", ok)

@@ -20,6 +20,7 @@ from forestinv.algebra import (
     to_newton,
 )
 from forestinv.errors import DomainError
+from forestinv.operators import lambda_bar
 from forestinv.series import Series, exp, geometric_inverse
 from forestinv.words import FreeWord, TensorElement
 
@@ -138,6 +139,19 @@ def test_qsym_truncation_discipline():
     assert (wide * narrow).max_degree == 2
     # equality ignores the bound
     assert QSym.monomial((1,), 3) == QSym.monomial((1,), 8)
+    # None is unbounded: products and sums keep every degree
+    free = QSym({(3,): 1, (1,): 1}, None)
+    assert free * free == QSym({(3, 3): 2, (6,): 1, (1, 3): 2, (3, 1): 2, (4,): 2,
+                                (1, 1): 2, (2,): 1}, None)
+    assert (free * free).max_degree is None
+    assert (free + QSym.monomial((9,), 9)).terms == {(3,): 1, (1,): 1, (9,): 1}
+    # an unbounded operand yields to a bounded one
+    assert (free * a).max_degree == 4
+    assert free * a == QSym({(1, 3): 1, (3, 1): 1, (4,): 1}, 4)
+    assert (free + b).max_degree == 4
+    assert (QSym({(5,): 1}, None) + b).terms == {(2,): 1}
+    # the prepend operator keeps the top term of an unbounded element
+    assert lambda_bar(free) == QSym({(1, 3): 1, (1, 1): 1}, None)
 
 
 def test_qsym_rejects_bad_compositions():

@@ -128,9 +128,23 @@ def test_qsym_values_are_homogeneous():
 def test_qsym_bound_too_small():
     cherry = parse_tree("(()())")
     with pytest.raises(DomainError):
-        qsym_strict(cherry, max_degree=2)
-    with pytest.raises(DomainError):
         evaluate(cherry, qsym_strict_spec(2))
+
+
+def test_shared_qsym_specs_serve_every_size():
+    shared_values = (("lambda-bar", qsym_strict, qsym_strict_spec(7)),
+                     ("lambda", qsym_weak, qsym_weak_spec(7)))
+    for name, value_of, fresh in shared_values:
+        shared = built_in_spec(name)
+        for n in range(1, 8):
+            for tree in enumerate_trees(n):
+                assert evaluate(tree, shared) == evaluate(tree, fresh)
+        # one cache serves every size: evaluating a 7-vertex tree fills in
+        # its 3-vertex subtrees, which qsym_strict and qsym_weak then reuse
+        shared._cache.clear()
+        evaluate(parse_tree("(((()))(()()))"), shared)
+        for key in ("((()))", "(()())"):
+            assert value_of(parse_tree(key)) is shared._cache[key]
 
 
 def test_order_polynomials_match_brute_force():
@@ -209,7 +223,7 @@ def test_order_polynomial_collision_on_five_vertices():
     a, b = parse_tree(pair.tree_a), parse_tree(pair.tree_b)
     assert strict_order_poly(a) == strict_order_poly(b)
     assert order_poly(a) == order_poly(b)
-    assert qsym_strict(a, 5) != qsym_strict(b, 5)
+    assert qsym_strict(a) != qsym_strict(b)
     weak_pairs = collision_report(5, weak_order_spec())
     assert [(p.tree_a, p.tree_b) for p in weak_pairs] == [(pair.tree_a, pair.tree_b)]
 
@@ -250,8 +264,8 @@ def test_build_table():
 
 def test_built_in_spec_lookup():
     assert built_in_spec("delta-inv").name == "delta-inv"
-    assert built_in_spec("lambda", max_degree=5).degree_bound == 5
-    with pytest.raises(DomainError):
-        built_in_spec("lambda-bar")
+    assert built_in_spec("lambda-bar") is built_in_spec("lambda-bar")
+    assert built_in_spec("lambda-bar").degree_bound is None
+    assert qsym_strict_spec(5).degree_bound == 5
     with pytest.raises(DomainError):
         built_in_spec("unknown")
