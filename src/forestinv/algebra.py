@@ -259,11 +259,8 @@ class QSym:
         return cls({(): Fraction(1)}, max_degree)
 
     @classmethod
-    def monomial(cls, composition, max_degree=None):
-        composition = tuple(composition)
-        if max_degree is None:
-            max_degree = sum(composition)
-        return cls({composition: Fraction(1)}, max_degree)
+    def monomial(cls, composition, max_degree: int | None = None):
+        return cls({tuple(composition): Fraction(1)}, max_degree)
 
     def one_like(self):
         return QSym.one(self.max_degree)

@@ -2,15 +2,19 @@
 
 Everything here deliberately avoids the canonical-form machinery in
 `trees` (beyond constructing result objects), so these routines can act
-as honest oracles for it.  Guards raise instead of approximating.
+as honest oracles for it.  The power-sum builds of exp and 1/(1 - f)
+check the coefficient recurrences in `series` the same way.  Guards
+raise instead of approximating.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 from .errors import DomainError, ResourceLimitError
+from .series import Series, is_noncommutative
 from .trees import RootedTree
 
 
@@ -124,3 +128,33 @@ def count_dyck_words(pairs: int) -> int:
             if depth == 0:
                 count += 1
     return count
+
+
+def exp_by_power_sums(series: Series) -> Series:
+    """exp of a series with zero constant term, over a commutative
+    carrier: the sum of series^k / k! up to the truncation order.
+    Costs O(N^3) carrier products at order N."""
+    if is_noncommutative(series.one):
+        raise DomainError("exp needs a commutative coefficient algebra")
+    if series.coeffs[0] != series._zero():
+        raise DomainError("exp needs a zero constant term")
+    out = Series.unit(series.order, series.one)
+    term = Series.unit(series.order, series.one)
+    for k in range(1, series.order + 1):
+        term = term * series * Fraction(1, k)
+        out = out + term
+    return out
+
+
+def geometric_inverse_by_powers(series: Series) -> Series:
+    """1/(1 - series) for a series with zero constant term: the sum of
+    the ordered powers series^k up to the truncation order.  Works over
+    noncommutative carriers.  Costs O(N^3) carrier products at order N."""
+    if series.coeffs[0] != series._zero():
+        raise DomainError("geometric inverse needs a zero constant term")
+    out = Series.unit(series.order, series.one)
+    term = Series.unit(series.order, series.one)
+    for _ in range(series.order):
+        term = term * series
+        out = out + term
+    return out

@@ -320,17 +320,16 @@ def u_planar_by_recurrence(family: OperatorFamily, order: int) -> PlanarUSequenc
         raise DomainError("need order >= 1")
     per_label: dict = {label: [] for label in family.labels}
     zero = Fraction(0) * family.one
-    total = Series.zero(order, family.one)
+    totals = []  # weight-n totals over all labels, n = 1, 2, ...
     for n in range(1, order + 1):
-        source = geometric_inverse(total.truncate(n - 1)).coefficient(n - 1)
+        inverted = geometric_inverse(Series((zero, *totals), family.one))
+        source = inverted.coefficient(n - 1)
         coeff_n = zero
         for label in family.labels:
             term = family[label](source)
             per_label[label].append(term)
             coeff_n = coeff_n + term
-        grown = list(total.coeffs)
-        grown[n] = coeff_n
-        total = Series(grown, family.one)
+        totals.append(coeff_n)
     return PlanarUSequence(per_label, family.one)
 
 

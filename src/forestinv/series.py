@@ -4,7 +4,9 @@ A Series stores coefficients for q^0 .. q^order plus the unit of the
 coefficient algebra, so zeros and units can be manufactured without
 knowing the carrier type.  Coefficients only need +, - and * with
 rational scalars; noncommutative carriers are fine everywhere except
-`exp`, which refuses them.
+`exp`, which refuses them.  `exp` and `geometric_inverse` solve
+coefficient recurrences; the power sums they replaced live in `oracles`
+as test references.
 """
 
 from __future__ import annotations
@@ -128,30 +130,45 @@ class Series:
         )
 
 
+def _tail_sum(f, g):
+    """Sum of f[k] * g[n - k] for k = 1 .. n, where n = len(g): the
+    q^n coefficient of (f - f_0) * g, with g known through q^(n-1)."""
+    n = len(g)
+    total = f[1] * g[n - 1]
+    for k in range(2, n + 1):
+        total = total + f[k] * g[n - k]
+    return total
+
+
 def exp(series: Series) -> Series:
-    """exp of a series with zero constant term, over a commutative
-    carrier: the sum of series^k / k! up to the truncation order."""
+    """exp of a series f with zero constant term, over a commutative
+    carrier, from the coefficient recurrence of E' = f' E:
+
+        E_0 = 1,  n E_n = sum_{k=1..n} k f_k E_(n-k).
+
+    Costs N(N+1)/2 carrier products at order N."""
     if is_noncommutative(series.one):
         raise DomainError("exp needs a commutative coefficient algebra")
     if series.coeffs[0] != series._zero():
         raise DomainError("exp needs a zero constant term")
-    out = Series.unit(series.order, series.one)
-    term = Series.unit(series.order, series.one)
-    for k in range(1, series.order + 1):
-        term = term * series * Fraction(1, k)
-        out = out + term
-    return out
+    scaled = [k * c for k, c in enumerate(series.coeffs)]
+    out = [series.one]
+    for n in range(1, series.order + 1):
+        out.append(Fraction(1, n) * _tail_sum(scaled, out))
+    return Series(out, series.one)
 
 
 def geometric_inverse(series: Series) -> Series:
-    """1/(1 - series) for a series with zero constant term: the sum of
-    the ordered powers series^k up to the truncation order.  Works over
-    noncommutative carriers."""
+    """1/(1 - f) for a series f with zero constant term, from the
+    coefficient recurrence of G = 1 + f G:
+
+        G_0 = 1,  G_n = sum_{k=1..n} f_k G_(n-k).
+
+    Each f_k multiplies from the left, so this holds over noncommutative
+    carriers too.  Costs N(N+1)/2 carrier products at order N."""
     if series.coeffs[0] != series._zero():
         raise DomainError("geometric inverse needs a zero constant term")
-    out = Series.unit(series.order, series.one)
-    term = Series.unit(series.order, series.one)
+    out = [series.one]
     for _ in range(series.order):
-        term = term * series
-        out = out + term
-    return out
+        out.append(_tail_sum(series.coeffs, out))
+    return Series(out, series.one)

@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from forestinv.algebra import (
     FiniteVarPoly,
@@ -21,7 +23,8 @@ from forestinv.algebra import (
 )
 from forestinv.errors import DomainError
 from forestinv.operators import lambda_bar
-from forestinv.series import Series, exp, geometric_inverse
+from forestinv.oracles import exp_by_power_sums, geometric_inverse_by_powers
+from forestinv.series import Series, exp, geometric_inverse, is_noncommutative
 from forestinv.words import FreeWord, TensorElement
 
 
@@ -152,6 +155,11 @@ def test_qsym_truncation_discipline():
     assert (QSym({(5,): 1}, None) + b).terms == {(2,): 1}
     # the prepend operator keeps the top term of an unbounded element
     assert lambda_bar(free) == QSym({(1, 3): 1, (1, 1): 1}, None)
+    # a monomial with no bound is unbounded, not bounded at its own degree
+    m1 = QSym.monomial((1,))
+    assert m1.max_degree is None
+    assert m1 * m1 == QSym({(2,): 1, (1, 1): 2}, None)
+    assert (m1 * m1).max_degree is None
 
 
 def test_qsym_rejects_bad_compositions():
@@ -233,32 +241,162 @@ def test_series_mixed_orders_truncate():
     assert (a * b).order == 3
 
 
-def test_series_exp_is_homomorphism():
-    one = Fraction(1)
-    rng = random.Random(13)
-    for _ in range(20):
-        a = Series.from_terms(
-            {k: Fraction(rng.randint(-3, 3)) for k in range(1, 7)}, 6, one
-        )
-        b = Series.from_terms(
-            {k: Fraction(rng.randint(-3, 3)) for k in range(1, 7)}, 6, one
-        )
-        assert exp(a + b) == exp(a) * exp(b)
+# Property tests stay small so tier-1 time stays flat.
+PROPERTY = settings(max_examples=50, deadline=None)
+FRACTIONS = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+# (unit, coefficient strategy) for the commutative carriers
+COMMUTATIVE = st.sampled_from(
+    [
+        (Fraction(1), FRACTIONS),
+        (Polynomial.one(), st.lists(FRACTIONS, max_size=3).map(Polynomial)),
+    ]
+)
+WORDS = st.lists(st.sampled_from("ab"), max_size=2).map(tuple)
 
 
-def test_series_geometric_inverse_is_inverse():
-    one = FreeWord.one(6)
-    rng = random.Random(17)
-    letters = ["a", "b"]
-    for _ in range(10):
-        coeffs = {}
-        for k in range(1, 5):
-            word = tuple(rng.choice(letters) for _ in range(k))
-            coeffs[k] = FreeWord({word: Fraction(rng.randint(-2, 2))}, 6)
-        u = Series.from_terms(coeffs, 4, one)
-        identity = Series.unit(4, one)
-        assert (identity - u) * geometric_inverse(u) == identity
-        assert geometric_inverse(u) * (identity - u) == identity
+def series_with(coefficients, one, max_order=6):
+    """Strategy for a series with zero constant term, of order at most
+    max_order."""
+    return st.lists(coefficients, max_size=max_order).map(
+        lambda cs: Series((Fraction(0) * one, *cs), one)
+    )
+
+
+@st.composite
+def commutative_series(draw, count=1):
+    one, coefficients = draw(COMMUTATIVE)
+    return [draw(series_with(coefficients, one)) for _ in range(count)]
+
+
+@st.composite
+def word_series(draw):
+    bound = draw(st.one_of(st.none(), st.integers(0, 6)))
+    element = st.dictionaries(WORDS, st.integers(-3, 3), max_size=3)
+    return draw(
+        series_with(element.map(lambda terms: FreeWord(terms, bound)), FreeWord.one(bound), 5)
+    )
+
+
+@PROPERTY
+@given(commutative_series(count=2))
+def test_series_exp_is_homomorphism(pair):
+    a, b = pair
+    assert exp(a + b) == exp(a) * exp(b)
+
+
+@PROPERTY
+@given(word_series())
+def test_series_geometric_inverse_is_inverse(u):
+    identity = Series.unit(u.order, u.one)
+    assert (identity - u) * geometric_inverse(u) == identity
+    assert geometric_inverse(u) * (identity - u) == identity
+
+
+@PROPERTY
+@given(st.one_of(commutative_series(), word_series().map(lambda u: [u])))
+def test_series_recurrences_match_power_sums_property(single):
+    (f,) = single
+    assert geometric_inverse(f) == geometric_inverse_by_powers(f)
+    if not is_noncommutative(f.one):
+        assert exp(f) == exp_by_power_sums(f)
+
+
+def _random_composition(rng, degree):
+    parts = []
+    while degree:
+        parts.append(rng.randint(1, degree))
+        degree -= parts[-1]
+    return tuple(parts)
+
+
+def _random_words(rng, length):
+    return {tuple(rng.choice("ab") for _ in range(length)): rng.randint(-3, 3)
+            for _ in range(2)}
+
+
+# carrier -> (unit at an order, random q^k coefficient at that order).  The
+# unbounded graded carriers draw q^k in degree k so products stay small;
+# the bounded ones mix degrees up to the order and so truncate.
+SERIES_CARRIERS = {
+    "fraction": (
+        lambda order: Fraction(1),
+        lambda rng, k, order: Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+    ),
+    "polynomial": (
+        lambda order: Polynomial.one(),
+        lambda rng, k, order: random_polynomial(rng, 3),
+    ),
+    "qsym-bounded": (QSym.one, lambda rng, k, order: random_qsym(rng, order)),
+    "qsym-unbounded": (
+        lambda order: QSym.one(None),
+        lambda rng, k, order: QSym(
+            {_random_composition(rng, k): rng.randint(-3, 3) for _ in range(2)}, None
+        ),
+    ),
+    "freeword-bounded": (
+        FreeWord.one,
+        lambda rng, k, order: FreeWord(_random_words(rng, rng.randint(0, order)), order),
+    ),
+    "freeword-unbounded": (
+        lambda order: FreeWord.one(None),
+        lambda rng, k, order: FreeWord(_random_words(rng, k), None),
+    ),
+}
+
+
+@pytest.mark.parametrize("carrier", sorted(SERIES_CARRIERS))
+def test_series_recurrences_match_power_sums(carrier):
+    unit_at, draw = SERIES_CARRIERS[carrier]
+    rng = random.Random(23)
+    for order in range(9):
+        one = unit_at(order)
+        zero = Series.zero(order, one)
+        cases = [zero] + [
+            Series((Fraction(0) * one, *(draw(rng, k, order) for k in range(1, order + 1))), one)
+            for _ in range(2)
+        ]
+        for f in cases:
+            inverse = geometric_inverse(f)
+            assert inverse == geometric_inverse_by_powers(f)
+            assert inverse.order == order
+            if not is_noncommutative(one):
+                assert exp(f) == exp_by_power_sums(f)
+                assert exp(f).order == order
+        assert geometric_inverse(zero) == Series.unit(order, one)
+        if not is_noncommutative(one):
+            assert exp(zero) == Series.unit(order, one)
+
+
+def test_series_recurrences_make_quadratically_many_products(monkeypatch):
+    counts = {"poly": 0, "word": 0}
+    poly_mul, word_mul = Polynomial.__mul__, FreeWord.__mul__
+
+    def counting_poly_mul(self, other):
+        if isinstance(other, Polynomial):  # scalar multiples are not counted
+            counts["poly"] += 1
+        return poly_mul(self, other)
+
+    def counting_word_mul(self, other):
+        counts["word"] += 1
+        return word_mul(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counting_poly_mul)
+    monkeypatch.setattr(FreeWord, "__mul__", counting_word_mul)
+    order = 12
+    rng = random.Random(29)
+    poly = Series(
+        (Polynomial(), *(Polynomial((rng.randint(1, 5), 1)) for _ in range(order))),
+        Polynomial.one(),
+    )
+    words = Series(
+        (FreeWord.zero(), *(FreeWord({(rng.choice("ab"),) * k: 1}) for k in range(1, order + 1))),
+        FreeWord.one(),
+    )
+    exp(poly)
+    geometric_inverse(words)
+    # N(N+1)/2 products at order N; summing powers needs O(N^3)
+    assert 0 < counts["poly"] <= order * (order + 1) // 2
+    assert 0 < counts["word"] <= order * (order + 1) // 2
 
 
 def test_series_domain_errors():

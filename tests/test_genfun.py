@@ -8,6 +8,7 @@ import pytest
 
 from forestinv.algebra import FiniteVarPoly, Polynomial, QSym, principal_specialization
 from forestinv.engine import (
+    built_in_spec,
     qsym_strict_spec,
     qsym_weak_spec,
     strict_order_spec,
@@ -21,6 +22,7 @@ from forestinv.genfun import (
     u_by_recurrence,
     verify_functional_equation,
 )
+from forestinv.oracles import exp_by_power_sums
 from forestinv.series import Series
 from forestinv.words import FreeWord
 
@@ -106,6 +108,19 @@ def test_functional_equation_residual_is_zero():
     ):
         residual = verify_functional_equation(spec, 7)
         assert residual.is_zero()
+
+
+@pytest.mark.parametrize(
+    "name, order",
+    [("delta-inv", 10), ("nabla-inv", 10), ("lambda-bar", 7), ("lambda", 7)],
+)
+def test_recurrence_satisfies_power_sum_fixed_point(name, order):
+    # exp by summed powers shares no code with the coefficient recurrence
+    # inside u_by_recurrence, so a zero residual is independent evidence
+    spec = built_in_spec(name)
+    u = u_by_recurrence(spec, order).series()
+    residual = exp_by_power_sums(u).map(spec.operator).times_q() - u
+    assert residual.is_zero()
 
 
 def test_residual_detects_a_wrong_sequence():
