@@ -3,8 +3,12 @@
 Three commutative algebras over the rationals live here: dense univariate
 polynomials in t, quasi-symmetric elements written in the monomial
 composition basis, and a finite-variable polynomial model used as an
-independent oracle for the quasi-symmetric layer.  All coefficients are
-`fractions.Fraction`; there is no floating point anywhere in the package.
+independent oracle for the quasi-symmetric layer.  Arithmetic is exact and
+runs on Python ints wherever it can: a polynomial is integer numerators
+over one common denominator, and the dict carriers (here and in `words`)
+store integral coefficients as int and the rest as `fractions.Fraction`,
+all through the one coercion `rat`.  There is no floating point anywhere
+in the package.
 """
 
 from __future__ import annotations
@@ -13,21 +17,29 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, gcd, lcm
 
 from .errors import DomainError
 
 Rational = Fraction
 
 
-def rat(x) -> Fraction:
-    """Coerce an int, Fraction, or "p/q" string to an exact rational."""
-    if isinstance(x, Fraction):
+def rat(x):
+    """Coerce an int, Fraction, or "p/q" string to an exact scalar: an int
+    when the value is integral, a Fraction otherwise.
+
+    This is the one coefficient coercion of every carrier, so integral
+    coefficients stay on Python int arithmetic.  An int and the equal
+    Fraction compare, hash and print alike.
+    """
+    if type(x) is int:
         return x
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x)
     if isinstance(x, str):
-        return Fraction(x)
+        return rat(Fraction(x))
     raise DomainError(f"not an exact scalar: {x!r}")
 
 
@@ -53,17 +65,48 @@ def one_like(x):
 class Polynomial:
     """Dense univariate polynomial in t with rational coefficients.
 
-    Coefficients are stored ascending with no trailing zeros, so equal
-    polynomials have equal tuples; the zero polynomial stores ().
+    The coefficients are integer numerators, ascending, over one positive
+    common denominator, kept reduced: the gcd of the denominator and all
+    numerators is 1 and there is no trailing zero, so equal polynomials
+    have equal representations.  The zero polynomial is ((), 1).  All
+    arithmetic runs on Python ints; `coeffs` gives the coefficients as
+    Fractions.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("numerators", "denominator")
 
     def __init__(self, coeffs=()):
         cs = [rat(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        den = lcm(*(c.denominator for c in cs))
+        # the lcm of reduced denominators leaves the numerators coprime to it
+        nums = [c.numerator * (den // c.denominator) for c in cs]
+        while nums and not nums[-1]:
+            nums.pop()
+        self.numerators = tuple(nums)
+        self.denominator = den
+
+    @classmethod
+    def from_numerators(cls, numerators, denominator: int) -> "Polynomial":
+        """The polynomial with coefficients numerators[k] / denominator,
+        brought to reduced form; all are ints, the denominator non-zero."""
+        nums = list(numerators)
+        while nums and not nums[-1]:
+            nums.pop()
+        if not nums:
+            denominator = 1
+        else:
+            if denominator < 0:
+                nums = [-n for n in nums]
+                denominator = -denominator
+            if denominator != 1:
+                g = gcd(denominator, *nums)
+                if g != 1:
+                    nums = [n // g for n in nums]
+                    denominator //= g
+        out = object.__new__(cls)
+        out.numerators = tuple(nums)
+        out.denominator = denominator
+        return out
 
     @classmethod
     def zero(cls):
@@ -84,29 +127,43 @@ class Polynomial:
         return Polynomial.zero()
 
     @property
+    def coeffs(self) -> tuple:
+        """The coefficients as Fractions, ascending, no trailing zeros."""
+        den = self.denominator
+        return tuple(Fraction(n, den) for n in self.numerators)
+
+    @property
     def degree(self) -> int:
         # zero reports degree -1
-        return len(self.coeffs) - 1
+        return len(self.numerators) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.numerators
 
     def coefficient(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
+        if 0 <= k < len(self.numerators):
+            return Fraction(self.numerators[k], self.denominator)
+        return Fraction(0)
 
     def __add__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        a, b = self.numerators, other.numerators
+        den, other_den = self.denominator, other.denominator
+        if den != other_den:
+            g = gcd(den, other_den)
+            a = [n * (other_den // g) for n in a]
+            b = [n * (den // g) for n in b]
+            den = den // g * other_den
         if len(a) < len(b):
             a, b = b, a
         merged = list(a)
-        for i, c in enumerate(b):
-            merged[i] += c
-        return Polynomial(merged)
+        for i, n in enumerate(b):
+            merged[i] += n
+        return Polynomial.from_numerators(merged, den)
 
     def __neg__(self):
-        return Polynomial(tuple(-c for c in self.coeffs))
+        return Polynomial.from_numerators([-n for n in self.numerators], self.denominator)
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
@@ -115,37 +172,56 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
-            if self.is_zero() or other.is_zero():
+            a, b = self.numerators, other.numerators
+            if not a or not b:
                 return Polynomial()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return Polynomial(out)
-        return Polynomial(tuple(rat(other) * c for c in self.coeffs))
+            out = [0] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in enumerate(b, i):
+                        out[j] += x * y
+            return Polynomial.from_numerators(out, self.denominator * other.denominator)
+        return self._scaled(other)
 
     def __rmul__(self, other):
-        return Polynomial(tuple(rat(other) * c for c in self.coeffs))
+        return self._scaled(other)
+
+    def _scaled(self, other) -> "Polynomial":
+        c = rat(other)
+        return Polynomial.from_numerators(
+            [c.numerator * n for n in self.numerators], c.denominator * self.denominator
+        )
 
     def __call__(self, x) -> Fraction:
-        value = Fraction(0)
-        for c in reversed(self.coeffs):
-            value = value * rat(x) + c
-        return value
+        nums = self.numerators
+        if not nums:
+            return Fraction(0)
+        x = rat(x)
+        p, q = x.numerator, x.denominator
+        # Horner on numerators: the value is total / (denominator * q^degree)
+        total, scale = nums[-1], 1
+        for n in nums[-2::-1]:
+            scale *= q
+            total = total * p + n * scale
+        return Fraction(total, self.denominator * scale)
 
     def shift(self, c) -> "Polynomial":
         """The polynomial f(t + c), computed exactly by Horner steps."""
-        shifted_t = Polynomial((rat(c), Fraction(1)))
+        shifted_t = Polynomial((c, 1))
         out = Polynomial()
         for a in reversed(self.coeffs):
             out = out * shifted_t + Polynomial((a,))
         return out
 
     def __eq__(self, other):
-        return isinstance(other, Polynomial) and self.coeffs == other.coeffs
+        return (
+            isinstance(other, Polynomial)
+            and self.denominator == other.denominator
+            and self.numerators == other.numerators
+        )
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.numerators, self.denominator))
 
     def __repr__(self):
         if self.is_zero():
@@ -256,11 +332,11 @@ class QSym:
 
     @classmethod
     def one(cls, max_degree: int | None):
-        return cls({(): Fraction(1)}, max_degree)
+        return cls({(): 1}, max_degree)
 
     @classmethod
     def monomial(cls, composition, max_degree: int | None = None):
-        return cls({tuple(composition): Fraction(1)}, max_degree)
+        return cls({tuple(composition): 1}, max_degree)
 
     def one_like(self):
         return QSym.one(self.max_degree)
@@ -282,7 +358,7 @@ class QSym:
         bound = _merge_bounds(self.max_degree, other.max_degree)
         merged = dict(self.terms)
         for comp, coeff in other.terms.items():
-            merged[comp] = merged.get(comp, Fraction(0)) + coeff
+            merged[comp] = merged.get(comp, 0) + coeff
         return QSym(merged, bound)
 
     def __neg__(self):
@@ -304,7 +380,7 @@ class QSym:
                         continue
                     v = va * vb
                     for comp, m in quasi_shuffle(ca, cb):
-                        out[comp] = out.get(comp, Fraction(0)) + m * v
+                        out[comp] = out.get(comp, 0) + m * v
             return QSym(out, bound)
         scalar = rat(other)
         return QSym({c: scalar * v for c, v in self.terms.items()}, self.max_degree)
@@ -378,7 +454,7 @@ class FiniteVarPoly:
 
     @classmethod
     def one(cls, num_vars: int, max_degree: int):
-        return cls({(0,) * num_vars: Fraction(1)}, num_vars, max_degree)
+        return cls({(0,) * num_vars: 1}, num_vars, max_degree)
 
     @classmethod
     def variable(cls, index: int, num_vars: int, max_degree: int):
@@ -387,7 +463,7 @@ class FiniteVarPoly:
             raise DomainError(f"variable index {index} outside 1..{num_vars}")
         expo = [0] * num_vars
         expo[index - 1] = 1
-        return cls({tuple(expo): Fraction(1)}, num_vars, max_degree)
+        return cls({tuple(expo): 1}, num_vars, max_degree)
 
     def one_like(self):
         return FiniteVarPoly.one(self.num_vars, self.max_degree)
@@ -409,7 +485,7 @@ class FiniteVarPoly:
         bound = min(self.max_degree, other.max_degree)
         merged = dict(self.terms)
         for expo, coeff in other.terms.items():
-            merged[expo] = merged.get(expo, Fraction(0)) + coeff
+            merged[expo] = merged.get(expo, 0) + coeff
         return FiniteVarPoly(merged, self.num_vars, bound)
 
     def __neg__(self):
@@ -432,7 +508,7 @@ class FiniteVarPoly:
                     expo = tuple(x + y for x, y in zip(ea, eb))
                     if sum(expo) > bound:
                         continue
-                    out[expo] = out.get(expo, Fraction(0)) + va * vb
+                    out[expo] = out.get(expo, 0) + va * vb
             return FiniteVarPoly(out, self.num_vars, bound)
         scalar = rat(other)
         return FiniteVarPoly(
@@ -520,5 +596,5 @@ def qsym_to_finite(element: QSym, num_vars: int, max_degree=None) -> FiniteVarPo
             for spot, part in zip(spots, comp):
                 expo[spot] = part
             key = tuple(expo)
-            out[key] = out.get(key, Fraction(0)) + coeff
+            out[key] = out.get(key, 0) + coeff
     return FiniteVarPoly(out, num_vars, max_degree)

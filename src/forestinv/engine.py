@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import FiniteVarPoly, Polynomial, QSym
 from .errors import DomainError, ResourceLimitError
@@ -194,7 +193,7 @@ def brute_force_qsym(tree: RootedTree, m: int, strict: bool = True) -> FiniteVar
         raise ResourceLimitError(f"{m}^{v} assignments is over the brute-force limit")
     parents = _parent_array(tree)
     edges = [(parents[i], i) for i in range(1, v)]
-    terms: dict[tuple, Fraction] = {}
+    terms: dict[tuple, int] = {}
     for labels in itertools.product(range(1, m + 1), repeat=v):
         if strict:
             if not all(labels[p] < labels[c] for p, c in edges):
@@ -205,7 +204,7 @@ def brute_force_qsym(tree: RootedTree, m: int, strict: bool = True) -> FiniteVar
         for label in labels:
             expo[label - 1] += 1
         key = tuple(expo)
-        terms[key] = terms.get(key, Fraction(0)) + 1
+        terms[key] = terms.get(key, 0) + 1
     return FiniteVarPoly(terms, m, v)
 
 

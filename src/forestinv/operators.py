@@ -9,18 +9,13 @@ composition, with the second one also merging into the head part.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb, lcm
 from typing import Any, Callable
 
-from .algebra import (
-    FiniteVarPoly,
-    Polynomial,
-    QSym,
-    binomial_basis,
-    rat,
-    to_newton,
-)
+from .algebra import FiniteVarPoly, Polynomial, QSym, rat
 from .errors import DomainError
 
 POLYNOMIAL = "polynomial"
@@ -55,16 +50,62 @@ def nabla(p: Polynomial) -> Polynomial:
     return p - p.shift(-1)
 
 
+# Power sums sum_{j<t} j^k = A_k(t) / L for k = 0..d: the integer
+# coefficient rows A_0..A_d over one common denominator L.  Empty until the
+# first delta_inv call, then grown under the lock to the highest degree
+# seen; each growth replaces the (rows, L) pair in one assignment, so
+# readers need no lock.
+_POWER_SUMS: tuple = ((), 1)
+_POWER_SUMS_LOCK = threading.Lock()
+
+
+def _power_sums(degree: int) -> tuple:
+    """The power-sum table, grown to cover every k <= degree."""
+    global _POWER_SUMS
+    if degree < len(_POWER_SUMS[0]):
+        return _POWER_SUMS
+    with _POWER_SUMS_LOCK:
+        rows, den = _POWER_SUMS
+        if degree < len(rows):
+            return _POWER_SUMS
+        # Faulhaber: (k+1) sum_{j<t} j^k = sum_i C(k+1, i) B_i t^(k+1-i), with
+        # B_1 = -1/2; B_k is the linear coefficient of row k.
+        bernoulli = [Fraction(row[1], den) for row in rows]
+        grown = []
+        for k in range(len(rows), degree + 1):
+            if k == 0:
+                bernoulli.append(Fraction(1))
+            else:
+                total = sum(comb(k + 1, i) * b for i, b in enumerate(bernoulli) if b)
+                bernoulli.append(-total / (k + 1))
+            row = [Fraction(0)] * (k + 2)
+            for i, b in enumerate(bernoulli):
+                row[k + 1 - i] = comb(k + 1, i) * b / (k + 1)
+            grown.append(row)
+        new_den = lcm(den, *(c.denominator for row in grown for c in row))
+        scale = new_den // den
+        rows = tuple(tuple(a * scale for a in row) for row in rows) if scale != 1 else rows
+        rows += tuple(
+            tuple(c.numerator * (new_den // c.denominator) for c in row) for row in grown
+        )
+        _POWER_SUMS = (rows, new_den)
+        return _POWER_SUMS
+
+
 def delta_inv(g: Polynomial) -> Polynomial:
     """The unique f with f(t + 1) - f(t) = g(t) and f(0) = 0.
 
-    Writing g in the Newton basis sends C(t, k) to C(t, k + 1); every
-    C(t, k + 1) vanishes at 0, which pins down the constant of summation.
+    f(t) = sum_{j<t} g(j), so each t^k goes to the power sum A_k(t) / L:
+    one integer matrix-vector product with the cached power-sum table.
     """
-    out = Polynomial.zero()
-    for k, c in enumerate(to_newton(g)):
-        out = out + c * binomial_basis(k + 1)
-    return out
+    nums = g.numerators
+    rows, den = _power_sums(len(nums) - 1)
+    out = [0] * (len(nums) + 1)
+    for n, row in zip(nums, rows):
+        if n:
+            for i, a in enumerate(row):
+                out[i] += n * a
+    return Polynomial.from_numerators(out, den * g.denominator)
 
 
 def nabla_inv(g: Polynomial) -> Polynomial:
@@ -73,7 +114,8 @@ def nabla_inv(g: Polynomial) -> Polynomial:
     With h = delta_inv(g), the map t -> h(t + 1) - g(0) solves it, and
     h(t + 1) = h(t) + g(t), so no shift of the input is needed.
     """
-    return delta_inv(g) + g - Polynomial((g.coefficient(0),))
+    g_minus_constant = Polynomial.from_numerators((0,) + g.numerators[1:], g.denominator)
+    return delta_inv(g) + g_minus_constant
 
 
 def lambda_bar(a: QSym) -> QSym:
@@ -95,7 +137,7 @@ def lambda_(a: QSym) -> QSym:
     out = {}
     for comp, coeff in a.terms.items():
         for grown in ((1,) + comp,) + (((1 + comp[0],) + comp[1:],) if comp else ()):
-            out[grown] = out.get(grown, Fraction(0)) + coeff
+            out[grown] = out.get(grown, 0) + coeff
     return QSym(out, a.max_degree)
 
 

@@ -3,8 +3,9 @@
 Everything here deliberately avoids the canonical-form machinery in
 `trees` (beyond constructing result objects), so these routines can act
 as honest oracles for it.  The power-sum builds of exp and 1/(1 - f)
-check the coefficient recurrences in `series` the same way.  Guards
-raise instead of approximating.
+check the coefficient recurrences in `series` the same way, and the
+Newton-basis delta inverse checks the power-sum table in `operators`.
+Guards raise instead of approximating.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import itertools
 import math
 from fractions import Fraction
 
+from .algebra import Polynomial, binomial_basis, to_newton
 from .errors import DomainError, ResourceLimitError
 from .series import Series, is_noncommutative
 from .trees import RootedTree
@@ -157,4 +159,14 @@ def geometric_inverse_by_powers(series: Series) -> Series:
     for _ in range(series.order):
         term = term * series
         out = out + term
+    return out
+
+
+def delta_inv_by_newton(g: Polynomial) -> Polynomial:
+    """Delta^-1 through the Newton basis: writing g in the basis C(t, k)
+    sends C(t, k) to C(t, k + 1); every C(t, k + 1) vanishes at 0, which
+    pins down the constant of summation."""
+    out = Polynomial.zero()
+    for k, c in enumerate(to_newton(g)):
+        out = out + c * binomial_basis(k + 1)
     return out

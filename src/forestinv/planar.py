@@ -406,11 +406,11 @@ def tensor_cocycle_apply(
             prefix = factors[:j]
             rest = base.one
             for letter in factors[j:]:
-                rest = rest * FreeWord({letter: Fraction(1)}, base.one.max_len)
+                rest = rest * FreeWord({letter: 1}, base.one.max_len)
             image = operator(rest)
             for word, wcoeff in image.terms.items():
                 key = prefix + (word,)
-                out[key] = out.get(key, Fraction(0)) + coeff * wcoeff
+                out[key] = out.get(key, 0) + coeff * wcoeff
     return TensorElement(out, element.max_len)
 
 

@@ -3,15 +3,15 @@
 FreeWord is a rational combination of words over string generators; the
 product concatenates.  TensorElement is a rational combination of tuples
 of words (tensor factors are FreeWord basis words); the product
-concatenates factor tuples.  Word algebras truncate silently by word
-length like the other graded carriers, but the tensor algebra raises on
-overflow instead: the splitting operators built on it must never lose
-terms quietly.  A bound of None means unbounded.
+concatenates factor tuples.  Coefficients go through `algebra.rat`, so
+integral ones are stored as int and the rest as `fractions.Fraction`.
+Word algebras truncate silently by word length like the other graded
+carriers, but the tensor algebra raises on overflow instead: the
+splitting operators built on it must never lose terms quietly.  A bound
+of None means unbounded.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .algebra import _fits, _merge_bounds, rat
 from .errors import DomainError
@@ -43,11 +43,11 @@ class FreeWord:
 
     @classmethod
     def one(cls, max_len=None):
-        return cls({(): Fraction(1)}, max_len)
+        return cls({(): 1}, max_len)
 
     @classmethod
     def generator(cls, label: str, max_len=None):
-        return cls({(label,): Fraction(1)}, max_len)
+        return cls({(label,): 1}, max_len)
 
     def one_like(self):
         return FreeWord.one(self.max_len)
@@ -63,7 +63,7 @@ class FreeWord:
             return NotImplemented
         merged = dict(self.terms)
         for word, coeff in other.terms.items():
-            merged[word] = merged.get(word, Fraction(0)) + coeff
+            merged[word] = merged.get(word, 0) + coeff
         return FreeWord(merged, _merge_bounds(self.max_len, other.max_len))
 
     def __neg__(self):
@@ -83,7 +83,7 @@ class FreeWord:
                     if not _fits(len(wa) + len(wb), bound):
                         continue
                     word = wa + wb
-                    out[word] = out.get(word, Fraction(0)) + ca * cb
+                    out[word] = out.get(word, 0) + ca * cb
             return FreeWord(out, bound)
         scalar = rat(other)
         return FreeWord({w: scalar * c for w, c in self.terms.items()}, self.max_len)
@@ -135,12 +135,12 @@ class TensorElement:
 
     @classmethod
     def one(cls, max_len=None):
-        return cls({(): Fraction(1)}, max_len)
+        return cls({(): 1}, max_len)
 
     @classmethod
     def single(cls, word, max_len=None):
         """The length-one tensor holding one free-algebra basis word."""
-        return cls({(tuple(word),): Fraction(1)}, max_len)
+        return cls({(tuple(word),): 1}, max_len)
 
     def one_like(self):
         return TensorElement.one(self.max_len)
@@ -156,7 +156,7 @@ class TensorElement:
             return NotImplemented
         merged = dict(self.terms)
         for factors, coeff in other.terms.items():
-            merged[factors] = merged.get(factors, Fraction(0)) + coeff
+            merged[factors] = merged.get(factors, 0) + coeff
         return TensorElement(merged, _merge_bounds(self.max_len, other.max_len))
 
     def __neg__(self):
@@ -179,7 +179,7 @@ class TensorElement:
                             f"tensor product of length {len(factors)} exceeds "
                             f"the bound {bound}"
                         )
-                    out[factors] = out.get(factors, Fraction(0)) + ca * cb
+                    out[factors] = out.get(factors, 0) + ca * cb
             return TensorElement(out, bound)
         scalar = rat(other)
         return TensorElement({f: scalar * c for f, c in self.terms.items()}, self.max_len)

@@ -2,6 +2,7 @@
 the finite-variable model, truncated series, and the word algebras."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -24,6 +25,7 @@ from forestinv.algebra import (
 from forestinv.errors import DomainError
 from forestinv.operators import lambda_bar
 from forestinv.oracles import exp_by_power_sums, geometric_inverse_by_powers
+from forestinv.render import canonical_render, pretty
 from forestinv.series import Series, exp, geometric_inverse, is_noncommutative
 from forestinv.words import FreeWord, TensorElement
 
@@ -451,3 +453,189 @@ def test_tensor_element_products():
     with pytest.raises(DomainError):
         bounded = TensorElement.single(("a",), max_len=1)
         bounded * bounded
+
+
+# --- integer kernels: Polynomial numerators, int coefficients in dict carriers
+
+
+def trimmed(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def assert_reduced(p):
+    nums, den = p.numerators, p.denominator
+    assert type(den) is int and den > 0
+    assert all(type(n) is int for n in nums)
+    assert not nums or nums[-1] != 0
+    assert math.gcd(den, *nums) == 1
+    if not nums:
+        assert den == 1
+    assert all(type(c) is Fraction for c in p.coeffs)
+
+
+COEFF_LISTS = st.lists(st.fractions(min_value=-30, max_value=30, max_denominator=12), max_size=8)
+SCALARS = st.fractions(min_value=-9, max_value=9, max_denominator=8)
+
+
+@PROPERTY
+@given(COEFF_LISTS)
+def test_polynomial_reduced_form_property(cs):
+    p = Polynomial(cs)
+    assert_reduced(p)
+    assert p.coeffs == trimmed(cs)
+    assert Polynomial(p.coeffs) == p
+    assert Polynomial.from_numerators(p.numerators, p.denominator) == p
+
+
+@PROPERTY
+@given(COEFF_LISTS, st.integers(-6, 6).filter(bool))
+def test_polynomial_equal_values_hash_equal(cs, k):
+    den = math.lcm(*(c.denominator for c in cs))
+    built = [
+        Polynomial(cs),
+        Polynomial([str(c) for c in cs]),
+        Polynomial([c.numerator if c.denominator == 1 else c for c in cs] + [0, Fraction(0)]),
+        Polynomial.from_numerators(
+            [c.numerator * (den // c.denominator) * k for c in cs], den * k
+        ),
+    ]
+    for p in built:
+        assert_reduced(p)
+        assert p == built[0]
+        assert hash(p) == hash(built[0])
+
+
+def test_polynomial_equal_values_hash_equal_examples():
+    half = Polynomial((Fraction(2, 4),))
+    assert half == Polynomial(("1/2",)) == Polynomial.from_numerators((-3,), -6)
+    assert hash(half) == hash(Polynomial(("1/2",)))
+    assert (half.numerators, half.denominator) == ((1,), 2)
+    zero = Polynomial((0, Fraction(0), "0/5"))
+    assert (zero.numerators, zero.denominator) == ((), 1)
+    assert zero == Polynomial.zero() and hash(zero) == hash(Polynomial.zero())
+
+
+@PROPERTY
+@given(COEFF_LISTS, COEFF_LISTS, SCALARS)
+def test_polynomial_arithmetic_matches_fraction_lists(a, b, c):
+    p, q = Polynomial(a), Polynomial(b)
+    x, y = list(p.coeffs), list(q.coeffs)
+    width = max(len(x), len(y))
+    x0, y0 = x + [Fraction(0)] * (width - len(x)), y + [Fraction(0)] * (width - len(y))
+    product = [Fraction(0)] * max(len(x) + len(y) - 1, 0)
+    for i, u in enumerate(x):
+        for j, v in enumerate(y):
+            product[i + j] += u * v
+    expected = {
+        "sum": trimmed(u + v for u, v in zip(x0, y0)),
+        "difference": trimmed(u - v for u, v in zip(x0, y0)),
+        "product": trimmed(product),
+        "scalar": trimmed(c * u for u in x),
+    }
+    got = {"sum": p + q, "difference": p - q, "product": p * q, "scalar": c * p}
+    for key, value in got.items():
+        assert_reduced(value)
+        assert value.coeffs == expected[key], key
+    assert p * c == c * p
+    assert -p == Fraction(-1) * p
+
+
+@PROPERTY
+@given(COEFF_LISTS, SCALARS)
+def test_polynomial_evaluation_matches_fraction_horner(cs, x):
+    value = Fraction(0)
+    for c in reversed(cs):
+        value = value * x + c
+    p = Polynomial(cs)
+    assert p(x) == value and type(p(x)) is Fraction
+    assert p(str(x)) == value
+    n = x.numerator
+    assert p(n) == sum(c * n**k for k, c in enumerate(cs))
+
+
+# carrier name -> element with one coefficient left free
+CARRIER_BUILDERS = {
+    "QSym": lambda c: QSym({(1, 2): c, (3,): Fraction(1, 2)}, None),
+    "FreeWord": lambda c: FreeWord({("a", "b"): c, ("c",): Fraction(1, 2)}),
+    "TensorElement": lambda c: TensorElement({(("a",), ("b", "c")): c, ((),): Fraction(1, 2)}),
+    "FiniteVarPoly": lambda c: FiniteVarPoly({(1, 2): c, (0, 1): Fraction(1, 2)}, 2, 3),
+}
+
+
+@pytest.mark.parametrize("carrier", sorted(CARRIER_BUILDERS))
+def test_dict_carriers_keep_integral_coefficients_as_int(carrier):
+    build = CARRIER_BUILDERS[carrier]
+    built = [build(Fraction(6, 2)), build(3), build("3"), build("6/2")]
+    for element in built:
+        assert element == built[0] and hash(element) == hash(built[0])
+        values = sorted(element.terms.values())
+        assert values == [Fraction(1, 2), 3]
+        assert type(values[0]) is Fraction and type(values[1]) is int
+    one = built[0].one_like()
+    assert all(type(v) is int for v in one.terms.values())
+    # arithmetic that lands on an integer stores an int again
+    doubled = built[0] + built[0]
+    assert sorted(doubled.terms.values()) == [1, 6]
+    assert all(type(v) is int for v in doubled.terms.values())
+    for scaled in (Fraction(2) * built[0], built[0] * "2", 2 * built[0]):
+        assert scaled == doubled
+        assert all(type(v) is int for v in scaled.terms.values())
+    if carrier != "TensorElement":  # the tensor bound refuses products past it
+        assert all(
+            type(v) is int for v in (doubled * doubled).terms.values() if v.denominator == 1
+        )
+
+
+def test_dict_carrier_rendering_is_unchanged():
+    # the strings the Fraction-only carriers rendered; canonical_render is
+    # render_value as compact JSON
+    cases = [
+        (
+            QSym({(1, 2): Fraction(6, 2), (3,): Fraction(1, 2), (): -2}, None),
+            '[{"coefficient":"-2","composition":[]},{"coefficient":"3","composition":[1,2]},'
+            '{"coefficient":"1/2","composition":[3]}]',
+            "-2*1 + 3*M(1,2) + 1/2*M(3)",
+        ),
+        (
+            FreeWord({("a", "b"): Fraction(6, 2), ("c",): Fraction(1, 2), (): -2}),
+            '[{"coefficient":"-2","word":[]},{"coefficient":"1/2","word":["c"]},'
+            '{"coefficient":"3","word":["a","b"]}]',
+            "-2*1 + 1/2*c + 3*a.b",
+        ),
+        (
+            TensorElement({(("a",), ("b", "c")): Fraction(6, 2), ((),): Fraction(1, 2), (): -2}),
+            '[{"coefficient":"-2","tensor":[]},{"coefficient":"1/2","tensor":[[]]},'
+            '{"coefficient":"3","tensor":[["a"],["b","c"]]}]',
+            "-2*[1] + 1/2*[1] + 3*[a @ b.c]",
+        ),
+        (
+            FiniteVarPoly({(1, 2): Fraction(6, 2), (0, 1): Fraction(1, 2), (0, 0): -2}, 2, 3),
+            '[{"coefficient":"-2","exponents":[0,0]},{"coefficient":"1/2","exponents":[0,1]},'
+            '{"coefficient":"3","exponents":[1,2]}]',
+            "-2*1 + 1/2*x2 + 3*x1*x2^2",
+        ),
+        (
+            Polynomial((Fraction(6, 2), Fraction(1, 2), -2)),
+            '["3","1/2","-2"]',
+            "3 + 1/2*t + -2*t^2",
+        ),
+    ]
+    for value, rendered, text in cases:
+        assert canonical_render(value) == rendered
+        assert pretty(value) == text
+
+
+def test_qsym_series_exp_matches_power_sums_with_int_coefficients():
+    rng = random.Random(53)
+    for bound in (6, None):
+        coeffs = [
+            QSym({(1,) * k: rng.randint(-3, 3), (k,): Fraction(rng.randint(-3, 3), 2)}, bound)
+            for k in range(1, 7)
+        ]
+        f = Series((QSym.zero(bound), *coeffs), QSym.one(bound))
+        assert exp(f) == exp_by_power_sums(f)
+        for c in exp(f).coeffs:
+            assert all(type(v) is int for v in c.terms.values() if v.denominator == 1)

@@ -1,12 +1,21 @@
-"""Difference operators, prepend operators, the finite-variable model
-oracle, and operator combinators."""
+"""Difference operators and the power-sum table behind their inverses,
+prepend operators, the finite-variable model oracle, and operator
+combinators."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import forestinv
+from forestinv import algebra, operators
 from forestinv.algebra import (
     FiniteVarPoly,
     Polynomial,
@@ -14,6 +23,7 @@ from forestinv.algebra import (
     binomial_basis,
     qsym_to_finite,
 )
+from forestinv.engine import InvariantSpec, built_in_spec, evaluate
 from forestinv.errors import DomainError
 from forestinv.operators import (
     DELTA,
@@ -22,6 +32,8 @@ from forestinv.operators import (
     LAMBDA_BAR,
     NABLA,
     NABLA_INV,
+    POLYNOMIAL,
+    LinearOperator,
     compose,
     delta,
     delta_inv,
@@ -35,6 +47,8 @@ from forestinv.operators import (
     op_scale,
     shift_s,
 )
+from forestinv.oracles import delta_inv_by_newton
+from forestinv.trees import enumerate_trees
 
 T = Polynomial.t()
 ONE = Polynomial.one()
@@ -87,6 +101,116 @@ def test_difference_inverse_is_summation():
         for m in range(0, 7):
             assert f_strict(m) == sum(g(i) for i in range(0, m))
             assert f_weak(m) == sum(g(i) for i in range(1, m + 1))
+
+
+def nabla_inv_by_newton(g):
+    return delta_inv_by_newton(g) + g - Polynomial((g.coefficient(0),))
+
+
+def polynomial_of_degree(rng, degree):
+    lead = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+    return Polynomial(
+        [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(degree)] + [lead]
+    )
+
+
+def test_difference_inverses_match_newton_oracle():
+    rng = random.Random(41)
+    for degree in range(31):
+        for _ in range(3):
+            g = polynomial_of_degree(rng, degree)
+            assert g.degree == degree
+            assert delta_inv(g) == delta_inv_by_newton(g)
+            assert nabla_inv(g) == nabla_inv_by_newton(g)
+    assert delta_inv(Polynomial.zero()) == delta_inv_by_newton(Polynomial.zero())
+
+
+@pytest.mark.parametrize(
+    "name, oracle",
+    [("delta-inv", delta_inv_by_newton), ("nabla-inv", nabla_inv_by_newton)],
+    ids=["delta-inv", "nabla-inv"],
+)
+def test_tree_values_match_newton_oracle(name, oracle):
+    spec = InvariantSpec(name, LinearOperator(name, POLYNOMIAL, oracle), Polynomial.one())
+    shared = built_in_spec(name)
+    for n in range(1, 10):
+        for tree in enumerate_trees(n):
+            assert evaluate(tree, spec) == evaluate(tree, shared)
+
+
+def test_delta_inv_needs_no_newton_basis_or_evaluation(monkeypatch):
+    calls = []
+
+    def counting(name, func):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return func(*args, **kwargs)
+
+        return counted
+
+    # rebind to_newton wherever a forestinv module holds it
+    original = algebra.to_newton
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").split(".")[0] != "forestinv":
+            continue
+        for key, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, key, counting("to_newton", original))
+    monkeypatch.setattr(Polynomial, "__call__", counting("__call__", Polynomial.__call__))
+    rng = random.Random(43)
+    for degree in range(13):
+        g = polynomial_of_degree(rng, degree)
+        delta_inv(g)
+        nabla_inv(g)
+    assert calls == []
+
+
+def test_power_sum_table_grows_to_the_highest_degree(monkeypatch):
+    monkeypatch.setattr(operators, "_POWER_SUMS", ((), 1))
+    rng = random.Random(47)
+    tables = []
+    for degree in (12, 5, 20):
+        g = polynomial_of_degree(rng, degree)
+        assert delta_inv(g) == delta_inv_by_newton(g)
+        assert nabla_inv(g) == nabla_inv_by_newton(g)
+        tables.append(operators._POWER_SUMS)
+    # degree 5 reads the degree-12 table without rebuilding it
+    assert tables[1] is tables[0]
+    rows, den = operators._POWER_SUMS
+    assert len(rows) == 21
+    assert [len(row) for row in rows] == [k + 2 for k in range(21)]
+    assert type(den) is int and den > 0
+    assert all(type(a) is int for row in rows for a in row)
+    for k, row in enumerate(rows):
+        power_sum = Polynomial.from_numerators(row, den)
+        for t in range(6):
+            assert power_sum(t) == sum(j**k for j in range(t))
+
+
+def test_import_builds_no_power_sum_table():
+    src = Path(forestinv.__file__).resolve().parents[1]
+    code = "import forestinv, forestinv.operators as o; print(o._POWER_SUMS == ((), 1))"
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        check=True,
+    )
+    assert done.stdout.strip() == "True"
+
+
+FRACTIONS = st.fractions(min_value=-30, max_value=30, max_denominator=12)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(FRACTIONS, max_size=12))
+def test_difference_inverses_are_sections_property(cs):
+    g = Polynomial(cs)
+    assert delta(delta_inv(g)) == g
+    assert nabla(nabla_inv(g)) == g
+    assert delta_inv(g)(0) == 0
+    assert nabla_inv(g)(0) == 0
 
 
 def test_prepend_examples():
