@@ -12,7 +12,6 @@ from .algebra import (
     FiniteVarPoly,
     Polynomial,
     QSym,
-    Rational,
     binomial_basis,
     from_newton,
     one_like,

@@ -9,6 +9,12 @@ over one common denominator, and the dict carriers (here and in `words`)
 store integral coefficients as int and the rest as `fractions.Fraction`,
 all through the one coercion `rat`.  There is no floating point anywhere
 in the package.
+
+Keys are checked once, where outside data comes in: the public
+constructors check every composition, coerce every coefficient and drop
+terms above the bound.  Arithmetic on elements that are already valid
+builds its result through the trusted `_from_valid_terms`, which only
+drops zero coefficients and stores integral Fractions as int.
 """
 
 from __future__ import annotations
@@ -20,8 +26,6 @@ from functools import lru_cache
 from math import comb, factorial, gcd, lcm
 
 from .errors import DomainError
-
-Rational = Fraction
 
 
 def rat(x):
@@ -41,6 +45,18 @@ def rat(x):
     if isinstance(x, str):
         return rat(Fraction(x))
     raise DomainError(f"not an exact scalar: {x!r}")
+
+
+def _exact_nonzero(terms) -> dict:
+    """The terms without zero coefficients, integral Fractions stored as
+    int: the only clean-up a sum or product of valid terms needs."""
+    clean = {}
+    for key, coeff in terms.items():
+        if coeff:
+            if type(coeff) is not int and coeff.denominator == 1:
+                coeff = coeff.numerator
+            clean[key] = coeff
+    return clean
 
 
 def _merge_bounds(a, b):
@@ -327,6 +343,16 @@ class QSym:
         self.max_degree = max_degree
 
     @classmethod
+    def _from_valid_terms(cls, terms, max_degree: int | None) -> "QSym":
+        """The element with these terms, trusted to be compositions of
+        degree within the bound with exact coefficients; only zeros and
+        integral Fractions are cleaned up."""
+        out = object.__new__(cls)
+        out.terms = _exact_nonzero(terms)
+        out.max_degree = max_degree
+        return out
+
+    @classmethod
     def zero(cls, max_degree: int | None):
         return cls({}, max_degree)
 
@@ -355,14 +381,18 @@ class QSym:
     def __add__(self, other):
         if not isinstance(other, QSym):
             return NotImplemented
-        bound = _merge_bounds(self.max_degree, other.max_degree)
         merged = dict(self.terms)
         for comp, coeff in other.terms.items():
             merged[comp] = merged.get(comp, 0) + coeff
-        return QSym(merged, bound)
+        if self.max_degree == other.max_degree:
+            return QSym._from_valid_terms(merged, self.max_degree)
+        # the constructor drops the terms above the smaller bound
+        return QSym(merged, _merge_bounds(self.max_degree, other.max_degree))
 
     def __neg__(self):
-        return QSym({c: -v for c, v in self.terms.items()}, self.max_degree)
+        return QSym._from_valid_terms(
+            {c: -v for c, v in self.terms.items()}, self.max_degree
+        )
 
     def __sub__(self, other):
         if not isinstance(other, QSym):
@@ -381,13 +411,17 @@ class QSym:
                     v = va * vb
                     for comp, m in quasi_shuffle(ca, cb):
                         out[comp] = out.get(comp, 0) + m * v
-            return QSym(out, bound)
-        scalar = rat(other)
-        return QSym({c: scalar * v for c, v in self.terms.items()}, self.max_degree)
+            return QSym._from_valid_terms(out, bound)
+        return self._scaled(other)
 
     def __rmul__(self, other):
+        return self._scaled(other)
+
+    def _scaled(self, other) -> "QSym":
         scalar = rat(other)
-        return QSym({c: scalar * v for c, v in self.terms.items()}, self.max_degree)
+        return QSym._from_valid_terms(
+            {c: scalar * v for c, v in self.terms.items()}, self.max_degree
+        )
 
     def __eq__(self, other):
         return isinstance(other, QSym) and self.terms == other.terms

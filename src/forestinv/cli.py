@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import sys
+from functools import cache
 
 from .engine import (
     BUILT_IN_NAMES,
@@ -77,6 +78,13 @@ def build_parser() -> _Parser:
     add_format(p)
 
     return parser
+
+
+@cache
+def _parser() -> _Parser:
+    # built on first use and shared by every later call: parse_args keeps no
+    # state between calls, and building costs more than most commands
+    return build_parser()
 
 
 def _emit_csv(header, rows) -> str:
@@ -216,9 +224,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         outcome = _COMMANDS[args.subcommand](args)
     except _UsageError as err:
         print(f"error: {err}", file=sys.stderr)

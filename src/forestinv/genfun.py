@@ -105,10 +105,12 @@ def u_by_enumeration(spec: InvariantSpec, order: int) -> USequence:
     _require_bound(spec, order)
     terms = []
     for n in range(1, order + 1):
+        # n!/alpha(T) counts the labelings of T, so the sum runs on int weights
+        labelings = factorial(n)
         total = Fraction(0) * spec.one
         for tree in enumerate_trees(n):
-            total = total + Fraction(1, automorphism_order(tree)) * evaluate(tree, spec)
-        terms.append(total)
+            total = total + (labelings // automorphism_order(tree)) * evaluate(tree, spec)
+        terms.append(Fraction(1, labelings) * total)
     return USequence(spec.name, tuple(terms), spec.one)
 
 
@@ -169,10 +171,12 @@ def cayley_check(n_max: int) -> CayleyReport:
     rows = []
     sums = []
     for n in range(1, n_max + 1):
-        total = Fraction(0)
-        for tree in enumerate_trees(n):
-            total += Fraction(1, automorphism_order(tree))
-        closed = Fraction(n ** (n - 1), factorial(n))
+        labelings = factorial(n)
+        total = Fraction(
+            sum(labelings // automorphism_order(tree) for tree in enumerate_trees(n)),
+            labelings,
+        )
+        closed = Fraction(n ** (n - 1), labelings)
         rows.append(
             {"n": n, "tree_sum": total, "closed_form": closed, "equal": total == closed}
         )

@@ -118,27 +118,39 @@ def nabla_inv(g: Polynomial) -> Polynomial:
     return delta_inv(g) + g_minus_constant
 
 
+def _growable_terms(a: QSym):
+    """The terms of a whose degree stays within the bound once it grows
+    by one."""
+    bound = a.max_degree
+    if bound is None:
+        return a.terms.items()
+    return [(comp, coeff) for comp, coeff in a.terms.items() if sum(comp) < bound]
+
+
 def lambda_bar(a: QSym) -> QSym:
     """Prepend a new part 1 to every composition.
 
     M_(a_1, ..., a_r) goes to M_(1, a_1, ..., a_r) and the unit goes to
-    M_(1); the QSym constructor drops terms pushed past the truncation
-    bound.
+    M_(1); terms of degree at or above the truncation bound are skipped
+    before they grow, since their images would lie past it.
     """
-    return QSym({(1,) + comp: coeff for comp, coeff in a.terms.items()}, a.max_degree)
+    return QSym._from_valid_terms(
+        {(1,) + comp: coeff for comp, coeff in _growable_terms(a)}, a.max_degree
+    )
 
 
 def lambda_(a: QSym) -> QSym:
     """Prepend a part 1, plus absorb it into the head part.
 
     M_(a_1, ..., a_r) goes to M_(1, a_1, ..., a_r) + M_(1 + a_1, ..., a_r);
-    the unit goes to M_(1) alone.
+    the unit goes to M_(1) alone.  Terms of degree at or above the
+    truncation bound are skipped, as in `lambda_bar`.
     """
     out = {}
-    for comp, coeff in a.terms.items():
+    for comp, coeff in _growable_terms(a):
         for grown in ((1,) + comp,) + (((1 + comp[0],) + comp[1:],) if comp else ()):
             out[grown] = out.get(grown, 0) + coeff
-    return QSym(out, a.max_degree)
+    return QSym._from_valid_terms(out, a.max_degree)
 
 
 def shift_s(p: FiniteVarPoly) -> FiniteVarPoly:

@@ -9,11 +9,19 @@ Word algebras truncate silently by word length like the other graded
 carriers, but the tensor algebra raises on overflow instead: the
 splitting operators built on it must never lose terms quietly.  A bound
 of None means unbounded.
+
+As in `algebra`, keys are checked once, at the public constructor.  Sums,
+negation and scalar products of valid elements, and products that test
+the length bound themselves, build their result through the trusted
+`_from_valid_terms`, which only drops zero coefficients and stores
+integral Fractions as int.  A sum of operands with different bounds
+still goes through the constructor, which drops (FreeWord) or refuses
+(TensorElement) the terms above the smaller bound.
 """
 
 from __future__ import annotations
 
-from .algebra import _fits, _merge_bounds, rat
+from .algebra import _exact_nonzero, _fits, _merge_bounds, rat
 from .errors import DomainError
 from .series import register_noncommutative
 
@@ -36,6 +44,16 @@ class FreeWord:
                 clean[word] = coeff
         self.terms = clean
         self.max_len = max_len
+
+    @classmethod
+    def _from_valid_terms(cls, terms, max_len) -> "FreeWord":
+        """The element with these terms, trusted to be words of string
+        letters within the bound with exact coefficients; only zeros and
+        integral Fractions are cleaned up."""
+        out = object.__new__(cls)
+        out.terms = _exact_nonzero(terms)
+        out.max_len = max_len
+        return out
 
     @classmethod
     def zero(cls, max_len=None):
@@ -64,10 +82,14 @@ class FreeWord:
         merged = dict(self.terms)
         for word, coeff in other.terms.items():
             merged[word] = merged.get(word, 0) + coeff
+        if self.max_len == other.max_len:
+            return FreeWord._from_valid_terms(merged, self.max_len)
         return FreeWord(merged, _merge_bounds(self.max_len, other.max_len))
 
     def __neg__(self):
-        return FreeWord({w: -c for w, c in self.terms.items()}, self.max_len)
+        return FreeWord._from_valid_terms(
+            {w: -c for w, c in self.terms.items()}, self.max_len
+        )
 
     def __sub__(self, other):
         if not isinstance(other, FreeWord):
@@ -84,13 +106,17 @@ class FreeWord:
                         continue
                     word = wa + wb
                     out[word] = out.get(word, 0) + ca * cb
-            return FreeWord(out, bound)
-        scalar = rat(other)
-        return FreeWord({w: scalar * c for w, c in self.terms.items()}, self.max_len)
+            return FreeWord._from_valid_terms(out, bound)
+        return self._scaled(other)
 
     def __rmul__(self, other):
+        return self._scaled(other)
+
+    def _scaled(self, other) -> "FreeWord":
         scalar = rat(other)
-        return FreeWord({w: scalar * c for w, c in self.terms.items()}, self.max_len)
+        return FreeWord._from_valid_terms(
+            {w: scalar * c for w, c in self.terms.items()}, self.max_len
+        )
 
     def __eq__(self, other):
         return isinstance(other, FreeWord) and self.terms == other.terms
@@ -130,6 +156,16 @@ class TensorElement:
         self.max_len = max_len
 
     @classmethod
+    def _from_valid_terms(cls, terms, max_len) -> "TensorElement":
+        """The element with these terms, trusted to be tuples of word
+        tuples within the bound with exact coefficients; only zeros and
+        integral Fractions are cleaned up."""
+        out = object.__new__(cls)
+        out.terms = _exact_nonzero(terms)
+        out.max_len = max_len
+        return out
+
+    @classmethod
     def zero(cls, max_len=None):
         return cls({}, max_len)
 
@@ -157,10 +193,14 @@ class TensorElement:
         merged = dict(self.terms)
         for factors, coeff in other.terms.items():
             merged[factors] = merged.get(factors, 0) + coeff
+        if self.max_len == other.max_len:
+            return TensorElement._from_valid_terms(merged, self.max_len)
         return TensorElement(merged, _merge_bounds(self.max_len, other.max_len))
 
     def __neg__(self):
-        return TensorElement({f: -c for f, c in self.terms.items()}, self.max_len)
+        return TensorElement._from_valid_terms(
+            {f: -c for f, c in self.terms.items()}, self.max_len
+        )
 
     def __sub__(self, other):
         if not isinstance(other, TensorElement):
@@ -180,13 +220,17 @@ class TensorElement:
                             f"the bound {bound}"
                         )
                     out[factors] = out.get(factors, 0) + ca * cb
-            return TensorElement(out, bound)
-        scalar = rat(other)
-        return TensorElement({f: scalar * c for f, c in self.terms.items()}, self.max_len)
+            return TensorElement._from_valid_terms(out, bound)
+        return self._scaled(other)
 
     def __rmul__(self, other):
+        return self._scaled(other)
+
+    def _scaled(self, other) -> "TensorElement":
         scalar = rat(other)
-        return TensorElement({f: scalar * c for f, c in self.terms.items()}, self.max_len)
+        return TensorElement._from_valid_terms(
+            {f: scalar * c for f, c in self.terms.items()}, self.max_len
+        )
 
     def __eq__(self, other):
         return isinstance(other, TensorElement) and self.terms == other.terms

@@ -2,9 +2,15 @@
 Everything runs in process through main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import forestinv
+from forestinv import cli
 from forestinv.cli import main
 
 
@@ -235,3 +241,48 @@ def test_all_formats_are_valid_json_when_asked(capsys):
         code, out, err = run(capsys, *argv)
         assert code == 0, argv
         json.loads(out)
+
+
+# subcommands, a usage error, a parse error, a resource guard and --help,
+# mixed so that each call follows a different one
+MIXED_CALLS = [
+    ("invariant", "--tree", "(()(()))", "--operator", "lambda"),
+    ("enumerate", "--vertices", "3", "--format", "xml"),
+    ("genfun", "--operator", "nabla-inv", "--terms", "4", "--format", "text"),
+    ("enumerate", "--vertices", "30"),
+    ("planar", "--tree", "(a:(b:)(a:))", "--format", "csv"),
+    ("--help",),
+    ("invariant", "--tree", "((", "--operator", "delta-inv"),
+    ("genfun", "--help"),
+    ("collisions", "--operator", "delta-inv", "--max-n", "5"),
+    ("enumerate", "--vertices", "4", "--format", "csv"),
+]
+
+
+def test_successive_calls_match_fresh_processes(capsys, monkeypatch):
+    # --help wraps its text to the terminal width, so pin it on both sides
+    monkeypatch.setenv("COLUMNS", "80")
+    in_process = [run(capsys, *argv) for argv in MIXED_CALLS]
+    assert sorted({code for code, _, _ in in_process}) == [0, 1, 2]
+    src = Path(forestinv.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src), COLUMNS="80")
+    for argv, seen in zip(MIXED_CALLS, in_process):
+        fresh = subprocess.run(
+            [sys.executable, "-m", "forestinv.cli", *argv],
+            capture_output=True, text=True, env=env,
+        )
+        assert (fresh.returncode, fresh.stdout, fresh.stderr) == seen, argv
+
+
+def test_parser_is_built_once(capsys, monkeypatch):
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    cli._parser.cache_clear()
+    try:
+        assert run(capsys, "enumerate", "--vertices", "2") == (0, '["(())"]\n', "")
+        assert run(capsys, "enumerate", "--bogus")[0] == 1
+        assert run(capsys, "enumerate", "--vertices", "2") == (0, '["(())"]\n', "")
+        assert len(built) == 1
+    finally:
+        cli._parser.cache_clear()

@@ -6,9 +6,12 @@ from math import factorial
 
 import pytest
 
+from forestinv import genfun
 from forestinv.algebra import FiniteVarPoly, Polynomial, QSym, principal_specialization
 from forestinv.engine import (
+    BUILT_IN_NAMES,
     built_in_spec,
+    evaluate,
     qsym_strict_spec,
     qsym_weak_spec,
     strict_order_spec,
@@ -24,6 +27,7 @@ from forestinv.genfun import (
 )
 from forestinv.oracles import exp_by_power_sums
 from forestinv.series import Series
+from forestinv.trees import automorphism_order, enumerate_trees
 from forestinv.words import FreeWord
 
 T = Polynomial.t()
@@ -169,6 +173,65 @@ def test_cayley_report():
     payload = report.to_jsonable()
     assert payload["ok"] is True
     assert payload["rows"][11]["tree_sum"] == "2985984/1925"
+
+
+def fraction_weighted_sum(spec, n):
+    """The tree sum as defined: each value scaled by 1/alpha(T)."""
+    total = Fraction(0) * spec.one
+    for tree in enumerate_trees(n):
+        total = total + Fraction(1, automorphism_order(tree)) * evaluate(tree, spec)
+    return total
+
+
+@pytest.mark.parametrize("name", BUILT_IN_NAMES)
+def test_enumeration_matches_fraction_weighted_sums(name):
+    spec = built_in_spec(name)
+    for n, term in enumerate(u_by_enumeration(spec, 7).terms, start=1):
+        expected = fraction_weighted_sum(spec, n)
+        assert term == expected
+        if isinstance(term, QSym):
+            assert {c: type(v) for c, v in term.terms.items()} == {
+                c: type(v) for c, v in expected.terms.items()
+            }
+
+
+def test_enumeration_weights_are_int_labeling_counts(monkeypatch):
+    # every tree value is scaled by the int n!/alpha(T), the number of
+    # labelings of T, and these add up to n^(n-1) labeled trees
+    weights = {}
+
+    class Recorded:
+        def __init__(self, n, value):
+            self.n, self.value = n, value
+
+        def __rmul__(self, weight):
+            weights.setdefault(self.n, []).append(weight)
+            return weight * self.value
+
+    real = genfun.evaluate
+    monkeypatch.setattr(
+        genfun, "evaluate", lambda tree, spec: Recorded(tree.vertex_count, real(tree, spec))
+    )
+    spec = strict_order_spec()
+    terms = u_by_enumeration(spec, 7).terms
+    monkeypatch.undo()
+    assert terms == tuple(fraction_weighted_sum(spec, n) for n in range(1, 8))
+    for n in range(1, 8):
+        assert all(type(w) is int for w in weights[n])
+        assert sum(weights[n]) == n ** (n - 1)
+
+
+def test_cayley_report_matches_fraction_weighted_counts():
+    sums = [
+        sum((Fraction(1, automorphism_order(t)) for t in enumerate_trees(n)), Fraction(0))
+        for n in range(1, 9)
+    ]
+    rows = [
+        {"n": n, "tree_sum": str(s), "closed_form": str(s), "equal": True}
+        for n, s in enumerate(sums, start=1)
+    ]
+    assert [row["tree_sum"] for row in rows][-3:] == ["54/5", "16807/720", "16384/315"]
+    assert cayley_check(8).to_jsonable() == {"rows": rows, "residual_zero": True, "ok": True}
 
 
 def test_guards():
