@@ -7,8 +7,10 @@ independent oracle for the quasi-symmetric layer.  Arithmetic is exact and
 runs on Python ints wherever it can: a polynomial is integer numerators
 over one common denominator, and the dict carriers (here and in `words`)
 store integral coefficients as int and the rest as `fractions.Fraction`,
-all through the one coercion `rat`.  There is no floating point anywhere
-in the package.
+all through the one coercion `rat`.  A quasi-symmetric product clears
+each operand's denominators once, runs the quasi-shuffle accumulation on
+integer numerators and divides once per output term.  There is no
+floating point anywhere in the package.
 
 Keys are checked once, where outside data comes in: the public
 constructors check every composition, coerce every coefficient and drop
@@ -57,6 +59,26 @@ def _exact_nonzero(terms) -> dict:
                 coeff = coeff.numerator
             clean[key] = coeff
     return clean
+
+
+_INT_ONLY = frozenset((int,))
+
+
+def _numerators(terms) -> tuple[dict, int]:
+    """The terms as integer numerators over the lcm of their coefficients'
+    denominators, and that lcm; int-only terms come back as they are,
+    after one scan of the coefficient types."""
+    if _INT_ONLY.issuperset(map(type, terms.values())):
+        return terms, 1
+    den = lcm(*(coeff.denominator for coeff in terms.values()))
+    return {key: coeff.numerator * (den // coeff.denominator)
+            for key, coeff in terms.items()}, den
+
+
+def _check_bound(bound) -> None:
+    """Refuse a negative truncation bound; None means unbounded."""
+    if bound is not None and bound < 0:
+        raise DomainError("truncation bound must be non-negative")
 
 
 def _merge_bounds(a, b):
@@ -329,8 +351,7 @@ class QSym:
     __slots__ = ("terms", "max_degree")
 
     def __init__(self, terms, max_degree: int | None):
-        if max_degree is not None and max_degree < 0:
-            raise DomainError("truncation bound must be non-negative")
+        _check_bound(max_degree)
         clean = {}
         for comp, coeff in terms.items():
             comp = tuple(comp)
@@ -402,15 +423,20 @@ class QSym:
     def __mul__(self, other):
         if isinstance(other, QSym):
             bound = _merge_bounds(self.max_degree, other.max_degree)
+            nums_a, den_a = _numerators(self.terms)
+            nums_b, den_b = _numerators(other.terms)
             out = {}
-            for ca, va in self.terms.items():
+            for ca, va in nums_a.items():
                 deg_a = sum(ca)
-                for cb, vb in other.terms.items():
+                for cb, vb in nums_b.items():
                     if bound is not None and deg_a + sum(cb) > bound:
                         continue
                     v = va * vb
                     for comp, m in quasi_shuffle(ca, cb):
                         out[comp] = out.get(comp, 0) + m * v
+            den = den_a * den_b
+            if den != 1:
+                out = {comp: Fraction(v, den) for comp, v in out.items()}
             return QSym._from_valid_terms(out, bound)
         return self._scaled(other)
 

@@ -194,15 +194,11 @@ def _cmd_planar(args):
     if args.labels is not None:
         labels = tuple(part for part in args.labels.split(",") if part)
     else:
-        seen = []
-
-        def collect(node):
-            if node.label not in seen:
-                seen.append(node.label)
-            for child in node.children:
-                collect(child)
-
-        collect(tree)
+        seen, stack = set(), [tree]
+        while stack:
+            node = stack.pop()
+            seen.add(node.label)
+            stack.extend(node.children)
         labels = tuple(sorted(seen))
     family = free_word_family(labels)
     value = evaluate_planar(tree, family)

@@ -28,7 +28,13 @@ from .operators import (
     LinearOperator,
 )
 from .render import canonical_render, render_value
-from .trees import RootedForest, RootedTree, automorphism_order, enumerate_trees
+from .trees import (
+    RootedForest,
+    RootedTree,
+    automorphism_order,
+    check_depth,
+    enumerate_trees,
+)
 
 
 class InvariantSpec:
@@ -56,7 +62,8 @@ class InvariantSpec:
 
 def evaluate(tree: RootedTree, spec: InvariantSpec):
     """Value of a rooted tree: the operator applied to the product of the
-    values of the subtrees hanging off the root."""
+    values of the subtrees hanging off the root.  Refuses a tree deeper
+    than `trees.DEPTH_LIMIT`."""
     if spec.degree_bound is not None and tree.vertex_count > spec.degree_bound:
         raise DomainError(
             f"tree on {tree.vertex_count} vertices outgrows the "
@@ -64,6 +71,7 @@ def evaluate(tree: RootedTree, spec: InvariantSpec):
         )
     got = spec._cache.get(tree.key)
     if got is None:
+        check_depth(tree.height)
         product = spec.one
         for child in tree.children:
             product = product * evaluate(child, spec)

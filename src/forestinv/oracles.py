@@ -4,7 +4,9 @@ Everything here deliberately avoids the canonical-form machinery in
 `trees` (beyond constructing result objects), so these routines can act
 as honest oracles for it.  The power-sum builds of exp and 1/(1 - f)
 check the coefficient recurrences in `series` the same way, and the
-Newton-basis delta inverse checks the power-sum table in `operators`.
+Newton-basis delta inverse checks the power-sum table in `operators`,
+and the Fraction-accumulating quasi-shuffle product checks the integer
+kernel of `QSym.__mul__`.
 Guards raise instead of approximating.
 """
 
@@ -14,7 +16,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .algebra import Polynomial, binomial_basis, to_newton
+from .algebra import Polynomial, QSym, _merge_bounds, binomial_basis, quasi_shuffle, to_newton
 from .errors import DomainError, ResourceLimitError
 from .series import Series, is_noncommutative
 from .trees import RootedTree
@@ -170,3 +172,19 @@ def delta_inv_by_newton(g: Polynomial) -> Polynomial:
     for k, c in enumerate(to_newton(g)):
         out = out + c * binomial_basis(k + 1)
     return out
+
+
+def qsym_mul_by_fractions(a: QSym, b: QSym) -> QSym:
+    """The quasi-shuffle product accumulated on the coefficients as they
+    are, Fractions included, and passed through the public constructor."""
+    bound = _merge_bounds(a.max_degree, b.max_degree)
+    out = {}
+    for ca, va in a.terms.items():
+        deg_a = sum(ca)
+        for cb, vb in b.terms.items():
+            if bound is not None and deg_a + sum(cb) > bound:
+                continue
+            v = va * vb
+            for comp, m in quasi_shuffle(ca, cb):
+                out[comp] = out.get(comp, 0) + m * v
+    return QSym(out, bound)

@@ -24,15 +24,15 @@ from math import comb
 
 from .errors import DomainError, ParseError, ResourceLimitError
 from .operators import LinearOperator, FREE_WORD, TENSOR
-from .series import Series, geometric_inverse
-from .trees import RootedForest, RootedTree
+from .series import Series, geometric_inverse, tail_sum
+from .trees import RootedForest, RootedTree, check_depth
 from .words import FreeWord, TensorElement
 
 
 class PlanarTree:
     """A rooted tree with labeled vertices and ordered children."""
 
-    __slots__ = ("label", "children", "vertex_count")
+    __slots__ = ("label", "children", "vertex_count", "height")
 
     def __init__(self, label: str, children=()):
         if not isinstance(label, str) or not label:
@@ -40,9 +40,21 @@ class PlanarTree:
         self.label = label
         self.children = tuple(children)
         self.vertex_count = 1 + sum(c.vertex_count for c in self.children)
+        self.height = 1 + max((c.height for c in self.children), default=-1)
 
     def serialize(self) -> str:
-        return "(%s:%s)" % (self.label, "".join(c.serialize() for c in self.children))
+        # a walk with its own stack (None closes a vertex), so depth costs
+        # no interpreter frames
+        parts, stack = [], [self]
+        while stack:
+            node = stack.pop()
+            if node is None:
+                parts.append(")")
+            else:
+                parts.append(f"({node.label}:")
+                stack.append(None)
+                stack.extend(reversed(node.children))
+        return "".join(parts)
 
     def __eq__(self, other):
         return (
@@ -110,23 +122,32 @@ def parse_planar_forest(text: str) -> PlanarForest:
 
 
 def _parse_planar_at(text, pos):
-    if text[pos] != "(":
-        raise ParseError(f"expected '(' but found {text[pos]!r}", pos)
-    colon = text.find(":", pos + 1)
-    if colon < 0:
-        raise ParseError("missing ':' after the label", pos + 1)
-    label = text[pos + 1 : colon]
-    if not label or any(ch in "():" for ch in label):
-        raise ParseError("labels must be non-empty and free of '(', ')', ':'", pos + 1)
-    children = []
-    i = colon + 1
+    # one (label, finished children) pair per open vertex, so depth costs
+    # no stack; i is at the start of a vertex on entry to the outer loop
+    open_vertices = []
+    i = pos
     while True:
-        if i >= len(text):
-            raise ParseError("unbalanced input: missing ')'", i)
-        if text[i] == ")":
-            return PlanarTree(label, children), i + 1
-        child, i = _parse_planar_at(text, i)
-        children.append(child)
+        if text[i] != "(":
+            raise ParseError(f"expected '(' but found {text[i]!r}", i)
+        colon = text.find(":", i + 1)
+        if colon < 0:
+            raise ParseError("missing ':' after the label", i + 1)
+        label = text[i + 1 : colon]
+        if not label or any(ch in "():" for ch in label):
+            raise ParseError("labels must be non-empty and free of '(', ')', ':'", i + 1)
+        open_vertices.append((label, []))
+        i = colon + 1
+        while True:
+            if i >= len(text):
+                raise ParseError("unbalanced input: missing ')'", i)
+            if text[i] != ")":
+                break
+            label, children = open_vertices.pop()
+            tree = PlanarTree(label, children)
+            i += 1
+            if not open_vertices:
+                return tree, i
+            open_vertices[-1][1].append(tree)
 
 
 class OperatorFamily:
@@ -191,7 +212,9 @@ def b_plus_alpha(label: str, forest, family: OperatorFamily | None = None) -> Pl
 
 def evaluate_planar(tree: PlanarTree, family: OperatorFamily):
     """Root label's operator applied to the ordered product of the
-    children's values; a leaf gets that operator on the unit."""
+    children's values; a leaf gets that operator on the unit.  Refuses a
+    tree deeper than `trees.DEPTH_LIMIT`."""
+    check_depth(tree.height)
     value = family.one
     for child in tree.children:
         value = value * evaluate_planar(child, family)
@@ -315,18 +338,23 @@ class PlanarUSequence:
 def u_planar_by_recurrence(family: OperatorFamily, order: int) -> PlanarUSequence:
     """Build the per-label terms from the geometric fixed point: the
     label-a term of weight n applies that label's operator to the
-    q^(n-1) coefficient of 1/(1 - U)."""
+    q^(n-1) coefficient G_(n-1) of 1/(1 - U).
+
+    One running recurrence: G_(n-1) = sum_{k=1..n-1} U_k G_(n-1-k) needs
+    only U_1 .. U_(n-1), so each weight appends one coefficient of the
+    inverse, about N^2/2 carrier products at order N."""
     if order < 1:
         raise DomainError("need order >= 1")
     per_label: dict = {label: [] for label in family.labels}
     zero = Fraction(0) * family.one
-    totals = []  # weight-n totals over all labels, n = 1, 2, ...
+    totals = [zero]  # U_0 = 0, then the weight-n totals over all labels
+    inverse = [family.one]  # G_0, G_1, ... of 1/(1 - U)
     for n in range(1, order + 1):
-        inverted = geometric_inverse(Series((zero, *totals), family.one))
-        source = inverted.coefficient(n - 1)
+        if n > 1:
+            inverse.append(tail_sum(totals, inverse))
         coeff_n = zero
         for label in family.labels:
-            term = family[label](source)
+            term = family[label](inverse[n - 1])
             per_label[label].append(term)
             coeff_n = coeff_n + term
         totals.append(coeff_n)

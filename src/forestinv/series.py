@@ -130,9 +130,12 @@ class Series:
         )
 
 
-def _tail_sum(f, g):
+def tail_sum(f, g):
     """Sum of f[k] * g[n - k] for k = 1 .. n, where n = len(g): the
-    q^n coefficient of (f - f_0) * g, with g known through q^(n-1)."""
+    q^n coefficient of (f - f_0) * g, with g known through q^(n-1).
+
+    One step of the recurrences below; a build that learns f one
+    coefficient at a time can run them itself, one step per term."""
     n = len(g)
     total = f[1] * g[n - 1]
     for k in range(2, n + 1):
@@ -154,7 +157,7 @@ def exp(series: Series) -> Series:
     scaled = [k * c for k, c in enumerate(series.coeffs)]
     out = [series.one]
     for n in range(1, series.order + 1):
-        out.append(Fraction(1, n) * _tail_sum(scaled, out))
+        out.append(Fraction(1, n) * tail_sum(scaled, out))
     return Series(out, series.one)
 
 
@@ -170,5 +173,5 @@ def geometric_inverse(series: Series) -> Series:
         raise DomainError("geometric inverse needs a zero constant term")
     out = [series.one]
     for _ in range(series.order):
-        out.append(_tail_sum(series.coeffs, out))
+        out.append(tail_sum(series.coeffs, out))
     return Series(out, series.one)

@@ -21,6 +21,21 @@ from .errors import DomainError, ParseError, ResourceLimitError
 # largest size whose full census fits comfortably in memory
 _ENUMERATION_CAP = 16
 
+# Most levels a tree may have for the recursive walkers (evaluation,
+# automorphism counts, planar hashing and equality), which take one frame
+# per level: well inside the interpreter's default limit of 1000 frames.
+DEPTH_LIMIT = 500
+
+
+def check_depth(height: int) -> None:
+    """Refuse a tree of this height (edges on its longest root-to-leaf
+    path) when its height + 1 levels are more than DEPTH_LIMIT."""
+    if height >= DEPTH_LIMIT:
+        raise ResourceLimitError(
+            f"a tree of depth {height + 1} is deeper than the limit of "
+            f"{DEPTH_LIMIT} levels"
+        )
+
 
 def shortlex(key: str) -> tuple[int, str]:
     """Canonical order on keys: by length, then lexicographically."""
@@ -113,17 +128,25 @@ def parse_forest(text: str) -> RootedForest:
 
 
 def _parse_at(text, pos):
+    # one list of finished children per open vertex, so depth costs no stack
     if text[pos] != "(":
         raise ParseError(f"expected '(' but found {text[pos]!r}", pos)
-    children = []
+    open_vertices = [[]]
     i = pos + 1
     while True:
         if i >= len(text):
             raise ParseError("unbalanced input: missing ')'", i)
-        if text[i] == ")":
-            return RootedTree(children), i + 1
-        child, i = _parse_at(text, i)
-        children.append(child)
+        ch = text[i]
+        i += 1
+        if ch == "(":
+            open_vertices.append([])
+        elif ch == ")":
+            tree = RootedTree(open_vertices.pop())
+            if not open_vertices:
+                return tree, i
+            open_vertices[-1].append(tree)
+        else:
+            raise ParseError(f"expected '(' but found {ch!r}", i - 1)
 
 
 def b_plus(forest) -> RootedTree:

@@ -8,7 +8,7 @@ integral ones are stored as int and the rest as `fractions.Fraction`.
 Word algebras truncate silently by word length like the other graded
 carriers, but the tensor algebra raises on overflow instead: the
 splitting operators built on it must never lose terms quietly.  A bound
-of None means unbounded.
+of None means unbounded; a negative bound is refused, as in `QSym`.
 
 As in `algebra`, keys are checked once, at the public constructor.  Sums,
 negation and scalar products of valid elements, and products that test
@@ -21,7 +21,7 @@ still goes through the constructor, which drops (FreeWord) or refuses
 
 from __future__ import annotations
 
-from .algebra import _exact_nonzero, _fits, _merge_bounds, rat
+from .algebra import _check_bound, _exact_nonzero, _fits, _merge_bounds, rat
 from .errors import DomainError
 from .series import register_noncommutative
 
@@ -34,6 +34,7 @@ class FreeWord:
     __slots__ = ("terms", "max_len")
 
     def __init__(self, terms, max_len=None):
+        _check_bound(max_len)
         clean = {}
         for word, coeff in terms.items():
             word = tuple(word)
@@ -141,6 +142,7 @@ class TensorElement:
     __slots__ = ("terms", "max_len")
 
     def __init__(self, terms, max_len=None):
+        _check_bound(max_len)
         clean = {}
         for factors, coeff in terms.items():
             factors = tuple(tuple(w) for w in factors)

@@ -6,8 +6,10 @@ Each result here is compared with the same raw terms passed through the
 public constructor, checked for leftovers the trusted path must clean up
 (zero coefficients, terms past the bound, integral Fractions), and run
 through the ring axioms.  The public constructors must still refuse bad
-keys, negative bounds and tensor overflow."""
+keys, negative bounds and tensor overflow.  The integer-numerator QSym
+product is checked against the Fraction-accumulating oracle."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 from forestinv.algebra import QSym, quasi_shuffle
 from forestinv.errors import DomainError
 from forestinv.operators import lambda_, lambda_bar
+from forestinv.oracles import qsym_mul_by_fractions
 from forestinv.words import FreeWord, TensorElement
 
 PROPERTY = settings(max_examples=60, deadline=None)
@@ -291,3 +294,86 @@ def test_public_constructors_still_check_keys():
     # the bound check drops, never refuses, in the truncating carriers
     assert QSym({(3,): 1, (1,): 2}, 2).terms == {(1,): 2}
     assert FreeWord({("a", "b"): 1, ("a",): 2}, 1).terms == {("a",): 2}
+
+
+def test_free_word_refuses_a_negative_bound():
+    for terms in ({}, {("a",): 1}, {(): 1}):
+        with pytest.raises(DomainError, match="truncation bound must be non-negative"):
+            FreeWord(terms, -1)
+    assert FreeWord({("a",): 1}, 0).terms == {}
+
+
+def test_tensor_refuses_a_negative_bound():
+    # refused as a bound before any term is measured against it
+    for terms in ({}, {(("a",),): 1}, {(): 1}):
+        with pytest.raises(DomainError, match="truncation bound must be non-negative"):
+            TensorElement(terms, -1)
+    assert TensorElement({(): 1}, 0).terms == {(): 1}
+
+
+# The QSym product accumulates integer numerators over the product of the
+# operands' denominators; oracles.qsym_mul_by_fractions accumulates the
+# coefficients as they are.  The two must agree term by term, coefficient
+# types included.
+INT_COEFFS = st.integers(-5, 5)
+FRACTION_COEFFS = st.fractions(min_value=-3, max_value=3, max_denominator=7).filter(
+    lambda c: c.denominator != 1
+)
+COEFF_KINDS = {"int": INT_COEFFS, "fraction": FRACTION_COEFFS, "mixed": COEFFS}
+
+
+def qsyms_with(coeffs):
+    return st.builds(QSym, st.dictionaries(COMPOSITIONS, coeffs, max_size=5), BOUNDS)
+
+
+ANY_QSYM = st.one_of(*(qsyms_with(kind) for kind in COEFF_KINDS.values()))
+
+
+@PROPERTY
+@given(ANY_QSYM, ANY_QSYM)
+def test_qsym_product_matches_fraction_oracle_property(a, b):
+    product = a * b
+    expected = qsym_mul_by_fractions(a, b)
+    assert product.max_degree == expected.max_degree
+    assert_matches(product, expected, sum, expected.max_degree)
+
+
+def random_qsym(rng, kind, bound, size=8):
+    def coeff():
+        numerator = rng.choice([n for n in range(-9, 10) if n])
+        if kind == "int" or (kind == "mixed" and rng.random() < 0.5):
+            return numerator
+        # factorial denominators, as in the elementary Schur polynomials
+        return Fraction(numerator, rng.choice([2, 3, 6, 24, 120, 720]))
+
+    terms = {}
+    for _ in range(size):
+        comp = tuple(rng.randint(1, 3) for _ in range(rng.randint(0, 4)))
+        terms[comp] = coeff()
+    return QSym(terms, bound)
+
+
+@pytest.mark.parametrize("kind_b", sorted(COEFF_KINDS))
+@pytest.mark.parametrize("kind_a", sorted(COEFF_KINDS))
+@pytest.mark.parametrize("bounds", [(None, None), (6, 6), (None, 5), (7, None), (4, 8)])
+def test_qsym_product_matches_fraction_oracle(kind_a, kind_b, bounds):
+    rng = random.Random(f"{kind_a}-{kind_b}-{bounds}")
+    for _ in range(10):
+        a = random_qsym(rng, kind_a, bounds[0])
+        b = random_qsym(rng, kind_b, bounds[1])
+        expected = qsym_mul_by_fractions(a, b)
+        assert (a * b).max_degree == expected.max_degree
+        assert_matches(a * b, expected, sum, expected.max_degree)
+
+
+def test_qsym_product_of_fractions_can_be_integral_or_zero():
+    half = QSym({(1,): Fraction(1, 2), (2,): Fraction(3, 2)}, None)
+    double = QSym({(1,): 2, (2,): 4}, None)
+    product = half * double
+    assert exact(product) == exact(qsym_mul_by_fractions(half, double))
+    assert all(type(coeff) is int for coeff in product.terms.values())
+    # M_1 * M_1 = 2 M_11 + M_2, so these cancel to zero term by term
+    left = QSym({(1,): Fraction(1, 2)}, None)
+    right = QSym({(1, 1): -1, (2,): Fraction(-1, 2)}, None)
+    assert left * left + Fraction(1, 2) * right == QSym({}, None)
+    assert (left * QSym({(1,): Fraction(2, 3)}, 1)).terms == {}

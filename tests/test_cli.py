@@ -12,6 +12,7 @@ import pytest
 import forestinv
 from forestinv import cli
 from forestinv.cli import main
+from forestinv.trees import DEPTH_LIMIT
 
 
 def run(capsys, *argv):
@@ -286,3 +287,38 @@ def test_parser_is_built_once(capsys, monkeypatch):
         assert len(built) == 1
     finally:
         cli._parser.cache_clear()
+
+
+def path_text(vertices, label=None):
+    opening = "(" if label is None else f"({label}:"
+    return opening * vertices + ")" * vertices
+
+
+def test_deep_trees_exit_with_the_depth_and_the_limit(capsys):
+    for argv in (
+        ("invariant", "--tree", path_text(1000), "--operator", "lambda-bar"),
+        ("invariant", "--tree", path_text(1000), "--operator", "delta-inv"),
+        ("planar", "--tree", path_text(1000, "a")),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv[:2]
+        assert out == ""
+        assert err.startswith("resource limit:")
+        assert "1000" in err and str(DEPTH_LIMIT) in err
+
+
+def test_trees_at_the_depth_limit_are_evaluated(capsys):
+    code, out, err = run(
+        capsys, "invariant", "--tree", path_text(DEPTH_LIMIT), "--operator", "lambda-bar"
+    )
+    assert (code, err) == (0, "")
+    # a chain has one strictly increasing labeling pattern: M_(1, ..., 1)
+    assert json.loads(out)["value"] == [{"composition": [1] * DEPTH_LIMIT, "coefficient": "1"}]
+    code, out, err = run(capsys, "planar", "--tree", path_text(DEPTH_LIMIT, "a"))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["tree"] == path_text(DEPTH_LIMIT, "a")
+    code, out, err = run(
+        capsys, "invariant", "--tree", path_text(DEPTH_LIMIT + 1), "--operator", "lambda-bar"
+    )
+    assert code == 2
+    assert str(DEPTH_LIMIT + 1) in err and str(DEPTH_LIMIT) in err

@@ -4,6 +4,8 @@ geometric fixed point, and the tensor splitting operators."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from forestinv.algebra import Polynomial
 from forestinv.engine import strict_order_poly
@@ -34,6 +36,7 @@ from forestinv.planar import (
     underlying_forest,
     underlying_tree,
 )
+from forestinv.series import Series, geometric_inverse
 from forestinv.words import FreeWord, TensorElement
 
 
@@ -322,3 +325,92 @@ def test_sequence_guards():
     short = u_planar_by_enumeration(family, 3)
     with pytest.raises(DomainError):
         planar_equation_residual(family, 5, sequence=short)
+
+
+def per_weight_inverse_build(family, order):
+    """The build the running recurrence replaced: 1/(1 - U) solved from
+    scratch with `geometric_inverse` at every weight."""
+    per_label = {label: [] for label in family.labels}
+    zero = Fraction(0) * family.one
+    totals = []
+    for n in range(1, order + 1):
+        inverted = geometric_inverse(Series((zero, *totals), family.one))
+        source = inverted.coefficient(n - 1)
+        coeff_n = zero
+        for label in family.labels:
+            term = family[label](source)
+            per_label[label].append(term)
+            coeff_n = coeff_n + term
+        totals.append(coeff_n)
+    return per_label
+
+
+def exact_terms(element):
+    return {key: (type(coeff), coeff) for key, coeff in element.terms.items()}
+
+
+@pytest.mark.parametrize("max_len", [None, 5])
+@pytest.mark.parametrize("labels", ["a", "ab", "abc"])
+def test_running_recurrence_matches_per_weight_inverses(labels, max_len):
+    family = free_word_family(labels, max_len)
+    order = {1: 9, 2: 7, 3: 6}[len(labels)]
+    running = u_planar_by_recurrence(family, order).per_label
+    expected = per_weight_inverse_build(family, order)
+    assert list(running) == list(expected)
+    for label in labels:
+        assert [exact_terms(t) for t in running[label]] == [
+            exact_terms(t) for t in expected[label]
+        ]
+        assert all(t.max_len == max_len for t in running[label])
+
+
+def test_running_recurrence_makes_quadratically_many_products(monkeypatch):
+    count = [0]
+    word_mul = FreeWord.__mul__
+
+    def counting_word_mul(self, other):
+        count[0] += 1
+        return word_mul(self, other)
+
+    monkeypatch.setattr(FreeWord, "__mul__", counting_word_mul)
+    labels, order = ("a", "b"), 10
+    u_planar_by_recurrence(free_word_family(labels), order)
+    # N(N-1)/2 products for the coefficients of 1/(1 - U) and one prepend
+    # per label and weight; solving the inverse afresh per weight is O(N^3)
+    assert 0 < count[0] <= order * (order - 1) // 2 + len(labels) * order
+
+
+def test_parse_takes_deep_trees():
+    depth = 3000
+    text = "(a:" * depth + ")" * depth
+    tree = parse_planar_tree(text)
+    assert tree.vertex_count == depth
+    assert tree.height == depth - 1
+    assert tree.serialize() == text
+    assert parse_planar_forest(text + "(b:)").vertex_count == depth + 1
+    for bad, offset in [("(a:" * depth, 3 * depth), ("(a:" * depth + "x", 3 * depth),
+                        ("(a:(b))", 4), ("(a:(:))", 4)]:
+        with pytest.raises(ParseError) as err:
+            parse_planar_tree(bad)
+        assert err.value.offset == offset
+
+
+PLANAR_LABELS = st.sampled_from(["a", "b", "xy", "é"])
+PLANAR_TREES = st.recursive(
+    st.builds(PlanarTree, PLANAR_LABELS),
+    lambda kids: st.builds(PlanarTree, PLANAR_LABELS, st.lists(kids, max_size=3)),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(PLANAR_TREES, min_size=1, max_size=3))
+def test_planar_parse_serialize_round_trip_property(trees):
+    for tree in trees:
+        text = tree.serialize()
+        parsed = parse_planar_tree(text)
+        assert parsed == tree
+        assert (parsed.vertex_count, parsed.height) == (tree.vertex_count, tree.height)
+        assert parsed.serialize() == text
+    forest = PlanarForest(trees)
+    assert parse_planar_forest(forest.serialize()) == forest

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from forestinv import oracles
 from forestinv.errors import DomainError, ParseError, ResourceLimitError
@@ -208,3 +210,42 @@ def test_enumeration_guards():
         enumerate_trees(17)
     with pytest.raises(ResourceLimitError):
         enumerate_forests(16)
+
+
+def test_parse_takes_deep_trees():
+    depth = 3000
+    text = "(" * depth + ")" * depth
+    tree = parse_tree(text)
+    assert tree.key == text
+    assert (tree.vertex_count, tree.height, tree.leaf_count) == (depth, depth - 1, 1)
+    assert parse_forest(text + "()").vertex_count == depth + 1
+    for bad, offset in [("(" * depth, depth), ("(" * depth + "x", depth), ("((x))", 2)]:
+        with pytest.raises(ParseError) as err:
+            parse_tree(bad)
+        assert err.value.offset == offset
+
+
+NESTED = st.recursive(st.just([]), lambda kids: st.lists(kids, max_size=3), max_leaves=12)
+
+
+def nested_text(nested):
+    return "(%s)" % "".join(nested_text(kid) for kid in nested)
+
+
+def nested_tree(nested):
+    return RootedTree(nested_tree(kid) for kid in nested)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(NESTED, min_size=1, max_size=3))
+def test_parse_serialize_round_trip_property(forest):
+    trees = []
+    for nested in forest:
+        # any child order parses to the canonical tree, whose key parses back
+        tree = parse_tree(nested_text(nested))
+        assert tree == nested_tree(nested)
+        assert parse_tree(tree.key).key == tree.key
+        trees.append(tree)
+    parsed = parse_forest("".join(nested_text(nested) for nested in forest))
+    assert parsed == RootedForest(trees)
+    assert parse_forest(parsed.key) == parsed
