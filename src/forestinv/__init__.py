@@ -12,14 +12,11 @@ from .algebra import (
     FiniteVarPoly,
     Polynomial,
     QSym,
-    binomial_basis,
-    from_newton,
     one_like,
     principal_specialization,
     qsym_to_finite,
     quasi_shuffle,
     rat,
-    to_newton,
 )
 from .engine import (
     BUILT_IN_NAMES,
@@ -59,9 +56,7 @@ from .operators import (
     LAMBDA_BAR,
     NABLA,
     NABLA_INV,
-    SHIFT,
     LinearOperator,
-    compose,
     delta,
     delta_inv,
     finite_lambda,
@@ -70,8 +65,6 @@ from .operators import (
     lambda_bar,
     nabla,
     nabla_inv,
-    op_add,
-    op_scale,
     shift_s,
 )
 from .planar import (

@@ -7,16 +7,11 @@ independent oracle for the quasi-symmetric layer.  Arithmetic is exact and
 runs on Python ints wherever it can: a polynomial is integer numerators
 over one common denominator, and the dict carriers (here and in `words`)
 store integral coefficients as int and the rest as `fractions.Fraction`,
-all through the one coercion `rat`.  A quasi-symmetric product clears
-each operand's denominators once, runs the quasi-shuffle accumulation on
-integer numerators and divides once per output term.  There is no
-floating point anywhere in the package.
-
-Keys are checked once, where outside data comes in: the public
-constructors check every composition, coerce every coefficient and drop
-terms above the bound.  Arithmetic on elements that are already valid
-builds its result through the trusted `_from_valid_terms`, which only
-drops zero coefficients and stores integral Fractions as int.
+all through the one coercion `rat`.  Their linear-space arithmetic lives
+once, in `TermCarrier`.  A quasi-symmetric product clears each operand's
+denominators once, runs the quasi-shuffle accumulation on integer
+numerators and divides once per output term.  There is no floating point
+anywhere in the package.
 """
 
 from __future__ import annotations
@@ -25,7 +20,7 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, gcd, lcm
+from math import comb, gcd, lcm
 
 from .errors import DomainError
 
@@ -277,40 +272,6 @@ class Polynomial:
         return "Polynomial(%s)" % " + ".join(parts)
 
 
-@lru_cache(maxsize=None)
-def binomial_basis(k: int) -> Polynomial:
-    """The falling binomial C(t, k) = t(t-1)...(t-k+1)/k! as an exact
-    polynomial; the degree-k element of the Newton basis."""
-    if k < 0:
-        raise DomainError("binomial basis needs k >= 0")
-    p = Polynomial.one()
-    for i in range(k):
-        p = p * Polynomial((-i, 1))
-    return p * Fraction(1, factorial(k))
-
-
-def to_newton(poly: Polynomial) -> list[Fraction]:
-    """Coefficients c_k with poly = sum of c_k * C(t, k).
-
-    c_k is the k-th forward difference of the polynomial at 0, read off a
-    difference table of the values at 0, 1, ..., degree.
-    """
-    values = [poly(i) for i in range(poly.degree + 1)]
-    out = []
-    while values:
-        out.append(values[0])
-        values = [b - a for a, b in zip(values, values[1:])]
-    return out
-
-
-def from_newton(cs) -> Polynomial:
-    """Rebuild a polynomial from Newton basis coefficients."""
-    out = Polynomial()
-    for k, c in enumerate(cs):
-        out = out + rat(c) * binomial_basis(k)
-    return out
-
-
 Composition = tuple
 
 
@@ -336,7 +297,103 @@ def quasi_shuffle(a: Composition, b: Composition):
     return tuple(sorted(acc.items()))
 
 
-class QSym:
+class TermCarrier:
+    """A rational combination of basis keys with a truncation bound: the
+    linear-space arithmetic shared by `QSym` and the word algebras.
+
+    `terms` maps each key to its non-zero coefficient, an int when
+    integral and a Fraction otherwise; `bound` caps the key size, and
+    None means unbounded.  Each subclass names the bound after its own
+    grading and supplies the public constructor, the product and the
+    repr.  Elements of different subclasses never compare equal, add or
+    multiply.  Equality compares terms only; the bound is bookkeeping,
+    not identity.
+
+    Keys are checked once, where outside data comes in: the public
+    constructors check every key, coerce every coefficient and apply the
+    bound.  Sums, negation and scalar products of valid elements, and
+    products that test the bound themselves, build their result through
+    the trusted `_from_valid_terms`, which only drops zero coefficients
+    and stores integral Fractions as int.  A sum of operands with
+    different bounds still goes through the public constructor, which
+    drops (QSym, FreeWord) or refuses (TensorElement) the terms above
+    the smaller bound.
+    """
+
+    __slots__ = ("terms", "bound")
+
+    # read by `series.is_noncommutative`; exp refuses noncommutative carriers
+    noncommutative = False
+
+    @classmethod
+    def _from_valid_terms(cls, terms, bound):
+        """The element with these terms, trusted to be valid keys within
+        the bound with exact coefficients; only zeros and integral
+        Fractions are cleaned up."""
+        out = object.__new__(cls)
+        out.terms = _exact_nonzero(terms)
+        out.bound = bound
+        return out
+
+    @classmethod
+    def zero(cls, *bound, **kw):
+        """The zero element; the bound is passed as the constructor takes it."""
+        return cls({}, *bound, **kw)
+
+    @classmethod
+    def one(cls, *bound, **kw):
+        """The unit, the empty key; the bound is passed as the constructor
+        takes it."""
+        return cls({(): 1}, *bound, **kw)
+
+    def one_like(self):
+        return self._from_valid_terms({(): 1}, self.bound)
+
+    def zero_like(self):
+        return self._from_valid_terms({}, self.bound)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        merged = dict(self.terms)
+        for key, coeff in other.terms.items():
+            merged[key] = merged.get(key, 0) + coeff
+        if self.bound == other.bound:
+            return self._from_valid_terms(merged, self.bound)
+        return type(self)(merged, _merge_bounds(self.bound, other.bound))
+
+    def __neg__(self):
+        return self._from_valid_terms(
+            {key: -coeff for key, coeff in self.terms.items()}, self.bound
+        )
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self + (-other)
+
+    def _scaled(self, other):
+        """The element times a scalar; another carrier is no scalar."""
+        if isinstance(other, TermCarrier):
+            return NotImplemented
+        scalar = rat(other)
+        return self._from_valid_terms(
+            {key: scalar * coeff for key, coeff in self.terms.items()}, self.bound
+        )
+
+    __rmul__ = _scaled
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+
+class QSym(TermCarrier):
     """Quasi-symmetric element in the monomial composition basis, graded
     by total degree and truncated above `max_degree`.
 
@@ -344,11 +401,12 @@ class QSym:
     rational coefficient; the empty composition () is the unit.  Every
     operation drops terms whose degree exceeds the bound, and an operation
     on operands with different bounds truncates to the smaller one.  A
-    bound of None means unbounded.  Equality compares terms only; the
-    bound is bookkeeping, not identity.
+    bound of None means unbounded.
     """
 
-    __slots__ = ("terms", "max_degree")
+    __slots__ = ()
+
+    max_degree = TermCarrier.bound
 
     def __init__(self, terms, max_degree: int | None):
         _check_bound(max_degree)
@@ -361,64 +419,16 @@ class QSym:
             if coeff != 0 and _fits(sum(comp), max_degree):
                 clean[comp] = coeff
         self.terms = clean
-        self.max_degree = max_degree
-
-    @classmethod
-    def _from_valid_terms(cls, terms, max_degree: int | None) -> "QSym":
-        """The element with these terms, trusted to be compositions of
-        degree within the bound with exact coefficients; only zeros and
-        integral Fractions are cleaned up."""
-        out = object.__new__(cls)
-        out.terms = _exact_nonzero(terms)
-        out.max_degree = max_degree
-        return out
-
-    @classmethod
-    def zero(cls, max_degree: int | None):
-        return cls({}, max_degree)
-
-    @classmethod
-    def one(cls, max_degree: int | None):
-        return cls({(): 1}, max_degree)
+        self.bound = max_degree
 
     @classmethod
     def monomial(cls, composition, max_degree: int | None = None):
         return cls({tuple(composition): 1}, max_degree)
 
-    def one_like(self):
-        return QSym.one(self.max_degree)
-
-    def zero_like(self):
-        return QSym.zero(self.max_degree)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def homogeneous_degree(self):
         """The common degree of all terms, or None if mixed or zero."""
         degrees = {sum(comp) for comp in self.terms}
         return degrees.pop() if len(degrees) == 1 else None
-
-    def __add__(self, other):
-        if not isinstance(other, QSym):
-            return NotImplemented
-        merged = dict(self.terms)
-        for comp, coeff in other.terms.items():
-            merged[comp] = merged.get(comp, 0) + coeff
-        if self.max_degree == other.max_degree:
-            return QSym._from_valid_terms(merged, self.max_degree)
-        # the constructor drops the terms above the smaller bound
-        return QSym(merged, _merge_bounds(self.max_degree, other.max_degree))
-
-    def __neg__(self):
-        return QSym._from_valid_terms(
-            {c: -v for c, v in self.terms.items()}, self.max_degree
-        )
-
-    def __sub__(self, other):
-        if not isinstance(other, QSym):
-            return NotImplemented
-        return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, QSym):
@@ -439,21 +449,6 @@ class QSym:
                 out = {comp: Fraction(v, den) for comp, v in out.items()}
             return QSym._from_valid_terms(out, bound)
         return self._scaled(other)
-
-    def __rmul__(self, other):
-        return self._scaled(other)
-
-    def _scaled(self, other) -> "QSym":
-        scalar = rat(other)
-        return QSym._from_valid_terms(
-            {c: scalar * v for c, v in self.terms.items()}, self.max_degree
-        )
-
-    def __eq__(self, other):
-        return isinstance(other, QSym) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def __repr__(self):
         if not self.terms:

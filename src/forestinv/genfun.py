@@ -19,13 +19,12 @@ from math import factorial
 from .algebra import one_like
 from .engine import InvariantSpec, evaluate
 from .errors import DomainError, ResourceLimitError
-from .operators import NONCOMMUTATIVE_TAGS
-from .series import Series, exp
+from .series import Series, exp, is_noncommutative
 from .trees import _ENUMERATION_CAP, automorphism_order, enumerate_trees
 
 
 def _require_commutative(spec: InvariantSpec) -> None:
-    if spec.algebra in NONCOMMUTATIVE_TAGS:
+    if is_noncommutative(spec.one):
         raise DomainError(
             "this layer needs a commutative algebra; use the planar layer instead"
         )
@@ -50,8 +49,6 @@ def elementary_schur(values, n: int, one=None):
         raise DomainError("need n >= 0")
     if len(values) < n:
         raise DomainError(f"need at least {n} leading values, got {len(values)}")
-    from .series import is_noncommutative
-
     if any(is_noncommutative(v) for v in values):
         raise DomainError("elementary Schur polynomials need a commutative carrier")
     if one is None:

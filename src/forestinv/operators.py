@@ -15,17 +15,12 @@ from fractions import Fraction
 from math import comb, lcm
 from typing import Any, Callable
 
-from .algebra import FiniteVarPoly, Polynomial, QSym, rat
-from .errors import DomainError
+from .algebra import FiniteVarPoly, Polynomial, QSym
 
 POLYNOMIAL = "polynomial"
 QSYM = "qsym"
-FINITE = "finite"
 FREE_WORD = "free-word"
 TENSOR = "tensor"
-RATIONAL = "rational"
-
-NONCOMMUTATIVE_TAGS = frozenset({FREE_WORD, TENSOR})
 
 
 @dataclass(frozen=True)
@@ -187,33 +182,3 @@ DELTA_INV = LinearOperator("delta-inv", POLYNOMIAL, delta_inv)
 NABLA_INV = LinearOperator("nabla-inv", POLYNOMIAL, nabla_inv)
 LAMBDA_BAR = LinearOperator("lambda-bar", QSYM, lambda_bar)
 LAMBDA = LinearOperator("lambda", QSYM, lambda_)
-SHIFT = LinearOperator("shift", FINITE, shift_s)
-
-
-def compose(operators) -> LinearOperator:
-    """Composition in the usual order: the last operator listed is
-    applied first, like writing the maps side by side."""
-    ops = tuple(operators)
-    if not ops:
-        raise DomainError("compose needs at least one operator")
-    tags = {op.algebra for op in ops}
-    if len(tags) > 1:
-        raise DomainError(f"cannot compose across algebras: {sorted(tags)}")
-
-    def run(x):
-        for op in reversed(ops):
-            x = op(x)
-        return x
-
-    return LinearOperator(" . ".join(op.name for op in ops), ops[0].algebra, run)
-
-
-def op_add(a: LinearOperator, b: LinearOperator) -> LinearOperator:
-    if a.algebra != b.algebra:
-        raise DomainError(f"cannot add operators across algebras: {a.algebra}, {b.algebra}")
-    return LinearOperator(f"({a.name} + {b.name})", a.algebra, lambda x: a(x) + b(x))
-
-
-def op_scale(c, a: LinearOperator) -> LinearOperator:
-    scalar = rat(c)
-    return LinearOperator(f"{scalar}*{a.name}", a.algebra, lambda x: scalar * a(x))

@@ -3,10 +3,11 @@
 Everything here deliberately avoids the canonical-form machinery in
 `trees` (beyond constructing result objects), so these routines can act
 as honest oracles for it.  The power-sum builds of exp and 1/(1 - f)
-check the coefficient recurrences in `series` the same way, and the
-Newton-basis delta inverse checks the power-sum table in `operators`,
-and the Fraction-accumulating quasi-shuffle product checks the integer
-kernel of `QSym.__mul__`.
+check the coefficient recurrences in `series` the same way, the
+Newton-basis delta inverse (with its helpers `binomial_basis` and
+`to_newton`) checks the power-sum table in `operators`, and the
+Fraction-accumulating quasi-shuffle product checks the integer kernel
+of `QSym.__mul__`.
 Guards raise instead of approximating.
 """
 
@@ -15,8 +16,9 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from functools import lru_cache
 
-from .algebra import Polynomial, QSym, _merge_bounds, binomial_basis, quasi_shuffle, to_newton
+from .algebra import Polynomial, QSym, _merge_bounds, quasi_shuffle
 from .errors import DomainError, ResourceLimitError
 from .series import Series, is_noncommutative
 from .trees import RootedTree
@@ -161,6 +163,32 @@ def geometric_inverse_by_powers(series: Series) -> Series:
     for _ in range(series.order):
         term = term * series
         out = out + term
+    return out
+
+
+@lru_cache(maxsize=None)
+def binomial_basis(k: int) -> Polynomial:
+    """The falling binomial C(t, k) = t(t-1)...(t-k+1)/k! as an exact
+    polynomial; the degree-k element of the Newton basis."""
+    if k < 0:
+        raise DomainError("binomial basis needs k >= 0")
+    p = Polynomial.one()
+    for i in range(k):
+        p = p * Polynomial((-i, 1))
+    return p * Fraction(1, math.factorial(k))
+
+
+def to_newton(poly: Polynomial) -> list[Fraction]:
+    """Coefficients c_k with poly = sum of c_k * C(t, k).
+
+    c_k is the k-th forward difference of the polynomial at 0, read off a
+    difference table of the values at 0, 1, ..., degree.
+    """
+    values = [poly(i) for i in range(poly.degree + 1)]
+    out = []
+    while values:
+        out.append(values[0])
+        values = [b - a for a, b in zip(values, values[1:])]
     return out
 
 

@@ -15,17 +15,12 @@ from fractions import Fraction
 
 from .errors import DomainError
 
-# Carrier types that exp must refuse; the word algebras register here to
-# avoid an import cycle.
-_NONCOMMUTATIVE_TYPES: list[type] = []
-
-
-def register_noncommutative(cls) -> None:
-    _NONCOMMUTATIVE_TYPES.append(cls)
-
 
 def is_noncommutative(value) -> bool:
-    return isinstance(value, tuple(_NONCOMMUTATIVE_TYPES))
+    """Whether value lies in a carrier whose product does not commute, as
+    its class declares; scalars and carriers that declare nothing
+    commute."""
+    return getattr(value, "noncommutative", False)
 
 
 class Series:

@@ -3,35 +3,30 @@
 FreeWord is a rational combination of words over string generators; the
 product concatenates.  TensorElement is a rational combination of tuples
 of words (tensor factors are FreeWord basis words); the product
-concatenates factor tuples.  Coefficients go through `algebra.rat`, so
-integral ones are stored as int and the rest as `fractions.Fraction`.
-Word algebras truncate silently by word length like the other graded
-carriers, but the tensor algebra raises on overflow instead: the
-splitting operators built on it must never lose terms quietly.  A bound
-of None means unbounded; a negative bound is refused, as in `QSym`.
-
-As in `algebra`, keys are checked once, at the public constructor.  Sums,
-negation and scalar products of valid elements, and products that test
-the length bound themselves, build their result through the trusted
-`_from_valid_terms`, which only drops zero coefficients and stores
-integral Fractions as int.  A sum of operands with different bounds
-still goes through the constructor, which drops (FreeWord) or refuses
-(TensorElement) the terms above the smaller bound.
+concatenates factor tuples.  Both share their linear-space arithmetic,
+and the rule that keys are checked once, with `QSym` through
+`algebra.TermCarrier`.  Word algebras truncate silently by word length
+like the other graded carriers, but the tensor algebra raises on
+overflow instead: the splitting operators built on it must never lose
+terms quietly.  A bound of None means unbounded; a negative bound is
+refused, as in `QSym`.
 """
 
 from __future__ import annotations
 
-from .algebra import _check_bound, _exact_nonzero, _fits, _merge_bounds, rat
+from .algebra import TermCarrier, _check_bound, _fits, _merge_bounds, rat
 from .errors import DomainError
-from .series import register_noncommutative
 
 Word = tuple
 
 
-class FreeWord:
+class FreeWord(TermCarrier):
     """Element of the free associative algebra on string generators."""
 
-    __slots__ = ("terms", "max_len")
+    __slots__ = ()
+
+    noncommutative = True
+    max_len = TermCarrier.bound
 
     def __init__(self, terms, max_len=None):
         _check_bound(max_len)
@@ -44,58 +39,11 @@ class FreeWord:
             if coeff != 0 and _fits(len(word), max_len):
                 clean[word] = coeff
         self.terms = clean
-        self.max_len = max_len
-
-    @classmethod
-    def _from_valid_terms(cls, terms, max_len) -> "FreeWord":
-        """The element with these terms, trusted to be words of string
-        letters within the bound with exact coefficients; only zeros and
-        integral Fractions are cleaned up."""
-        out = object.__new__(cls)
-        out.terms = _exact_nonzero(terms)
-        out.max_len = max_len
-        return out
-
-    @classmethod
-    def zero(cls, max_len=None):
-        return cls({}, max_len)
-
-    @classmethod
-    def one(cls, max_len=None):
-        return cls({(): 1}, max_len)
+        self.bound = max_len
 
     @classmethod
     def generator(cls, label: str, max_len=None):
         return cls({(label,): 1}, max_len)
-
-    def one_like(self):
-        return FreeWord.one(self.max_len)
-
-    def zero_like(self):
-        return FreeWord.zero(self.max_len)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other):
-        if not isinstance(other, FreeWord):
-            return NotImplemented
-        merged = dict(self.terms)
-        for word, coeff in other.terms.items():
-            merged[word] = merged.get(word, 0) + coeff
-        if self.max_len == other.max_len:
-            return FreeWord._from_valid_terms(merged, self.max_len)
-        return FreeWord(merged, _merge_bounds(self.max_len, other.max_len))
-
-    def __neg__(self):
-        return FreeWord._from_valid_terms(
-            {w: -c for w, c in self.terms.items()}, self.max_len
-        )
-
-    def __sub__(self, other):
-        if not isinstance(other, FreeWord):
-            return NotImplemented
-        return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, FreeWord):
@@ -110,21 +58,6 @@ class FreeWord:
             return FreeWord._from_valid_terms(out, bound)
         return self._scaled(other)
 
-    def __rmul__(self, other):
-        return self._scaled(other)
-
-    def _scaled(self, other) -> "FreeWord":
-        scalar = rat(other)
-        return FreeWord._from_valid_terms(
-            {w: scalar * c for w, c in self.terms.items()}, self.max_len
-        )
-
-    def __eq__(self, other):
-        return isinstance(other, FreeWord) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def __repr__(self):
         if not self.terms:
             return "FreeWord(0)"
@@ -136,10 +69,13 @@ class FreeWord:
         return "FreeWord(%s)" % " + ".join(parts)
 
 
-class TensorElement:
+class TensorElement(TermCarrier):
     """Element of the tensor algebra whose letters are free-algebra words."""
 
-    __slots__ = ("terms", "max_len")
+    __slots__ = ()
+
+    noncommutative = True
+    max_len = TermCarrier.bound
 
     def __init__(self, terms, max_len=None):
         _check_bound(max_len)
@@ -155,59 +91,12 @@ class TensorElement:
                 )
             clean[factors] = coeff
         self.terms = clean
-        self.max_len = max_len
-
-    @classmethod
-    def _from_valid_terms(cls, terms, max_len) -> "TensorElement":
-        """The element with these terms, trusted to be tuples of word
-        tuples within the bound with exact coefficients; only zeros and
-        integral Fractions are cleaned up."""
-        out = object.__new__(cls)
-        out.terms = _exact_nonzero(terms)
-        out.max_len = max_len
-        return out
-
-    @classmethod
-    def zero(cls, max_len=None):
-        return cls({}, max_len)
-
-    @classmethod
-    def one(cls, max_len=None):
-        return cls({(): 1}, max_len)
+        self.bound = max_len
 
     @classmethod
     def single(cls, word, max_len=None):
         """The length-one tensor holding one free-algebra basis word."""
         return cls({(tuple(word),): 1}, max_len)
-
-    def one_like(self):
-        return TensorElement.one(self.max_len)
-
-    def zero_like(self):
-        return TensorElement.zero(self.max_len)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        merged = dict(self.terms)
-        for factors, coeff in other.terms.items():
-            merged[factors] = merged.get(factors, 0) + coeff
-        if self.max_len == other.max_len:
-            return TensorElement._from_valid_terms(merged, self.max_len)
-        return TensorElement(merged, _merge_bounds(self.max_len, other.max_len))
-
-    def __neg__(self):
-        return TensorElement._from_valid_terms(
-            {f: -c for f, c in self.terms.items()}, self.max_len
-        )
-
-    def __sub__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, TensorElement):
@@ -225,21 +114,6 @@ class TensorElement:
             return TensorElement._from_valid_terms(out, bound)
         return self._scaled(other)
 
-    def __rmul__(self, other):
-        return self._scaled(other)
-
-    def _scaled(self, other) -> "TensorElement":
-        scalar = rat(other)
-        return TensorElement._from_valid_terms(
-            {f: scalar * c for f, c in self.terms.items()}, self.max_len
-        )
-
-    def __eq__(self, other):
-        return isinstance(other, TensorElement) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def __repr__(self):
         if not self.terms:
             return "TensorElement(0)"
@@ -254,6 +128,3 @@ class TensorElement:
             parts.append(body if coeff == 1 and factors else f"{coeff}*[{body}]")
         return "TensorElement(%s)" % " + ".join(parts)
 
-
-register_noncommutative(FreeWord)
-register_noncommutative(TensorElement)

@@ -14,17 +14,19 @@ from forestinv.algebra import (
     FiniteVarPoly,
     Polynomial,
     QSym,
-    binomial_basis,
-    from_newton,
     principal_specialization,
     qsym_to_finite,
     quasi_shuffle,
     rat,
-    to_newton,
 )
 from forestinv.errors import DomainError
 from forestinv.operators import lambda_bar
-from forestinv.oracles import exp_by_power_sums, geometric_inverse_by_powers
+from forestinv.oracles import (
+    binomial_basis,
+    exp_by_power_sums,
+    geometric_inverse_by_powers,
+    to_newton,
+)
 from forestinv.render import canonical_render, pretty
 from forestinv.series import Series, exp, geometric_inverse, is_noncommutative
 from forestinv.words import FreeWord, TensorElement
@@ -103,9 +105,11 @@ def test_newton_round_trip():
     rng = random.Random(7)
     for _ in range(60):
         p = random_polynomial(rng)
-        assert from_newton(to_newton(p)) == p
+        rebuilt = Polynomial.zero()
+        for k, c in enumerate(to_newton(p)):
+            rebuilt = rebuilt + c * binomial_basis(k)
+        assert rebuilt == p
     assert to_newton(Polynomial.zero()) == []
-    assert from_newton([]) == Polynomial.zero()
 
 
 def test_quasi_shuffle_structure():

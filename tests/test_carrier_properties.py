@@ -6,9 +6,12 @@ Each result here is compared with the same raw terms passed through the
 public constructor, checked for leftovers the trusted path must clean up
 (zero coefficients, terms past the bound, integral Fractions), and run
 through the ring axioms.  The public constructors must still refuse bad
-keys, negative bounds and tensor overflow.  The integer-numerator QSym
+keys, negative bounds and tensor overflow, and elements of different
+carriers must never compare equal or combine.  The integer-numerator QSym
 product is checked against the Fraction-accumulating oracle."""
 
+import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -221,6 +224,19 @@ def test_tensor_ring_axioms_property(a, b, c):
     assert a * (b + c) == a * b + a * c
     assert (a + b) * c == a * c + b * c
     assert (a - a).is_zero()
+
+
+@PROPERTY
+@given(qsyms(), free_words(), tensors())
+def test_carriers_of_different_types_do_not_mix(q, w, t):
+    # the same raw terms in each carrier are still three different elements
+    units = [carrier({(): 1}, None) for carrier in (QSym, FreeWord, TensorElement)]
+    for elements in ((q, w, t), units):
+        for a, b in itertools.permutations(elements, 2):
+            assert a != b
+            for combine in (operator.add, operator.sub, operator.mul):
+                with pytest.raises(TypeError):
+                    combine(a, b)
 
 
 def test_trusted_paths_clean_up_their_results():

@@ -10,6 +10,7 @@ from forestinv import genfun
 from forestinv.algebra import FiniteVarPoly, Polynomial, QSym, principal_specialization
 from forestinv.engine import (
     BUILT_IN_NAMES,
+    InvariantSpec,
     built_in_spec,
     evaluate,
     qsym_strict_spec,
@@ -26,6 +27,7 @@ from forestinv.genfun import (
     verify_functional_equation,
 )
 from forestinv.oracles import exp_by_power_sums
+from forestinv.planar import free_word_family
 from forestinv.series import Series
 from forestinv.trees import automorphism_order, enumerate_trees
 from forestinv.words import FreeWord
@@ -71,6 +73,14 @@ def test_schur_input_validation():
         elementary_schur([], 1)
     with pytest.raises(DomainError):
         elementary_schur([FreeWord.generator("a")], 1)
+
+
+def test_tree_builds_refuse_noncommutative_carriers():
+    family = free_word_family(["a"])
+    spec = InvariantSpec("prepend-a", family["a"], family.one)
+    for build in (u_by_recurrence, u_by_enumeration):
+        with pytest.raises(DomainError, match="use the planar layer instead"):
+            build(spec, 3)
 
 
 def test_recurrence_small_terms():

@@ -1,6 +1,5 @@
 """Difference operators and the power-sum table behind their inverses,
-prepend operators, the finite-variable model oracle, and operator
-combinators."""
+prepend operators, and the finite-variable model oracle."""
 
 import itertools
 import os
@@ -15,26 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import forestinv
-from forestinv import algebra, operators
-from forestinv.algebra import (
-    FiniteVarPoly,
-    Polynomial,
-    QSym,
-    binomial_basis,
-    qsym_to_finite,
-)
+from forestinv import operators, oracles
+from forestinv.algebra import FiniteVarPoly, Polynomial, QSym, qsym_to_finite
 from forestinv.engine import InvariantSpec, built_in_spec, evaluate
-from forestinv.errors import DomainError
 from forestinv.operators import (
-    DELTA,
-    DELTA_INV,
-    LAMBDA,
-    LAMBDA_BAR,
-    NABLA,
-    NABLA_INV,
     POLYNOMIAL,
     LinearOperator,
-    compose,
     delta,
     delta_inv,
     finite_lambda,
@@ -43,11 +28,9 @@ from forestinv.operators import (
     lambda_bar,
     nabla,
     nabla_inv,
-    op_add,
-    op_scale,
     shift_s,
 )
-from forestinv.oracles import delta_inv_by_newton
+from forestinv.oracles import binomial_basis, delta_inv_by_newton
 from forestinv.trees import enumerate_trees
 
 T = Polynomial.t()
@@ -149,7 +132,7 @@ def test_delta_inv_needs_no_newton_basis_or_evaluation(monkeypatch):
         return counted
 
     # rebind to_newton wherever a forestinv module holds it
-    original = algebra.to_newton
+    original = oracles.to_newton
     for module in list(sys.modules.values()):
         if getattr(module, "__name__", "").split(".")[0] != "forestinv":
             continue
@@ -331,34 +314,8 @@ def test_prepend_operators_injective_between_degrees(operator):
         assert exact_rank(rows) == len(domain)
 
 
-def test_compose_add_scale():
-    rng = random.Random(43)
-    ident = compose([DELTA, DELTA_INV])
-    ident2 = compose([NABLA, NABLA_INV])
-    doubled = op_add(DELTA_INV, DELTA_INV)
-    scaled = op_scale(2, DELTA_INV)
-    for _ in range(25):
-        p = random_polynomial(rng, 8)
-        assert ident(p) == p
-        assert ident2(p) == p
-        assert doubled(p) == scaled(p)
-    assert compose([DELTA_INV])(T) == delta_inv(T)
-
-
-def test_compose_respects_order():
-    # compose applies right to left; these two differ on t^2
-    left = compose([DELTA, NABLA_INV])
-    right = compose([NABLA_INV, DELTA])
+def test_delta_and_nabla_inv_do_not_commute():
+    # delta undoes nabla_inv only up to a shift, so the orders differ on t^2
     p = T * T
-    assert left(p) == delta(nabla_inv(p))
-    assert right(p) == nabla_inv(delta(p))
-    assert left(p) != right(p)
-
-
-def test_operator_tag_mismatch():
-    with pytest.raises(DomainError):
-        compose([DELTA, LAMBDA_BAR])
-    with pytest.raises(DomainError):
-        op_add(DELTA, LAMBDA)
-    with pytest.raises(DomainError):
-        compose([])
+    assert delta(nabla_inv(p)) == p + 2 * T + ONE
+    assert nabla_inv(delta(p)) == p + 2 * T
