@@ -22,10 +22,8 @@ from .engine import (
     BUILT_IN_NAMES,
     CollisionPair,
     InvariantSpec,
-    InvariantTable,
     brute_force_order_count,
     brute_force_qsym,
-    build_table,
     built_in_spec,
     collision_report,
     evaluate,
@@ -50,11 +48,9 @@ from .genfun import (
     verify_functional_equation,
 )
 from .operators import (
-    DELTA,
     DELTA_INV,
     LAMBDA,
     LAMBDA_BAR,
-    NABLA,
     NABLA_INV,
     LinearOperator,
     delta,

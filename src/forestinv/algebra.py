@@ -220,6 +220,8 @@ class Polynomial:
         return self._scaled(other)
 
     def _scaled(self, other) -> "Polynomial":
+        if isinstance(other, TermCarrier):
+            return NotImplemented
         c = rat(other)
         return Polynomial.from_numerators(
             [c.numerator * n for n in self.numerators], c.denominator * self.denominator
@@ -298,16 +300,16 @@ def quasi_shuffle(a: Composition, b: Composition):
 
 
 class TermCarrier:
-    """A rational combination of basis keys with a truncation bound: the
-    linear-space arithmetic shared by `QSym` and the word algebras.
+    """A rational combination of basis keys: the linear-space arithmetic
+    shared by `QSym` and the word algebras.
 
     `terms` maps each key to its non-zero coefficient, an int when
-    integral and a Fraction otherwise; `bound` caps the key size, and
-    None means unbounded.  Each subclass names the bound after its own
-    grading and supplies the public constructor, the product and the
-    repr.  Elements of different subclasses never compare equal, add or
-    multiply.  Equality compares terms only; the bound is bookkeeping,
-    not identity.
+    integral and a Fraction otherwise.  `bound` caps the key size; only
+    `QSym` sets one (its degree), the word algebras store None, which
+    means unbounded.  Each subclass supplies the public constructor, the
+    product and the repr.  Elements of different carriers never compare
+    equal, add or multiply.  Equality compares terms only; the bound is
+    bookkeeping, not identity.
 
     Keys are checked once, where outside data comes in: the public
     constructors check every key, coerce every coefficient and apply the
@@ -316,8 +318,7 @@ class TermCarrier:
     the trusted `_from_valid_terms`, which only drops zero coefficients
     and stores integral Fractions as int.  A sum of operands with
     different bounds still goes through the public constructor, which
-    drops (QSym, FreeWord) or refuses (TensorElement) the terms above
-    the smaller bound.
+    drops the terms above the smaller bound.
     """
 
     __slots__ = ("terms", "bound")
@@ -336,15 +337,16 @@ class TermCarrier:
         return out
 
     @classmethod
-    def zero(cls, *bound, **kw):
-        """The zero element; the bound is passed as the constructor takes it."""
-        return cls({}, *bound, **kw)
+    def zero(cls, *bound):
+        """The zero element; `QSym` takes its bound here, the word
+        algebras nothing."""
+        return cls({}, *bound)
 
     @classmethod
-    def one(cls, *bound, **kw):
-        """The unit, the empty key; the bound is passed as the constructor
-        takes it."""
-        return cls({(): 1}, *bound, **kw)
+    def one(cls, *bound):
+        """The unit, the empty key; `QSym` takes its bound here, the word
+        algebras nothing."""
+        return cls({(): 1}, *bound)
 
     def one_like(self):
         return self._from_valid_terms({(): 1}, self.bound)
@@ -377,7 +379,7 @@ class TermCarrier:
 
     def _scaled(self, other):
         """The element times a scalar; another carrier is no scalar."""
-        if isinstance(other, TermCarrier):
+        if isinstance(other, (TermCarrier, Polynomial)):
             return NotImplemented
         scalar = rat(other)
         return self._from_valid_terms(

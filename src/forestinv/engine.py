@@ -27,7 +27,7 @@ from .operators import (
     NABLA_INV,
     LinearOperator,
 )
-from .render import canonical_render, render_value
+from .render import canonical_render
 from .trees import (
     RootedForest,
     RootedTree,
@@ -265,35 +265,3 @@ def collision_report(n_max: int, spec: InvariantSpec) -> list[CollisionPair]:
                     )
                 )
     return pairs
-
-
-@dataclass
-class InvariantTable:
-    """Values of one invariant over a batch of trees, keyed canonically."""
-
-    invariant: str
-    rows: dict
-
-    def to_jsonable(self) -> dict:
-        return {
-            "invariant": self.invariant,
-            "rows": {
-                key: {
-                    "value": render_value(row["value"]),
-                    "alpha": row["alpha"],
-                    "vertex_count": row["vertex_count"],
-                }
-                for key, row in self.rows.items()
-            },
-        }
-
-
-def build_table(trees, spec: InvariantSpec) -> InvariantTable:
-    rows = {}
-    for tree in trees:
-        rows[tree.key] = {
-            "value": evaluate(tree, spec),
-            "alpha": automorphism_order(tree),
-            "vertex_count": tree.vertex_count,
-        }
-    return InvariantTable(invariant=spec.name, rows=rows)

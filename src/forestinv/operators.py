@@ -176,8 +176,6 @@ def finite_lambda(p: FiniteVarPoly) -> FiniteVarPoly:
     return out
 
 
-DELTA = LinearOperator("delta", POLYNOMIAL, delta)
-NABLA = LinearOperator("nabla", POLYNOMIAL, nabla)
 DELTA_INV = LinearOperator("delta-inv", POLYNOMIAL, delta_inv)
 NABLA_INV = LinearOperator("nabla-inv", POLYNOMIAL, nabla_inv)
 LAMBDA_BAR = LinearOperator("lambda-bar", QSYM, lambda_bar)

@@ -7,7 +7,8 @@ different object.  An invariant is fixed by a family of linear operators
 on one shared, possibly noncommutative, algebra, one operator per label:
 the value of a tree applies the root label's operator to the ordered
 product of the children's values, and a forest takes the ordered product
-of its components.
+of its components.  Trees and forests of a given size come from one
+memoized level builder, and a size past `_PLANAR_GUARD` is refused.
 
 The fixed-point equation replaces the exponential with the geometric sum
 1/(1 - U), split per root label.  The tensor-algebra operators at the end
@@ -186,7 +187,7 @@ class OperatorFamily:
         return LinearOperator("+".join(self.operators), self.algebra, run)
 
 
-def free_word_family(labels, max_len=None) -> OperatorFamily:
+def free_word_family(labels) -> OperatorFamily:
     """The family sending w to g_label * w in the free word algebra; the
     test bed for everything planar, since values stay readable."""
     labels = tuple(labels)
@@ -196,11 +197,11 @@ def free_word_family(labels, max_len=None) -> OperatorFamily:
         label: LinearOperator(
             f"prepend-{label}",
             FREE_WORD,
-            (lambda lab: lambda w: FreeWord.generator(lab, w.max_len) * w)(label),
+            (lambda generator: lambda w: generator * w)(FreeWord.generator(label)),
         )
         for label in labels
     }
-    return OperatorFamily(ops, FreeWord.one(max_len))
+    return OperatorFamily(ops, FreeWord.one())
 
 
 def b_plus_alpha(label: str, forest, family: OperatorFamily | None = None) -> PlanarTree:
@@ -259,16 +260,12 @@ def _check_labels(labels) -> tuple:
     return labels
 
 
-def enumerate_planar(n: int, labels) -> list[PlanarTree]:
-    """All labeled planar trees on n vertices, in a fixed deterministic
-    order (root label first, then child block sizes left to right)."""
-    labels = _check_labels(labels)
-    if n < 1:
-        raise DomainError("need n >= 1")
-    if planar_tree_count(n, len(labels)) > _PLANAR_GUARD:
-        raise ResourceLimitError(f"too many planar trees on {n} vertices")
+def _planar_levels(labels):
+    """Memoized builders of the planar trees and the ordered forests
+    (tuples of trees) on k vertices, shared by both enumerators; a forest
+    is a first tree followed by a forest on the remaining vertices."""
     trees: dict[int, list] = {}
-    forests: dict[int, list] = {}
+    forests: dict[int, list] = {0: [()]}
 
     def tree_level(k):
         if k not in trees:
@@ -281,33 +278,42 @@ def enumerate_planar(n: int, labels) -> list[PlanarTree]:
 
     def forest_level(k):
         if k not in forests:
-            if k == 0:
-                forests[k] = [()]
-            else:
-                forests[k] = [
-                    (first,) + rest
-                    for size in range(1, k + 1)
-                    for first in tree_level(size)
-                    for rest in forest_level(k - size)
-                ]
+            forests[k] = [
+                (first,) + rest
+                for size in range(1, k + 1)
+                for first in tree_level(size)
+                for rest in forest_level(k - size)
+            ]
         return forests[k]
 
+    return tree_level, forest_level
+
+
+def enumerate_planar(n: int, labels) -> list[PlanarTree]:
+    """All labeled planar trees on n vertices, in a fixed deterministic
+    order (root label first, then child block sizes left to right)."""
+    labels = _check_labels(labels)
+    if n < 1:
+        raise DomainError("need n >= 1")
+    if planar_tree_count(n, len(labels)) > _PLANAR_GUARD:
+        raise ResourceLimitError(f"too many planar trees on {n} vertices")
+    tree_level, _ = _planar_levels(labels)
     return tree_level(n)
 
 
 def enumerate_planar_forests(n: int, labels) -> list[PlanarForest]:
-    """All labeled planar forests with n total vertices."""
+    """All labeled planar forests with n total vertices, first tree's size
+    ascending; refuses more than `_PLANAR_GUARD` of them."""
     labels = _check_labels(labels)
     if n < 0:
         raise DomainError("need n >= 0")
-    if n == 0:
-        return [PlanarForest()]
-    out = []
-    for size in range(1, n + 1):
-        for first in enumerate_planar(size, labels):
-            for rest in enumerate_planar_forests(n - size, labels):
-                out.append(PlanarForest((first,) + rest.trees))
-    return out
+    count = _catalan(n) * len(labels) ** n
+    if count > _PLANAR_GUARD:
+        raise ResourceLimitError(
+            f"{count} planar forests on {n} vertices exceed the limit {_PLANAR_GUARD}"
+        )
+    _, forest_level = _planar_levels(labels)
+    return [PlanarForest(trees) for trees in forest_level(n)]
 
 
 @dataclass
@@ -413,36 +419,28 @@ def tensor_cocycle_apply(
 ) -> TensorElement:
     """The tensor extension of a base operator: each word splits at every
     position, the prefix stays as tensor factors, and the base operator
-    eats the product of the remaining letters.
+    eats the remaining letters concatenated into one word, their product
+    in the free word algebra.
 
     On a pure tensor v_1 @ ... @ v_n this is the sum over j of
     v_1 @ ... @ v_j @ X(v_{j+1} ... v_n); j = n contributes the scalar
-    rule value X(1) appended as a final letter.  Raises if a split would
-    outgrow the tensor bound.
+    rule value X(1) appended as a final letter.
     """
     if base.algebra != FREE_WORD:
         raise DomainError("the base family must act on the free word algebra")
     operator = base[label]
     out: dict = {}
     for factors, coeff in element.terms.items():
-        n = len(factors)
-        if element.max_len is not None and n + 1 > element.max_len:
-            raise DomainError(
-                f"splitting a length-{n} tensor would exceed the bound {element.max_len}"
-            )
-        for j in range(n + 1):
+        for j in range(len(factors) + 1):
             prefix = factors[:j]
-            rest = base.one
-            for letter in factors[j:]:
-                rest = rest * FreeWord({letter: 1}, base.one.max_len)
-            image = operator(rest)
-            for word, wcoeff in image.terms.items():
+            rest = FreeWord({sum(factors[j:], ()): 1})
+            for word, wcoeff in operator(rest).terms.items():
                 key = prefix + (word,)
                 out[key] = out.get(key, 0) + coeff * wcoeff
-    return TensorElement(out, element.max_len)
+    return TensorElement(out)
 
 
-def tensor_family(base: OperatorFamily, max_len=None) -> OperatorFamily:
+def tensor_family(base: OperatorFamily) -> OperatorFamily:
     """Extend a free-word family to the tensor algebra over its words."""
     if base.algebra != FREE_WORD:
         raise DomainError("the base family must act on the free word algebra")
@@ -454,7 +452,7 @@ def tensor_family(base: OperatorFamily, max_len=None) -> OperatorFamily:
         )
         for label in base.labels
     }
-    return OperatorFamily(ops, TensorElement.one(max_len))
+    return OperatorFamily(ops, TensorElement.one())
 
 
 @dataclass
@@ -479,7 +477,7 @@ class GraftCheckReport:
 
 
 def check_tensor_grafting(
-    samples, base: OperatorFamily, max_len=None, product_vertex_cap=None
+    samples, base: OperatorFamily, product_vertex_cap=None
 ) -> GraftCheckReport:
     """For each sample forest F and label a, compare the tensor value of
     the grafted tree b_plus_alpha(a, F) with the tensor operator applied
@@ -487,7 +485,7 @@ def check_tensor_grafting(
     concatenation on sample pairs.  product_vertex_cap limits the pairs
     to a combined vertex count (None checks every pair)."""
     samples = list(samples)
-    family = tensor_family(base, max_len)
+    family = tensor_family(base)
     graft_checks = []
     values = []
     for forest in samples:

@@ -274,13 +274,9 @@ def commutative_series(draw, count=1):
     return [draw(series_with(coefficients, one)) for _ in range(count)]
 
 
-@st.composite
-def word_series(draw):
-    bound = draw(st.one_of(st.none(), st.integers(0, 6)))
-    element = st.dictionaries(WORDS, st.integers(-3, 3), max_size=3)
-    return draw(
-        series_with(element.map(lambda terms: FreeWord(terms, bound)), FreeWord.one(bound), 5)
-    )
+def word_series():
+    element = st.dictionaries(WORDS, st.integers(-3, 3), max_size=3).map(FreeWord)
+    return series_with(element, FreeWord.one(), 5)
 
 
 @PROPERTY
@@ -322,7 +318,7 @@ def _random_words(rng, length):
 
 # carrier -> (unit at an order, random q^k coefficient at that order).  The
 # unbounded graded carriers draw q^k in degree k so products stay small;
-# the bounded ones mix degrees up to the order and so truncate.
+# the bounded QSym mixes degrees up to the order and so truncates.
 SERIES_CARRIERS = {
     "fraction": (
         lambda order: Fraction(1),
@@ -339,13 +335,9 @@ SERIES_CARRIERS = {
             {_random_composition(rng, k): rng.randint(-3, 3) for _ in range(2)}, None
         ),
     ),
-    "freeword-bounded": (
-        FreeWord.one,
-        lambda rng, k, order: FreeWord(_random_words(rng, rng.randint(0, order)), order),
-    ),
     "freeword-unbounded": (
-        lambda order: FreeWord.one(None),
-        lambda rng, k, order: FreeWord(_random_words(rng, k), None),
+        lambda order: FreeWord.one(),
+        lambda rng, k, order: FreeWord(_random_words(rng, k)),
     ),
 }
 
@@ -424,9 +416,6 @@ def test_free_word_products():
     assert a * b != b * a
     assert (a + b) * a == FreeWord({("a", "a"): 1, ("b", "a"): 1})
     assert FreeWord.one() * a == a
-    # length truncation drops long words silently
-    bounded = FreeWord.generator("a", max_len=1)
-    assert (bounded * bounded).is_zero()
 
 
 def test_free_word_associativity():
@@ -454,9 +443,6 @@ def test_tensor_element_products():
     vb = TensorElement.single(("b", "b"))
     assert va * vb == TensorElement({(("a",), ("b", "b")): 1})
     assert TensorElement.one() * va == va
-    with pytest.raises(DomainError):
-        bounded = TensorElement.single(("a",), max_len=1)
-        bounded * bounded
 
 
 # --- integer kernels: Polynomial numerators, int coefficients in dict carriers
@@ -587,10 +573,9 @@ def test_dict_carriers_keep_integral_coefficients_as_int(carrier):
     for scaled in (Fraction(2) * built[0], built[0] * "2", 2 * built[0]):
         assert scaled == doubled
         assert all(type(v) is int for v in scaled.terms.values())
-    if carrier != "TensorElement":  # the tensor bound refuses products past it
-        assert all(
-            type(v) is int for v in (doubled * doubled).terms.values() if v.denominator == 1
-        )
+    assert all(
+        type(v) is int for v in (doubled * doubled).terms.values() if v.denominator == 1
+    )
 
 
 def test_dict_carrier_rendering_is_unchanged():

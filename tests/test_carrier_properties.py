@@ -4,11 +4,12 @@ Keys are checked once, at the public constructors; sums, products, scalar
 products and the prepend operators build their results on a trusted path.
 Each result here is compared with the same raw terms passed through the
 public constructor, checked for leftovers the trusted path must clean up
-(zero coefficients, terms past the bound, integral Fractions), and run
-through the ring axioms.  The public constructors must still refuse bad
-keys, negative bounds and tensor overflow, and elements of different
-carriers must never compare equal or combine.  The integer-numerator QSym
-product is checked against the Fraction-accumulating oracle."""
+(zero coefficients, terms past the QSym degree bound, integral
+Fractions), and run through the ring axioms.  The public constructors
+must still refuse bad keys and negative QSym bounds, and elements of
+different carriers, Polynomial included, must never compare equal or
+combine.  The integer-numerator QSym product is checked against the
+Fraction-accumulating oracle."""
 
 import itertools
 import operator
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from forestinv.algebra import QSym, quasi_shuffle
+from forestinv.algebra import Polynomial, QSym, quasi_shuffle
 from forestinv.errors import DomainError
 from forestinv.operators import lambda_, lambda_bar
 from forestinv.oracles import qsym_mul_by_fractions
@@ -46,12 +47,15 @@ def qsyms():
 
 
 def free_words():
-    return st.builds(FreeWord, st.dictionaries(WORDS, COEFFS, max_size=4), BOUNDS)
+    return st.builds(FreeWord, st.dictionaries(WORDS, COEFFS, max_size=4))
 
 
 def tensors():
-    # unbounded, so any product fits; bounded tensors are checked separately
     return st.builds(TensorElement, st.dictionaries(TENSOR_KEYS, COEFFS, max_size=3))
+
+
+def polynomials():
+    return st.builds(Polynomial, st.lists(COEFFS, max_size=4))
 
 
 def exact(element):
@@ -136,61 +140,30 @@ def test_prepend_operators_match_public_constructor(a):
         assert_matches(result, QSym(raw, bound), sum, bound)
 
 
+def assert_word_arithmetic_matches(carrier, a, b, c):
+    cases = [
+        (a + b, raw_sum(a, b)),
+        (a - b, raw_sum(a, b, -1)),
+        (-a, raw_scaled(-1, a)),
+        (a * b, raw_concatenation(a, b)),
+        (a * c, raw_scaled(c, a)),
+        (c * a, raw_scaled(c, a)),
+    ]
+    for result, raw in cases:
+        assert result.bound is None
+        assert_matches(result, carrier(raw), len, None)
+
+
 @PROPERTY
 @given(free_words(), free_words(), COEFFS)
 def test_free_word_arithmetic_matches_public_constructor(a, b, c):
-    bound = merged_bound(a.max_len, b.max_len)
-    cases = [
-        (a + b, raw_sum(a, b), bound),
-        (a - b, raw_sum(a, b, -1), bound),
-        (-a, raw_scaled(-1, a), a.max_len),
-        (a * b, raw_concatenation(a, b), bound),
-        (a * c, raw_scaled(c, a), a.max_len),
-        (c * a, raw_scaled(c, a), a.max_len),
-    ]
-    for result, raw, expected_bound in cases:
-        assert result.max_len == expected_bound
-        assert_matches(result, FreeWord(raw, expected_bound), len, expected_bound)
+    assert_word_arithmetic_matches(FreeWord, a, b, c)
 
 
 @PROPERTY
-@given(
-    st.dictionaries(TENSOR_KEYS, COEFFS, max_size=3),
-    st.dictionaries(TENSOR_KEYS, COEFFS, max_size=3),
-    st.one_of(st.none(), st.integers(2, 4)),
-    st.one_of(st.none(), st.integers(2, 4)),
-    COEFFS,
-)
-def test_tensor_arithmetic_matches_public_constructor(ta, tb, bound_a, bound_b, c):
-    a, b = TensorElement(ta, bound_a), TensorElement(tb, bound_b)
-    bound = merged_bound(bound_a, bound_b)
-    cases = [
-        (lambda: a + b, raw_sum(a, b), bound),
-        (lambda: a - b, raw_sum(a, b, -1), bound),
-        (lambda: -a, raw_scaled(-1, a), bound_a),
-        (lambda: a * c, raw_scaled(c, a), bound_a),
-        (lambda: c * a, raw_scaled(c, a), bound_a),
-    ]
-    for run, raw, expected_bound in cases:
-        try:
-            expected = TensorElement(raw, expected_bound)
-        except DomainError:
-            # a sum past the smaller bound is refused, never truncated
-            with pytest.raises(DomainError):
-                run()
-            continue
-        result = run()
-        assert result.max_len == expected_bound
-        assert_matches(result, expected, len, expected_bound)
-    # a product refuses any pair of terms that overflows, even if it cancels
-    overflow = bound is not None and any(
-        len(fa) + len(fb) > bound for fa in a.terms for fb in b.terms
-    )
-    if overflow:
-        with pytest.raises(DomainError):
-            a * b
-    else:
-        assert_matches(a * b, TensorElement(raw_concatenation(a, b), bound), len, bound)
+@given(tensors(), tensors(), COEFFS)
+def test_tensor_arithmetic_matches_public_constructor(a, b, c):
+    assert_word_arithmetic_matches(TensorElement, a, b, c)
 
 
 @PROPERTY
@@ -227,16 +200,24 @@ def test_tensor_ring_axioms_property(a, b, c):
 
 
 @PROPERTY
-@given(qsyms(), free_words(), tensors())
-def test_carriers_of_different_types_do_not_mix(q, w, t):
-    # the same raw terms in each carrier are still three different elements
-    units = [carrier({(): 1}, None) for carrier in (QSym, FreeWord, TensorElement)]
-    for elements in ((q, w, t), units):
+@given(qsyms(), free_words(), tensors(), polynomials())
+def test_carriers_of_different_types_do_not_mix(q, w, t, p):
+    # the units are four different elements, though the dict carriers
+    # spell them with the same raw terms
+    units = [QSym.one(None), FreeWord.one(), TensorElement.one(), Polynomial.one()]
+    for elements in ((q, w, t, p), units):
         for a, b in itertools.permutations(elements, 2):
             assert a != b
             for combine in (operator.add, operator.sub, operator.mul):
                 with pytest.raises(TypeError):
                     combine(a, b)
+        # exact scalars still scale every carrier; a float is refused
+        for a in elements:
+            assert a * "2" == 2 * a == Fraction(2) * a == a + a
+            with pytest.raises(DomainError):
+                a * 1.5
+            with pytest.raises(DomainError):
+                1.5 * a
 
 
 def test_trusted_paths_clean_up_their_results():
@@ -278,14 +259,6 @@ def test_sums_with_different_bounds_respect_the_smaller():
     assert (wide_q + QSym({(2,): 1}, 3)).terms == {(1,): 1, (2,): 1}
     assert (QSym({(2,): 1}, 3) + wide_q).terms == {(1,): 1, (2,): 1}
     assert (QSym({(4,): 1}, 6) + QSym({(1,): 1}, 2)).terms == {(1,): 1}
-    wide_w = FreeWord({("a", "b", "a"): 1, ("b",): 2})
-    assert (wide_w + FreeWord({("a",): 1}, 2)).terms == {("b",): 2, ("a",): 1}
-    assert (FreeWord({("a",): 1}, 2) - wide_w).terms == {("b",): -2, ("a",): 1}
-    wide_t = TensorElement({(("a",), ("b",)): 1})
-    with pytest.raises(DomainError):
-        wide_t + TensorElement.single(("a",), max_len=1)
-    with pytest.raises(DomainError):
-        TensorElement.single(("a",), max_len=1) - wide_t
 
 
 def test_public_constructors_still_check_keys():
@@ -303,28 +276,8 @@ def test_public_constructors_still_check_keys():
         FreeWord({("a", 3): 1})
     with pytest.raises(DomainError):
         FreeWord({("a",): 0.5})
-    with pytest.raises(DomainError):
-        TensorElement({(("a",), ("b",)): 1}, max_len=1)
-    with pytest.raises(DomainError):
-        TensorElement.single(("a",), max_len=1) * TensorElement.single(("b",), max_len=1)
-    # the bound check drops, never refuses, in the truncating carriers
+    # the bound check drops, never refuses
     assert QSym({(3,): 1, (1,): 2}, 2).terms == {(1,): 2}
-    assert FreeWord({("a", "b"): 1, ("a",): 2}, 1).terms == {("a",): 2}
-
-
-def test_free_word_refuses_a_negative_bound():
-    for terms in ({}, {("a",): 1}, {(): 1}):
-        with pytest.raises(DomainError, match="truncation bound must be non-negative"):
-            FreeWord(terms, -1)
-    assert FreeWord({("a",): 1}, 0).terms == {}
-
-
-def test_tensor_refuses_a_negative_bound():
-    # refused as a bound before any term is measured against it
-    for terms in ({}, {(("a",),): 1}, {(): 1}):
-        with pytest.raises(DomainError, match="truncation bound must be non-negative"):
-            TensorElement(terms, -1)
-    assert TensorElement({(): 1}, 0).terms == {(): 1}
 
 
 # The QSym product accumulates integer numerators over the product of the

@@ -1,6 +1,8 @@
 """Command-line surface: output shapes, determinism, and exit codes.
 Everything runs in process through main(argv)."""
 
+import argparse
+import importlib.util
 import json
 import os
 import subprocess
@@ -322,3 +324,24 @@ def test_trees_at_the_depth_limit_are_evaluated(capsys):
     )
     assert code == 2
     assert str(DEPTH_LIMIT + 1) in err and str(DEPTH_LIMIT) in err
+
+
+def test_cli_digest_covers_every_subcommand_and_format():
+    # imports the call list of tools/cli_digest.py and runs none of it
+    path = Path(__file__).resolve().parents[1] / "tools" / "cli_digest.py"
+    spec = importlib.util.spec_from_file_location("cli_digest", path)
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+    subparsers = next(
+        action for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    assert set(subparsers.choices) == set(cli._COMMANDS)
+    for name, parser in subparsers.choices.items():
+        formats = next(action.choices for action in parser._actions if action.dest == "format")
+        seen = {
+            argv[argv.index("--format") + 1]
+            for argv in digest.CALLS
+            if argv[0] == name and "--format" in argv
+        }
+        assert seen >= set(formats), name

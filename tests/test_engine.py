@@ -11,7 +11,6 @@ from forestinv.engine import (
     InvariantSpec,
     brute_force_order_count,
     brute_force_qsym,
-    build_table,
     built_in_spec,
     collision_report,
     evaluate,
@@ -248,18 +247,6 @@ def test_collision_report_flags_alpha():
 def test_collision_report_bound_guard():
     with pytest.raises(DomainError):
         collision_report(6, qsym_strict_spec(4))
-
-
-def test_build_table():
-    trees = enumerate_trees(3)
-    table = build_table(trees, strict_order_spec())
-    payload = table.to_jsonable()
-    assert payload["invariant"] == "delta-inv"
-    assert set(payload["rows"]) == {"((()))", "(()())"}
-    row = payload["rows"]["(()())"]
-    assert row["alpha"] == 2
-    assert row["vertex_count"] == 3
-    assert row["value"] == ["0", "1/6", "-1/2", "1/3"]
 
 
 def test_built_in_spec_lookup():

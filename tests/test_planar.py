@@ -171,6 +171,34 @@ def test_forest_census():
             assert len(set(f.serialize() for f in forests)) == len(forests)
 
 
+def recursive_planar_forests(n, labels):
+    """The unmemoized recursion the shared level builder replaced: every
+    first tree, then every forest on the remaining vertices."""
+    if n == 0:
+        return [PlanarForest()]
+    out = []
+    for size in range(1, n + 1):
+        for first in enumerate_planar(size, labels):
+            for rest in recursive_planar_forests(n - size, labels):
+                out.append(PlanarForest((first,) + rest.trees))
+    return out
+
+
+@pytest.mark.parametrize("labels", ["a", "ab", "xyz"])
+def test_forest_enumeration_matches_the_recursion(labels):
+    for n in range(0, 6):
+        assert enumerate_planar_forests(n, labels) == recursive_planar_forests(n, labels)
+
+
+def test_forest_enumeration_guard():
+    # Catalan(9) * 2^9 forests; refused before any is built
+    with pytest.raises(ResourceLimitError, match="2489344.*1000000"):
+        enumerate_planar_forests(9, "ab")
+    assert len(enumerate_planar_forests(8, "a")) == 1430
+    with pytest.raises(DomainError):
+        enumerate_planar_forests(-1, "a")
+
+
 def test_enumeration_guard():
     with pytest.raises(ResourceLimitError):
         enumerate_planar(12, ["a", "b"])
@@ -298,24 +326,6 @@ def test_grafting_product_cap_filters_pairs():
     assert report.product_checks == []
 
 
-def test_tensor_bound_overflow_is_loud():
-    base = free_word_family(["a"])
-    family = tensor_family(base, max_len=2)
-    deep = parse_planar_tree("(a:(a:(a:)))")
-    with pytest.raises(DomainError):
-        evaluate_planar(deep, family)
-    with pytest.raises(DomainError):
-        TensorElement.single(("a",), max_len=2) * TensorElement(
-            {(("a",), ("a",)): Fraction(1)}, 2
-        )
-
-
-def test_word_bound_truncates_quietly():
-    family = free_word_family(["a"], max_len=2)
-    deep = parse_planar_tree("(a:(a:(a:)))")
-    assert evaluate_planar(deep, family).is_zero()
-
-
 def test_sequence_guards():
     family = free_word_family(["a"])
     with pytest.raises(DomainError):
@@ -349,10 +359,9 @@ def exact_terms(element):
     return {key: (type(coeff), coeff) for key, coeff in element.terms.items()}
 
 
-@pytest.mark.parametrize("max_len", [None, 5])
 @pytest.mark.parametrize("labels", ["a", "ab", "abc"])
-def test_running_recurrence_matches_per_weight_inverses(labels, max_len):
-    family = free_word_family(labels, max_len)
+def test_running_recurrence_matches_per_weight_inverses(labels):
+    family = free_word_family(labels)
     order = {1: 9, 2: 7, 3: 6}[len(labels)]
     running = u_planar_by_recurrence(family, order).per_label
     expected = per_weight_inverse_build(family, order)
@@ -361,7 +370,6 @@ def test_running_recurrence_matches_per_weight_inverses(labels, max_len):
         assert [exact_terms(t) for t in running[label]] == [
             exact_terms(t) for t in expected[label]
         ]
-        assert all(t.max_len == max_len for t in running[label])
 
 
 def test_running_recurrence_makes_quadratically_many_products(monkeypatch):

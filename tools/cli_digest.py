@@ -1,0 +1,124 @@
+"""Digest of the command-line outputs over a fixed list of calls.
+
+Runs each call through `forestinv.cli.main` in one process and prints one
+line per call: the exit code, the sha1 of stdout, the sha1 of stderr and
+the argv.  A change that must leave every CLI output byte-identical is
+checked by running this script on both checkouts and diffing:
+
+    python tools/cli_digest.py > after.txt
+    (cd ../parent && python tools/cli_digest.py) > before.txt
+    diff before.txt after.txt
+
+The package is imported from the `src` directory beside this script, so
+each checkout digests its own code.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import shlex
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from forestinv import cli  # noqa: E402
+from forestinv.engine import BUILT_IN_NAMES  # noqa: E402
+from forestinv.trees import enumerate_trees  # noqa: E402
+
+FORMATS = ("json", "csv", "text")
+MAX_TREE_VERTICES = 6
+
+
+def _path(vertices, label=None):
+    opening = "(" if label is None else f"({label}:"
+    return opening * vertices + ")" * vertices
+
+
+def _per_format(argvs):
+    return [argv + ("--format", fmt) for argv in argvs for fmt in FORMATS]
+
+
+# each subcommand once in every format
+_EVERY_FORMAT = _per_format([
+    ("enumerate", "--vertices", "5"),
+    ("invariant", "--tree", "(()(()))", "--operator", "lambda"),
+    ("genfun", "--operator", "delta-inv", "--terms", "6"),
+    ("verify", "--suite", "planar"),
+    ("collisions", "--operator", "delta-inv", "--max-n", "6"),
+    ("planar", "--tree", "(a:(b:)(a:(c:)))"),
+])
+
+_INVARIANTS = [
+    ("invariant", "--tree", tree.key, "--operator", op)
+    for n in range(1, MAX_TREE_VERTICES + 1)
+    for tree in enumerate_trees(n)
+    for op in BUILT_IN_NAMES
+]
+
+_GENFUN = [
+    ("genfun", "--operator", op, "--terms", "5", "--mode", mode)
+    for op in BUILT_IN_NAMES
+    for mode in ("recurrence", "enumerate", "verify")
+]
+
+_COLLISIONS = [("collisions", "--operator", op, "--max-n", "7") for op in BUILT_IN_NAMES]
+
+_VERIFY = [("verify", "--suite", "all")] + _per_format(
+    [("verify", "--suite", "grafting", "--max-n", "3")]
+)
+
+_PLANAR = [
+    ("planar", "--tree", "(a:)"),
+    ("planar", "--tree", "(a:(a:(a:)))"),
+    ("planar", "--tree", "(b:(a:)(b:(a:)(a:)))", "--labels", "a,b"),
+    ("planar", "--tree", "(x:(y:)(z:))", "--labels", "x,y,z,w"),
+    ("planar", "--tree", _path(40, "a")),
+    # malformed trees and a label outside the family
+    ("planar", "--tree", "(a:(b:)"),
+    ("planar", "--tree", "(a(b:))"),
+    ("planar", "--tree", "(:)"),
+    ("planar", "--tree", "(a:)(b:)"),
+    ("planar", "--tree", ""),
+    ("planar", "--tree", "(a:(b:))", "--labels", "a"),
+    ("planar", "--tree", "(a:)", "--operator", "tensor"),
+]
+
+_GUARDS = [
+    ("invariant", "--tree", _path(501), "--operator", "lambda-bar"),
+    ("invariant", "--tree", _path(501), "--operator", "delta-inv"),
+    ("planar", "--tree", _path(501, "a")),
+    ("enumerate", "--vertices", "30"),
+    ("invariant", "--tree", "((", "--operator", "delta-inv"),
+    ("genfun", "--operator", "lambda", "--terms", "0"),
+    ("verify", "--suite", "no-such-suite"),
+    # usage errors
+    ("enumerate", "--vertices", "3", "--bogus"),
+    ("enumerate", "--vertices", "3", "--format", "xml"),
+    ("invariant", "--tree", "(())", "--operator", "noop"),
+]
+
+CALLS = _EVERY_FORMAT + _INVARIANTS + _GENFUN + _COLLISIONS + _VERIFY + _PLANAR + _GUARDS
+
+
+def _sha1(text: str) -> str:
+    return hashlib.sha1(text.encode()).hexdigest()
+
+
+def digest(argv) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return f"{code} {_sha1(out.getvalue())} {_sha1(err.getvalue())} {shlex.join(argv)}"
+
+
+def main() -> int:
+    for argv in CALLS:
+        print(digest(argv), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
