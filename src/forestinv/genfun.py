@@ -4,10 +4,13 @@ U_n is the automorphism-weighted sum of the invariant over all trees on
 n vertices.  It can be built two independent ways: by direct enumeration,
 or by the recurrence U_1 = X(1), U_n = X(S_{n-1}(U_1, ..., U_{n-1}))
 where S_k is the elementary Schur polynomial (the weight-k coefficient of
-the exponential of a generic series).  The cross-check of the two builds
-and the residual of the fixed-point equation q * X(exp U(q)) = U(q) are
-the main correctness evidence for the whole engine; the residual is
-computed from the enumeration build so it is not true by construction.
+the exponential of a generic series).  The recurrence runs as one `exp`
+whose feedback map is X, so order N costs N(N-1)/2 carrier products; the
+per-term build, one fresh exp per U_n, lives in `oracles` as a test
+reference.  The cross-check of the two builds and the residual of the
+fixed-point equation q * X(exp U(q)) = U(q) are the main correctness
+evidence for the whole engine; the residual is computed from the
+enumeration build so it is not true by construction.
 """
 
 from __future__ import annotations
@@ -79,14 +82,25 @@ class USequence:
 
 
 def u_by_recurrence(spec: InvariantSpec, order: int) -> USequence:
-    """Build U_1 .. U_order from the fixed-point recurrence."""
+    """Build U_1 .. U_order from the fixed-point recurrence.
+
+    One running exp solves E = exp(q X(E)) through q^(order-1): its
+    coefficient E_(n-1) is S_(n-1)(U_1, ..., U_(n-1)), so each value the
+    operator returns inside it is the next U_n, and the last is
+    X(E_(order-1)).  Costs N(N-1)/2 carrier products at order N, plus one
+    operator call per term."""
     if order < 1:
         raise DomainError("need order >= 1")
     _require_commutative(spec)
     _require_bound(spec, order)
-    terms = [spec.operator(spec.one)]
-    for n in range(2, order + 1):
-        terms.append(spec.operator(elementary_schur(terms, n - 1, one=spec.one)))
+    terms = []
+
+    def feedback(value):
+        terms.append(spec.operator(value))
+        return terms[-1]
+
+    grown = exp(Series.zero(order - 1, spec.one), feedback)
+    terms.append(spec.operator(grown.coeffs[-1]))
     return USequence(spec.name, tuple(terms), spec.one)
 
 

@@ -4,10 +4,11 @@ Everything here deliberately avoids the canonical-form machinery in
 `trees` (beyond constructing result objects), so these routines can act
 as honest oracles for it.  The power-sum builds of exp and 1/(1 - f)
 check the coefficient recurrences in `series` the same way, the
-Newton-basis delta inverse (with its helpers `binomial_basis` and
-`to_newton`) checks the power-sum table in `operators`, and the
-Fraction-accumulating quasi-shuffle product checks the integer kernel
-of `QSym.__mul__`.
+per-term build of the tree generating function (one fresh exp per term)
+checks the running build in `genfun`, the Newton-basis delta inverse
+(with its helpers `binomial_basis` and `to_newton`) checks the power-sum
+table in `operators`, and the Fraction-accumulating quasi-shuffle
+product checks the integer kernel of `QSym.__mul__`.
 Guards raise instead of approximating.
 """
 
@@ -150,6 +151,22 @@ def exp_by_power_sums(series: Series) -> Series:
         term = term * series * Fraction(1, k)
         out = out + term
     return out
+
+
+def u_by_per_term_exp(spec, order: int) -> list:
+    """U_1 .. U_order of an invariant spec from U_1 = X(1) and
+    U_n = X(S_(n-1)(U_1, ..., U_(n-1))), reading each S_(n-1) off a fresh
+    power-sum exp of U_1 q + ... + U_(n-1) q^(n-1).  Shares no code with
+    the running build of `genfun.u_by_recurrence`.  Costs O(N^4) carrier
+    products at order N."""
+    if order < 1:
+        raise DomainError("need order >= 1")
+    zero = Fraction(0) * spec.one
+    terms = [spec.operator(spec.one)]
+    for n in range(2, order + 1):
+        grown = exp_by_power_sums(Series((zero, *terms), spec.one))
+        terms.append(spec.operator(grown.coeffs[n - 1]))
+    return terms
 
 
 def geometric_inverse_by_powers(series: Series) -> Series:

@@ -138,13 +138,19 @@ def tail_sum(f, g):
     return total
 
 
-def exp(series: Series) -> Series:
+def exp(series: Series, feedback=None) -> Series:
     """exp of a series f with zero constant term, over a commutative
     carrier, from the coefficient recurrence of E' = f' E:
 
         E_0 = 1,  n E_n = sum_{k=1..n} k f_k E_(n-k).
 
-    Costs N(N+1)/2 carrier products at order N."""
+    With `feedback`, a linear map X on the carrier, returns the E with
+    E = exp(f + q X(E)) through q^order: the same recurrence, with f_n
+    replaced by f_n + X(E_(n-1)) at step n, the first step that needs it.
+    X is called once per step, on E_0 .. E_(order-1) in turn, so a caller
+    can record its values.
+
+    Costs N(N+1)/2 carrier products at order N, plus N calls of X."""
     if is_noncommutative(series.one):
         raise DomainError("exp needs a commutative coefficient algebra")
     if series.coeffs[0] != series._zero():
@@ -152,6 +158,8 @@ def exp(series: Series) -> Series:
     scaled = [k * c for k, c in enumerate(series.coeffs)]
     out = [series.one]
     for n in range(1, series.order + 1):
+        if feedback is not None:
+            scaled[n] = n * (series.coeffs[n] + feedback(out[n - 1]))
         out.append(Fraction(1, n) * tail_sum(scaled, out))
     return Series(out, series.one)
 

@@ -14,7 +14,6 @@ from fractions import Fraction
 from . import oracles
 from .algebra import (
     FiniteVarPoly,
-    QSym,
     principal_specialization,
     qsym_to_finite,
 )
@@ -22,7 +21,6 @@ from .engine import (
     brute_force_order_count,
     brute_force_qsym,
     collision_report,
-    evaluate,
     order_poly,
     qsym_strict,
     qsym_strict_spec,
@@ -34,7 +32,7 @@ from .engine import (
 )
 from .errors import DomainError
 from .genfun import cayley_check, u_by_enumeration, u_by_recurrence, verify_functional_equation
-from .operators import finite_lambda_bar, lambda_, lambda_bar, shift_s
+from .operators import finite_lambda_bar, shift_s
 from .planar import (
     enumerate_planar,
     enumerate_planar_forests,

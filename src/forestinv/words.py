@@ -18,6 +18,14 @@ from .errors import DomainError
 Word = tuple
 
 
+def _checked_word(word) -> Word:
+    """The word as a tuple, once each letter is a non-empty string."""
+    word = tuple(word)
+    if not all(isinstance(letter, str) and letter for letter in word):
+        raise DomainError(f"generators must be non-empty strings: {word}")
+    return word
+
+
 class FreeWord(TermCarrier):
     """Element of the free associative algebra on string generators."""
 
@@ -28,9 +36,7 @@ class FreeWord(TermCarrier):
     def __init__(self, terms):
         clean = {}
         for word, coeff in terms.items():
-            word = tuple(word)
-            if not all(isinstance(letter, str) and letter for letter in word):
-                raise DomainError(f"generators must be non-empty strings: {word}")
+            word = _checked_word(word)
             coeff = rat(coeff)
             if coeff != 0:
                 clean[word] = coeff
@@ -72,7 +78,7 @@ class TensorElement(TermCarrier):
     def __init__(self, terms):
         clean = {}
         for factors, coeff in terms.items():
-            factors = tuple(tuple(w) for w in factors)
+            factors = tuple(_checked_word(w) for w in factors)
             coeff = rat(coeff)
             if coeff != 0:
                 clean[factors] = coeff

@@ -407,6 +407,48 @@ def test_series_domain_errors():
     word_q = Series.from_terms({1: FreeWord.generator("a")}, 3, FreeWord.one())
     with pytest.raises(DomainError):
         exp(word_q)
+    # the same refusals with a feedback map, before it is ever called
+    calls = []
+
+    def feedback(x):
+        calls.append(x)
+        return x
+
+    with pytest.raises(DomainError, match="zero constant term"):
+        exp(const, feedback)
+    with pytest.raises(DomainError, match="commutative"):
+        exp(word_q, feedback)
+    assert calls == []
+
+
+@PROPERTY
+@given(series_with(FRACTIONS, Fraction(1)), FRACTIONS)
+def test_series_exp_with_feedback_solves_its_equation(f, c):
+    # E = exp(f + q X(E)) for X(x) = c x: the series g = f + q X(E) it
+    # solved for gives E back under both exp builds
+    def feedback(x):
+        return c * x
+
+    e = exp(f, feedback)
+    assert e.order == f.order
+    g = f + e.map(feedback).times_q()
+    assert e == exp(g) == exp_by_power_sums(g)
+
+
+def test_series_exp_feedback_sees_each_coefficient_once():
+    # with f = 0 and X(x) = x, T = qE solves T = q exp(T), the tree
+    # function, so E_n = T_(n+1) = (n+1)^n/(n+1)!
+    seen = []
+
+    def feedback(x):
+        seen.append(x)
+        return x
+
+    e = exp(Series.zero(6, Fraction(1)), feedback)
+    assert e.coeffs == tuple(
+        Fraction((n + 1) ** n, math.factorial(n + 1)) for n in range(7)
+    )
+    assert seen == list(e.coeffs[:-1])
 
 
 def test_free_word_products():

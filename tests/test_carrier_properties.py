@@ -276,6 +276,10 @@ def test_public_constructors_still_check_keys():
         FreeWord({("a", 3): 1})
     with pytest.raises(DomainError):
         FreeWord({("a",): 0.5})
+    with pytest.raises(DomainError):
+        TensorElement({(("a", 3),): 1})
+    with pytest.raises(DomainError):
+        TensorElement({(("",),): 1})
     # the bound check drops, never refuses
     assert QSym({(3,): 1, (1,): 2}, 2).terms == {(1,): 2}
 

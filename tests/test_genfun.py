@@ -26,7 +26,7 @@ from forestinv.genfun import (
     u_by_recurrence,
     verify_functional_equation,
 )
-from forestinv.oracles import exp_by_power_sums
+from forestinv.oracles import exp_by_power_sums, u_by_per_term_exp
 from forestinv.planar import free_word_family
 from forestinv.series import Series
 from forestinv.trees import automorphism_order, enumerate_trees
@@ -135,6 +135,52 @@ def test_recurrence_satisfies_power_sum_fixed_point(name, order):
     u = u_by_recurrence(spec, order).series()
     residual = exp_by_power_sums(u).map(spec.operator).times_q() - u
     assert residual.is_zero()
+
+
+def exact_value(value):
+    """A carrier value with the type of each stored coefficient."""
+    if isinstance(value, Polynomial):
+        return value.numerators, value.denominator
+    return {key: (type(coeff), coeff) for key, coeff in value.terms.items()}
+
+
+@pytest.mark.parametrize(
+    "name, max_order",
+    [("delta-inv", 10), ("nabla-inv", 10), ("lambda-bar", 8), ("lambda", 8)],
+)
+def test_running_recurrence_matches_per_term_exps(name, max_order):
+    spec = built_in_spec(name)
+    expected = [exact_value(t) for t in u_by_per_term_exp(spec, max_order)]
+    for order in range(1, max_order + 1):
+        seq = u_by_recurrence(spec, order)
+        assert seq.order == order
+        assert [exact_value(t) for t in seq.terms] == expected[:order]
+
+
+@pytest.mark.parametrize("name", BUILT_IN_NAMES)
+def test_recurrence_order_one_is_the_operator_on_the_unit(name):
+    spec = built_in_spec(name)
+    assert u_by_recurrence(spec, 1).terms == (spec.operator(spec.one),)
+
+
+@pytest.mark.parametrize(
+    "carrier, spec", [(Polynomial, strict_order_spec()), (QSym, qsym_weak_spec(None))]
+)
+def test_running_recurrence_makes_quadratically_many_products(monkeypatch, carrier, spec):
+    count = [0]
+    carrier_mul = carrier.__mul__
+
+    def counting_mul(self, other):
+        count[0] += 1
+        return carrier_mul(self, other)
+
+    monkeypatch.setattr(carrier, "__mul__", counting_mul)
+    for order in (1, 2, 5, 10):
+        count[0] = 0
+        u_by_recurrence(spec, order)
+        # one running exp through q^(N-1); a fresh exp per term would
+        # make C(N+1, 3) products, 165 at N = 10
+        assert count[0] == order * (order - 1) // 2
 
 
 def test_residual_detects_a_wrong_sequence():

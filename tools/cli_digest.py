@@ -64,6 +64,13 @@ _GENFUN = [
     for mode in ("recurrence", "enumerate", "verify")
 ]
 
+# the recurrence build at the large-order end, where one running exp and a
+# fresh exp per term differ most in cost
+_GENFUN_LARGE = [
+    ("genfun", "--operator", op, "--terms", str(terms), "--mode", "recurrence")
+    for op, terms in (("delta-inv", 30), ("nabla-inv", 20), ("lambda-bar", 9), ("lambda", 9))
+]
+
 _COLLISIONS = [("collisions", "--operator", op, "--max-n", "7") for op in BUILT_IN_NAMES]
 
 _VERIFY = [("verify", "--suite", "all")] + _per_format(
@@ -100,7 +107,10 @@ _GUARDS = [
     ("invariant", "--tree", "(())", "--operator", "noop"),
 ]
 
-CALLS = _EVERY_FORMAT + _INVARIANTS + _GENFUN + _COLLISIONS + _VERIFY + _PLANAR + _GUARDS
+CALLS = (
+    _EVERY_FORMAT + _INVARIANTS + _GENFUN + _GENFUN_LARGE + _COLLISIONS + _VERIFY + _PLANAR
+    + _GUARDS
+)
 
 
 def _sha1(text: str) -> str:
