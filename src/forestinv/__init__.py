@@ -9,12 +9,10 @@ is exact rational.
 """
 
 from .algebra import (
-    FiniteVarPoly,
     Polynomial,
     QSym,
     one_like,
     principal_specialization,
-    qsym_to_finite,
     quasi_shuffle,
     rat,
 )
@@ -22,8 +20,6 @@ from .engine import (
     BUILT_IN_NAMES,
     CollisionPair,
     InvariantSpec,
-    brute_force_order_count,
-    brute_force_qsym,
     built_in_spec,
     collision_report,
     evaluate,
@@ -55,12 +51,18 @@ from .operators import (
     LinearOperator,
     delta,
     delta_inv,
-    finite_lambda,
-    finite_lambda_bar,
     lambda_,
     lambda_bar,
     nabla,
     nabla_inv,
+)
+from .oracles import (
+    FiniteVarPoly,
+    brute_force_order_count,
+    brute_force_qsym,
+    finite_lambda,
+    finite_lambda_bar,
+    qsym_to_finite,
     shift_s,
 )
 from .planar import (

@@ -1,22 +1,19 @@
 """Exact arithmetic carriers for tree invariants.
 
-Three commutative algebras over the rationals live here: dense univariate
-polynomials in t, quasi-symmetric elements written in the monomial
-composition basis, and a finite-variable polynomial model used as an
-independent oracle for the quasi-symmetric layer.  Arithmetic is exact and
-runs on Python ints wherever it can: a polynomial is integer numerators
-over one common denominator, and the dict carriers (here and in `words`)
-store integral coefficients as int and the rest as `fractions.Fraction`,
-all through the one coercion `rat`.  Their linear-space arithmetic lives
-once, in `TermCarrier`.  A quasi-symmetric product clears each operand's
-denominators once, runs the quasi-shuffle accumulation on integer
-numerators and divides once per output term.  There is no floating point
-anywhere in the package.
+Two commutative algebras over the rationals live here: dense univariate
+polynomials in t and quasi-symmetric elements written in the monomial
+composition basis.  Arithmetic is exact and runs on Python ints wherever
+it can: a polynomial is integer numerators over one common denominator,
+and the dict carriers (here and in `words`) store integral coefficients
+as int and the rest as `fractions.Fraction`, all through the one coercion
+`rat`.  Their linear-space arithmetic lives once, in `TermCarrier`.  A
+quasi-symmetric product clears each operand's denominators once, runs the
+quasi-shuffle accumulation on integer numerators and divides once per
+output term.  There is no floating point anywhere in the package.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -476,182 +473,3 @@ def principal_specialization(element: QSym, m: int) -> Fraction:
         total += coeff * comb(m, len(comp))
     return total
 
-
-class FiniteVarPoly:
-    """Polynomial in x_1 .. x_num_vars, total degree capped at max_degree.
-
-    Terms map full-length exponent tuples to rational coefficients.  This
-    is the concrete model the quasi-symmetric layer is checked against;
-    the index-shift substitution x_i -> x_{i+1} (monomials using the last
-    variable are pushed out to zero) lives here as .shifted().
-    """
-
-    __slots__ = ("terms", "num_vars", "max_degree")
-
-    def __init__(self, terms, num_vars: int, max_degree: int):
-        if num_vars < 1:
-            raise DomainError("need at least one variable")
-        if max_degree < 0:
-            raise DomainError("truncation bound must be non-negative")
-        clean = {}
-        for expo, coeff in terms.items():
-            expo = tuple(expo)
-            if len(expo) != num_vars or any(e < 0 for e in expo):
-                raise DomainError(f"bad exponent tuple: {expo}")
-            coeff = rat(coeff)
-            if coeff != 0 and sum(expo) <= max_degree:
-                clean[expo] = coeff
-        self.terms = clean
-        self.num_vars = num_vars
-        self.max_degree = max_degree
-
-    @classmethod
-    def zero(cls, num_vars: int, max_degree: int):
-        return cls({}, num_vars, max_degree)
-
-    @classmethod
-    def one(cls, num_vars: int, max_degree: int):
-        return cls({(0,) * num_vars: 1}, num_vars, max_degree)
-
-    @classmethod
-    def variable(cls, index: int, num_vars: int, max_degree: int):
-        """The generator x_index, 1-based."""
-        if not 1 <= index <= num_vars:
-            raise DomainError(f"variable index {index} outside 1..{num_vars}")
-        expo = [0] * num_vars
-        expo[index - 1] = 1
-        return cls({tuple(expo): 1}, num_vars, max_degree)
-
-    def one_like(self):
-        return FiniteVarPoly.one(self.num_vars, self.max_degree)
-
-    def zero_like(self):
-        return FiniteVarPoly.zero(self.num_vars, self.max_degree)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def _check_vars(self, other):
-        if self.num_vars != other.num_vars:
-            raise DomainError("mixed variable counts")
-
-    def __add__(self, other):
-        if not isinstance(other, FiniteVarPoly):
-            return NotImplemented
-        self._check_vars(other)
-        bound = min(self.max_degree, other.max_degree)
-        merged = dict(self.terms)
-        for expo, coeff in other.terms.items():
-            merged[expo] = merged.get(expo, 0) + coeff
-        return FiniteVarPoly(merged, self.num_vars, bound)
-
-    def __neg__(self):
-        return FiniteVarPoly(
-            {e: -v for e, v in self.terms.items()}, self.num_vars, self.max_degree
-        )
-
-    def __sub__(self, other):
-        if not isinstance(other, FiniteVarPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, FiniteVarPoly):
-            self._check_vars(other)
-            bound = min(self.max_degree, other.max_degree)
-            out = {}
-            for ea, va in self.terms.items():
-                for eb, vb in other.terms.items():
-                    expo = tuple(x + y for x, y in zip(ea, eb))
-                    if sum(expo) > bound:
-                        continue
-                    out[expo] = out.get(expo, 0) + va * vb
-            return FiniteVarPoly(out, self.num_vars, bound)
-        scalar = rat(other)
-        return FiniteVarPoly(
-            {e: scalar * v for e, v in self.terms.items()}, self.num_vars, self.max_degree
-        )
-
-    def __rmul__(self, other):
-        scalar = rat(other)
-        return FiniteVarPoly(
-            {e: scalar * v for e, v in self.terms.items()}, self.num_vars, self.max_degree
-        )
-
-    def shifted(self) -> "FiniteVarPoly":
-        """Substitute x_i -> x_{i+1}; monomials using x_num_vars vanish."""
-        out = {}
-        for expo, coeff in self.terms.items():
-            if expo[-1] != 0:
-                continue
-            out[(0,) + expo[:-1]] = coeff
-        return FiniteVarPoly(out, self.num_vars, self.max_degree)
-
-    def max_index(self) -> int:
-        """Largest variable index actually used; 0 for constants."""
-        best = 0
-        for expo in self.terms:
-            for i in range(self.num_vars - 1, -1, -1):
-                if expo[i]:
-                    best = max(best, i + 1)
-                    break
-        return best
-
-    def restrict_indices(self, j: int) -> "FiniteVarPoly":
-        """Keep only monomials whose variables all have index <= j."""
-        out = {
-            expo: coeff
-            for expo, coeff in self.terms.items()
-            if all(e == 0 for e in expo[j:])
-        }
-        return FiniteVarPoly(out, self.num_vars, self.max_degree)
-
-    def __eq__(self, other):
-        return isinstance(other, FiniteVarPoly) and (
-            self.num_vars == other.num_vars and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.num_vars, frozenset(self.terms.items())))
-
-    def __repr__(self):
-        if not self.terms:
-            return "FiniteVarPoly(0)"
-        parts = []
-        for expo in sorted(self.terms):
-            coeff = self.terms[expo]
-            factors = [
-                f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}"
-                for i, e in enumerate(expo)
-                if e
-            ]
-            body = "*".join(factors) if factors else "1"
-            parts.append(body if coeff == 1 and factors else f"{coeff}*{body}")
-        return "FiniteVarPoly(%s)" % " + ".join(parts)
-
-
-def qsym_to_finite(element: QSym, num_vars: int, max_degree=None) -> FiniteVarPoly:
-    """Expand a quasi-symmetric element in num_vars concrete variables.
-
-    Each composition (a_1, ..., a_r) becomes the sum of the monomials
-    x_{i_1}^{a_1} ... x_{i_r}^{a_r} over strictly increasing index tuples.
-    The degree cap defaults to the element's bound, or to its highest
-    degree when the element is unbounded.
-    """
-    highest = max((sum(c) for c in element.terms), default=0)
-    if max_degree is None:
-        max_degree = highest if element.max_degree is None else element.max_degree
-    if max_degree < highest:
-        raise DomainError("degree cap below the element's highest term")
-    out = {}
-    for comp, coeff in element.terms.items():
-        r = len(comp)
-        if r > num_vars:
-            continue
-        for spots in itertools.combinations(range(num_vars), r):
-            expo = [0] * num_vars
-            for spot, part in zip(spots, comp):
-                expo[spot] = part
-            key = tuple(expo)
-            out[key] = out.get(key, 0) + coeff
-    return FiniteVarPoly(out, num_vars, max_degree)

@@ -122,17 +122,16 @@ def _cmd_invariant(args):
     return f"tree {tree.key}\nalpha {alpha}\nvalue {pretty(value)}"
 
 
+_U_BUILDERS = {"recurrence": u_by_recurrence, "enumerate": u_by_enumeration}
+
+
 def _cmd_genfun(args):
     if args.terms < 1:
         raise DomainError("--terms must be at least 1")
     spec = built_in_spec(args.operator)
-    if args.mode == "recurrence":
-        terms = u_by_recurrence(spec, args.terms).terms
-        payload = {"operator": args.operator, "mode": args.mode,
-                   "terms": [render_value(v) for v in terms]}
-        rows = [(n + 1, pretty(v)) for n, v in enumerate(terms)]
-    elif args.mode == "enumerate":
-        terms = u_by_enumeration(spec, args.terms).terms
+    build = _U_BUILDERS.get(args.mode)
+    if build is not None:
+        terms = build(spec, args.terms).terms
         payload = {"operator": args.operator, "mode": args.mode,
                    "terms": [render_value(v) for v in terms]}
         rows = [(n + 1, pretty(v)) for n, v in enumerate(terms)]

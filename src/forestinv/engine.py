@@ -9,8 +9,8 @@ key.  A fully evaluated value is published to the cache in one step, so
 shared specs are safe to read concurrently.
 
 The two polynomial instances count strict and weak order-preserving
-labelings; the two quasi-symmetric instances refine them, and the brute
-force routines here recount both ways directly from the definitions.
+labelings; the two quasi-symmetric instances refine them.  The brute-force
+recounts of both from the definitions live in `oracles`.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .algebra import FiniteVarPoly, Polynomial, QSym
-from .errors import DomainError, ResourceLimitError
+from .algebra import Polynomial, QSym
+from .errors import DomainError
 from .operators import (
     DELTA_INV,
     LAMBDA,
@@ -150,70 +150,6 @@ def built_in_spec(name: str) -> InvariantSpec:
 
 
 BUILT_IN_NAMES = tuple(_SHARED)
-
-
-def _parent_array(tree: RootedTree) -> list[int]:
-    """Parent index per vertex in depth-first order; the root gets -1."""
-    parents = []
-
-    def walk(node, parent_index):
-        index = len(parents)
-        parents.append(parent_index)
-        for child in node.children:
-            walk(child, index)
-
-    walk(tree, -1)
-    return parents
-
-
-_BRUTE_FORCE_LIMIT = 10_000_000
-
-
-def brute_force_order_count(tree: RootedTree, n: int, strict: bool = True) -> int:
-    """Count labelings of the vertices by {1..n} that increase (strict)
-    or do not decrease (weak) away from the root, by full enumeration."""
-    if n < 0:
-        raise DomainError("need n >= 0")
-    v = tree.vertex_count
-    if n**v > _BRUTE_FORCE_LIMIT:
-        raise ResourceLimitError(f"{n}^{v} assignments is over the brute-force limit")
-    parents = _parent_array(tree)
-    edges = [(parents[i], i) for i in range(1, v)]
-    count = 0
-    for labels in itertools.product(range(1, n + 1), repeat=v):
-        if strict:
-            if all(labels[p] < labels[c] for p, c in edges):
-                count += 1
-        else:
-            if all(labels[p] <= labels[c] for p, c in edges):
-                count += 1
-    return count
-
-
-def brute_force_qsym(tree: RootedTree, m: int, strict: bool = True) -> FiniteVarPoly:
-    """The same labeling sum with each labeling recorded as the monomial
-    x_1^(uses of 1) ... x_m^(uses of m); the finite-variable shadow of
-    the quasi-symmetric invariant."""
-    if m < 1:
-        raise DomainError("need m >= 1")
-    v = tree.vertex_count
-    if m**v > _BRUTE_FORCE_LIMIT:
-        raise ResourceLimitError(f"{m}^{v} assignments is over the brute-force limit")
-    parents = _parent_array(tree)
-    edges = [(parents[i], i) for i in range(1, v)]
-    terms: dict[tuple, int] = {}
-    for labels in itertools.product(range(1, m + 1), repeat=v):
-        if strict:
-            if not all(labels[p] < labels[c] for p, c in edges):
-                continue
-        elif not all(labels[p] <= labels[c] for p, c in edges):
-            continue
-        expo = [0] * m
-        for label in labels:
-            expo[label - 1] += 1
-        key = tuple(expo)
-        terms[key] = terms.get(key, 0) + 1
-    return FiniteVarPoly(terms, m, v)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,9 @@ Each operator is a named callable with an algebra tag, so pipelines can
 refuse to mix carriers.  The polynomial operators are the forward and
 backward difference operators and their right inverses pinned down by
 vanishing at zero; the quasi-symmetric operators prepend a part to each
-composition, with the second one also merging into the head part.
+composition, with the second one also merging into the head part.  Their
+index-shift realizations in finitely many variables, which check them,
+live in `oracles`.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from fractions import Fraction
 from math import comb, lcm
 from typing import Any, Callable
 
-from .algebra import FiniteVarPoly, Polynomial, QSym
+from .algebra import Polynomial, QSym
 
 POLYNOMIAL = "polynomial"
 QSYM = "qsym"
@@ -146,34 +148,6 @@ def lambda_(a: QSym) -> QSym:
         for grown in ((1,) + comp,) + (((1 + comp[0],) + comp[1:],) if comp else ()):
             out[grown] = out.get(grown, 0) + coeff
     return QSym._from_valid_terms(out, a.max_degree)
-
-
-def shift_s(p: FiniteVarPoly) -> FiniteVarPoly:
-    """Index shift x_i -> x_{i+1} in the finite-variable model; monomials
-    using the last variable are pushed out to zero."""
-    return p.shifted()
-
-
-def finite_lambda_bar(p: FiniteVarPoly) -> FiniteVarPoly:
-    """Direct finite-model evaluation of the strict prepend operator:
-    the sum over k of x_k times the k-fold index shift."""
-    out = FiniteVarPoly.zero(p.num_vars, p.max_degree)
-    shifted = p
-    for k in range(1, p.num_vars + 1):
-        shifted = shift_s(shifted)
-        out = out + FiniteVarPoly.variable(k, p.num_vars, p.max_degree) * shifted
-    return out
-
-
-def finite_lambda(p: FiniteVarPoly) -> FiniteVarPoly:
-    """Direct finite-model evaluation of the weak prepend operator:
-    the sum over k of x_k times the (k-1)-fold index shift."""
-    out = FiniteVarPoly.zero(p.num_vars, p.max_degree)
-    shifted = p
-    for k in range(1, p.num_vars + 1):
-        out = out + FiniteVarPoly.variable(k, p.num_vars, p.max_degree) * shifted
-        shifted = shift_s(shifted)
-    return out
 
 
 DELTA_INV = LinearOperator("delta-inv", POLYNOMIAL, delta_inv)

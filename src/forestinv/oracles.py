@@ -2,13 +2,24 @@
 
 Everything here deliberately avoids the canonical-form machinery in
 `trees` (beyond constructing result objects), so these routines can act
-as honest oracles for it.  The power-sum builds of exp and 1/(1 - f)
-check the coefficient recurrences in `series` the same way, the
-per-term build of the tree generating function (one fresh exp per term)
-checks the running build in `genfun`, the Newton-basis delta inverse
-(with its helpers `binomial_basis` and `to_newton`) checks the power-sum
-table in `operators`, and the Fraction-accumulating quasi-shuffle
-product checks the integer kernel of `QSym.__mul__`.
+as honest oracles for it.  Alongside the tree census and automorphism
+counts live:
+
+- brute-force labeling counts, which check the order polynomials, and
+  their monomial sums, which check the quasi-symmetric invariants;
+- the finite-variable polynomial model `FiniteVarPoly`, with the
+  expansion of quasi-symmetric elements into it and the index-shift
+  realizations of the prepend operators;
+- the power-sum builds of exp and 1/(1 - f), which check the coefficient
+  recurrences in `series`;
+- the per-term build of the tree generating function (one fresh exp per
+  term) and its closed form from labeled-tree counting, which check the
+  running build in `genfun`;
+- the Newton-basis delta inverse (with its helpers `binomial_basis` and
+  `to_newton`), which checks the power-sum table in `operators`;
+- the Fraction-accumulating quasi-shuffle product, which checks the
+  integer kernel of `QSym.__mul__`.
+
 Guards raise instead of approximating.
 """
 
@@ -19,7 +30,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import Polynomial, QSym, _merge_bounds, quasi_shuffle
+from .algebra import Polynomial, QSym, _merge_bounds, quasi_shuffle, rat
 from .errors import DomainError, ResourceLimitError
 from .series import Series, is_noncommutative
 from .trees import RootedTree
@@ -75,21 +86,24 @@ def tree_from_level_sequence(seq) -> RootedTree:
     return tree
 
 
+def _parent_array(tree: RootedTree) -> list[int]:
+    """Parent index per vertex in depth-first order; the root gets -1.
+    Walks an explicit stack, so trees of any depth are fine."""
+    parents = []
+    stack = [(tree, -1)]
+    while stack:
+        node, parent_index = stack.pop()
+        index = len(parents)
+        parents.append(parent_index)
+        stack.extend((child, index) for child in reversed(node.children))
+    return parents
+
+
 def count_root_automorphisms(tree: RootedTree) -> int:
     """Count root-preserving automorphisms by brute force over vertex
     permutations.  Exact but factorial; guarded, never approximated."""
-    order = []
-    parent = []
-
-    def walk(node, parent_index):
-        index = len(order)
-        order.append(node)
-        parent.append(parent_index)
-        for child in node.children:
-            walk(child, index)
-
-    walk(tree, -1)
-    v = len(order)
+    parent = _parent_array(tree)
+    v = len(parent)
     if math.factorial(max(v - 1, 0)) > 1_000_000:
         raise ResourceLimitError(f"{v} vertices is too many for permutation brute force")
     count = 0
@@ -98,6 +112,51 @@ def count_root_automorphisms(tree: RootedTree) -> int:
         if all(image[parent[i]] == parent[image[i]] for i in range(1, v)):
             count += 1
     return count
+
+
+_BRUTE_FORCE_LIMIT = 10_000_000
+
+
+def _order_preserving_labelings(tree: RootedTree, labels: int, strict: bool):
+    """Every labeling of the vertices (in depth-first order) by {1..labels}
+    that increases (strict) or does not decrease (weak) away from the root,
+    found by scanning all labels^v assignments; refused up front when
+    there are more than `_BRUTE_FORCE_LIMIT` of them."""
+    v = tree.vertex_count
+    if labels**v > _BRUTE_FORCE_LIMIT:
+        raise ResourceLimitError(f"{labels}^{v} assignments is over the brute-force limit")
+    parents = _parent_array(tree)
+    edges = [(parents[i], i) for i in range(1, v)]
+    gap = 1 if strict else 0
+    return (
+        labeling
+        for labeling in itertools.product(range(1, labels + 1), repeat=v)
+        if all(labeling[p] + gap <= labeling[c] for p, c in edges)
+    )
+
+
+def brute_force_order_count(tree: RootedTree, n: int, strict: bool = True) -> int:
+    """Count labelings of the vertices by {1..n} that increase (strict)
+    or do not decrease (weak) away from the root, by full enumeration."""
+    if n < 0:
+        raise DomainError("need n >= 0")
+    return sum(1 for _ in _order_preserving_labelings(tree, n, strict))
+
+
+def brute_force_qsym(tree: RootedTree, m: int, strict: bool = True) -> FiniteVarPoly:
+    """The same labeling sum with each labeling recorded as the monomial
+    x_1^(uses of 1) ... x_m^(uses of m); the finite-variable shadow of
+    the quasi-symmetric invariant."""
+    if m < 1:
+        raise DomainError("need m >= 1")
+    terms: dict[tuple, int] = {}
+    for labeling in _order_preserving_labelings(tree, m, strict):
+        expo = [0] * m
+        for label in labeling:
+            expo[label - 1] += 1
+        key = tuple(expo)
+        terms[key] = terms.get(key, 0) + 1
+    return FiniteVarPoly(terms, m, tree.vertex_count)
 
 
 def euler_transform(counts) -> list[int]:
@@ -169,6 +228,77 @@ def u_by_per_term_exp(spec, order: int) -> list:
     return terms
 
 
+# operator name -> (labels may repeat along an edge, value is a polynomial)
+_CLOSED_FORM_KINDS = {
+    "delta-inv": (False, True),
+    "nabla-inv": (True, True),
+    "lambda-bar": (False, False),
+    "lambda": (True, False),
+}
+
+
+def _label_class_count(weak: bool, earlier: int, size: int) -> int:
+    """Ways to hang `size` labeled vertices that share one label from the
+    `earlier` labeled vertices with smaller labels.
+
+    Strictly, each new vertex picks its parent among the earlier ones,
+    and the smallest label holds the root alone.  Weakly, the new
+    vertices form a forest hanging from the earlier ones, counted by the
+    forest form of Cayley's formula k·n^(n−k−1) (Stanley, EC2, §5.3),
+    and the smallest label holds a rooted tree, size^(size−1) of them.
+    """
+    if earlier == 0:
+        if weak:
+            return size ** (size - 1)
+        return 1 if size == 1 else 0
+    if weak:
+        return earlier * (earlier + size) ** (size - 1)
+    return earlier**size
+
+
+def u_closed_form(name: str, order: int) -> list:
+    """U_1 .. U_order of a built-in invariant from labeled-tree counting;
+    shares no code with the recurrence or with enumeration.
+
+    n!·U_n counts labeled rooted trees on n vertices together with an
+    order-preserving labeling onto {1..r}.  Grouped by the sizes
+    α = (α_1, ..., α_r) of its label classes, [M_α]U_n = ∏_k w_k/α_k!,
+    where w_k counts the ways to hang the class of label k from the
+    s_(k−1) = α_1 + ... + α_(k−1) vertices with smaller labels.  The
+    polynomial invariants are the principal specializations,
+    U_n(t) = Σ_α [M_α]U_n·C(t, ℓ(α)), so their build keeps only the
+    length of each partial composition: a dynamic program over (s_k, k)
+    rather than over all 2^(n−1) compositions of n.
+    """
+    kind = _CLOSED_FORM_KINDS.get(name)
+    if kind is None:
+        raise DomainError(f"no closed form for operator {name!r}")
+    if order < 1:
+        raise DomainError("need order >= 1")
+    weak, polynomial = kind
+    # by_size[s]: partial compositions of s (only their lengths, for the
+    # polynomial invariants) -> the sum of their weights ∏ w_k/α_k!
+    by_size = [{} for _ in range(order + 1)]
+    by_size[0][0 if polynomial else ()] = Fraction(1)
+    for earlier in range(order):
+        for size in range(1, order - earlier + 1):
+            count = _label_class_count(weak, earlier, size)
+            if not count:
+                continue
+            factor = Fraction(count, math.factorial(size))
+            bucket = by_size[earlier + size]
+            for key, weight in by_size[earlier].items():
+                grown = key + 1 if polynomial else key + (size,)
+                bucket[grown] = bucket.get(grown, 0) + weight * factor
+    sizes = by_size[1:]
+    if polynomial:
+        return [
+            sum((c * binomial_basis(length) for length, c in by_length.items()), Polynomial.zero())
+            for by_length in sizes
+        ]
+    return [QSym(by_composition, None) for by_composition in sizes]
+
+
 def geometric_inverse_by_powers(series: Series) -> Series:
     """1/(1 - series) for a series with zero constant term: the sum of
     the ordered powers series^k up to the truncation order.  Works over
@@ -233,3 +363,185 @@ def qsym_mul_by_fractions(a: QSym, b: QSym) -> QSym:
             for comp, m in quasi_shuffle(ca, cb):
                 out[comp] = out.get(comp, 0) + m * v
     return QSym(out, bound)
+
+
+class FiniteVarPoly:
+    """Polynomial in x_1 .. x_num_vars, total degree capped at max_degree.
+
+    Terms map full-length exponent tuples to rational coefficients.  This
+    is the concrete model the quasi-symmetric layer is checked against;
+    the index-shift substitution x_i -> x_{i+1} (monomials using the last
+    variable are pushed out to zero) lives here as .shifted().
+    """
+
+    __slots__ = ("terms", "num_vars", "max_degree")
+
+    def __init__(self, terms, num_vars: int, max_degree: int):
+        if num_vars < 1:
+            raise DomainError("need at least one variable")
+        if max_degree < 0:
+            raise DomainError("truncation bound must be non-negative")
+        clean = {}
+        for expo, coeff in terms.items():
+            expo = tuple(expo)
+            if len(expo) != num_vars or any(e < 0 for e in expo):
+                raise DomainError(f"bad exponent tuple: {expo}")
+            coeff = rat(coeff)
+            if coeff != 0 and sum(expo) <= max_degree:
+                clean[expo] = coeff
+        self.terms = clean
+        self.num_vars = num_vars
+        self.max_degree = max_degree
+
+    @classmethod
+    def zero(cls, num_vars: int, max_degree: int):
+        return cls({}, num_vars, max_degree)
+
+    @classmethod
+    def one(cls, num_vars: int, max_degree: int):
+        return cls({(0,) * num_vars: 1}, num_vars, max_degree)
+
+    @classmethod
+    def variable(cls, index: int, num_vars: int, max_degree: int):
+        """The generator x_index, 1-based."""
+        if not 1 <= index <= num_vars:
+            raise DomainError(f"variable index {index} outside 1..{num_vars}")
+        expo = [0] * num_vars
+        expo[index - 1] = 1
+        return cls({tuple(expo): 1}, num_vars, max_degree)
+
+    def one_like(self):
+        return FiniteVarPoly.one(self.num_vars, self.max_degree)
+
+    def zero_like(self):
+        return FiniteVarPoly.zero(self.num_vars, self.max_degree)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def _check_vars(self, other):
+        if self.num_vars != other.num_vars:
+            raise DomainError("mixed variable counts")
+
+    def __add__(self, other):
+        if not isinstance(other, FiniteVarPoly):
+            return NotImplemented
+        self._check_vars(other)
+        bound = min(self.max_degree, other.max_degree)
+        merged = dict(self.terms)
+        for expo, coeff in other.terms.items():
+            merged[expo] = merged.get(expo, 0) + coeff
+        return FiniteVarPoly(merged, self.num_vars, bound)
+
+    def __neg__(self):
+        return FiniteVarPoly(
+            {e: -v for e, v in self.terms.items()}, self.num_vars, self.max_degree
+        )
+
+    def __sub__(self, other):
+        if not isinstance(other, FiniteVarPoly):
+            return NotImplemented
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, FiniteVarPoly):
+            self._check_vars(other)
+            bound = min(self.max_degree, other.max_degree)
+            out = {}
+            for ea, va in self.terms.items():
+                for eb, vb in other.terms.items():
+                    expo = tuple(x + y for x, y in zip(ea, eb))
+                    if sum(expo) > bound:
+                        continue
+                    out[expo] = out.get(expo, 0) + va * vb
+            return FiniteVarPoly(out, self.num_vars, bound)
+        scalar = rat(other)
+        return FiniteVarPoly(
+            {e: scalar * v for e, v in self.terms.items()}, self.num_vars, self.max_degree
+        )
+
+    # the algebra is commutative, and a scalar on the left scales the same way
+    __rmul__ = __mul__
+
+    def shifted(self) -> "FiniteVarPoly":
+        """Substitute x_i -> x_{i+1}; monomials using x_num_vars vanish."""
+        out = {}
+        for expo, coeff in self.terms.items():
+            if expo[-1] != 0:
+                continue
+            out[(0,) + expo[:-1]] = coeff
+        return FiniteVarPoly(out, self.num_vars, self.max_degree)
+
+    def __eq__(self, other):
+        return isinstance(other, FiniteVarPoly) and (
+            self.num_vars == other.num_vars and self.terms == other.terms
+        )
+
+    def __hash__(self):
+        return hash((self.num_vars, frozenset(self.terms.items())))
+
+    def __repr__(self):
+        if not self.terms:
+            return "FiniteVarPoly(0)"
+        parts = []
+        for expo in sorted(self.terms):
+            coeff = self.terms[expo]
+            factors = [
+                f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}"
+                for i, e in enumerate(expo)
+                if e
+            ]
+            body = "*".join(factors) if factors else "1"
+            parts.append(body if coeff == 1 and factors else f"{coeff}*{body}")
+        return "FiniteVarPoly(%s)" % " + ".join(parts)
+
+
+def qsym_to_finite(element: QSym, num_vars: int, max_degree=None) -> FiniteVarPoly:
+    """Expand a quasi-symmetric element in num_vars concrete variables.
+
+    Each composition (a_1, ..., a_r) becomes the sum of the monomials
+    x_{i_1}^{a_1} ... x_{i_r}^{a_r} over strictly increasing index tuples.
+    The degree cap defaults to the element's bound, or to its highest
+    degree when the element is unbounded.
+    """
+    highest = max((sum(c) for c in element.terms), default=0)
+    if max_degree is None:
+        max_degree = highest if element.max_degree is None else element.max_degree
+    if max_degree < highest:
+        raise DomainError("degree cap below the element's highest term")
+    out = {}
+    for comp, coeff in element.terms.items():
+        r = len(comp)
+        if r > num_vars:
+            continue
+        for spots in itertools.combinations(range(num_vars), r):
+            expo = [0] * num_vars
+            for spot, part in zip(spots, comp):
+                expo[spot] = part
+            key = tuple(expo)
+            out[key] = out.get(key, 0) + coeff
+    return FiniteVarPoly(out, num_vars, max_degree)
+
+
+def shift_s(p: FiniteVarPoly) -> FiniteVarPoly:
+    """Index shift x_i -> x_{i+1} in the finite-variable model; monomials
+    using the last variable are pushed out to zero."""
+    return p.shifted()
+
+
+def finite_lambda(p: FiniteVarPoly) -> FiniteVarPoly:
+    """Direct finite-model evaluation of the weak prepend operator:
+    the sum over k of x_k times the (k-1)-fold index shift."""
+    out = FiniteVarPoly.zero(p.num_vars, p.max_degree)
+    shifted = p
+    for k in range(1, p.num_vars + 1):
+        out = out + FiniteVarPoly.variable(k, p.num_vars, p.max_degree) * shifted
+        shifted = shift_s(shifted)
+    return out
+
+
+def finite_lambda_bar(p: FiniteVarPoly) -> FiniteVarPoly:
+    """Direct finite-model evaluation of the strict prepend operator:
+    the sum over k of x_k times the k-fold index shift, which is the weak
+    one applied after a single shift."""
+    return finite_lambda(shift_s(p))

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .algebra import FiniteVarPoly, Polynomial, QSym
+from .algebra import Polynomial, QSym
 from .errors import DomainError
 from .series import Series
 from .words import FreeWord, TensorElement
@@ -26,11 +26,6 @@ def render_value(x):
         return [
             {"composition": list(comp), "coefficient": str(x.terms[comp])}
             for comp in sorted(x.terms)
-        ]
-    if isinstance(x, FiniteVarPoly):
-        return [
-            {"exponents": list(expo), "coefficient": str(x.terms[expo])}
-            for expo in sorted(x.terms)
         ]
     if isinstance(x, FreeWord):
         return [
@@ -56,7 +51,7 @@ def pretty(x) -> str:
     """Human-readable one-line form for text output."""
     if isinstance(x, (Fraction, int)):
         return str(Fraction(x))
-    if isinstance(x, (Polynomial, QSym, FiniteVarPoly, FreeWord, TensorElement)):
+    if isinstance(x, (Polynomial, QSym, FreeWord, TensorElement)):
         text = repr(x)
         head = type(x).__name__
         return text[len(head) + 1 : -1]

@@ -45,7 +45,7 @@ def shortlex(key: str) -> tuple[int, str]:
 class RootedTree:
     """An unlabeled rooted tree in canonical form."""
 
-    __slots__ = ("children", "key", "vertex_count", "height", "leaf_count")
+    __slots__ = ("children", "key", "vertex_count", "height")
 
     def __init__(self, children=()):
         kids = tuple(sorted(children, key=lambda c: shortlex(c.key)))
@@ -53,7 +53,6 @@ class RootedTree:
         self.key = "(%s)" % "".join(c.key for c in kids)
         self.vertex_count = 1 + sum(c.vertex_count for c in kids)
         self.height = 1 + max((c.height for c in kids), default=-1)
-        self.leaf_count = max(1, sum(c.leaf_count for c in kids))
 
     def __eq__(self, other):
         return isinstance(other, RootedTree) and self.key == other.key

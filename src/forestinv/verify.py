@@ -12,14 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import oracles
-from .algebra import (
-    FiniteVarPoly,
-    principal_specialization,
-    qsym_to_finite,
-)
+from .algebra import principal_specialization
 from .engine import (
-    brute_force_order_count,
-    brute_force_qsym,
     collision_report,
     order_poly,
     qsym_strict,
@@ -32,7 +26,14 @@ from .engine import (
 )
 from .errors import DomainError
 from .genfun import cayley_check, u_by_enumeration, u_by_recurrence, verify_functional_equation
-from .operators import finite_lambda_bar, shift_s
+from .oracles import (
+    FiniteVarPoly,
+    brute_force_order_count,
+    brute_force_qsym,
+    finite_lambda_bar,
+    qsym_to_finite,
+    shift_s,
+)
 from .planar import (
     enumerate_planar,
     enumerate_planar_forests,

@@ -11,20 +11,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from forestinv.algebra import (
-    FiniteVarPoly,
     Polynomial,
     QSym,
     principal_specialization,
-    qsym_to_finite,
     quasi_shuffle,
     rat,
 )
 from forestinv.errors import DomainError
 from forestinv.operators import lambda_bar
 from forestinv.oracles import (
+    FiniteVarPoly,
     binomial_basis,
     exp_by_power_sums,
     geometric_inverse_by_powers,
+    qsym_to_finite,
     to_newton,
 )
 from forestinv.render import canonical_render, pretty
@@ -220,12 +220,6 @@ def test_finite_var_poly_shift():
 
 
 def test_finite_var_poly_helpers():
-    x1 = FiniteVarPoly.variable(1, 4, 4)
-    x3 = FiniteVarPoly.variable(3, 4, 4)
-    p = x1 * x3 + x1
-    assert p.max_index() == 3
-    assert p.restrict_indices(2) == x1
-    assert p.restrict_indices(3) == p
     with pytest.raises(DomainError):
         FiniteVarPoly.variable(5, 4, 4)
 
@@ -641,12 +635,6 @@ def test_dict_carrier_rendering_is_unchanged():
             '[{"coefficient":"-2","tensor":[]},{"coefficient":"1/2","tensor":[[]]},'
             '{"coefficient":"3","tensor":[["a"],["b","c"]]}]',
             "-2*[1] + 1/2*[1] + 3*[a @ b.c]",
-        ),
-        (
-            FiniteVarPoly({(1, 2): Fraction(6, 2), (0, 1): Fraction(1, 2), (0, 0): -2}, 2, 3),
-            '[{"coefficient":"-2","exponents":[0,0]},{"coefficient":"1/2","exponents":[0,1]},'
-            '{"coefficient":"3","exponents":[1,2]}]',
-            "-2*1 + 1/2*x2 + 3*x1*x2^2",
         ),
         (
             Polynomial((Fraction(6, 2), Fraction(1, 2), -2)),

@@ -6,11 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from forestinv.algebra import Polynomial, QSym, principal_specialization, qsym_to_finite
+from forestinv.algebra import Polynomial, QSym, principal_specialization
 from forestinv.engine import (
     InvariantSpec,
-    brute_force_order_count,
-    brute_force_qsym,
     built_in_spec,
     collision_report,
     evaluate,
@@ -26,6 +24,12 @@ from forestinv.engine import (
 )
 from forestinv.errors import DomainError, ResourceLimitError
 from forestinv.operators import LinearOperator, POLYNOMIAL
+from forestinv.oracles import (
+    brute_force_order_count,
+    brute_force_qsym,
+    count_root_automorphisms,
+    qsym_to_finite,
+)
 from forestinv.trees import (
     EMPTY_FOREST,
     SINGLETON,
@@ -169,6 +173,16 @@ def test_brute_force_guard():
         brute_force_order_count(big, 10, strict=True)
     with pytest.raises(ResourceLimitError):
         brute_force_qsym(big, 10, strict=True)
+
+
+def test_brute_force_takes_deep_trees():
+    # one label admits a single assignment however deep the tree is
+    path = parse_tree("(" * 1200 + ")" * 1200)
+    assert brute_force_order_count(path, 1, strict=False) == 1
+    assert brute_force_order_count(path, 1, strict=True) == 0
+    assert brute_force_order_count(path, 0) == 0
+    with pytest.raises(ResourceLimitError):
+        count_root_automorphisms(path)
 
 
 def test_qsym_matches_brute_force_expansion():

@@ -1,5 +1,6 @@
-"""Tree generating functions: the two independent builds of U_n, the
-fixed-point residual, elementary Schur polynomials, and the Cayley check."""
+"""Tree generating functions: the two independent builds of U_n and its
+closed form, the fixed-point residual, elementary Schur polynomials, and
+the Cayley check."""
 
 from fractions import Fraction
 from math import factorial
@@ -7,7 +8,7 @@ from math import factorial
 import pytest
 
 from forestinv import genfun
-from forestinv.algebra import FiniteVarPoly, Polynomial, QSym, principal_specialization
+from forestinv.algebra import Polynomial, QSym, principal_specialization
 from forestinv.engine import (
     BUILT_IN_NAMES,
     InvariantSpec,
@@ -26,7 +27,7 @@ from forestinv.genfun import (
     u_by_recurrence,
     verify_functional_equation,
 )
-from forestinv.oracles import exp_by_power_sums, u_by_per_term_exp
+from forestinv.oracles import FiniteVarPoly, exp_by_power_sums, u_by_per_term_exp, u_closed_form
 from forestinv.planar import free_word_family
 from forestinv.series import Series
 from forestinv.trees import automorphism_order, enumerate_trees
@@ -155,6 +156,25 @@ def test_running_recurrence_matches_per_term_exps(name, max_order):
         seq = u_by_recurrence(spec, order)
         assert seq.order == order
         assert [exact_value(t) for t in seq.terms] == expected[:order]
+
+
+@pytest.mark.parametrize(
+    "name, order",
+    [("delta-inv", 30), ("nabla-inv", 30), ("lambda-bar", 12), ("lambda", 12)],
+)
+def test_running_recurrence_matches_closed_form(name, order):
+    # labeled-tree counting shares no code with the recurrence and reaches
+    # orders past the enumeration cap
+    expected = [exact_value(t) for t in u_closed_form(name, order)]
+    got = u_by_recurrence(built_in_spec(name), order).terms
+    assert [exact_value(t) for t in got] == expected
+
+
+def test_closed_form_guards():
+    with pytest.raises(DomainError):
+        u_closed_form("noop", 3)
+    with pytest.raises(DomainError):
+        u_closed_form("lambda", 0)
 
 
 @pytest.mark.parametrize("name", BUILT_IN_NAMES)

@@ -15,22 +15,27 @@ from hypothesis import strategies as st
 
 import forestinv
 from forestinv import operators, oracles
-from forestinv.algebra import FiniteVarPoly, Polynomial, QSym, qsym_to_finite
+from forestinv.algebra import Polynomial, QSym
 from forestinv.engine import InvariantSpec, built_in_spec, evaluate
 from forestinv.operators import (
     POLYNOMIAL,
     LinearOperator,
     delta,
     delta_inv,
-    finite_lambda,
-    finite_lambda_bar,
     lambda_,
     lambda_bar,
     nabla,
     nabla_inv,
+)
+from forestinv.oracles import (
+    FiniteVarPoly,
+    binomial_basis,
+    delta_inv_by_newton,
+    finite_lambda,
+    finite_lambda_bar,
+    qsym_to_finite,
     shift_s,
 )
-from forestinv.oracles import binomial_basis, delta_inv_by_newton
 from forestinv.trees import enumerate_trees
 
 T = Polynomial.t()

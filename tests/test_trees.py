@@ -29,7 +29,6 @@ def test_singleton():
     assert SINGLETON.key == "()"
     assert SINGLETON.vertex_count == 1
     assert SINGLETON.height == 0
-    assert SINGLETON.leaf_count == 1
 
 
 def test_parse_canonicalizes_child_order():
@@ -182,7 +181,6 @@ def test_vertex_invariants():
             assert tree.key.count("(") == n
             if tree.children:
                 assert tree.height == 1 + max(c.height for c in tree.children)
-                assert tree.leaf_count == sum(c.leaf_count for c in tree.children)
 
 
 def test_level_sequence_oracle_is_well_formed():
@@ -217,7 +215,7 @@ def test_parse_takes_deep_trees():
     text = "(" * depth + ")" * depth
     tree = parse_tree(text)
     assert tree.key == text
-    assert (tree.vertex_count, tree.height, tree.leaf_count) == (depth, depth - 1, 1)
+    assert (tree.vertex_count, tree.height) == (depth, depth - 1)
     assert parse_forest(text + "()").vertex_count == depth + 1
     for bad, offset in [("(" * depth, depth), ("(" * depth + "x", depth), ("((x))", 2)]:
         with pytest.raises(ParseError) as err:

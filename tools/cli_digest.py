@@ -1,16 +1,19 @@
-"""Digest of the command-line outputs over a fixed list of calls.
+"""Digest of the command-line and demo outputs over a fixed list of runs.
 
 Runs each call through `forestinv.cli.main` in one process and prints one
 line per call: the exit code, the sha1 of stdout, the sha1 of stderr and
-the argv.  A change that must leave every CLI output byte-identical is
-checked by running this script on both checkouts and diffing:
+the argv.  Then runs each `demos/*.py` script in a fresh interpreter and
+prints the same three fields and the script's path.  A change that must
+leave every CLI and demo output byte-identical is checked by running
+this script on both checkouts and diffing:
 
     python tools/cli_digest.py > after.txt
     (cd ../parent && python tools/cli_digest.py) > before.txt
     diff before.txt after.txt
 
-The package is imported from the `src` directory beside this script, so
-each checkout digests its own code.
+The package is imported from the `src` directory beside this script, and
+the demos run beside it with that directory on PYTHONPATH, so each
+checkout digests its own code.
 """
 
 from __future__ import annotations
@@ -18,11 +21,15 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import os
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+sys.path.insert(0, str(SRC))
 
 from forestinv import cli  # noqa: E402
 from forestinv.engine import BUILT_IN_NAMES  # noqa: E402
@@ -124,9 +131,22 @@ def digest(argv) -> str:
     return f"{code} {_sha1(out.getvalue())} {_sha1(err.getvalue())} {shlex.join(argv)}"
 
 
+def demo_digest(script: Path) -> str:
+    done = subprocess.run(
+        [sys.executable, str(script)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+    name = script.relative_to(ROOT).as_posix()
+    return f"{done.returncode} {_sha1(done.stdout)} {_sha1(done.stderr)} {name}"
+
+
 def main() -> int:
     for argv in CALLS:
         print(digest(argv), flush=True)
+    for script in sorted((ROOT / "demos").glob("*.py")):
+        print(demo_digest(script), flush=True)
     return 0
 
 
