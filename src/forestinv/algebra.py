@@ -41,9 +41,17 @@ def rat(x):
     raise DomainError(f"not an exact scalar: {x!r}")
 
 
+_INT_ONLY = frozenset((int,))
+
+
 def _exact_nonzero(terms) -> dict:
     """The terms without zero coefficients, integral Fractions stored as
-    int: the only clean-up a sum or product of valid terms needs."""
+    int: the only clean-up a sum or product of valid terms needs.  A
+    zero-free int-only dict comes back as it is, after two scans of its
+    values, so callers pass a fresh dict that they own."""
+    values = terms.values()
+    if _INT_ONLY.issuperset(map(type, values)) and 0 not in values:
+        return terms
     clean = {}
     for key, coeff in terms.items():
         if coeff:
@@ -51,9 +59,6 @@ def _exact_nonzero(terms) -> dict:
                 coeff = coeff.numerator
             clean[key] = coeff
     return clean
-
-
-_INT_ONLY = frozenset((int,))
 
 
 def _numerators(terms) -> tuple[dict, int]:

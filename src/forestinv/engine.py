@@ -5,8 +5,7 @@ algebra.  The value of a tree is X applied to the product of the values
 of the root's subtrees (a leaf gets X(1)); the value of a forest is the
 product over its components, with the empty forest mapping to 1.  Values
 depend only on the isomorphism class, so each spec memoizes by canonical
-key.  A fully evaluated value is published to the cache in one step, so
-shared specs are safe to read concurrently.
+key.
 
 The two polynomial instances count strict and weak order-preserving
 labelings; the two quasi-symmetric instances refine them.  The brute-force
@@ -17,9 +16,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import comb
 
 from .algebra import Polynomial, QSym
-from .errors import DomainError
+from .errors import DomainError, ResourceLimitError
 from .operators import (
     DELTA_INV,
     LAMBDA,
@@ -37,12 +37,53 @@ from .trees import (
 )
 
 
+# Most terms a quasi-symmetric tree value may have before `evaluate`
+# builds it: 2^15 keeps a 16-leaf star under lambda-bar and every tree on
+# 16 vertices under lambda.
+QSYM_TERM_LIMIT = 2**15
+
+# A value on n vertices has at most 2^(n-1) terms, so trees this small are
+# within the limit whatever their shape and need no estimate.
+_WITHIN_LIMIT_SIZE = QSYM_TERM_LIMIT.bit_length()
+
+
+def _weak_terms(tree: RootedTree) -> int:
+    """Terms of the lambda value: 2^(n-1), since every composition of n is
+    the fiber-size pattern of some weakly order-preserving labeling."""
+    return 1 << (tree.vertex_count - 1)
+
+
+def _strict_terms(tree: RootedTree) -> int:
+    """At most the terms of the lambda-bar value: the compositions of n
+    with first part 1 (the root's label class) and more parts than the
+    height, the sum of C(n-2, r-2) over r > height.  Exact on stars and
+    paths."""
+    m = tree.vertex_count - 2
+    if m < 0:
+        return 1
+    return (1 << m) - sum(comb(m, j) for j in range(tree.height - 1))
+
+
+# term-count estimates from a tree's shape, by operator
+_TERM_ESTIMATES = {LAMBDA_BAR: _strict_terms, LAMBDA: _weak_terms}
+
+
+def _count_text(count: int) -> str:
+    """A count in digits, or the power of two below it when it is long."""
+    if count < 10**12:
+        return str(count)
+    return f"2^{count.bit_length() - 1} or more"
+
+
 class InvariantSpec:
     """An operator, the unit of its target algebra, and a value cache.
 
     degree_bound is the truncation bound of the unit's carrier, or None
     when the carrier is ungraded or unbounded; evaluation refuses trees
-    that outgrow it rather than silently truncating.
+    that outgrow it rather than silently truncating.  term_estimate, set
+    for the two quasi-symmetric operators, bounds the terms of a tree's
+    value from its shape, so evaluation refuses values past
+    QSYM_TERM_LIMIT before building them.
     """
 
     def __init__(self, name: str, operator: LinearOperator, one):
@@ -50,6 +91,7 @@ class InvariantSpec:
         self.operator = operator
         self.one = one
         self.degree_bound = getattr(one, "max_degree", None)
+        self.term_estimate = _TERM_ESTIMATES.get(operator)
         self._cache: dict[str, object] = {}
 
     @property
@@ -63,7 +105,8 @@ class InvariantSpec:
 def evaluate(tree: RootedTree, spec: InvariantSpec):
     """Value of a rooted tree: the operator applied to the product of the
     values of the subtrees hanging off the root.  Refuses a tree deeper
-    than `trees.DEPTH_LIMIT`."""
+    than `trees.DEPTH_LIMIT`, and one whose quasi-symmetric value is
+    estimated at more than QSYM_TERM_LIMIT terms."""
     if spec.degree_bound is not None and tree.vertex_count > spec.degree_bound:
         raise DomainError(
             f"tree on {tree.vertex_count} vertices outgrows the "
@@ -72,6 +115,14 @@ def evaluate(tree: RootedTree, spec: InvariantSpec):
     got = spec._cache.get(tree.key)
     if got is None:
         check_depth(tree.height)
+        if tree.vertex_count > _WITHIN_LIMIT_SIZE and spec.term_estimate is not None:
+            terms = spec.term_estimate(tree)
+            if terms > QSYM_TERM_LIMIT:
+                raise ResourceLimitError(
+                    f"the {spec.name} value of a tree on {tree.vertex_count} "
+                    f"vertices has an estimated {_count_text(terms)} terms, over "
+                    f"the limit of {QSYM_TERM_LIMIT}"
+                )
         product = spec.one
         for child in tree.children:
             product = product * evaluate(child, spec)

@@ -11,7 +11,6 @@ live in `oracles`.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, lcm
@@ -49,44 +48,38 @@ def nabla(p: Polynomial) -> Polynomial:
 
 # Power sums sum_{j<t} j^k = A_k(t) / L for k = 0..d: the integer
 # coefficient rows A_0..A_d over one common denominator L.  Empty until the
-# first delta_inv call, then grown under the lock to the highest degree
-# seen; each growth replaces the (rows, L) pair in one assignment, so
-# readers need no lock.
+# first delta_inv call, then grown to the highest degree seen.
 _POWER_SUMS: tuple = ((), 1)
-_POWER_SUMS_LOCK = threading.Lock()
 
 
 def _power_sums(degree: int) -> tuple:
     """The power-sum table, grown to cover every k <= degree."""
     global _POWER_SUMS
-    if degree < len(_POWER_SUMS[0]):
+    rows, den = _POWER_SUMS
+    if degree < len(rows):
         return _POWER_SUMS
-    with _POWER_SUMS_LOCK:
-        rows, den = _POWER_SUMS
-        if degree < len(rows):
-            return _POWER_SUMS
-        # Faulhaber: (k+1) sum_{j<t} j^k = sum_i C(k+1, i) B_i t^(k+1-i), with
-        # B_1 = -1/2; B_k is the linear coefficient of row k.
-        bernoulli = [Fraction(row[1], den) for row in rows]
-        grown = []
-        for k in range(len(rows), degree + 1):
-            if k == 0:
-                bernoulli.append(Fraction(1))
-            else:
-                total = sum(comb(k + 1, i) * b for i, b in enumerate(bernoulli) if b)
-                bernoulli.append(-total / (k + 1))
-            row = [Fraction(0)] * (k + 2)
-            for i, b in enumerate(bernoulli):
-                row[k + 1 - i] = comb(k + 1, i) * b / (k + 1)
-            grown.append(row)
-        new_den = lcm(den, *(c.denominator for row in grown for c in row))
-        scale = new_den // den
-        rows = tuple(tuple(a * scale for a in row) for row in rows) if scale != 1 else rows
-        rows += tuple(
-            tuple(c.numerator * (new_den // c.denominator) for c in row) for row in grown
-        )
-        _POWER_SUMS = (rows, new_den)
-        return _POWER_SUMS
+    # Faulhaber: (k+1) sum_{j<t} j^k = sum_i C(k+1, i) B_i t^(k+1-i), with
+    # B_1 = -1/2; B_k is the linear coefficient of row k.
+    bernoulli = [Fraction(row[1], den) for row in rows]
+    grown = []
+    for k in range(len(rows), degree + 1):
+        if k == 0:
+            bernoulli.append(Fraction(1))
+        else:
+            total = sum(comb(k + 1, i) * b for i, b in enumerate(bernoulli) if b)
+            bernoulli.append(-total / (k + 1))
+        row = [Fraction(0)] * (k + 2)
+        for i, b in enumerate(bernoulli):
+            row[k + 1 - i] = comb(k + 1, i) * b / (k + 1)
+        grown.append(row)
+    new_den = lcm(den, *(c.denominator for row in grown for c in row))
+    scale = new_den // den
+    rows = tuple(tuple(a * scale for a in row) for row in rows) if scale != 1 else rows
+    rows += tuple(
+        tuple(c.numerator * (new_den // c.denominator) for c in row) for row in grown
+    )
+    _POWER_SUMS = (rows, new_den)
+    return _POWER_SUMS
 
 
 def delta_inv(g: Polynomial) -> Polynomial:

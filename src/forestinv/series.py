@@ -5,13 +5,18 @@ coefficient algebra, so zeros and units can be manufactured without
 knowing the carrier type.  Coefficients only need +, - and * with
 rational scalars; noncommutative carriers are fine everywhere except
 `exp`, which refuses them.  `exp` and `geometric_inverse` solve
-coefficient recurrences; the power sums they replaced live in `oracles`
-as test references.
+coefficient recurrences in N(N+1)/2 carrier products at order N; `exp`
+runs on the labeled coefficients n! E_n, so a series with integral
+labeled coefficients, such as a tree generating function, is
+exponentiated by integer products and one division per output
+coefficient.  The power sums they replaced live in `oracles` as test
+references.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb, factorial
 
 from .errors import DomainError
 
@@ -129,8 +134,9 @@ def tail_sum(f, g):
     """Sum of f[k] * g[n - k] for k = 1 .. n, where n = len(g): the
     q^n coefficient of (f - f_0) * g, with g known through q^(n-1).
 
-    One step of the recurrences below; a build that learns f one
-    coefficient at a time can run them itself, one step per term."""
+    One step of the `geometric_inverse` recurrence below; a build that
+    learns f one coefficient at a time can run it itself, one step per
+    term."""
     n = len(g)
     total = f[1] * g[n - 1]
     for k in range(2, n + 1):
@@ -138,29 +144,50 @@ def tail_sum(f, g):
     return total
 
 
+def _integral(x):
+    """x, with an integral Fraction scalar stored as int: the scalar form of
+    what the carriers do to their own coefficients, so that integral
+    labeled scalars multiply on ints too."""
+    if type(x) is Fraction and x.denominator == 1:
+        return x.numerator
+    return x
+
+
 def exp(series: Series, feedback=None) -> Series:
     """exp of a series f with zero constant term, over a commutative
-    carrier, from the coefficient recurrence of E' = f' E:
+    carrier, from the labeled form of the recurrence of E' = f' E.  On the
+    labeled coefficients e_n = n! E_n and g_k = k! f_k it reads
 
-        E_0 = 1,  n E_n = sum_{k=1..n} k f_k E_(n-k).
+        e_0 = 1,  e_n = sum_{k=1..n} C(n-1, k-1) g_k e_(n-k),
+
+    the exponential formula for labeled structures: no step divides, and
+    E_n = e_n / n! is scaled once per coefficient.  Where f has integral
+    labeled coefficients, as the tree generating functions do, every
+    carrier product runs on integers.
 
     With `feedback`, a linear map X on the carrier, returns the E with
-    E = exp(f + q X(E)) through q^order: the same recurrence, with f_n
-    replaced by f_n + X(E_(n-1)) at step n, the first step that needs it.
+    E = exp(f + q X(E)) through q^order: the same recurrence, with
+    g_n = n! (f_n + X(E_(n-1))) at step n, the first step that needs it.
     X is called once per step, on E_0 .. E_(order-1) in turn, so a caller
     can record its values.
 
-    Costs N(N+1)/2 carrier products at order N, plus N calls of X."""
+    Costs N(N+1)/2 carrier products at order N, plus N calls of X and
+    O(N^2) integer rescalings."""
     if is_noncommutative(series.one):
         raise DomainError("exp needs a commutative coefficient algebra")
     if series.coeffs[0] != series._zero():
         raise DomainError("exp needs a zero constant term")
-    scaled = [k * c for k, c in enumerate(series.coeffs)]
+    labeled = [_integral(factorial(k) * c) for k, c in enumerate(series.coeffs)]
+    e = [_integral(series.one)]
     out = [series.one]
     for n in range(1, series.order + 1):
         if feedback is not None:
-            scaled[n] = n * (series.coeffs[n] + feedback(out[n - 1]))
-        out.append(Fraction(1, n) * tail_sum(scaled, out))
+            labeled[n] = _integral(factorial(n) * (series.coeffs[n] + feedback(out[n - 1])))
+        total = labeled[n] * e[0]
+        for k in range(1, n):
+            total = total + comb(n - 1, k - 1) * labeled[k] * e[n - k]
+        e.append(_integral(total))
+        out.append(Fraction(1, factorial(n)) * total)
     return Series(out, series.one)
 
 

@@ -7,8 +7,7 @@ equal.  The canonical key of a tree is the balanced-parenthesis word
 first, ties broken lexicographically); a forest's key is the shortlex
 concatenation of its trees' keys.  The empty forest has the empty key.
 
-Values are immutable and hash by key.  Enumeration caches publish only
-fully built tuples, so the module is safe to use from worker threads.
+Values are immutable and hash by key.
 """
 
 from __future__ import annotations

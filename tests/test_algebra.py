@@ -5,6 +5,8 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from functools import partial
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,7 @@ from forestinv.algebra import (
     rat,
 )
 from forestinv.errors import DomainError
-from forestinv.operators import lambda_bar
+from forestinv.operators import delta_inv, lambda_, lambda_bar
 from forestinv.oracles import (
     FiniteVarPoly,
     binomial_basis,
@@ -124,6 +126,18 @@ def test_qsym_products():
     assert m1 * m1 == QSym({(1, 1): 2, (2,): 1}, 6)
     assert m1 * m2 == QSym({(1, 2): 1, (2, 1): 1, (3,): 1}, 6)
     assert QSym.one(6) * m2 == m2
+
+
+def test_trusted_constructor_drops_cancelled_int_terms():
+    # int-only sums and products take the trusted path unchanged unless a
+    # coefficient cancels to zero, which is still dropped
+    a = QSym({(1,): 1, (2,): 2}, None)
+    assert (a + QSym({(1,): -1}, None)).terms == {(2,): 2}
+    assert (a - a).terms == {}
+    # M_1 M_(1,1) = 3 M_(1,1,1) + M_(1,2) + M_(2,1); M_1 M_2 = M_(1,2) + M_(2,1) + M_3
+    product = QSym.monomial((1,)) * QSym({(1, 1): 1, (2,): -1}, None)
+    assert product.terms == {(1, 1, 1): 3, (3,): -1}
+    assert product == QSym({(1, 1, 1): 3, (3,): -1, (1, 2): 0}, None)
 
 
 def test_qsym_ring_axioms():
@@ -415,14 +429,41 @@ def test_series_domain_errors():
     assert calls == []
 
 
-@PROPERTY
-@given(series_with(FRACTIONS, Fraction(1)), FRACTIONS)
-def test_series_exp_with_feedback_solves_its_equation(f, c):
-    # E = exp(f + q X(E)) for X(x) = c x: the series g = f + q X(E) it
-    # solved for gives E back under both exp builds
-    def feedback(x):
-        return c * x
+FEEDBACK_BOUND = 5
+FEEDBACK_QSYM_ONE = QSym.one(FEEDBACK_BOUND)
 
+
+def feedback_qsyms(coefficients):
+    """Strategy for small quasi-symmetric series coefficients."""
+    compositions = st.lists(st.integers(1, 2), min_size=1, max_size=2).map(tuple)
+    return st.dictionaries(compositions, coefficients, max_size=2).map(
+        lambda terms: QSym(terms, FEEDBACK_BOUND)
+    )
+
+
+# (series, linear feedback map X) over each commutative carrier
+FEEDBACK_CASES = st.one_of(
+    st.tuples(series_with(FRACTIONS, Fraction(1)), FRACTIONS.map(partial(partial, mul))),
+    *(
+        st.tuples(
+            series_with(feedback_qsyms(coefficients), FEEDBACK_QSYM_ONE, max_order=4),
+            st.sampled_from([lambda_bar, lambda_]),
+        )
+        for coefficients in (FRACTIONS, st.integers(-3, 3))
+    ),
+    st.tuples(
+        series_with(st.lists(FRACTIONS, max_size=3).map(Polynomial), Polynomial.one()),
+        st.just(delta_inv),
+    ),
+)
+
+
+@PROPERTY
+@given(FEEDBACK_CASES)
+def test_series_exp_with_feedback_solves_its_equation(case):
+    # E = exp(f + q X(E)): the series g = f + q X(E) it solved for gives E
+    # back under both exp builds
+    f, feedback = case
     e = exp(f, feedback)
     assert e.order == f.order
     g = f + e.map(feedback).times_q()

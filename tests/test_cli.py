@@ -14,6 +14,7 @@ import pytest
 import forestinv
 from forestinv import cli
 from forestinv.cli import main
+from forestinv.engine import QSYM_TERM_LIMIT
 from forestinv.trees import DEPTH_LIMIT
 
 
@@ -324,6 +325,18 @@ def test_trees_at_the_depth_limit_are_evaluated(capsys):
     )
     assert code == 2
     assert str(DEPTH_LIMIT + 1) in err and str(DEPTH_LIMIT) in err
+
+
+def test_huge_quasi_symmetric_values_exit_with_the_estimate_and_the_limit(capsys):
+    star = "(" + "()" * 20 + ")"
+    for argv, estimate in (
+        (("invariant", "--tree", path_text(40), "--operator", "lambda"), 2**39),
+        (("invariant", "--tree", star, "--operator", "lambda-bar"), 2**19),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("resource limit:")
+        assert str(estimate) in err and str(QSYM_TERM_LIMIT) in err
 
 
 def test_cli_digest_covers_every_subcommand_and_format():

@@ -8,6 +8,7 @@ import pytest
 
 from forestinv.algebra import Polynomial, QSym, principal_specialization
 from forestinv.engine import (
+    QSYM_TERM_LIMIT,
     InvariantSpec,
     built_in_spec,
     collision_report,
@@ -126,6 +127,30 @@ def test_qsym_values_are_homogeneous():
         for tree in enumerate_trees(n):
             assert qsym_strict(tree).homogeneous_degree() == n
             assert qsym_weak(tree).homogeneous_degree() == n
+
+
+def test_qsym_term_estimates_bound_the_values():
+    strict, weak = built_in_spec("lambda-bar"), built_in_spec("lambda")
+    assert built_in_spec("delta-inv").term_estimate is None
+    for n in range(1, 10):
+        for tree in enumerate_trees(n):
+            terms = len(qsym_strict(tree).terms)
+            assert terms <= strict.term_estimate(tree)
+            if tree.height in (1, n - 1):  # stars and paths
+                assert terms == strict.term_estimate(tree)
+            assert len(qsym_weak(tree).terms) == weak.term_estimate(tree) == 2 ** (n - 1)
+
+
+def test_qsym_term_guard():
+    # a 16-vertex path under lambda is at the limit, and is built
+    at_limit = parse_tree("(" * 16 + ")" * 16)
+    assert len(evaluate(at_limit, qsym_weak_spec(None)).terms) == QSYM_TERM_LIMIT
+    big_star = b_plus(RootedForest([SINGLETON] * 20))
+    path = parse_tree("(" * 40 + ")" * 40)
+    for tree, spec in ((big_star, qsym_strict_spec(None)), (path, qsym_weak_spec(None))):
+        with pytest.raises(ResourceLimitError, match=str(QSYM_TERM_LIMIT)):
+            evaluate(tree, spec)
+        assert spec._cache == {}
 
 
 def test_qsym_bound_too_small():

@@ -203,6 +203,28 @@ def test_running_recurrence_makes_quadratically_many_products(monkeypatch, carri
         assert count[0] == order * (order - 1) // 2
 
 
+@pytest.mark.parametrize("name", ["lambda-bar", "lambda"])
+def test_tree_generating_function_multiplies_integers_only(monkeypatch, name):
+    # k! U_k counts labeled trees, so the labeled exp multiplies int-only
+    # quasi-symmetric values, in the build and in the residual check alike
+    operands = []
+    qsym_mul = QSym.__mul__
+
+    def checked_mul(self, other):
+        if isinstance(other, QSym):
+            operands.extend((self, other))
+        return qsym_mul(self, other)
+
+    monkeypatch.setattr(QSym, "__mul__", checked_mul)
+    spec = built_in_spec(name)
+    sequence = u_by_recurrence(spec, 10)
+    assert verify_functional_equation(spec, 10, sequence).is_zero()
+    # 45 products in the exp through q^9, 55 in the one through q^10
+    assert len(operands) == 2 * (45 + 55)
+    for value in operands:
+        assert all(type(c) is int for c in value.terms.values())
+
+
 def test_residual_detects_a_wrong_sequence():
     spec = strict_order_spec()
     seq = u_by_enumeration(spec, 5)
