@@ -9,7 +9,8 @@ as int and the rest as `fractions.Fraction`, all through the one coercion
 `rat`.  Their linear-space arithmetic lives once, in `TermCarrier`.  A
 quasi-symmetric product clears each operand's denominators once, runs the
 quasi-shuffle accumulation on integer numerators and divides once per
-output term.  There is no floating point anywhere in the package.
+output term.  No carrier truncates: every product keeps every term.
+There is no floating point anywhere in the package.
 """
 
 from __future__ import annotations
@@ -70,24 +71,6 @@ def _numerators(terms) -> tuple[dict, int]:
     den = lcm(*(coeff.denominator for coeff in terms.values()))
     return {key: coeff.numerator * (den // coeff.denominator)
             for key, coeff in terms.items()}, den
-
-
-def _check_bound(bound) -> None:
-    """Refuse a negative truncation bound; None means unbounded."""
-    if bound is not None and bound < 0:
-        raise DomainError("truncation bound must be non-negative")
-
-
-def _merge_bounds(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
-
-
-def _fits(size, bound):
-    return bound is None or size <= bound
 
 
 def one_like(x):
@@ -306,55 +289,47 @@ class TermCarrier:
     shared by `QSym` and the word algebras.
 
     `terms` maps each key to its non-zero coefficient, an int when
-    integral and a Fraction otherwise.  `bound` caps the key size; only
-    `QSym` sets one (its degree), the word algebras store None, which
-    means unbounded.  Each subclass supplies the public constructor, the
-    product and the repr.  Elements of different carriers never compare
-    equal, add or multiply.  Equality compares terms only; the bound is
-    bookkeeping, not identity.
+    integral and a Fraction otherwise.  Each subclass supplies the public
+    constructor, the product and the repr.  Elements of different
+    carriers never compare equal, add or multiply.  No carrier truncates:
+    a tree's value is homogeneous of degree its vertex count, so a
+    generating function cut at q^N is already bounded in every degree.
 
     Keys are checked once, where outside data comes in: the public
-    constructors check every key, coerce every coefficient and apply the
-    bound.  Sums, negation and scalar products of valid elements, and
-    products that test the bound themselves, build their result through
-    the trusted `_from_valid_terms`, which only drops zero coefficients
-    and stores integral Fractions as int.  A sum of operands with
-    different bounds still goes through the public constructor, which
-    drops the terms above the smaller bound.
+    constructors check every key and coerce every coefficient.  Sums,
+    negation, scalar products and products of valid elements build their
+    result through the trusted `_from_valid_terms`, which only drops zero
+    coefficients and stores integral Fractions as int.
     """
 
-    __slots__ = ("terms", "bound")
+    __slots__ = ("terms",)
 
     # read by `series.is_noncommutative`; exp refuses noncommutative carriers
     noncommutative = False
 
     @classmethod
-    def _from_valid_terms(cls, terms, bound):
-        """The element with these terms, trusted to be valid keys within
-        the bound with exact coefficients; only zeros and integral
-        Fractions are cleaned up."""
+    def _from_valid_terms(cls, terms):
+        """The element with these terms, trusted to be valid keys with
+        exact coefficients; only zeros and integral Fractions are cleaned
+        up."""
         out = object.__new__(cls)
         out.terms = _exact_nonzero(terms)
-        out.bound = bound
         return out
 
     @classmethod
-    def zero(cls, *bound):
-        """The zero element; `QSym` takes its bound here, the word
-        algebras nothing."""
-        return cls({}, *bound)
+    def zero(cls):
+        return cls({})
 
     @classmethod
-    def one(cls, *bound):
-        """The unit, the empty key; `QSym` takes its bound here, the word
-        algebras nothing."""
-        return cls({(): 1}, *bound)
+    def one(cls):
+        """The unit, the empty key."""
+        return cls({(): 1})
 
     def one_like(self):
-        return self._from_valid_terms({(): 1}, self.bound)
+        return self._from_valid_terms({(): 1})
 
     def zero_like(self):
-        return self._from_valid_terms({}, self.bound)
+        return self._from_valid_terms({})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -365,14 +340,10 @@ class TermCarrier:
         merged = dict(self.terms)
         for key, coeff in other.terms.items():
             merged[key] = merged.get(key, 0) + coeff
-        if self.bound == other.bound:
-            return self._from_valid_terms(merged, self.bound)
-        return type(self)(merged, _merge_bounds(self.bound, other.bound))
+        return self._from_valid_terms(merged)
 
     def __neg__(self):
-        return self._from_valid_terms(
-            {key: -coeff for key, coeff in self.terms.items()}, self.bound
-        )
+        return self._from_valid_terms({key: -coeff for key, coeff in self.terms.items()})
 
     def __sub__(self, other):
         if type(other) is not type(self):
@@ -385,7 +356,7 @@ class TermCarrier:
             return NotImplemented
         scalar = rat(other)
         return self._from_valid_terms(
-            {key: scalar * coeff for key, coeff in self.terms.items()}, self.bound
+            {key: scalar * coeff for key, coeff in self.terms.items()}
         )
 
     __rmul__ = _scaled
@@ -399,35 +370,35 @@ class TermCarrier:
 
 class QSym(TermCarrier):
     """Quasi-symmetric element in the monomial composition basis, graded
-    by total degree and truncated above `max_degree`.
+    by total degree.
 
     `terms` maps a composition (a_1, ..., a_r) of positive integers to its
-    rational coefficient; the empty composition () is the unit.  Every
-    operation drops terms whose degree exceeds the bound, and an operation
-    on operands with different bounds truncates to the smaller one.  A
-    bound of None means unbounded.
+    rational coefficient; the empty composition () is the unit.
     """
 
     __slots__ = ()
 
-    max_degree = TermCarrier.bound
-
-    def __init__(self, terms, max_degree: int | None):
-        _check_bound(max_degree)
+    def __init__(self, terms):
         clean = {}
         for comp, coeff in terms.items():
             comp = tuple(comp)
             if any(part < 1 for part in comp):
                 raise DomainError(f"composition parts must be positive: {comp}")
             coeff = rat(coeff)
-            if coeff != 0 and _fits(sum(comp), max_degree):
+            if coeff != 0:
                 clean[comp] = coeff
         self.terms = clean
-        self.bound = max_degree
 
     @classmethod
     def monomial(cls, composition, max_degree: int | None = None):
-        return cls({tuple(composition): 1}, max_degree)
+        """M_composition; refuses a composition of degree above
+        max_degree, when one is given."""
+        composition = tuple(composition)
+        if max_degree is not None and sum(composition) > max_degree:
+            raise DomainError(
+                f"composition {composition} has degree above {max_degree}"
+            )
+        return cls({composition: 1})
 
     def homogeneous_degree(self):
         """The common degree of all terms, or None if mixed or zero."""
@@ -436,22 +407,18 @@ class QSym(TermCarrier):
 
     def __mul__(self, other):
         if isinstance(other, QSym):
-            bound = _merge_bounds(self.max_degree, other.max_degree)
             nums_a, den_a = _numerators(self.terms)
             nums_b, den_b = _numerators(other.terms)
             out = {}
             for ca, va in nums_a.items():
-                deg_a = sum(ca)
                 for cb, vb in nums_b.items():
-                    if bound is not None and deg_a + sum(cb) > bound:
-                        continue
                     v = va * vb
                     for comp, m in quasi_shuffle(ca, cb):
                         out[comp] = out.get(comp, 0) + m * v
             den = den_a * den_b
             if den != 1:
                 out = {comp: Fraction(v, den) for comp, v in out.items()}
-            return QSym._from_valid_terms(out, bound)
+            return QSym._from_valid_terms(out)
         return self._scaled(other)
 
     def __repr__(self):

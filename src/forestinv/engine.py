@@ -8,8 +8,12 @@ depend only on the isomorphism class, so each spec memoizes by canonical
 key.
 
 The two polynomial instances count strict and weak order-preserving
-labelings; the two quasi-symmetric instances refine them.  The brute-force
-recounts of both from the definitions live in `oracles`.
+labelings; the two quasi-symmetric instances refine them.  A value on n
+vertices is homogeneous of degree n, so no carrier truncates; instead
+each built-in operator has one cost guard, an estimate of a value's
+terms or degree from the tree's shape and a limit, and evaluation
+refuses a tree past it before any product.  The brute-force recounts of
+both from the definitions live in `oracles`.
 """
 
 from __future__ import annotations
@@ -42,30 +46,52 @@ from .trees import (
 # 16 vertices under lambda.
 QSYM_TERM_LIMIT = 2**15
 
-# A value on n vertices has at most 2^(n-1) terms, so trees this small are
-# within the limit whatever their shape and need no estimate.
-_WITHIN_LIMIT_SIZE = QSYM_TERM_LIMIT.bit_length()
+# Highest degree a polynomial tree value may have before `evaluate`
+# builds it: delta-inv on a path of 256 vertices takes about 2.5 s.
+POLY_DEGREE_LIMIT = 256
 
 
-def _weak_terms(tree: RootedTree) -> int:
+# Term estimates stop at 2^64, far past every limit, so an estimate from
+# a huge order is no huge int; `_count_text` prints it as a lower bound.
+_PAST_EVERY_LIMIT = 1 << 64
+
+
+def _weak_terms(vertices: int, height: int) -> int:
     """Terms of the lambda value: 2^(n-1), since every composition of n is
     the fiber-size pattern of some weakly order-preserving labeling."""
-    return 1 << (tree.vertex_count - 1)
+    return 1 << min(vertices - 1, 64)
 
 
-def _strict_terms(tree: RootedTree) -> int:
+def _strict_terms(vertices: int, height: int) -> int:
     """At most the terms of the lambda-bar value: the compositions of n
     with first part 1 (the root's label class) and more parts than the
     height, the sum of C(n-2, r-2) over r > height.  Exact on stars and
     paths."""
-    m = tree.vertex_count - 2
+    m = vertices - 2
     if m < 0:
         return 1
-    return (1 << m) - sum(comb(m, j) for j in range(tree.height - 1))
+    if m > 64 and 2 * (height - 1) <= m:
+        # at least half of the 2^m compositions have that many parts
+        return _PAST_EVERY_LIMIT
+    return (1 << m) - sum(comb(m, j) for j in range(height - 1))
 
 
-# term-count estimates from a tree's shape, by operator
-_TERM_ESTIMATES = {LAMBDA_BAR: _strict_terms, LAMBDA: _weak_terms}
+def _degree(vertices: int, height: int) -> int:
+    """Degree of a polynomial value: the vertex count."""
+    return vertices
+
+
+# The cost guard of each built-in operator: an estimate of a value's size
+# from the shape of its tree (vertex count and height), the limit it must
+# not pass, and how the message names that size.  Every estimate is at
+# most 2^(n-1), so trees with n at most the bit length of the limit pass
+# unestimated.
+_GUARDS = {
+    LAMBDA_BAR: (_strict_terms, QSYM_TERM_LIMIT, "{} terms"),
+    LAMBDA: (_weak_terms, QSYM_TERM_LIMIT, "{} terms"),
+    DELTA_INV: (_degree, POLY_DEGREE_LIMIT, "degree {}"),
+    NABLA_INV: (_degree, POLY_DEGREE_LIMIT, "degree {}"),
+}
 
 
 def _count_text(count: int) -> str:
@@ -78,20 +104,19 @@ def _count_text(count: int) -> str:
 class InvariantSpec:
     """An operator, the unit of its target algebra, and a value cache.
 
-    degree_bound is the truncation bound of the unit's carrier, or None
-    when the carrier is ungraded or unbounded; evaluation refuses trees
-    that outgrow it rather than silently truncating.  term_estimate, set
-    for the two quasi-symmetric operators, bounds the terms of a tree's
-    value from its shape, so evaluation refuses values past
-    QSYM_TERM_LIMIT before building them.
+    degree_bound, when set, is a cap that only refuses: evaluation
+    refuses trees on more vertices, and nothing is ever truncated.  guard,
+    set for the four built-in operators, is the operator's entry in the
+    cost-guard table, so evaluation refuses values estimated past its
+    limit before building them.
     """
 
-    def __init__(self, name: str, operator: LinearOperator, one):
+    def __init__(self, name: str, operator: LinearOperator, one, degree_bound=None):
         self.name = name
         self.operator = operator
         self.one = one
-        self.degree_bound = getattr(one, "max_degree", None)
-        self.term_estimate = _TERM_ESTIMATES.get(operator)
+        self.degree_bound = degree_bound
+        self.guard = _GUARDS.get(operator)
         self._cache: dict[str, object] = {}
 
     @property
@@ -102,27 +127,40 @@ class InvariantSpec:
         return f"InvariantSpec({self.name!r}, algebra={self.algebra!r})"
 
 
+def check_cost(
+    spec: InvariantSpec, vertices: int, height: int, subject="value of a tree on {} vertices"
+) -> None:
+    """Raise ResourceLimitError, naming the estimate and the limit, when
+    the spec's guard estimates a value on a tree of this shape past its
+    limit; `subject`, filled in with the vertex count, names that value
+    in the message."""
+    if spec.guard is None:
+        return
+    estimate, limit, size_text = spec.guard
+    if vertices <= limit.bit_length():
+        return
+    size = estimate(vertices, height)
+    if size > limit:
+        raise ResourceLimitError(
+            f"the {spec.name} {subject.format(vertices)} has an estimated "
+            f"{size_text.format(_count_text(size))}, over the limit of {limit}"
+        )
+
+
 def evaluate(tree: RootedTree, spec: InvariantSpec):
     """Value of a rooted tree: the operator applied to the product of the
     values of the subtrees hanging off the root.  Refuses a tree deeper
-    than `trees.DEPTH_LIMIT`, and one whose quasi-symmetric value is
-    estimated at more than QSYM_TERM_LIMIT terms."""
+    than `trees.DEPTH_LIMIT`, and one whose value is estimated past its
+    operator's cost guard."""
     if spec.degree_bound is not None and tree.vertex_count > spec.degree_bound:
         raise DomainError(
             f"tree on {tree.vertex_count} vertices outgrows the "
-            f"truncation bound {spec.degree_bound}"
+            f"degree bound {spec.degree_bound}"
         )
     got = spec._cache.get(tree.key)
     if got is None:
         check_depth(tree.height)
-        if tree.vertex_count > _WITHIN_LIMIT_SIZE and spec.term_estimate is not None:
-            terms = spec.term_estimate(tree)
-            if terms > QSYM_TERM_LIMIT:
-                raise ResourceLimitError(
-                    f"the {spec.name} value of a tree on {tree.vertex_count} "
-                    f"vertices has an estimated {_count_text(terms)} terms, over "
-                    f"the limit of {QSYM_TERM_LIMIT}"
-                )
+        check_cost(spec, tree.vertex_count, tree.height)
         product = spec.one
         for child in tree.children:
             product = product * evaluate(child, spec)
@@ -147,24 +185,26 @@ def weak_order_spec() -> InvariantSpec:
     return InvariantSpec("nabla-inv", NABLA_INV, Polynomial.one())
 
 
-def qsym_strict_spec(max_degree: int | None) -> InvariantSpec:
-    return InvariantSpec("lambda-bar", LAMBDA_BAR, QSym.one(max_degree))
+def qsym_strict_spec(max_degree: int | None = None) -> InvariantSpec:
+    """The lambda-bar invariant; max_degree, when given, refuses larger
+    trees and generating-function orders."""
+    return InvariantSpec("lambda-bar", LAMBDA_BAR, QSym.one(), max_degree)
 
 
-def qsym_weak_spec(max_degree: int | None) -> InvariantSpec:
-    return InvariantSpec("lambda", LAMBDA, QSym.one(max_degree))
+def qsym_weak_spec(max_degree: int | None = None) -> InvariantSpec:
+    """The lambda invariant; max_degree as in `qsym_strict_spec`."""
+    return InvariantSpec("lambda", LAMBDA, QSym.one(), max_degree)
 
 
-# A tree's quasi-symmetric value is homogeneous of degree equal to its
-# vertex count, so the shared quasi-symmetric specs need no bound and one
-# cache per invariant serves trees of every size.
+# A tree's value is homogeneous of degree equal to its vertex count, so
+# one shared cache per invariant serves trees of every size.
 _SHARED = {
     spec.name: spec
     for spec in (
         strict_order_spec(),
         weak_order_spec(),
-        qsym_strict_spec(None),
-        qsym_weak_spec(None),
+        qsym_strict_spec(),
+        qsym_weak_spec(),
     )
 }
 
@@ -230,8 +270,6 @@ def collision_report(n_max: int, spec: InvariantSpec) -> list[CollisionPair]:
     under the given invariant agree exactly (by canonical serialization)."""
     if n_max < 1:
         raise DomainError("need n_max >= 1")
-    if spec.degree_bound is not None and spec.degree_bound < n_max:
-        raise DomainError("truncation bound below n_max would fake collisions")
     pairs = []
     for n in range(1, n_max + 1):
         groups: dict[str, list[RootedTree]] = {}

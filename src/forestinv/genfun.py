@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import factorial
 
 from .algebra import one_like
-from .engine import InvariantSpec, evaluate
+from .engine import InvariantSpec, check_cost, evaluate
 from .errors import DomainError, ResourceLimitError
 from .series import Series, exp, is_noncommutative
 from .trees import _ENUMERATION_CAP, automorphism_order, enumerate_trees
@@ -36,7 +36,7 @@ def _require_commutative(spec: InvariantSpec) -> None:
 def _require_bound(spec: InvariantSpec, order: int) -> None:
     if spec.degree_bound is not None and spec.degree_bound < order:
         raise DomainError(
-            f"truncation bound {spec.degree_bound} cannot hold order {order}"
+            f"degree bound {spec.degree_bound} cannot hold order {order}"
         )
 
 
@@ -88,11 +88,15 @@ def u_by_recurrence(spec: InvariantSpec, order: int) -> USequence:
     coefficient E_(n-1) is S_(n-1)(U_1, ..., U_(n-1)), so each value the
     operator returns inside it is the next U_n, and the last is
     X(E_(order-1)).  Costs N(N-1)/2 carrier products at order N, plus one
-    operator call per term."""
+    operator call per term.  Refuses an order whose U_order is estimated
+    past the operator's cost guard (`engine.check_cost`)."""
     if order < 1:
         raise DomainError("need order >= 1")
     _require_commutative(spec)
     _require_bound(spec, order)
+    # U_order sums the values of the trees on `order` vertices, and the
+    # star's estimate is the largest of theirs
+    check_cost(spec, order, 1, "term U_{}")
     terms = []
 
     def feedback(value):

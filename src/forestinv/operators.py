@@ -4,7 +4,9 @@ Each operator is a named callable with an algebra tag, so pipelines can
 refuse to mix carriers.  The polynomial operators are the forward and
 backward difference operators and their right inverses pinned down by
 vanishing at zero; the quasi-symmetric operators prepend a part to each
-composition, with the second one also merging into the head part.  Their
+composition, with the second one also merging into the head part.  The
+four inverses and prepends raise the degree of every non-zero input by
+exactly one and drop no term.  Their
 index-shift realizations in finitely many variables, which check them,
 live in `oracles`.
 """
@@ -108,39 +110,27 @@ def nabla_inv(g: Polynomial) -> Polynomial:
     return delta_inv(g) + g_minus_constant
 
 
-def _growable_terms(a: QSym):
-    """The terms of a whose degree stays within the bound once it grows
-    by one."""
-    bound = a.max_degree
-    if bound is None:
-        return a.terms.items()
-    return [(comp, coeff) for comp, coeff in a.terms.items() if sum(comp) < bound]
-
-
 def lambda_bar(a: QSym) -> QSym:
     """Prepend a new part 1 to every composition.
 
     M_(a_1, ..., a_r) goes to M_(1, a_1, ..., a_r) and the unit goes to
-    M_(1); terms of degree at or above the truncation bound are skipped
-    before they grow, since their images would lie past it.
+    M_(1), so the degree of every term grows by exactly one.
     """
-    return QSym._from_valid_terms(
-        {(1,) + comp: coeff for comp, coeff in _growable_terms(a)}, a.max_degree
-    )
+    return QSym._from_valid_terms({(1,) + comp: coeff for comp, coeff in a.terms.items()})
 
 
 def lambda_(a: QSym) -> QSym:
     """Prepend a part 1, plus absorb it into the head part.
 
     M_(a_1, ..., a_r) goes to M_(1, a_1, ..., a_r) + M_(1 + a_1, ..., a_r);
-    the unit goes to M_(1) alone.  Terms of degree at or above the
-    truncation bound are skipped, as in `lambda_bar`.
+    the unit goes to M_(1) alone.  Like `lambda_bar`, it raises the
+    degree of every term by exactly one.
     """
     out = {}
-    for comp, coeff in _growable_terms(a):
+    for comp, coeff in a.terms.items():
         for grown in ((1,) + comp,) + (((1 + comp[0],) + comp[1:],) if comp else ()):
             out[grown] = out.get(grown, 0) + coeff
-    return QSym._from_valid_terms(out, a.max_degree)
+    return QSym._from_valid_terms(out)
 
 
 DELTA_INV = LinearOperator("delta-inv", POLYNOMIAL, delta_inv)

@@ -30,7 +30,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import Polynomial, QSym, _merge_bounds, quasi_shuffle, rat
+from .algebra import Polynomial, QSym, quasi_shuffle, rat
 from .errors import DomainError, ResourceLimitError
 from .series import Series, is_noncommutative
 from .trees import RootedTree
@@ -296,7 +296,7 @@ def u_closed_form(name: str, order: int) -> list:
             sum((c * binomial_basis(length) for length, c in by_length.items()), Polynomial.zero())
             for by_length in sizes
         ]
-    return [QSym(by_composition, None) for by_composition in sizes]
+    return [QSym(by_composition) for by_composition in sizes]
 
 
 def geometric_inverse_by_powers(series: Series) -> Series:
@@ -352,21 +352,17 @@ def delta_inv_by_newton(g: Polynomial) -> Polynomial:
 def qsym_mul_by_fractions(a: QSym, b: QSym) -> QSym:
     """The quasi-shuffle product accumulated on the coefficients as they
     are, Fractions included, and passed through the public constructor."""
-    bound = _merge_bounds(a.max_degree, b.max_degree)
     out = {}
     for ca, va in a.terms.items():
-        deg_a = sum(ca)
         for cb, vb in b.terms.items():
-            if bound is not None and deg_a + sum(cb) > bound:
-                continue
             v = va * vb
             for comp, m in quasi_shuffle(ca, cb):
                 out[comp] = out.get(comp, 0) + m * v
-    return QSym(out, bound)
+    return QSym(out)
 
 
 class FiniteVarPoly:
-    """Polynomial in x_1 .. x_num_vars, total degree capped at max_degree.
+    """Polynomial in x_1 .. x_num_vars, total degree capped at degree_cap.
 
     Terms map full-length exponent tuples to rational coefficients.  This
     is the concrete model the quasi-symmetric layer is checked against;
@@ -374,47 +370,47 @@ class FiniteVarPoly:
     variable are pushed out to zero) lives here as .shifted().
     """
 
-    __slots__ = ("terms", "num_vars", "max_degree")
+    __slots__ = ("terms", "num_vars", "degree_cap")
 
-    def __init__(self, terms, num_vars: int, max_degree: int):
+    def __init__(self, terms, num_vars: int, degree_cap: int):
         if num_vars < 1:
             raise DomainError("need at least one variable")
-        if max_degree < 0:
-            raise DomainError("truncation bound must be non-negative")
+        if degree_cap < 0:
+            raise DomainError("degree cap must be non-negative")
         clean = {}
         for expo, coeff in terms.items():
             expo = tuple(expo)
             if len(expo) != num_vars or any(e < 0 for e in expo):
                 raise DomainError(f"bad exponent tuple: {expo}")
             coeff = rat(coeff)
-            if coeff != 0 and sum(expo) <= max_degree:
+            if coeff != 0 and sum(expo) <= degree_cap:
                 clean[expo] = coeff
         self.terms = clean
         self.num_vars = num_vars
-        self.max_degree = max_degree
+        self.degree_cap = degree_cap
 
     @classmethod
-    def zero(cls, num_vars: int, max_degree: int):
-        return cls({}, num_vars, max_degree)
+    def zero(cls, num_vars: int, degree_cap: int):
+        return cls({}, num_vars, degree_cap)
 
     @classmethod
-    def one(cls, num_vars: int, max_degree: int):
-        return cls({(0,) * num_vars: 1}, num_vars, max_degree)
+    def one(cls, num_vars: int, degree_cap: int):
+        return cls({(0,) * num_vars: 1}, num_vars, degree_cap)
 
     @classmethod
-    def variable(cls, index: int, num_vars: int, max_degree: int):
+    def variable(cls, index: int, num_vars: int, degree_cap: int):
         """The generator x_index, 1-based."""
         if not 1 <= index <= num_vars:
             raise DomainError(f"variable index {index} outside 1..{num_vars}")
         expo = [0] * num_vars
         expo[index - 1] = 1
-        return cls({tuple(expo): 1}, num_vars, max_degree)
+        return cls({tuple(expo): 1}, num_vars, degree_cap)
 
     def one_like(self):
-        return FiniteVarPoly.one(self.num_vars, self.max_degree)
+        return FiniteVarPoly.one(self.num_vars, self.degree_cap)
 
     def zero_like(self):
-        return FiniteVarPoly.zero(self.num_vars, self.max_degree)
+        return FiniteVarPoly.zero(self.num_vars, self.degree_cap)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -427,7 +423,7 @@ class FiniteVarPoly:
         if not isinstance(other, FiniteVarPoly):
             return NotImplemented
         self._check_vars(other)
-        bound = min(self.max_degree, other.max_degree)
+        bound = min(self.degree_cap, other.degree_cap)
         merged = dict(self.terms)
         for expo, coeff in other.terms.items():
             merged[expo] = merged.get(expo, 0) + coeff
@@ -435,7 +431,7 @@ class FiniteVarPoly:
 
     def __neg__(self):
         return FiniteVarPoly(
-            {e: -v for e, v in self.terms.items()}, self.num_vars, self.max_degree
+            {e: -v for e, v in self.terms.items()}, self.num_vars, self.degree_cap
         )
 
     def __sub__(self, other):
@@ -446,7 +442,7 @@ class FiniteVarPoly:
     def __mul__(self, other):
         if isinstance(other, FiniteVarPoly):
             self._check_vars(other)
-            bound = min(self.max_degree, other.max_degree)
+            bound = min(self.degree_cap, other.degree_cap)
             out = {}
             for ea, va in self.terms.items():
                 for eb, vb in other.terms.items():
@@ -457,7 +453,7 @@ class FiniteVarPoly:
             return FiniteVarPoly(out, self.num_vars, bound)
         scalar = rat(other)
         return FiniteVarPoly(
-            {e: scalar * v for e, v in self.terms.items()}, self.num_vars, self.max_degree
+            {e: scalar * v for e, v in self.terms.items()}, self.num_vars, self.degree_cap
         )
 
     # the algebra is commutative, and a scalar on the left scales the same way
@@ -470,7 +466,7 @@ class FiniteVarPoly:
             if expo[-1] != 0:
                 continue
             out[(0,) + expo[:-1]] = coeff
-        return FiniteVarPoly(out, self.num_vars, self.max_degree)
+        return FiniteVarPoly(out, self.num_vars, self.degree_cap)
 
     def __eq__(self, other):
         return isinstance(other, FiniteVarPoly) and (
@@ -496,18 +492,17 @@ class FiniteVarPoly:
         return "FiniteVarPoly(%s)" % " + ".join(parts)
 
 
-def qsym_to_finite(element: QSym, num_vars: int, max_degree=None) -> FiniteVarPoly:
+def qsym_to_finite(element: QSym, num_vars: int, degree_cap=None) -> FiniteVarPoly:
     """Expand a quasi-symmetric element in num_vars concrete variables.
 
     Each composition (a_1, ..., a_r) becomes the sum of the monomials
     x_{i_1}^{a_1} ... x_{i_r}^{a_r} over strictly increasing index tuples.
-    The degree cap defaults to the element's bound, or to its highest
-    degree when the element is unbounded.
+    The degree cap defaults to the element's highest degree.
     """
     highest = max((sum(c) for c in element.terms), default=0)
-    if max_degree is None:
-        max_degree = highest if element.max_degree is None else element.max_degree
-    if max_degree < highest:
+    if degree_cap is None:
+        degree_cap = highest
+    if degree_cap < highest:
         raise DomainError("degree cap below the element's highest term")
     out = {}
     for comp, coeff in element.terms.items():
@@ -520,7 +515,7 @@ def qsym_to_finite(element: QSym, num_vars: int, max_degree=None) -> FiniteVarPo
                 expo[spot] = part
             key = tuple(expo)
             out[key] = out.get(key, 0) + coeff
-    return FiniteVarPoly(out, num_vars, max_degree)
+    return FiniteVarPoly(out, num_vars, degree_cap)
 
 
 def shift_s(p: FiniteVarPoly) -> FiniteVarPoly:
@@ -532,10 +527,10 @@ def shift_s(p: FiniteVarPoly) -> FiniteVarPoly:
 def finite_lambda(p: FiniteVarPoly) -> FiniteVarPoly:
     """Direct finite-model evaluation of the weak prepend operator:
     the sum over k of x_k times the (k-1)-fold index shift."""
-    out = FiniteVarPoly.zero(p.num_vars, p.max_degree)
+    out = FiniteVarPoly.zero(p.num_vars, p.degree_cap)
     shifted = p
     for k in range(1, p.num_vars + 1):
-        out = out + FiniteVarPoly.variable(k, p.num_vars, p.max_degree) * shifted
+        out = out + FiniteVarPoly.variable(k, p.num_vars, p.degree_cap) * shifted
         shifted = shift_s(shifted)
     return out
 

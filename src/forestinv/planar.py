@@ -406,11 +406,13 @@ def planar_equation_residual(
         target = total
         operator = family.total()
     else:
+        operator = family[label]
+        if label not in seq.per_label:
+            raise DomainError(f"label {label!r} is not in the sequence")
         zero = Fraction(0) * family.one
         target = Series(
             (zero,) + tuple(seq.per_label[label][:order]), family.one
         )
-        operator = family[label]
     return inverted.map(operator).times_q() - target
 
 

@@ -7,7 +7,7 @@ concatenates factor tuples.  Both share their linear-space arithmetic,
 and the rule that keys are checked once, with `QSym` through
 `algebra.TermCarrier`.  Neither is truncated: a planar tree's word value
 is homogeneous of length its vertex count, so the generating functions
-are cut by their order alone.  Their `bound` is always None.
+are cut by their order alone.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ class FreeWord(TermCarrier):
             if coeff != 0:
                 clean[word] = coeff
         self.terms = clean
-        self.bound = None
 
     @classmethod
     def generator(cls, label: str):
@@ -54,7 +53,7 @@ class FreeWord(TermCarrier):
                 for wb, cb in other.terms.items():
                     word = wa + wb
                     out[word] = out.get(word, 0) + ca * cb
-            return FreeWord._from_valid_terms(out, None)
+            return FreeWord._from_valid_terms(out)
         return self._scaled(other)
 
     def __repr__(self):
@@ -83,7 +82,6 @@ class TensorElement(TermCarrier):
             if coeff != 0:
                 clean[factors] = coeff
         self.terms = clean
-        self.bound = None
 
     @classmethod
     def single(cls, word):
@@ -97,7 +95,7 @@ class TensorElement(TermCarrier):
                 for fb, cb in other.terms.items():
                     factors = fa + fb
                     out[factors] = out.get(factors, 0) + ca * cb
-            return TensorElement._from_valid_terms(out, None)
+            return TensorElement._from_valid_terms(out)
         return self._scaled(other)
 
     def __repr__(self):

@@ -43,13 +43,13 @@ def random_polynomial(rng, max_degree=12):
     )
 
 
-def random_qsym(rng, bound=6):
+def random_qsym(rng, max_degree=6):
     terms = {}
     for _ in range(rng.randint(0, 5)):
         comp = tuple(rng.randint(1, 3) for _ in range(rng.randint(0, 3)))
-        if sum(comp) <= bound:
+        if sum(comp) <= max_degree:
             terms[comp] = Fraction(rng.randint(-4, 4))
-    return QSym(terms, bound)
+    return QSym(terms)
 
 
 def test_rat_coercion():
@@ -123,21 +123,21 @@ def test_quasi_shuffle_structure():
 def test_qsym_products():
     m1 = QSym.monomial((1,), 6)
     m2 = QSym.monomial((2,), 6)
-    assert m1 * m1 == QSym({(1, 1): 2, (2,): 1}, 6)
-    assert m1 * m2 == QSym({(1, 2): 1, (2, 1): 1, (3,): 1}, 6)
-    assert QSym.one(6) * m2 == m2
+    assert m1 * m1 == QSym({(1, 1): 2, (2,): 1})
+    assert m1 * m2 == QSym({(1, 2): 1, (2, 1): 1, (3,): 1})
+    assert QSym.one() * m2 == m2
 
 
 def test_trusted_constructor_drops_cancelled_int_terms():
     # int-only sums and products take the trusted path unchanged unless a
     # coefficient cancels to zero, which is still dropped
-    a = QSym({(1,): 1, (2,): 2}, None)
-    assert (a + QSym({(1,): -1}, None)).terms == {(2,): 2}
+    a = QSym({(1,): 1, (2,): 2})
+    assert (a + QSym({(1,): -1})).terms == {(2,): 2}
     assert (a - a).terms == {}
     # M_1 M_(1,1) = 3 M_(1,1,1) + M_(1,2) + M_(2,1); M_1 M_2 = M_(1,2) + M_(2,1) + M_3
-    product = QSym.monomial((1,)) * QSym({(1, 1): 1, (2,): -1}, None)
+    product = QSym.monomial((1,)) * QSym({(1, 1): 1, (2,): -1})
     assert product.terms == {(1, 1, 1): 3, (3,): -1}
-    assert product == QSym({(1, 1, 1): 3, (3,): -1, (1, 2): 0}, None)
+    assert product == QSym({(1, 1, 1): 3, (3,): -1, (1, 2): 0})
 
 
 def test_qsym_ring_axioms():
@@ -148,51 +148,37 @@ def test_qsym_ring_axioms():
         assert a * b == b * a
         assert (a + b) * c == a * c + b * c
         assert (a * b) * c == a * (b * c)
-        assert a * QSym.one(6) == a
+        assert a * QSym.one() == a
 
 
-def test_qsym_truncation_discipline():
-    a = QSym.monomial((3,), 4)
-    b = QSym.monomial((2,), 4)
-    # degree 5 > bound 4: the product truncates to zero
-    assert (a * b).is_zero()
-    # mixed bounds take the smaller bound
-    wide = QSym.monomial((1,), 9)
-    narrow = QSym.monomial((1,), 2)
-    assert (wide * narrow).max_degree == 2
-    # equality ignores the bound
-    assert QSym.monomial((1,), 3) == QSym.monomial((1,), 8)
-    # None is unbounded: products and sums keep every degree
-    free = QSym({(3,): 1, (1,): 1}, None)
+def test_qsym_products_keep_every_degree():
+    free = QSym({(3,): 1, (1,): 1})
     assert free * free == QSym({(3, 3): 2, (6,): 1, (1, 3): 2, (3, 1): 2, (4,): 2,
-                                (1, 1): 2, (2,): 1}, None)
-    assert (free * free).max_degree is None
-    assert (free + QSym.monomial((9,), 9)).terms == {(3,): 1, (1,): 1, (9,): 1}
-    # an unbounded operand yields to a bounded one
-    assert (free * a).max_degree == 4
-    assert free * a == QSym({(1, 3): 1, (3, 1): 1, (4,): 1}, 4)
-    assert (free + b).max_degree == 4
-    assert (QSym({(5,): 1}, None) + b).terms == {(2,): 1}
-    # the prepend operator keeps the top term of an unbounded element
-    assert lambda_bar(free) == QSym({(1, 3): 1, (1, 1): 1}, None)
-    # a monomial with no bound is unbounded, not bounded at its own degree
+                                (1, 1): 2, (2,): 1})
+    assert lambda_bar(free) == QSym({(1, 3): 1, (1, 1): 1})
     m1 = QSym.monomial((1,))
-    assert m1.max_degree is None
-    assert m1 * m1 == QSym({(2,): 1, (1, 1): 2}, None)
-    assert (m1 * m1).max_degree is None
+    assert m1 * m1 == QSym({(2,): 1, (1, 1): 2})
+
+
+def test_qsym_monomial_degree_cap_refuses():
+    assert QSym.monomial((1, 2), 3) == QSym.monomial((1, 2), 4) == QSym.monomial((1, 2))
+    with pytest.raises(DomainError, match="above 2"):
+        QSym.monomial((1, 2), 2)
+    with pytest.raises(DomainError):
+        QSym.monomial((1,), 0)
 
 
 def test_qsym_rejects_bad_compositions():
     with pytest.raises(DomainError):
-        QSym({(0, 1): 1}, 4)
+        QSym({(0, 1): 1})
     with pytest.raises(DomainError):
-        QSym({(-2,): 1}, 4)
+        QSym({(-2,): 1})
 
 
 def test_principal_specialization_examples():
     m11 = QSym.monomial((1, 1), 4)
     assert principal_specialization(m11, 3) == 3
-    assert principal_specialization(QSym.one(4), 5) == 1
+    assert principal_specialization(QSym.one(), 5) == 1
     assert principal_specialization(QSym.monomial((2,), 4), 4) == 4
 
 
@@ -325,8 +311,7 @@ def _random_words(rng, length):
 
 
 # carrier -> (unit at an order, random q^k coefficient at that order).  The
-# unbounded graded carriers draw q^k in degree k so products stay small;
-# the bounded QSym mixes degrees up to the order and so truncates.
+# graded carriers draw q^k in degree k so products stay small.
 SERIES_CARRIERS = {
     "fraction": (
         lambda order: Fraction(1),
@@ -336,11 +321,10 @@ SERIES_CARRIERS = {
         lambda order: Polynomial.one(),
         lambda rng, k, order: random_polynomial(rng, 3),
     ),
-    "qsym-bounded": (QSym.one, lambda rng, k, order: random_qsym(rng, order)),
     "qsym-unbounded": (
-        lambda order: QSym.one(None),
+        lambda order: QSym.one(),
         lambda rng, k, order: QSym(
-            {_random_composition(rng, k): rng.randint(-3, 3) for _ in range(2)}, None
+            {_random_composition(rng, k): rng.randint(-3, 3) for _ in range(2)}
         ),
     ),
     "freeword-unbounded": (
@@ -429,16 +413,13 @@ def test_series_domain_errors():
     assert calls == []
 
 
-FEEDBACK_BOUND = 5
-FEEDBACK_QSYM_ONE = QSym.one(FEEDBACK_BOUND)
+FEEDBACK_QSYM_ONE = QSym.one()
 
 
 def feedback_qsyms(coefficients):
     """Strategy for small quasi-symmetric series coefficients."""
     compositions = st.lists(st.integers(1, 2), min_size=1, max_size=2).map(tuple)
-    return st.dictionaries(compositions, coefficients, max_size=2).map(
-        lambda terms: QSym(terms, FEEDBACK_BOUND)
-    )
+    return st.dictionaries(compositions, coefficients, max_size=2).map(QSym)
 
 
 # (series, linear feedback map X) over each commutative carrier
@@ -625,7 +606,7 @@ def test_polynomial_evaluation_matches_fraction_horner(cs, x):
 
 # carrier name -> element with one coefficient left free
 CARRIER_BUILDERS = {
-    "QSym": lambda c: QSym({(1, 2): c, (3,): Fraction(1, 2)}, None),
+    "QSym": lambda c: QSym({(1, 2): c, (3,): Fraction(1, 2)}),
     "FreeWord": lambda c: FreeWord({("a", "b"): c, ("c",): Fraction(1, 2)}),
     "TensorElement": lambda c: TensorElement({(("a",), ("b", "c")): c, ((),): Fraction(1, 2)}),
     "FiniteVarPoly": lambda c: FiniteVarPoly({(1, 2): c, (0, 1): Fraction(1, 2)}, 2, 3),
@@ -660,7 +641,7 @@ def test_dict_carrier_rendering_is_unchanged():
     # render_value as compact JSON
     cases = [
         (
-            QSym({(1, 2): Fraction(6, 2), (3,): Fraction(1, 2), (): -2}, None),
+            QSym({(1, 2): Fraction(6, 2), (3,): Fraction(1, 2), (): -2}),
             '[{"coefficient":"-2","composition":[]},{"coefficient":"3","composition":[1,2]},'
             '{"coefficient":"1/2","composition":[3]}]',
             "-2*1 + 3*M(1,2) + 1/2*M(3)",
@@ -690,12 +671,11 @@ def test_dict_carrier_rendering_is_unchanged():
 
 def test_qsym_series_exp_matches_power_sums_with_int_coefficients():
     rng = random.Random(53)
-    for bound in (6, None):
-        coeffs = [
-            QSym({(1,) * k: rng.randint(-3, 3), (k,): Fraction(rng.randint(-3, 3), 2)}, bound)
-            for k in range(1, 7)
-        ]
-        f = Series((QSym.zero(bound), *coeffs), QSym.one(bound))
-        assert exp(f) == exp_by_power_sums(f)
-        for c in exp(f).coeffs:
-            assert all(type(v) is int for v in c.terms.values() if v.denominator == 1)
+    coeffs = [
+        QSym({(1,) * k: rng.randint(-3, 3), (k,): Fraction(rng.randint(-3, 3), 2)})
+        for k in range(1, 7)
+    ]
+    f = Series((QSym.zero(), *coeffs), QSym.one())
+    assert exp(f) == exp_by_power_sums(f)
+    for c in exp(f).coeffs:
+        assert all(type(v) is int for v in c.terms.values() if v.denominator == 1)

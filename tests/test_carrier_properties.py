@@ -4,12 +4,12 @@ Keys are checked once, at the public constructors; sums, products, scalar
 products and the prepend operators build their results on a trusted path.
 Each result here is compared with the same raw terms passed through the
 public constructor, checked for leftovers the trusted path must clean up
-(zero coefficients, terms past the QSym degree bound, integral
-Fractions), and run through the ring axioms.  The public constructors
-must still refuse bad keys and negative QSym bounds, and elements of
-different carriers, Polynomial included, must never compare equal or
-combine.  The integer-numerator QSym product is checked against the
-Fraction-accumulating oracle."""
+(zero coefficients and integral Fractions), and run through the ring
+axioms.  The public constructors must still refuse bad keys, and
+elements of different carriers, Polynomial included, must never compare
+equal or combine.  No carrier truncates; the QSym grading that makes
+this safe is pinned as a property.  The integer-numerator QSym product
+is checked against the Fraction-accumulating oracle."""
 
 import itertools
 import operator
@@ -34,7 +34,6 @@ COEFFS = st.one_of(
     st.sampled_from([Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3), Fraction(3, 2),
                      Fraction(-4, 3), Fraction(3, 4)]),
 )
-BOUNDS = st.one_of(st.none(), st.integers(0, 6))
 COMPOSITIONS = st.lists(st.integers(1, 3), max_size=3).map(tuple)
 WORDS = st.lists(st.sampled_from("ab"), max_size=3).map(tuple)
 TENSOR_KEYS = st.lists(st.lists(st.sampled_from("ab"), max_size=2).map(tuple), max_size=2).map(
@@ -43,7 +42,7 @@ TENSOR_KEYS = st.lists(st.lists(st.sampled_from("ab"), max_size=2).map(tuple), m
 
 
 def qsyms():
-    return st.builds(QSym, st.dictionaries(COMPOSITIONS, COEFFS, max_size=4), BOUNDS)
+    return st.builds(QSym, st.dictionaries(COMPOSITIONS, COEFFS, max_size=4))
 
 
 def free_words():
@@ -64,11 +63,10 @@ def exact(element):
     return {key: (type(coeff), coeff) for key, coeff in element.terms.items()}
 
 
-def assert_clean(element, size, bound):
+def assert_clean(element):
     for key, coeff in element.terms.items():
         assert coeff != 0, key
         assert type(coeff) is int or (type(coeff) is Fraction and coeff.denominator != 1), key
-        assert bound is None or size(key) <= bound, key
 
 
 def raw_sum(a, b, sign=1):
@@ -99,36 +97,29 @@ def raw_quasi_shuffle(a, b):
     return out
 
 
-def merged_bound(x, y):
-    return y if x is None else x if y is None else min(x, y)
-
-
-def assert_matches(result, expected, size, bound):
+def assert_matches(result, expected):
     assert exact(result) == exact(expected)
-    assert_clean(result, size, bound)
+    assert_clean(result)
 
 
 @PROPERTY
 @given(qsyms(), qsyms(), COEFFS)
 def test_qsym_arithmetic_matches_public_constructor(a, b, c):
-    bound = merged_bound(a.max_degree, b.max_degree)
     cases = [
-        (a + b, raw_sum(a, b), bound),
-        (a - b, raw_sum(a, b, -1), bound),
-        (-a, raw_scaled(-1, a), a.max_degree),
-        (a * b, raw_quasi_shuffle(a, b), bound),
-        (a * c, raw_scaled(c, a), a.max_degree),
-        (c * a, raw_scaled(c, a), a.max_degree),
+        (a + b, raw_sum(a, b)),
+        (a - b, raw_sum(a, b, -1)),
+        (-a, raw_scaled(-1, a)),
+        (a * b, raw_quasi_shuffle(a, b)),
+        (a * c, raw_scaled(c, a)),
+        (c * a, raw_scaled(c, a)),
     ]
-    for result, raw, expected_bound in cases:
-        assert result.max_degree == expected_bound
-        assert_matches(result, QSym(raw, expected_bound), sum, expected_bound)
+    for result, raw in cases:
+        assert_matches(result, QSym(raw))
 
 
 @PROPERTY
 @given(qsyms())
 def test_prepend_operators_match_public_constructor(a):
-    bound = a.max_degree
     prepended = {(1,) + comp: coeff for comp, coeff in a.terms.items()}
     absorbed = dict(prepended)
     for comp, coeff in a.terms.items():
@@ -136,8 +127,35 @@ def test_prepend_operators_match_public_constructor(a):
             head = (1 + comp[0],) + comp[1:]
             absorbed[head] = absorbed.get(head, 0) + coeff
     for result, raw in ((lambda_bar(a), prepended), (lambda_(a), absorbed)):
-        assert result.max_degree == bound
-        assert_matches(result, QSym(raw, bound), sum, bound)
+        assert_matches(result, QSym(raw))
+
+
+def homogeneous_qsyms(degree):
+    """Non-zero quasi-symmetric elements whose terms all have this degree."""
+    compositions = [
+        comp for size in range(degree + 1)
+        for comp in itertools.product(range(1, degree + 1), repeat=size)
+        if sum(comp) == degree
+    ]
+    nonzero = COEFFS.filter(bool)
+    return st.dictionaries(st.sampled_from(compositions), nonzero, min_size=1, max_size=4).map(QSym)
+
+
+HOMOGENEOUS = st.integers(0, 4).flatmap(
+    lambda degree: st.tuples(st.just(degree), homogeneous_qsyms(degree))
+)
+
+
+@PROPERTY
+@given(HOMOGENEOUS, HOMOGENEOUS)
+def test_products_and_prepends_keep_the_grading_property(graded_a, graded_b):
+    # nothing truncates because a product of degrees i and j has degree
+    # i + j and each prepend operator raises the degree by exactly one
+    (i, a), (j, b) = graded_a, graded_b
+    assert a.homogeneous_degree() == i and b.homogeneous_degree() == j
+    assert (a * b).homogeneous_degree() == i + j
+    assert lambda_bar(a).homogeneous_degree() == i + 1
+    assert lambda_(a).homogeneous_degree() == i + 1
 
 
 def assert_word_arithmetic_matches(carrier, a, b, c):
@@ -150,8 +168,7 @@ def assert_word_arithmetic_matches(carrier, a, b, c):
         (c * a, raw_scaled(c, a)),
     ]
     for result, raw in cases:
-        assert result.bound is None
-        assert_matches(result, carrier(raw), len, None)
+        assert_matches(result, carrier(raw))
 
 
 @PROPERTY
@@ -204,7 +221,7 @@ def test_tensor_ring_axioms_property(a, b, c):
 def test_carriers_of_different_types_do_not_mix(q, w, t, p):
     # the units are four different elements, though the dict carriers
     # spell them with the same raw terms
-    units = [QSym.one(None), FreeWord.one(), TensorElement.one(), Polynomial.one()]
+    units = [QSym.one(), FreeWord.one(), TensorElement.one(), Polynomial.one()]
     for elements in ((q, w, t, p), units):
         for a, b in itertools.permutations(elements, 2):
             assert a != b
@@ -222,14 +239,14 @@ def test_carriers_of_different_types_do_not_mix(q, w, t, p):
 
 def test_trusted_paths_clean_up_their_results():
     half, third = Fraction(1, 2), Fraction(2, 3)
-    q = QSym({(1,): half, (2,): third}, None)
+    q = QSym({(1,): half, (2,): third})
     # cancellation leaves no zero coefficient behind
     assert (q - q).terms == {}
     assert (q + (-q)).terms == {}
     assert (q * 0).terms == {} and (0 * q).terms == {}
     # integral Fractions come back as int, from sums, products and scalars
     assert exact(q + q) == {(1,): (int, 1), (2,): (Fraction, Fraction(4, 3))}
-    assert exact(QSym({(1,): third}, None) * QSym({(2,): Fraction(3, 2)}, None)) == {
+    assert exact(QSym({(1,): third}) * QSym({(2,): Fraction(3, 2)})) == {
         (1, 2): (int, 1), (2, 1): (int, 1), (3,): (int, 1)
     }
     assert exact(q * Fraction(3, 2)) == {(1,): (Fraction, Fraction(3, 4)), (2,): (int, 1)}
@@ -244,32 +261,13 @@ def test_trusted_paths_clean_up_their_results():
     assert exact(t + t) == {(("a",),): (int, 1), ((), ("b",)): (Fraction, Fraction(4, 3))}
 
 
-def test_operators_skip_terms_at_the_bound():
-    top = QSym({(2,): 1, (1,): 3, (): 5}, 2)
-    # the degree-2 term would grow past the bound; lower ones grow
-    assert exact(lambda_bar(top)) == {(1, 1): (int, 3), (1,): (int, 5)}
-    assert exact(lambda_(top)) == {(1, 1): (int, 3), (2,): (int, 3), (1,): (int, 5)}
-    assert lambda_bar(QSym({(3,): 1}, 3)).is_zero()
-    assert lambda_(QSym({(1, 2): 1}, 3)).is_zero()
-    assert lambda_bar(top).max_degree == lambda_(top).max_degree == 2
-
-
-def test_sums_with_different_bounds_respect_the_smaller():
-    wide_q = QSym({(5,): 1, (1,): 1}, None)
-    assert (wide_q + QSym({(2,): 1}, 3)).terms == {(1,): 1, (2,): 1}
-    assert (QSym({(2,): 1}, 3) + wide_q).terms == {(1,): 1, (2,): 1}
-    assert (QSym({(4,): 1}, 6) + QSym({(1,): 1}, 2)).terms == {(1,): 1}
-
-
 def test_public_constructors_still_check_keys():
     with pytest.raises(DomainError):
-        QSym({(1, 0): 1}, None)
+        QSym({(1, 0): 1})
     with pytest.raises(DomainError):
-        QSym({(2, -1): 1}, 5)
+        QSym({(2, -1): 1})
     with pytest.raises(DomainError):
-        QSym({}, -1)
-    with pytest.raises(DomainError):
-        QSym({(1,): 1.5}, None)
+        QSym({(1,): 1.5})
     with pytest.raises(DomainError):
         FreeWord({("a", ""): 1})
     with pytest.raises(DomainError):
@@ -280,8 +278,6 @@ def test_public_constructors_still_check_keys():
         TensorElement({(("a", 3),): 1})
     with pytest.raises(DomainError):
         TensorElement({(("",),): 1})
-    # the bound check drops, never refuses
-    assert QSym({(3,): 1, (1,): 2}, 2).terms == {(1,): 2}
 
 
 # The QSym product accumulates integer numerators over the product of the
@@ -296,7 +292,7 @@ COEFF_KINDS = {"int": INT_COEFFS, "fraction": FRACTION_COEFFS, "mixed": COEFFS}
 
 
 def qsyms_with(coeffs):
-    return st.builds(QSym, st.dictionaries(COMPOSITIONS, coeffs, max_size=5), BOUNDS)
+    return st.builds(QSym, st.dictionaries(COMPOSITIONS, coeffs, max_size=5))
 
 
 ANY_QSYM = st.one_of(*(qsyms_with(kind) for kind in COEFF_KINDS.values()))
@@ -305,13 +301,10 @@ ANY_QSYM = st.one_of(*(qsyms_with(kind) for kind in COEFF_KINDS.values()))
 @PROPERTY
 @given(ANY_QSYM, ANY_QSYM)
 def test_qsym_product_matches_fraction_oracle_property(a, b):
-    product = a * b
-    expected = qsym_mul_by_fractions(a, b)
-    assert product.max_degree == expected.max_degree
-    assert_matches(product, expected, sum, expected.max_degree)
+    assert_matches(a * b, qsym_mul_by_fractions(a, b))
 
 
-def random_qsym(rng, kind, bound, size=8):
+def random_qsym(rng, kind, max_degree, size=8):
     def coeff():
         numerator = rng.choice([n for n in range(-9, 10) if n])
         if kind == "int" or (kind == "mixed" and rng.random() < 0.5):
@@ -322,10 +315,14 @@ def random_qsym(rng, kind, bound, size=8):
     terms = {}
     for _ in range(size):
         comp = tuple(rng.randint(1, 3) for _ in range(rng.randint(0, 4)))
-        terms[comp] = coeff()
-    return QSym(terms, bound)
+        coefficient = coeff()
+        if max_degree is None or sum(comp) <= max_degree:
+            terms[comp] = coefficient
+    return QSym(terms)
 
 
+# bounds: the highest degree of each operand's terms, None for no cap, so
+# the operands range from equally to unequally graded
 @pytest.mark.parametrize("kind_b", sorted(COEFF_KINDS))
 @pytest.mark.parametrize("kind_a", sorted(COEFF_KINDS))
 @pytest.mark.parametrize("bounds", [(None, None), (6, 6), (None, 5), (7, None), (4, 8)])
@@ -334,19 +331,16 @@ def test_qsym_product_matches_fraction_oracle(kind_a, kind_b, bounds):
     for _ in range(10):
         a = random_qsym(rng, kind_a, bounds[0])
         b = random_qsym(rng, kind_b, bounds[1])
-        expected = qsym_mul_by_fractions(a, b)
-        assert (a * b).max_degree == expected.max_degree
-        assert_matches(a * b, expected, sum, expected.max_degree)
+        assert_matches(a * b, qsym_mul_by_fractions(a, b))
 
 
 def test_qsym_product_of_fractions_can_be_integral_or_zero():
-    half = QSym({(1,): Fraction(1, 2), (2,): Fraction(3, 2)}, None)
-    double = QSym({(1,): 2, (2,): 4}, None)
+    half = QSym({(1,): Fraction(1, 2), (2,): Fraction(3, 2)})
+    double = QSym({(1,): 2, (2,): 4})
     product = half * double
     assert exact(product) == exact(qsym_mul_by_fractions(half, double))
     assert all(type(coeff) is int for coeff in product.terms.values())
     # M_1 * M_1 = 2 M_11 + M_2, so these cancel to zero term by term
-    left = QSym({(1,): Fraction(1, 2)}, None)
-    right = QSym({(1, 1): -1, (2,): Fraction(-1, 2)}, None)
-    assert left * left + Fraction(1, 2) * right == QSym({}, None)
-    assert (left * QSym({(1,): Fraction(2, 3)}, 1)).terms == {}
+    left = QSym({(1,): Fraction(1, 2)})
+    right = QSym({(1, 1): -1, (2,): Fraction(-1, 2)})
+    assert left * left + Fraction(1, 2) * right == QSym({})

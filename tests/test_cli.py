@@ -14,7 +14,7 @@ import pytest
 import forestinv
 from forestinv import cli
 from forestinv.cli import main
-from forestinv.engine import QSYM_TERM_LIMIT
+from forestinv.engine import POLY_DEGREE_LIMIT, QSYM_TERM_LIMIT
 from forestinv.trees import DEPTH_LIMIT
 
 
@@ -337,6 +337,34 @@ def test_huge_quasi_symmetric_values_exit_with_the_estimate_and_the_limit(capsys
         assert (code, out) == (2, "")
         assert err.startswith("resource limit:")
         assert str(estimate) in err and str(QSYM_TERM_LIMIT) in err
+
+
+def test_deep_and_wide_polynomial_values_exit_with_the_degree_and_the_limit(capsys):
+    star = "(" + "()" * 1000 + ")"
+    for tree, degree in ((path_text(400), 400), (star, 1001)):
+        for operator in ("delta-inv", "nabla-inv"):
+            code, out, err = run(capsys, "invariant", "--tree", tree, "--operator", operator)
+            assert (code, out) == (2, "")
+            assert err.startswith("resource limit:")
+            assert f"degree {degree}" in err and str(POLY_DEGREE_LIMIT) in err
+
+
+@pytest.mark.parametrize(
+    "operator, terms, estimate, limit",
+    [
+        ("lambda", 24, 2**23, QSYM_TERM_LIMIT),
+        ("lambda-bar", 26, 2**24, QSYM_TERM_LIMIT),
+        ("delta-inv", 1500, 1500, POLY_DEGREE_LIMIT),
+        ("nabla-inv", 257, 257, POLY_DEGREE_LIMIT),
+    ],
+)
+def test_genfun_orders_past_the_guard_exit_with_the_estimate_and_the_limit(
+    capsys, operator, terms, estimate, limit
+):
+    code, out, err = run(capsys, "genfun", "--operator", operator, "--terms", str(terms))
+    assert (code, out) == (2, "")
+    assert err.startswith("resource limit:")
+    assert f"U_{terms}" in err and str(estimate) in err and str(limit) in err
 
 
 def test_cli_digest_covers_every_subcommand_and_format():

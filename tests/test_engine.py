@@ -8,6 +8,7 @@ import pytest
 
 from forestinv.algebra import Polynomial, QSym, principal_specialization
 from forestinv.engine import (
+    POLY_DEGREE_LIMIT,
     QSYM_TERM_LIMIT,
     InvariantSpec,
     built_in_spec,
@@ -49,16 +50,16 @@ T = Polynomial.t()
 def test_leaf_values():
     assert strict_order_poly(SINGLETON) == T
     assert order_poly(SINGLETON) == T
-    assert qsym_strict(SINGLETON) == QSym.monomial((1,), 1)
-    assert qsym_weak(SINGLETON) == QSym.monomial((1,), 1)
+    assert qsym_strict(SINGLETON) == QSym.monomial((1,))
+    assert qsym_weak(SINGLETON) == QSym.monomial((1,))
 
 
 def test_two_vertex_chain():
     chain = parse_tree("(())")
     assert strict_order_poly(chain) == Fraction(1, 2) * (T * T - T)
     assert order_poly(chain) == Fraction(1, 2) * (T * T + T)
-    assert qsym_strict(chain) == QSym.monomial((1, 1), 2)
-    assert qsym_weak(chain) == QSym({(1, 1): 1, (2,): 1}, 2)
+    assert qsym_strict(chain) == QSym.monomial((1, 1))
+    assert qsym_weak(chain) == QSym({(1, 1): 1, (2,): 1})
 
 
 def test_cherry_values():
@@ -66,7 +67,7 @@ def test_cherry_values():
     assert strict_order_poly(cherry) == Polynomial(
         (0, Fraction(1, 6), Fraction(-1, 2), Fraction(1, 3))
     )
-    assert qsym_strict(cherry) == QSym({(1, 1, 1): 2, (1, 2): 1}, 3)
+    assert qsym_strict(cherry) == QSym({(1, 1, 1): 2, (1, 2): 1})
 
 
 def test_forest_values():
@@ -74,7 +75,7 @@ def test_forest_values():
     two_leaves = parse_forest("()()")
     assert evaluate_forest(two_leaves, strict_order_spec()) == T * T
     spec = qsym_weak_spec(2)
-    assert evaluate_forest(parse_forest("()"), spec) == QSym.monomial((1,), 2)
+    assert evaluate_forest(parse_forest("()"), spec) == QSym.monomial((1,))
 
 
 def test_forest_multiplicativity():
@@ -130,15 +131,18 @@ def test_qsym_values_are_homogeneous():
 
 
 def test_qsym_term_estimates_bound_the_values():
-    strict, weak = built_in_spec("lambda-bar"), built_in_spec("lambda")
-    assert built_in_spec("delta-inv").term_estimate is None
+    (strict, _, _), (weak, _, _) = (built_in_spec(name).guard for name in ("lambda-bar", "lambda"))
     for n in range(1, 10):
         for tree in enumerate_trees(n):
+            shape = (tree.vertex_count, tree.height)
             terms = len(qsym_strict(tree).terms)
-            assert terms <= strict.term_estimate(tree)
+            assert terms <= strict(*shape)
             if tree.height in (1, n - 1):  # stars and paths
-                assert terms == strict.term_estimate(tree)
-            assert len(qsym_weak(tree).terms) == weak.term_estimate(tree) == 2 ** (n - 1)
+                assert terms == strict(*shape)
+            assert len(qsym_weak(tree).terms) == weak(*shape) == 2 ** (n - 1)
+    # past 2^64 the estimates stop growing; a deep tree's stays exact
+    assert weak(10**15, 1) == strict(10**15, 1) == 2**64
+    assert strict(400, 398) == 1 + 398
 
 
 def test_qsym_term_guard():
@@ -151,6 +155,20 @@ def test_qsym_term_guard():
         with pytest.raises(ResourceLimitError, match=str(QSYM_TERM_LIMIT)):
             evaluate(tree, spec)
         assert spec._cache == {}
+
+
+def test_poly_degree_guard():
+    strict = built_in_spec("delta-inv")
+    estimate, limit, _ = strict.guard
+    assert limit == POLY_DEGREE_LIMIT
+    assert estimate(30, 29) == evaluate(parse_tree("(" * 30 + ")" * 30), strict).degree == 30
+    path = parse_tree("(" * 257 + ")" * 257)
+    star = b_plus(RootedForest([SINGLETON] * 300))
+    for tree in (path, star):
+        for spec in (strict_order_spec(), weak_order_spec()):
+            with pytest.raises(ResourceLimitError, match=f"{tree.vertex_count}.*{limit}"):
+                evaluate(tree, spec)
+            assert spec._cache == {}
 
 
 def test_qsym_bound_too_small():

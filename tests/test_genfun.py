@@ -96,10 +96,10 @@ def test_recurrence_small_terms():
 
 def test_recurrence_qsym_terms():
     seq = u_by_recurrence(qsym_strict_spec(3), 2)
-    assert seq.terms[0] == QSym.monomial((1,), 3)
-    assert seq.terms[1] == QSym.monomial((1, 1), 3)
+    assert seq.terms[0] == QSym.monomial((1,))
+    assert seq.terms[1] == QSym.monomial((1, 1))
     seq = u_by_recurrence(qsym_weak_spec(2), 2)
-    assert seq.terms[1] == QSym({(1, 1): 1, (2,): 1}, 2)
+    assert seq.terms[1] == QSym({(1, 1): 1, (2,): 1})
 
 
 def test_enumeration_matches_recurrence():

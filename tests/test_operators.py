@@ -202,25 +202,17 @@ def test_difference_inverses_are_sections_property(cs):
 
 
 def test_prepend_examples():
-    assert lambda_bar(QSym.one(4)) == QSym.monomial((1,), 4)
-    assert lambda_(QSym.one(4)) == QSym.monomial((1,), 4)
-    assert lambda_bar(QSym.monomial((1,), 4)) == QSym.monomial((1, 1), 4)
-    assert lambda_(QSym.monomial((1,), 4)) == QSym(
-        {(1, 1): 1, (2,): 1}, 4
-    )
-    assert lambda_bar(QSym.monomial((2, 1), 4)) == QSym.monomial((1, 2, 1), 4)
-    assert lambda_(QSym.monomial((2, 1), 4)) == QSym(
-        {(1, 2, 1): 1, (3, 1): 1}, 4
-    )
+    assert lambda_bar(QSym.one()) == QSym.monomial((1,))
+    assert lambda_(QSym.one()) == QSym.monomial((1,))
+    assert lambda_bar(QSym.monomial((1,))) == QSym.monomial((1, 1))
+    assert lambda_(QSym.monomial((1,))) == QSym({(1, 1): 1, (2,): 1})
+    assert lambda_bar(QSym.monomial((2, 1))) == QSym.monomial((1, 2, 1))
+    assert lambda_(QSym.monomial((2, 1))) == QSym({(1, 2, 1): 1, (3, 1): 1})
 
 
-def test_prepend_linearity_and_truncation():
-    a = QSym({(1,): Fraction(2), (1, 1): Fraction(-1, 3)}, 3)
-    assert lambda_bar(a) == QSym({(1, 1): Fraction(2), (1, 1, 1): Fraction(-1, 3)}, 3)
-    # a term at the bound is pushed out and dropped
-    top = QSym.monomial((2, 1), 3)
-    assert lambda_bar(top).is_zero()
-    assert lambda_(top).is_zero()
+def test_prepend_linearity():
+    a = QSym({(1,): Fraction(2), (1, 1): Fraction(-1, 3)})
+    assert lambda_bar(a) == QSym({(1, 1): Fraction(2), (1, 1, 1): Fraction(-1, 3)})
 
 
 def all_compositions(total_max):
@@ -242,7 +234,7 @@ def test_prepend_operators_match_finite_model():
     m = 10
     for comp in all_compositions(5):
         bound = sum(comp) + 1
-        element = QSym.monomial(comp, bound)
+        element = QSym.monomial(comp)
         expanded = qsym_to_finite(element, m, bound)
         assert qsym_to_finite(lambda_bar(element), m, bound) == finite_lambda_bar(expanded)
         assert qsym_to_finite(lambda_(element), m, bound) == finite_lambda(expanded)
@@ -256,7 +248,7 @@ def test_prepend_operators_match_finite_model_on_sums():
         terms = {}
         for comp in rng.sample(comps, rng.randint(1, 5)):
             terms[comp] = Fraction(rng.randint(-5, 5))
-        element = QSym(terms, 5)
+        element = QSym(terms)
         expanded = qsym_to_finite(element, m, 6)
         got = qsym_to_finite(lambda_bar(element), m, 6)
         assert got == finite_lambda_bar(expanded)
@@ -310,7 +302,7 @@ def test_prepend_operators_injective_between_degrees(operator):
         codomain = {c: i for i, c in enumerate(compositions_of(n + 1))}
         columns = []
         for comp in domain:
-            image = operator(QSym.monomial(comp, n + 1))
+            image = operator(QSym.monomial(comp))
             column = [Fraction(0)] * len(codomain)
             for out_comp, coeff in image.terms.items():
                 column[codomain[out_comp]] = coeff

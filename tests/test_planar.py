@@ -254,6 +254,16 @@ def test_residual_flags_corruption():
     assert not planar_equation_residual(family, 4, sequence=bad).is_zero()
 
 
+def test_residual_refuses_an_unknown_label():
+    family = free_word_family(["a", "b"])
+    seq = u_planar_by_enumeration(free_word_family(["a"]), 3)
+    with pytest.raises(DomainError, match="'z' is not in the family"):
+        planar_equation_residual(family, 3, label="z")
+    # "b" is in the family but not in a sequence built without it
+    with pytest.raises(DomainError, match="'b' is not in the sequence"):
+        planar_equation_residual(family, 3, sequence=seq, label="b")
+
+
 def test_commutative_family_recovers_order_polynomials():
     # with one label and the strict-order operator, planar evaluation
     # collapses to the unordered invariant of the underlying tree
