@@ -90,7 +90,7 @@ from .planar import (
     underlying_forest,
     underlying_tree,
 )
-from .render import canonical_render, pretty, render_value
+from .render import pretty, render_value
 from .series import Series, exp, geometric_inverse
 from .trees import (
     EMPTY_FOREST,

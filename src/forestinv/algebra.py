@@ -6,16 +6,15 @@ composition basis.  Arithmetic is exact and runs on Python ints wherever
 it can: a polynomial is integer numerators over one common denominator,
 and the dict carriers (here and in `words`) store integral coefficients
 as int and the rest as `fractions.Fraction`, all through the one coercion
-`rat`.  Their linear-space arithmetic lives once, in `TermCarrier`.  A
-quasi-symmetric product clears each operand's denominators once, runs the
-quasi-shuffle accumulation on integer numerators and divides once per
-output term.  No carrier truncates: every product keeps every term.
+`rat`.  Their constructor and linear-space arithmetic live once, in
+`TermCarrier`.  A quasi-symmetric product clears each operand's
+denominators once, runs the quasi-shuffle accumulation on integer
+numerators and divides once per output term.  No carrier truncates: every product keeps every term.
 There is no floating point anywhere in the package.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm
@@ -268,20 +267,23 @@ def quasi_shuffle(a: Composition, b: Composition):
 
     Each step either takes the head of one argument or merges both heads
     into their sum; this is the structure constant table of the monomial
-    basis product.
+    basis product.  The pairs come in no fixed order.
     """
     if not a:
         return ((b, 1),)
     if not b:
         return ((a, 1),)
-    acc = Counter()
+    acc = {}
     for comp, m in quasi_shuffle(a[1:], b):
-        acc[(a[0],) + comp] += m
+        comp = (a[0],) + comp
+        acc[comp] = acc.get(comp, 0) + m
     for comp, m in quasi_shuffle(a, b[1:]):
-        acc[(b[0],) + comp] += m
+        comp = (b[0],) + comp
+        acc[comp] = acc.get(comp, 0) + m
     for comp, m in quasi_shuffle(a[1:], b[1:]):
-        acc[(a[0] + b[0],) + comp] += m
-    return tuple(sorted(acc.items()))
+        comp = (a[0] + b[0],) + comp
+        acc[comp] = acc.get(comp, 0) + m
+    return tuple(acc.items())
 
 
 class TermCarrier:
@@ -289,14 +291,15 @@ class TermCarrier:
     shared by `QSym` and the word algebras.
 
     `terms` maps each key to its non-zero coefficient, an int when
-    integral and a Fraction otherwise.  Each subclass supplies the public
-    constructor, the product and the repr.  Elements of different
-    carriers never compare equal, add or multiply.  No carrier truncates:
-    a tree's value is homogeneous of degree its vertex count, so a
-    generating function cut at q^N is already bounded in every degree.
+    integral and a Fraction otherwise.  Each subclass supplies its key
+    check `_checked_key` (the key as a tuple, or `DomainError`), the
+    product and the repr.  Elements of different carriers never compare
+    equal, add or multiply.  No carrier truncates: a tree's value is
+    homogeneous of degree its vertex count, so a generating function cut
+    at q^N is already bounded in every degree.
 
     Keys are checked once, where outside data comes in: the public
-    constructors check every key and coerce every coefficient.  Sums,
+    constructor checks every key and coerces every coefficient.  Sums,
     negation, scalar products and products of valid elements build their
     result through the trusted `_from_valid_terms`, which only drops zero
     coefficients and stores integral Fractions as int.
@@ -306,6 +309,15 @@ class TermCarrier:
 
     # read by `series.is_noncommutative`; exp refuses noncommutative carriers
     noncommutative = False
+
+    def __init__(self, terms):
+        clean = {}
+        for key, coeff in terms.items():
+            key = self._checked_key(key)
+            coeff = rat(coeff)
+            if coeff != 0:
+                clean[key] = coeff
+        self.terms = clean
 
     @classmethod
     def _from_valid_terms(cls, terms):
@@ -378,16 +390,12 @@ class QSym(TermCarrier):
 
     __slots__ = ()
 
-    def __init__(self, terms):
-        clean = {}
-        for comp, coeff in terms.items():
-            comp = tuple(comp)
-            if any(part < 1 for part in comp):
-                raise DomainError(f"composition parts must be positive: {comp}")
-            coeff = rat(coeff)
-            if coeff != 0:
-                clean[comp] = coeff
-        self.terms = clean
+    @staticmethod
+    def _checked_key(comp):
+        comp = tuple(comp)
+        if any(part < 1 for part in comp):
+            raise DomainError(f"composition parts must be positive: {comp}")
+        return comp
 
     @classmethod
     def monomial(cls, composition, max_degree: int | None = None):

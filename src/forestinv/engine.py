@@ -31,7 +31,6 @@ from .operators import (
     NABLA_INV,
     LinearOperator,
 )
-from .render import canonical_render
 from .trees import (
     RootedForest,
     RootedTree,
@@ -267,14 +266,16 @@ class CollisionPair:
 
 def collision_report(n_max: int, spec: InvariantSpec) -> list[CollisionPair]:
     """All pairs of distinct trees on up to n_max vertices whose values
-    under the given invariant agree exactly (by canonical serialization)."""
+    under the given invariant agree exactly.  Values are grouped as dict
+    keys: every carrier hashes, and compares equal exactly when the values
+    are equal."""
     if n_max < 1:
         raise DomainError("need n_max >= 1")
     pairs = []
     for n in range(1, n_max + 1):
-        groups: dict[str, list[RootedTree]] = {}
+        groups: dict[object, list[RootedTree]] = {}
         for tree in enumerate_trees(n):
-            groups.setdefault(canonical_render(evaluate(tree, spec)), []).append(tree)
+            groups.setdefault(evaluate(tree, spec), []).append(tree)
         for bucket in groups.values():
             for a, b in itertools.combinations(bucket, 2):
                 alpha_a, alpha_b = automorphism_order(a), automorphism_order(b)

@@ -11,10 +11,12 @@ of its components.  Trees and forests of a given size come from one
 memoized level builder, and a size past `_PLANAR_GUARD` is refused.
 
 The fixed-point equation replaces the exponential with the geometric sum
-1/(1 - U), split per root label.  The tensor-algebra operators at the end
-of the module extend a base family to tensor words by splitting off every
-prefix; they make the tree value of a grafted forest computable from the
-forest's tensor value alone.
+1/(1 - U), split per root label, and the recurrence build is one
+`series.geometric_inverse` whose feedback applies each label's operator.
+The tensor-algebra operators at the end of the module extend a base
+family to tensor words by splitting off every prefix; they make the tree
+value of a grafted forest computable from the forest's tensor value
+alone.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from math import comb
 
 from .errors import DomainError, ParseError, ResourceLimitError
 from .operators import LinearOperator, FREE_WORD, TENSOR
-from .series import Series, geometric_inverse, tail_sum
+from .series import Series, geometric_inverse
 from .trees import RootedForest, RootedTree, check_depth
 from .words import FreeWord, TensorElement
 
@@ -346,24 +348,27 @@ def u_planar_by_recurrence(family: OperatorFamily, order: int) -> PlanarUSequenc
     label-a term of weight n applies that label's operator to the
     q^(n-1) coefficient G_(n-1) of 1/(1 - U).
 
-    One running recurrence: G_(n-1) = sum_{k=1..n-1} U_k G_(n-1-k) needs
-    only U_1 .. U_(n-1), so each weight appends one coefficient of the
-    inverse, about N^2/2 carrier products at order N."""
+    One running geometric inverse solves G = 1/(1 - q X(G)) through
+    q^(order-1), where X is the family sum: the values the labels'
+    operators return inside it on G_(n-1) are the weight-n terms, and the
+    last are theirs on G_(order-1).  About N^2/2 carrier products at
+    order N, plus one operator call per label and term."""
     if order < 1:
         raise DomainError("need order >= 1")
     per_label: dict = {label: [] for label in family.labels}
     zero = Fraction(0) * family.one
-    totals = [zero]  # U_0 = 0, then the weight-n totals over all labels
-    inverse = [family.one]  # G_0, G_1, ... of 1/(1 - U)
-    for n in range(1, order + 1):
-        if n > 1:
-            inverse.append(tail_sum(totals, inverse))
-        coeff_n = zero
+
+    def feedback(value):
+        total = zero
         for label in family.labels:
-            term = family[label](inverse[n - 1])
+            term = family[label](value)
             per_label[label].append(term)
-            coeff_n = coeff_n + term
-        totals.append(coeff_n)
+            total = total + term
+        return total
+
+    grown = geometric_inverse(Series.zero(order - 1, family.one), feedback)
+    for label in family.labels:
+        per_label[label].append(family[label](grown.coeffs[-1]))
     return PlanarUSequence(per_label, family.one)
 
 
@@ -397,11 +402,12 @@ def planar_equation_residual(
     The sequence defaults to the enumeration build, so a zero residual is
     evidence, not tautology.
     """
+    if order < 1:
+        raise DomainError("need order >= 1")
     seq = sequence if sequence is not None else u_planar_by_enumeration(family, order)
     if seq.order < order:
         raise DomainError("sequence is shorter than the requested order")
     total = seq.series().truncate(order)
-    inverted = geometric_inverse(total)
     if label is None:
         target = total
         operator = family.total()
@@ -413,6 +419,7 @@ def planar_equation_residual(
         target = Series(
             (zero,) + tuple(seq.per_label[label][:order]), family.one
         )
+    inverted = geometric_inverse(total.truncate(order - 1))
     return inverted.map(operator).times_q() - target
 
 

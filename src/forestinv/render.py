@@ -1,13 +1,12 @@
 """Deterministic rendering of algebra values.
 
 JSON payloads carry rationals as exact strings ("5", "-1/6"); nothing in
-the package ever renders a float.  canonical_render gives a stable string
-form used for exact value comparison, e.g. when grouping collisions.
+the package ever renders a float.  Rendering is for output only: values
+compare and hash exactly by themselves.
 """
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 
 from .algebra import Polynomial, QSym
@@ -40,11 +39,6 @@ def render_value(x):
     if isinstance(x, Series):
         return [render_value(c) for c in x.coeffs]
     raise DomainError(f"cannot render a {type(x).__name__}")
-
-
-def canonical_render(x) -> str:
-    """Stable serialized form; equal exactly when the values are equal."""
-    return json.dumps(render_value(x), sort_keys=True, separators=(",", ":"))
 
 
 def pretty(x) -> str:

@@ -4,13 +4,14 @@ A Series stores coefficients for q^0 .. q^order plus the unit of the
 coefficient algebra, so zeros and units can be manufactured without
 knowing the carrier type.  Coefficients only need +, - and * with
 rational scalars; noncommutative carriers are fine everywhere except
-`exp`, which refuses them.  `exp` and `geometric_inverse` solve
-coefficient recurrences in N(N+1)/2 carrier products at order N; `exp`
-runs on the labeled coefficients n! E_n, so a series with integral
-labeled coefficients, such as a tree generating function, is
-exponentiated by integer products and one division per output
-coefficient.  The power sums they replaced live in `oracles` as test
-references.
+`exp`, which refuses them.  `times_q` knows q F one order further than
+F.  `exp` and `geometric_inverse` solve coefficient recurrences in
+N(N+1)/2 carrier products at order N, each optionally feeding a linear
+map of its own output back in.  `exp` runs on the labeled coefficients
+n! E_n, so a series with integral labeled coefficients, such as a tree
+generating function, is exponentiated by integer products and one
+division per output coefficient.  The power sums they replaced live in
+`oracles` as test references.
 """
 
 from __future__ import annotations
@@ -106,8 +107,8 @@ class Series:
         return Series(tuple(other * c for c in self.coeffs), self.one)
 
     def times_q(self) -> "Series":
-        """Multiply by q, keeping the truncation order fixed."""
-        return Series((self._zero(),) + self.coeffs[:-1], self.one)
+        """Multiply by q: q F is known one order further than F."""
+        return Series((self._zero(),) + self.coeffs, self.one)
 
     def map(self, func) -> "Series":
         """Apply a coefficientwise map (a lifted linear operator)."""
@@ -128,20 +129,6 @@ class Series:
         return "Series(%s)" % ", ".join(
             f"q^{k}: {c!r}" for k, c in enumerate(self.coeffs)
         )
-
-
-def tail_sum(f, g):
-    """Sum of f[k] * g[n - k] for k = 1 .. n, where n = len(g): the
-    q^n coefficient of (f - f_0) * g, with g known through q^(n-1).
-
-    One step of the `geometric_inverse` recurrence below; a build that
-    learns f one coefficient at a time can run it itself, one step per
-    term."""
-    n = len(g)
-    total = f[1] * g[n - 1]
-    for k in range(2, n + 1):
-        total = total + f[k] * g[n - k]
-    return total
 
 
 def _integral(x):
@@ -182,7 +169,7 @@ def exp(series: Series, feedback=None) -> Series:
     out = [series.one]
     for n in range(1, series.order + 1):
         if feedback is not None:
-            labeled[n] = _integral(factorial(n) * (series.coeffs[n] + feedback(out[n - 1])))
+            labeled[n] = _integral(factorial(n) * (feedback(out[n - 1]) + series.coeffs[n]))
         total = labeled[n] * e[0]
         for k in range(1, n):
             total = total + comb(n - 1, k - 1) * labeled[k] * e[n - k]
@@ -191,17 +178,31 @@ def exp(series: Series, feedback=None) -> Series:
     return Series(out, series.one)
 
 
-def geometric_inverse(series: Series) -> Series:
+def geometric_inverse(series: Series, feedback=None) -> Series:
     """1/(1 - f) for a series f with zero constant term, from the
     coefficient recurrence of G = 1 + f G:
 
         G_0 = 1,  G_n = sum_{k=1..n} f_k G_(n-k).
 
     Each f_k multiplies from the left, so this holds over noncommutative
-    carriers too.  Costs N(N+1)/2 carrier products at order N."""
+    carriers too.
+
+    With `feedback`, a linear map X on the carrier, returns the G with
+    G = 1/(1 - f - q X(G)) through q^order: the same recurrence, with
+    f_n + X(G_(n-1)) in place of f_n from step n, the first step that
+    needs it.  As in `exp`, X is called once per step, on G_0 ..
+    G_(order-1) in turn, so a caller can record its values.
+
+    Costs N(N+1)/2 carrier products at order N, plus N calls of X."""
     if series.coeffs[0] != series._zero():
         raise DomainError("geometric inverse needs a zero constant term")
+    f = list(series.coeffs)
     out = [series.one]
-    for _ in range(series.order):
-        out.append(tail_sum(series.coeffs, out))
+    for n in range(1, series.order + 1):
+        if feedback is not None:
+            f[n] = feedback(out[n - 1]) + f[n]
+        total = f[1] * out[n - 1]
+        for k in range(2, n + 1):
+            total = total + f[k] * out[n - k]
+        out.append(total)
     return Series(out, series.one)

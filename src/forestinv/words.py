@@ -3,16 +3,17 @@
 FreeWord is a rational combination of words over string generators; the
 product concatenates.  TensorElement is a rational combination of tuples
 of words (tensor factors are FreeWord basis words); the product
-concatenates factor tuples.  Both share their linear-space arithmetic,
-and the rule that keys are checked once, with `QSym` through
-`algebra.TermCarrier`.  Neither is truncated: a planar tree's word value
-is homogeneous of length its vertex count, so the generating functions
-are cut by their order alone.
+concatenates factor tuples.  Both take that product from
+`_Concatenation`, and share their constructor, their linear-space
+arithmetic and the rule that keys are checked once with `QSym` through
+`algebra.TermCarrier`; each supplies only its key check.  Neither is
+truncated: a planar tree's word value is homogeneous of length its
+vertex count, so the generating functions are cut by their order alone.
 """
 
 from __future__ import annotations
 
-from .algebra import TermCarrier, rat
+from .algebra import TermCarrier
 from .errors import DomainError
 
 Word = tuple
@@ -26,35 +27,34 @@ def _checked_word(word) -> Word:
     return word
 
 
-class FreeWord(TermCarrier):
-    """Element of the free associative algebra on string generators."""
+class _Concatenation(TermCarrier):
+    """A carrier whose product concatenates keys."""
 
     __slots__ = ()
 
     noncommutative = True
 
-    def __init__(self, terms):
-        clean = {}
-        for word, coeff in terms.items():
-            word = _checked_word(word)
-            coeff = rat(coeff)
-            if coeff != 0:
-                clean[word] = coeff
-        self.terms = clean
+    def __mul__(self, other):
+        if type(other) is type(self):
+            out = {}
+            for ka, ca in self.terms.items():
+                for kb, cb in other.terms.items():
+                    key = ka + kb
+                    out[key] = out.get(key, 0) + ca * cb
+            return self._from_valid_terms(out)
+        return self._scaled(other)
+
+
+class FreeWord(_Concatenation):
+    """Element of the free associative algebra on string generators."""
+
+    __slots__ = ()
+
+    _checked_key = staticmethod(_checked_word)
 
     @classmethod
     def generator(cls, label: str):
         return cls({(label,): 1})
-
-    def __mul__(self, other):
-        if isinstance(other, FreeWord):
-            out = {}
-            for wa, ca in self.terms.items():
-                for wb, cb in other.terms.items():
-                    word = wa + wb
-                    out[word] = out.get(word, 0) + ca * cb
-            return FreeWord._from_valid_terms(out)
-        return self._scaled(other)
 
     def __repr__(self):
         if not self.terms:
@@ -67,36 +67,19 @@ class FreeWord(TermCarrier):
         return "FreeWord(%s)" % " + ".join(parts)
 
 
-class TensorElement(TermCarrier):
+class TensorElement(_Concatenation):
     """Element of the tensor algebra whose letters are free-algebra words."""
 
     __slots__ = ()
 
-    noncommutative = True
-
-    def __init__(self, terms):
-        clean = {}
-        for factors, coeff in terms.items():
-            factors = tuple(_checked_word(w) for w in factors)
-            coeff = rat(coeff)
-            if coeff != 0:
-                clean[factors] = coeff
-        self.terms = clean
+    @staticmethod
+    def _checked_key(factors):
+        return tuple(_checked_word(w) for w in factors)
 
     @classmethod
     def single(cls, word):
         """The length-one tensor holding one free-algebra basis word."""
         return cls({(tuple(word),): 1})
-
-    def __mul__(self, other):
-        if isinstance(other, TensorElement):
-            out = {}
-            for fa, ca in self.terms.items():
-                for fb, cb in other.terms.items():
-                    factors = fa + fb
-                    out[factors] = out.get(factors, 0) + ca * cb
-            return TensorElement._from_valid_terms(out)
-        return self._scaled(other)
 
     def __repr__(self):
         if not self.terms:

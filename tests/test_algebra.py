@@ -2,6 +2,7 @@
 the finite-variable model, truncated series, and the word algebras."""
 
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -29,7 +30,7 @@ from forestinv.oracles import (
     qsym_to_finite,
     to_newton,
 )
-from forestinv.render import canonical_render, pretty
+from forestinv.render import pretty, render_value
 from forestinv.series import Series, exp, geometric_inverse, is_noncommutative
 from forestinv.words import FreeWord, TensorElement
 
@@ -230,7 +231,7 @@ def test_series_arithmetic():
     assert (q * q).coeffs == (0, 0, 1, 0, 0)
     assert exp(q).coeffs == (1, 1, Fraction(1, 2), Fraction(1, 6), Fraction(1, 24))
     assert geometric_inverse(q).coeffs == (1, 1, 1, 1, 1)
-    assert q.times_q().coeffs == (0, 0, 1, 0, 0)
+    assert q.times_q().coeffs == (0, 0, 1, 0, 0, 0)
 
 
 def test_series_mixed_orders_truncate():
@@ -410,6 +411,8 @@ def test_series_domain_errors():
         exp(const, feedback)
     with pytest.raises(DomainError, match="commutative"):
         exp(word_q, feedback)
+    with pytest.raises(DomainError, match="zero constant term"):
+        geometric_inverse(const, feedback)
     assert calls == []
 
 
@@ -465,6 +468,41 @@ def test_series_exp_feedback_sees_each_coefficient_once():
         Fraction((n + 1) ** n, math.factorial(n + 1)) for n in range(7)
     )
     assert seen == list(e.coeffs[:-1])
+
+
+# (word series, linear feedback map X): left and right multiplication
+WORD_FEEDBACK_CASES = st.tuples(
+    word_series(),
+    st.sampled_from(
+        [partial(mul, FreeWord.generator("a")), lambda x: x * FreeWord.generator("b")]
+    ),
+)
+
+
+@PROPERTY
+@given(st.one_of(FEEDBACK_CASES, WORD_FEEDBACK_CASES))
+def test_series_geometric_inverse_with_feedback_solves_its_equation(case):
+    # G = 1/(1 - f - q X(G)): the series h = f + q X(G) it solved for gives
+    # G back under both inverse builds
+    f, feedback = case
+    g = geometric_inverse(f, feedback)
+    assert g.order == f.order
+    h = f + g.map(feedback).times_q()
+    assert g == geometric_inverse(h) == geometric_inverse_by_powers(h)
+
+
+def test_series_geometric_inverse_feedback_sees_each_coefficient_once():
+    # with f = 0 and X(x) = x, G = 1/(1 - q G) counts plane trees, so G_n is
+    # the Catalan number C(2n, n)/(n+1)
+    seen = []
+
+    def feedback(x):
+        seen.append(x)
+        return x
+
+    g = geometric_inverse(Series.zero(6, Fraction(1)), feedback)
+    assert g.coeffs == tuple(math.comb(2 * n, n) // (n + 1) for n in range(7))
+    assert seen == list(g.coeffs[:-1])
 
 
 def test_free_word_products():
@@ -637,8 +675,7 @@ def test_dict_carriers_keep_integral_coefficients_as_int(carrier):
 
 
 def test_dict_carrier_rendering_is_unchanged():
-    # the strings the Fraction-only carriers rendered; canonical_render is
-    # render_value as compact JSON
+    # the strings the Fraction-only carriers rendered, as compact JSON
     cases = [
         (
             QSym({(1, 2): Fraction(6, 2), (3,): Fraction(1, 2), (): -2}),
@@ -665,7 +702,7 @@ def test_dict_carrier_rendering_is_unchanged():
         ),
     ]
     for value, rendered, text in cases:
-        assert canonical_render(value) == rendered
+        assert json.dumps(render_value(value), sort_keys=True, separators=(",", ":")) == rendered
         assert pretty(value) == text
 
 

@@ -1,6 +1,8 @@
 """Invariant engine: recursive evaluation, the four shipped invariants,
 brute-force oracles, and collision reporting."""
 
+import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -8,6 +10,7 @@ import pytest
 
 from forestinv.algebra import Polynomial, QSym, principal_specialization
 from forestinv.engine import (
+    BUILT_IN_NAMES,
     POLY_DEGREE_LIMIT,
     QSYM_TERM_LIMIT,
     InvariantSpec,
@@ -32,6 +35,7 @@ from forestinv.oracles import (
     count_root_automorphisms,
     qsym_to_finite,
 )
+from forestinv.render import render_value
 from forestinv.trees import (
     EMPTY_FOREST,
     SINGLETON,
@@ -299,6 +303,23 @@ def test_collision_report_flags_alpha():
     pair = pairs[0]
     assert (pair.alpha_a, pair.alpha_b) == (1, 2)
     assert not pair.alpha_collision
+
+
+@pytest.mark.parametrize("name", BUILT_IN_NAMES)
+def test_collision_report_groups_as_the_rendered_values_do(name):
+    # the grouping it replaced: by the compact JSON form of each value
+    spec = built_in_spec(name)
+    expected = []
+    for n in range(1, 8):
+        groups = {}
+        for tree in enumerate_trees(n):
+            rendered = json.dumps(
+                render_value(evaluate(tree, spec)), sort_keys=True, separators=(",", ":")
+            )
+            groups.setdefault(rendered, []).append(tree.key)
+        for bucket in groups.values():
+            expected.extend((n, a, b) for a, b in itertools.combinations(bucket, 2))
+    assert [(p.n, p.tree_a, p.tree_b) for p in collision_report(7, spec)] == expected
 
 
 def test_collision_report_bound_guard():

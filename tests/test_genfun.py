@@ -219,8 +219,8 @@ def test_tree_generating_function_multiplies_integers_only(monkeypatch, name):
     spec = built_in_spec(name)
     sequence = u_by_recurrence(spec, 10)
     assert verify_functional_equation(spec, 10, sequence).is_zero()
-    # 45 products in the exp through q^9, 55 in the one through q^10
-    assert len(operands) == 2 * (45 + 55)
+    # 45 products in the exp through q^9, in the build and in the residual
+    assert len(operands) == 2 * (45 + 45)
     for value in operands:
         assert all(type(c) is int for c in value.terms.values())
 
@@ -345,3 +345,7 @@ def test_guards():
         u_by_recurrence(qsym_strict_spec(3), 5)
     with pytest.raises(DomainError):
         verify_functional_equation(strict_order_spec(), 6, u_by_enumeration(strict_order_spec(), 4))
+    # a residual through q^0 would need exp U through q^-1
+    for sequence in (None, u_by_recurrence(strict_order_spec(), 3)):
+        with pytest.raises(DomainError, match="need order >= 1"):
+            verify_functional_equation(strict_order_spec(), 0, sequence)

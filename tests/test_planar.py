@@ -345,6 +345,9 @@ def test_sequence_guards():
     short = u_planar_by_enumeration(family, 3)
     with pytest.raises(DomainError):
         planar_equation_residual(family, 5, sequence=short)
+    for sequence in (None, short):
+        with pytest.raises(DomainError, match="need order >= 1"):
+            planar_equation_residual(family, 0, sequence=sequence)
 
 
 def per_weight_inverse_build(family, order):
