@@ -9,7 +9,14 @@ as int and the rest as `fractions.Fraction`, all through the one coercion
 `rat`.  Their constructor and linear-space arithmetic live once, in
 `TermCarrier`.  A quasi-symmetric product clears each operand's
 denominators once, runs the quasi-shuffle accumulation on integer
-numerators and divides once per output term.  No carrier truncates: every product keeps every term.
+numerators and divides once per output term.  No carrier truncates:
+every product keeps every term.  A sum of many weighted values, such as
+a series coefficient or a tree sum, goes through one carrier kernel,
+`linear_combination`, which accumulates every term into one integer
+list or dict over one common denominator and normalizes once; the
+module function of that name picks the kernel from the unit, and scalars
+just add.  `product` multiplies values left to right starting from the
+first, so no product has the unit as an operand.
 There is no floating point anywhere in the package.
 """
 
@@ -79,6 +86,34 @@ def one_like(x):
     return x.one_like()
 
 
+def linear_combination(pairs, one):
+    """The sum of c * x over the (weight, element) pairs, in the algebra
+    whose unit is `one`; no pairs give its zero.  A carrier with its own
+    one-pass kernel, `linear_combination`, sums through it; scalars and
+    other carriers sum c * x with +."""
+    kernel = getattr(type(one), "linear_combination", None)
+    if kernel is not None:
+        return kernel(pairs)
+    return sum((c * x for c, x in pairs), Fraction(0) * one)
+
+
+def product(values, one):
+    """The ordered product of the values, left to right, or `one` when
+    there are none; the unit is never an operand."""
+    values = iter(values)
+    out = next(values, one)
+    for value in values:
+        out = out * value
+    return out
+
+
+def _weight(c):
+    """A linear-combination weight as its numerator and denominator."""
+    if type(c) is not int:
+        c = rat(c)
+    return c.numerator, c.denominator
+
+
 class Polynomial:
     """Dense univariate polynomial in t with rational coefficients.
 
@@ -124,6 +159,31 @@ class Polynomial:
         out.numerators = tuple(nums)
         out.denominator = denominator
         return out
+
+    @classmethod
+    def linear_combination(cls, pairs) -> "Polynomial":
+        """The sum of c * p over (weight, polynomial) pairs in one pass:
+        every term lands in one integer list over one common denominator,
+        rescaled to the lcm when a new denominator comes, and the result
+        is reduced once."""
+        acc, den = [], 1
+        for c, p in pairs:
+            if type(p) is not cls:
+                raise TypeError(f"not a polynomial: {p!r}")
+            num, c_den = _weight(c)
+            if not num or not p.numerators:
+                continue
+            term_den = c_den * p.denominator
+            if den % term_den:
+                grown = lcm(den, term_den)
+                acc = [n * (grown // den) for n in acc]
+                den = grown
+            scale = num * (den // term_den)
+            if len(acc) < len(p.numerators):
+                acc.extend([0] * (len(p.numerators) - len(acc)))
+            for i, n in enumerate(p.numerators):
+                acc[i] += scale * n
+        return cls.from_numerators(acc, den)
 
     @classmethod
     def zero(cls):
@@ -327,6 +387,34 @@ class TermCarrier:
         out = object.__new__(cls)
         out.terms = _exact_nonzero(terms)
         return out
+
+    @classmethod
+    def linear_combination(cls, pairs):
+        """The sum of c * x over (weight, element) pairs in one pass: every
+        term lands in one dict of integer numerators over one common
+        denominator, rescaled to the lcm when a new denominator comes, and
+        the result is divided and cleaned up once.  Int weights on
+        int-only elements give int-only terms."""
+        acc, den = {}, 1
+        for c, x in pairs:
+            if type(x) is not cls:
+                raise TypeError(f"not a {cls.__name__}: {x!r}")
+            num, c_den = _weight(c)
+            if not num:
+                continue
+            nums, x_den = _numerators(x.terms)
+            term_den = c_den * x_den
+            if den % term_den:
+                grown = lcm(den, term_den)
+                acc = {key: v * (grown // den) for key, v in acc.items()}
+                den = grown
+            scale = num * (den // term_den)
+            get = acc.get
+            for key, v in nums.items():
+                acc[key] = get(key, 0) + scale * v
+        if den != 1:
+            acc = {key: Fraction(v, den) for key, v in acc.items()}
+        return cls._from_valid_terms(acc)
 
     @classmethod
     def zero(cls):

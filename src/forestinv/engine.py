@@ -3,17 +3,20 @@
 An invariant is fixed by a linear operator X on a commutative unital
 algebra.  The value of a tree is X applied to the product of the values
 of the root's subtrees (a leaf gets X(1)); the value of a forest is the
-product over its components, with the empty forest mapping to 1.  Values
-depend only on the isomorphism class, so each spec memoizes by canonical
-key.
+product over its components, with the empty forest mapping to 1.  A
+product starts from its first factor, so none has the unit as an
+operand.  Values depend only on the isomorphism class, so each spec
+memoizes by canonical key.
 
 The two polynomial instances count strict and weak order-preserving
 labelings; the two quasi-symmetric instances refine them.  A value on n
 vertices is homogeneous of degree n, so no carrier truncates; instead
 each built-in operator has one cost guard, an estimate of a value's
 terms or degree from the tree's shape and a limit, and evaluation
-refuses a tree past it before any product.  The brute-force recounts of
-both from the definitions live in `oracles`.
+refuses a tree past it before any product.  The quasi-symmetric
+recurrence is also refused past an exact count of the operand-term
+pairs its products take.  The brute-force recounts of both from the
+definitions live in `oracles`.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import itertools
 from dataclasses import dataclass
 from math import comb
 
-from .algebra import Polynomial, QSym
+from .algebra import Polynomial, QSym, product
 from .errors import DomainError, ResourceLimitError
 from .operators import (
     DELTA_INV,
@@ -44,6 +47,12 @@ from .trees import (
 # builds it: 2^15 keeps a 16-leaf star under lambda-bar and every tree on
 # 16 vertices under lambda.
 QSYM_TERM_LIMIT = 2**15
+
+# Most pairs of terms, one from each operand, that the quasi-symmetric
+# products of `genfun.u_by_recurrence` may take through the quasi-shuffle:
+# 2^16 admits lambda through order 14 and lambda-bar through order 15.
+# The memory is the quasi-shuffle table those pairs fill, not U_N.
+QSYM_PAIR_LIMIT = 2**16
 
 # Highest degree a polynomial tree value may have before `evaluate`
 # builds it: delta-inv on a path of 256 vertices takes about 2.5 s.
@@ -91,6 +100,29 @@ _GUARDS = {
     DELTA_INV: (_degree, POLY_DEGREE_LIMIT, "degree {}"),
     NABLA_INV: (_degree, POLY_DEGREE_LIMIT, "degree {}"),
 }
+
+
+def _weak_pairs(order: int) -> int:
+    """Operand-term pairs of the lambda recurrence through U_order: step n
+    of its exp multiplies g_k (2^(k-1) terms) by e_(n-k) (2^(n-k-1)) for
+    k < n, (n-1) 2^(n-2) pairs, and steps 1 .. order-1 sum to
+    (order-3) 2^(order-2) + 1.  Products by the unit are not counted."""
+    if order < 3:
+        return 0
+    return ((order - 3) << (order - 2)) + 1
+
+
+def _strict_pairs(order: int) -> int:
+    """The same for lambda-bar, whose U_k has 2^(k-2) terms past U_1:
+    n 2^(n-3) pairs at step n, (order-2) 2^(order-3) in all."""
+    if order < 3:
+        return 0
+    return (order - 2) << (order - 3)
+
+
+# The operand-pair estimate of each quasi-symmetric operator's recurrence;
+# both are exact.
+_RECURRENCE_PAIRS = {LAMBDA_BAR: _strict_pairs, LAMBDA: _weak_pairs}
 
 
 def _count_text(count: int) -> str:
@@ -146,6 +178,24 @@ def check_cost(
         )
 
 
+def check_recurrence_cost(spec: InvariantSpec, order: int) -> None:
+    """Raise ResourceLimitError, naming the estimate and the limit, when
+    U_order is estimated past the spec's guard as the value of a star on
+    `order` vertices (the largest of the trees it sums), or when a
+    quasi-symmetric recurrence through U_order is estimated to multiply
+    more than `QSYM_PAIR_LIMIT` pairs of operand terms."""
+    check_cost(spec, order, 1, "term U_{}")
+    pairs = _RECURRENCE_PAIRS.get(spec.operator)
+    if pairs is None:
+        return
+    size = pairs(order)
+    if size > QSYM_PAIR_LIMIT:
+        raise ResourceLimitError(
+            f"the {spec.name} recurrence through U_{order} multiplies an estimated "
+            f"{_count_text(size)} pairs of terms, over the limit of {QSYM_PAIR_LIMIT}"
+        )
+
+
 def evaluate(tree: RootedTree, spec: InvariantSpec):
     """Value of a rooted tree: the operator applied to the product of the
     values of the subtrees hanging off the root.  Refuses a tree deeper
@@ -160,20 +210,19 @@ def evaluate(tree: RootedTree, spec: InvariantSpec):
     if got is None:
         check_depth(tree.height)
         check_cost(spec, tree.vertex_count, tree.height)
-        product = spec.one
-        for child in tree.children:
-            product = product * evaluate(child, spec)
-        got = spec.operator(product)
+        # the loop of `product`, written out so that a level costs one frame
+        children = tree.children
+        value = evaluate(children[0], spec) if children else spec.one
+        for child in children[1:]:
+            value = value * evaluate(child, spec)
+        got = spec.operator(value)
         spec._cache[tree.key] = got
     return got
 
 
 def evaluate_forest(forest: RootedForest, spec: InvariantSpec):
     """Product of component values; the empty forest maps to the unit."""
-    value = spec.one
-    for tree in forest:
-        value = value * evaluate(tree, spec)
-    return value
+    return product((evaluate(tree, spec) for tree in forest), spec.one)
 
 
 def strict_order_spec() -> InvariantSpec:

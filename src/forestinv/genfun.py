@@ -7,11 +7,13 @@ where S_k is the elementary Schur polynomial (the weight-k coefficient of
 the exponential of a generic series).  The recurrence runs as one `exp`
 whose feedback map is X, so order N costs N(N-1)/2 carrier products; the
 per-term build, one fresh exp per U_n, lives in `oracles` as a test
-reference.  The cross-check of the two builds and the residual of the
-fixed-point equation q * X(exp U(q)) = U(q) are the main correctness
-evidence for the whole engine; the residual is computed from the
-enumeration build so it is not true by construction.  Through q^N it
-exponentiates U only through q^(N-1), all that q * X(exp U) keeps.
+reference.  The enumeration build sums each U_n in one pass of
+`algebra.linear_combination` with the int weights n!/alpha(T).  The
+cross-check of the two builds and the residual of the fixed-point
+equation q * X(exp U(q)) = U(q) are the main correctness evidence for
+the whole engine; the residual is computed from the enumeration build
+so it is not true by construction.  Through q^N it exponentiates U only
+through q^(N-1), all that q * X(exp U) keeps.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .algebra import one_like
-from .engine import InvariantSpec, check_cost, evaluate
+from .algebra import linear_combination, one_like
+from .engine import InvariantSpec, check_recurrence_cost, evaluate
 from .errors import DomainError, ResourceLimitError
 from .series import Series, exp, is_noncommutative
 from .trees import _ENUMERATION_CAP, automorphism_order, enumerate_trees
@@ -89,15 +91,14 @@ def u_by_recurrence(spec: InvariantSpec, order: int) -> USequence:
     coefficient E_(n-1) is S_(n-1)(U_1, ..., U_(n-1)), so each value the
     operator returns inside it is the next U_n, and the last is
     X(E_(order-1)).  Costs N(N-1)/2 carrier products at order N, plus one
-    operator call per term.  Refuses an order whose U_order is estimated
-    past the operator's cost guard (`engine.check_cost`)."""
+    operator call per term.  Refuses an order whose U_order, or whose
+    quasi-symmetric products, are estimated past the operator's cost
+    guard (`engine.check_recurrence_cost`)."""
     if order < 1:
         raise DomainError("need order >= 1")
     _require_commutative(spec)
     _require_bound(spec, order)
-    # U_order sums the values of the trees on `order` vertices, and the
-    # star's estimate is the largest of theirs
-    check_cost(spec, order, 1, "term U_{}")
+    check_recurrence_cost(spec, order)
     terms = []
 
     def feedback(value):
@@ -110,7 +111,9 @@ def u_by_recurrence(spec: InvariantSpec, order: int) -> USequence:
 
 
 def u_by_enumeration(spec: InvariantSpec, order: int) -> USequence:
-    """Build U_1 .. U_order as automorphism-weighted sums over all trees."""
+    """Build U_1 .. U_order as automorphism-weighted sums over all trees:
+    n! U_n is one linear combination of the tree values with the int
+    weights n!/alpha(T), the labelings of each tree, divided once."""
     if order < 1:
         raise DomainError("need order >= 1")
     if order > _ENUMERATION_CAP:
@@ -121,11 +124,14 @@ def u_by_enumeration(spec: InvariantSpec, order: int) -> USequence:
     _require_bound(spec, order)
     terms = []
     for n in range(1, order + 1):
-        # n!/alpha(T) counts the labelings of T, so the sum runs on int weights
         labelings = factorial(n)
-        total = Fraction(0) * spec.one
-        for tree in enumerate_trees(n):
-            total = total + (labelings // automorphism_order(tree)) * evaluate(tree, spec)
+        total = linear_combination(
+            (
+                (labelings // automorphism_order(tree), evaluate(tree, spec))
+                for tree in enumerate_trees(n)
+            ),
+            spec.one,
+        )
         terms.append(Fraction(1, labelings) * total)
     return USequence(spec.name, tuple(terms), spec.one)
 

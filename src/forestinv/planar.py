@@ -7,12 +7,14 @@ different object.  An invariant is fixed by a family of linear operators
 on one shared, possibly noncommutative, algebra, one operator per label:
 the value of a tree applies the root label's operator to the ordered
 product of the children's values, and a forest takes the ordered product
-of its components.  Trees and forests of a given size come from one
-memoized level builder, and a size past `_PLANAR_GUARD` is refused.
+of its components; each product starts from its first factor, never the
+unit.  Trees and forests of a given size come from one memoized level
+builder, and a size past `_PLANAR_GUARD` is refused.
 
 The fixed-point equation replaces the exponential with the geometric sum
 1/(1 - U), split per root label, and the recurrence build is one
 `series.geometric_inverse` whose feedback applies each label's operator.
+Every sum over labels or trees is one `algebra.linear_combination`.
 The tensor-algebra operators at the end of the module extend a base
 family to tensor words by splitting off every prefix; they make the tree
 value of a grafted forest computable from the forest's tensor value
@@ -25,6 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
+from .algebra import linear_combination, product
 from .errors import DomainError, ParseError, ResourceLimitError
 from .operators import LinearOperator, FREE_WORD, TENSOR
 from .series import Series, geometric_inverse
@@ -180,11 +183,7 @@ class OperatorFamily:
         """The sum of the family, applied pointwise."""
 
         def run(x):
-            parts = [op(x) for op in self.operators.values()]
-            out = parts[0]
-            for part in parts[1:]:
-                out = out + part
-            return out
+            return linear_combination(((1, op(x)) for op in self.operators.values()), self.one)
 
         return LinearOperator("+".join(self.operators), self.algebra, run)
 
@@ -218,18 +217,17 @@ def evaluate_planar(tree: PlanarTree, family: OperatorFamily):
     children's values; a leaf gets that operator on the unit.  Refuses a
     tree deeper than `trees.DEPTH_LIMIT`."""
     check_depth(tree.height)
-    value = family.one
-    for child in tree.children:
+    # the loop of `product`, written out so that a level costs one frame
+    children = tree.children
+    value = evaluate_planar(children[0], family) if children else family.one
+    for child in children[1:]:
         value = value * evaluate_planar(child, family)
     return family[tree.label](value)
 
 
 def evaluate_planar_forest(forest: PlanarForest, family: OperatorFamily):
     """Ordered product of component values; empty forest gives the unit."""
-    value = family.one
-    for tree in forest:
-        value = value * evaluate_planar(tree, family)
-    return value
+    return product((evaluate_planar(tree, family) for tree in forest), family.one)
 
 
 def underlying_tree(tree: PlanarTree) -> RootedTree:
@@ -331,13 +329,10 @@ class PlanarUSequence:
 
     def total_terms(self) -> tuple:
         """U_n summed over root labels, n = 1 .. order."""
-        out = []
-        for k in range(self.order):
-            term = Fraction(0) * self.one
-            for terms in self.per_label.values():
-                term = term + terms[k]
-            out.append(term)
-        return tuple(out)
+        return tuple(
+            linear_combination(((1, terms[k]) for terms in self.per_label.values()), self.one)
+            for k in range(self.order)
+        )
 
     def series(self) -> Series:
         return Series((Fraction(0) * self.one,) + self.total_terms(), self.one)
@@ -356,15 +351,11 @@ def u_planar_by_recurrence(family: OperatorFamily, order: int) -> PlanarUSequenc
     if order < 1:
         raise DomainError("need order >= 1")
     per_label: dict = {label: [] for label in family.labels}
-    zero = Fraction(0) * family.one
 
     def feedback(value):
-        total = zero
         for label in family.labels:
-            term = family[label](value)
-            per_label[label].append(term)
-            total = total + term
-        return total
+            per_label[label].append(family[label](value))
+        return linear_combination(((1, terms[-1]) for terms in per_label.values()), family.one)
 
     grown = geometric_inverse(Series.zero(order - 1, family.one), feedback)
     for label in family.labels:
@@ -379,13 +370,11 @@ def u_planar_by_enumeration(family: OperatorFamily, order: int) -> PlanarUSequen
     if order < 1:
         raise DomainError("need order >= 1")
     per_label: dict = {label: [] for label in family.labels}
-    zero = Fraction(0) * family.one
     for n in range(1, order + 1):
-        sums = {label: zero for label in family.labels}
-        for tree in enumerate_planar(n, family.labels):
-            sums[tree.label] = sums[tree.label] + evaluate_planar(tree, family)
-        for label in family.labels:
-            per_label[label].append(sums[label])
+        trees = enumerate_planar(n, family.labels)
+        for label, terms in per_label.items():
+            values = (evaluate_planar(tree, family) for tree in trees if tree.label == label)
+            terms.append(linear_combination(((1, value) for value in values), family.one))
     return PlanarUSequence(per_label, family.one)
 
 

@@ -7,11 +7,13 @@ rational scalars; noncommutative carriers are fine everywhere except
 `exp`, which refuses them.  `times_q` knows q F one order further than
 F.  `exp` and `geometric_inverse` solve coefficient recurrences in
 N(N+1)/2 carrier products at order N, each optionally feeding a linear
-map of its own output back in.  `exp` runs on the labeled coefficients
-n! E_n, so a series with integral labeled coefficients, such as a tree
-generating function, is exponentiated by integer products and one
-division per output coefficient.  The power sums they replaced live in
-`oracles` as test references.
+map of its own output back in; each coefficient sums its products in one
+pass of `algebra.linear_combination`, so a weight scales no operand.
+`exp` runs on the labeled coefficients n! E_n, so a series with integral
+labeled coefficients, such as a tree generating function, is
+exponentiated by integer products and one division per output
+coefficient.  The power sums they replaced live in `oracles` as test
+references.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
+from .algebra import linear_combination
 from .errors import DomainError
 
 
@@ -148,9 +151,11 @@ def exp(series: Series, feedback=None) -> Series:
         e_0 = 1,  e_n = sum_{k=1..n} C(n-1, k-1) g_k e_(n-k),
 
     the exponential formula for labeled structures: no step divides, and
-    E_n = e_n / n! is scaled once per coefficient.  Where f has integral
+    E_n = e_n / n! is scaled once per coefficient.  The weights
+    C(n-1, k-1) go to the linear-combination kernel with the products
+    g_k e_(n-k), so g_k is never copied to scale it.  Where f has integral
     labeled coefficients, as the tree generating functions do, every
-    carrier product runs on integers.
+    carrier product and sum runs on integers.
 
     With `feedback`, a linear map X on the carrier, returns the E with
     E = exp(f + q X(E)) through q^order: the same recurrence, with
@@ -158,8 +163,8 @@ def exp(series: Series, feedback=None) -> Series:
     X is called once per step, on E_0 .. E_(order-1) in turn, so a caller
     can record its values.
 
-    Costs N(N+1)/2 carrier products at order N, plus N calls of X and
-    O(N^2) integer rescalings."""
+    Costs N(N+1)/2 carrier products at order N, plus N calls of X and N
+    one-pass sums."""
     if is_noncommutative(series.one):
         raise DomainError("exp needs a commutative coefficient algebra")
     if series.coeffs[0] != series._zero():
@@ -170,9 +175,9 @@ def exp(series: Series, feedback=None) -> Series:
     for n in range(1, series.order + 1):
         if feedback is not None:
             labeled[n] = _integral(factorial(n) * (feedback(out[n - 1]) + series.coeffs[n]))
-        total = labeled[n] * e[0]
-        for k in range(1, n):
-            total = total + comb(n - 1, k - 1) * labeled[k] * e[n - k]
+        total = linear_combination(
+            ((comb(n - 1, k - 1), labeled[k] * e[n - k]) for k in range(1, n + 1)), series.one
+        )
         e.append(_integral(total))
         out.append(Fraction(1, factorial(n)) * total)
     return Series(out, series.one)
@@ -193,7 +198,8 @@ def geometric_inverse(series: Series, feedback=None) -> Series:
     needs it.  As in `exp`, X is called once per step, on G_0 ..
     G_(order-1) in turn, so a caller can record its values.
 
-    Costs N(N+1)/2 carrier products at order N, plus N calls of X."""
+    Costs N(N+1)/2 carrier products at order N, plus N calls of X and N
+    one-pass sums."""
     if series.coeffs[0] != series._zero():
         raise DomainError("geometric inverse needs a zero constant term")
     f = list(series.coeffs)
@@ -201,8 +207,7 @@ def geometric_inverse(series: Series, feedback=None) -> Series:
     for n in range(1, series.order + 1):
         if feedback is not None:
             f[n] = feedback(out[n - 1]) + f[n]
-        total = f[1] * out[n - 1]
-        for k in range(2, n + 1):
-            total = total + f[k] * out[n - k]
-        out.append(total)
+        out.append(
+            linear_combination(((1, f[k] * out[n - k]) for k in range(1, n + 1)), series.one)
+        )
     return Series(out, series.one)

@@ -9,7 +9,8 @@ axioms.  The public constructors must still refuse bad keys, and
 elements of different carriers, Polynomial included, must never compare
 equal or combine.  No carrier truncates; the QSym grading that makes
 this safe is pinned as a property.  The integer-numerator QSym product
-is checked against the Fraction-accumulating oracle."""
+is checked against the Fraction-accumulating oracle, and each carrier's
+one-pass `linear_combination` against the running sum it replaces."""
 
 import itertools
 import operator
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from forestinv.algebra import Polynomial, QSym, quasi_shuffle
+from forestinv.algebra import Polynomial, QSym, linear_combination, quasi_shuffle
 from forestinv.errors import DomainError
 from forestinv.operators import lambda_, lambda_bar
 from forestinv.oracles import qsym_mul_by_fractions
@@ -344,3 +345,70 @@ def test_qsym_product_of_fractions_can_be_integral_or_zero():
     left = QSym({(1,): Fraction(1, 2)})
     right = QSym({(1, 1): -1, (2,): Fraction(-1, 2)})
     assert left * left + Fraction(1, 2) * right == QSym({})
+
+
+INT_COEFFS = st.integers(-3, 3)
+
+# each carrier with its element strategy and an int-only one
+LINEAR_CARRIERS = {
+    Polynomial: (polynomials(), st.builds(Polynomial, st.lists(INT_COEFFS, max_size=4))),
+    QSym: (qsyms(), st.builds(QSym, st.dictionaries(COMPOSITIONS, INT_COEFFS, max_size=4))),
+    FreeWord: (free_words(), st.builds(FreeWord, st.dictionaries(WORDS, INT_COEFFS, max_size=4))),
+    TensorElement: (
+        tensors(),
+        st.builds(TensorElement, st.dictionaries(TENSOR_KEYS, INT_COEFFS, max_size=3)),
+    ),
+}
+
+
+def exact_value(element):
+    if isinstance(element, Polynomial):
+        return element.numerators, element.denominator
+    assert_clean(element)
+    return exact(element)
+
+
+def folded(carrier, pairs):
+    """The path the kernel replaces: a running + of scaled copies."""
+    total = carrier.zero()
+    for c, x in pairs:
+        total = total + c * x
+    return total
+
+
+@PROPERTY
+@given(st.data(), st.sampled_from(sorted(LINEAR_CARRIERS, key=lambda c: c.__name__)))
+def test_linear_combination_matches_the_fold_of_sums_property(data, carrier):
+    elements, int_elements = LINEAR_CARRIERS[carrier]
+    pairs = data.draw(st.lists(st.tuples(COEFFS, elements), max_size=5))
+    expected = folded(carrier, pairs)
+    assert exact_value(carrier.linear_combination(pairs)) == exact_value(expected)
+    # the generic entry point takes the same kernel, and a generator
+    got = linear_combination(iter(pairs), carrier.one())
+    assert exact_value(got) == exact_value(expected)
+    # one pair, cancellation to zero and the empty list
+    for c, x in pairs[:1]:
+        assert exact_value(carrier.linear_combination([(c, x)])) == exact_value(c * x)
+    assert carrier.linear_combination(pairs + [(-c, x) for c, x in pairs]).is_zero()
+    assert carrier.linear_combination([]) == carrier.zero()
+    # int weights on int-only elements keep int-only terms
+    int_pairs = data.draw(st.lists(st.tuples(INT_COEFFS, int_elements), max_size=5))
+    got = carrier.linear_combination(int_pairs)
+    assert exact_value(got) == exact_value(folded(carrier, int_pairs))
+    if carrier is Polynomial:
+        assert got.denominator == 1
+    else:
+        assert all(type(coeff) is int for coeff in got.terms.values())
+
+
+def test_linear_combination_of_scalars_is_their_sum():
+    pairs = [(2, Fraction(1, 3)), (0, Fraction(5)), (3, Fraction(-2, 9))]
+    assert linear_combination(pairs, Fraction(1)) == 0
+    assert linear_combination([], Fraction(1)) == 0
+    assert linear_combination([(1, 2), (3, 4)], 1) == 14
+
+
+def test_linear_combination_refuses_another_carrier():
+    for carrier, other in ((QSym, FreeWord), (FreeWord, TensorElement), (Polynomial, QSym)):
+        with pytest.raises(TypeError):
+            carrier.linear_combination([(1, carrier.one()), (1, other.one())])

@@ -14,7 +14,7 @@ import pytest
 import forestinv
 from forestinv import cli
 from forestinv.cli import main
-from forestinv.engine import POLY_DEGREE_LIMIT, QSYM_TERM_LIMIT
+from forestinv.engine import POLY_DEGREE_LIMIT, QSYM_PAIR_LIMIT, QSYM_TERM_LIMIT
 from forestinv.trees import DEPTH_LIMIT
 
 
@@ -356,6 +356,11 @@ def test_deep_and_wide_polynomial_values_exit_with_the_degree_and_the_limit(caps
         ("lambda-bar", 26, 2**24, QSYM_TERM_LIMIT),
         ("delta-inv", 1500, 1500, POLY_DEGREE_LIMIT),
         ("nabla-inv", 257, 257, POLY_DEGREE_LIMIT),
+        # U_N passes the term guard, the recurrence's products do not
+        ("lambda", 15, 98305, QSYM_PAIR_LIMIT),
+        ("lambda", 16, 212993, QSYM_PAIR_LIMIT),
+        ("lambda-bar", 16, 114688, QSYM_PAIR_LIMIT),
+        ("lambda-bar", 17, 245760, QSYM_PAIR_LIMIT),
     ],
 )
 def test_genfun_orders_past_the_guard_exit_with_the_estimate_and_the_limit(

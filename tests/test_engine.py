@@ -82,6 +82,36 @@ def test_forest_values():
     assert evaluate_forest(parse_forest("()"), spec) == QSym.monomial((1,))
 
 
+@pytest.mark.parametrize(
+    "carrier, new_spec", [(Polynomial, strict_order_spec), (QSym, qsym_weak_spec)]
+)
+def test_evaluation_never_multiplies_by_the_unit(monkeypatch, carrier, new_spec):
+    # a root with k children makes k - 1 products, a forest of k trees
+    # k - 1 more, and a path none: the product starts from the first factor
+    count = [0]
+    carrier_mul = carrier.__mul__
+
+    def counting_mul(self, other):
+        if isinstance(other, carrier):  # scalar multiples are not counted
+            count[0] += 1
+        return carrier_mul(self, other)
+
+    monkeypatch.setattr(carrier, "__mul__", counting_mul)
+    for k in range(5):
+        spec = new_spec()
+        evaluate(parse_tree("()"), spec)  # the leaf value, cached
+        count[0] = 0
+        star = parse_tree("(" + "()" * k + ")")
+        evaluate(star, spec)
+        assert count[0] == max(k - 1, 0)
+        count[0] = 0
+        evaluate_forest(parse_forest("()" * k), spec)
+        assert count[0] == max(k - 1, 0)
+    count[0] = 0
+    evaluate(parse_tree("(" * 8 + ")" * 8), new_spec())
+    assert count[0] == 0
+
+
 def test_forest_multiplicativity():
     specs = [strict_order_spec(), weak_order_spec(), qsym_strict_spec(6), qsym_weak_spec(6)]
     for spec in specs:

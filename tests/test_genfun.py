@@ -11,8 +11,11 @@ from forestinv import genfun
 from forestinv.algebra import Polynomial, QSym, principal_specialization
 from forestinv.engine import (
     BUILT_IN_NAMES,
+    QSYM_PAIR_LIMIT,
+    _RECURRENCE_PAIRS,
     InvariantSpec,
     built_in_spec,
+    check_recurrence_cost,
     evaluate,
     qsym_strict_spec,
     qsym_weak_spec,
@@ -204,6 +207,31 @@ def test_running_recurrence_makes_quadratically_many_products(monkeypatch, carri
 
 
 @pytest.mark.parametrize("name", ["lambda-bar", "lambda"])
+def test_recurrence_pair_estimate_counts_the_operand_pairs(monkeypatch, name):
+    # the guard's estimate is the exact number of pairs of operand terms
+    # the quasi-shuffle takes, products by the unit aside
+    pairs = [0]
+    qsym_mul = QSym.__mul__
+    unit = QSym.one()
+
+    def counting_mul(self, other):
+        if isinstance(other, QSym) and unit not in (self, other):
+            pairs[0] += len(self.terms) * len(other.terms)
+        return qsym_mul(self, other)
+
+    monkeypatch.setattr(QSym, "__mul__", counting_mul)
+    spec = built_in_spec(name)
+    estimate = _RECURRENCE_PAIRS[spec.operator]
+    for order in range(1, 11):
+        pairs[0] = 0
+        u_by_recurrence(spec, order)
+        assert pairs[0] == estimate(order)
+    # the largest orders the guard admits
+    check_recurrence_cost(spec, 14)
+    assert estimate(14) <= QSYM_PAIR_LIMIT < estimate(16)
+
+
+@pytest.mark.parametrize("name", ["lambda-bar", "lambda"])
 def test_tree_generating_function_multiplies_integers_only(monkeypatch, name):
     # k! U_k counts labeled trees, so the labeled exp multiplies int-only
     # quasi-symmetric values, in the build and in the residual check alike
@@ -294,29 +322,25 @@ def test_enumeration_matches_fraction_weighted_sums(name):
 
 
 def test_enumeration_weights_are_int_labeling_counts(monkeypatch):
-    # every tree value is scaled by the int n!/alpha(T), the number of
+    # every tree value is weighted by the int n!/alpha(T), the number of
     # labelings of T, and these add up to n^(n-1) labeled trees
-    weights = {}
+    weights = []
+    kernel = genfun.linear_combination
 
-    class Recorded:
-        def __init__(self, n, value):
-            self.n, self.value = n, value
+    def recording(pairs, one):
+        pairs = list(pairs)
+        weights.append([weight for weight, _ in pairs])
+        return kernel(pairs, one)
 
-        def __rmul__(self, weight):
-            weights.setdefault(self.n, []).append(weight)
-            return weight * self.value
-
-    real = genfun.evaluate
-    monkeypatch.setattr(
-        genfun, "evaluate", lambda tree, spec: Recorded(tree.vertex_count, real(tree, spec))
-    )
+    monkeypatch.setattr(genfun, "linear_combination", recording)
     spec = strict_order_spec()
     terms = u_by_enumeration(spec, 7).terms
     monkeypatch.undo()
     assert terms == tuple(fraction_weighted_sum(spec, n) for n in range(1, 8))
-    for n in range(1, 8):
-        assert all(type(w) is int for w in weights[n])
-        assert sum(weights[n]) == n ** (n - 1)
+    assert len(weights) == 7
+    for n, weights_n in enumerate(weights, start=1):
+        assert all(type(w) is int for w in weights_n)
+        assert sum(weights_n) == n ** (n - 1)
 
 
 def test_cayley_report_matches_fraction_weighted_counts():
