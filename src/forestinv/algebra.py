@@ -200,9 +200,6 @@ class Polynomial:
     def one_like(self):
         return Polynomial.one()
 
-    def zero_like(self):
-        return Polynomial.zero()
-
     @property
     def coeffs(self) -> tuple:
         """The coefficients as Fractions, ascending, no trailing zeros."""
@@ -427,9 +424,6 @@ class TermCarrier:
 
     def one_like(self):
         return self._from_valid_terms({(): 1})
-
-    def zero_like(self):
-        return self._from_valid_terms({})
 
     def is_zero(self) -> bool:
         return not self.terms

@@ -4,6 +4,9 @@ Subcommands: enumerate, invariant, genfun, verify, collisions, planar.
 Output formats: json (default, deterministic ordering), csv, text.
 Exit codes: 0 success, 1 domain or parse error (message on stderr),
 2 resource-guard error.  Rationals render as exact "p/q" strings.
+The JSON of invariant, genfun and planar, whose payloads hold algebra
+values, is written by `render.render_payload` straight from the values'
+terms; the other payloads go through `json.dumps`.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .engine import (
 from .errors import DomainError, ParseError, ResourceLimitError
 from .genfun import u_by_enumeration, u_by_recurrence, verify_functional_equation
 from .planar import evaluate_planar, free_word_family, parse_planar_tree
-from .render import pretty, render_value
+from .render import pretty, render_payload
 from .trees import automorphism_order, enumerate_trees, parse_tree
 from .verify import available_suites, run_suite
 
@@ -113,9 +116,8 @@ def _cmd_invariant(args):
     value = evaluate(tree, spec)
     alpha = automorphism_order(tree)
     if args.format == "json":
-        return json.dumps(
-            {"tree": tree.key, "operator": args.operator, "alpha": alpha,
-             "value": render_value(value)}
+        return render_payload(
+            {"tree": tree.key, "operator": args.operator, "alpha": alpha, "value": value}
         )
     if args.format == "csv":
         return _emit_csv(("tree", "alpha", "value"), [(tree.key, alpha, pretty(value))])
@@ -132,17 +134,16 @@ def _cmd_genfun(args):
     build = _U_BUILDERS.get(args.mode)
     if build is not None:
         terms = build(spec, args.terms).terms
-        payload = {"operator": args.operator, "mode": args.mode,
-                   "terms": [render_value(v) for v in terms]}
+        payload = {"operator": args.operator, "mode": args.mode, "terms": terms}
         rows = [(n + 1, pretty(v)) for n, v in enumerate(terms)]
     else:
         residual = verify_functional_equation(spec, args.terms)
         payload = {"operator": args.operator, "mode": args.mode,
-                   "residual": render_value(residual),
+                   "residual": residual,
                    "residual_zero": residual.is_zero()}
         rows = [(k, pretty(c)) for k, c in enumerate(residual.coeffs)]
     if args.format == "json":
-        return json.dumps(payload)
+        return render_payload(payload)
     if args.format == "csv":
         return _emit_csv(("n", "value"), rows)
     return "\n".join(f"{n}: {text}" for n, text in rows)
@@ -202,7 +203,7 @@ def _cmd_planar(args):
     family = free_word_family(labels)
     value = evaluate_planar(tree, family)
     if args.format == "json":
-        return json.dumps({"tree": tree.serialize(), "value": render_value(value)})
+        return render_payload({"tree": tree.serialize(), "value": value})
     if args.format == "csv":
         return _emit_csv(("tree", "value"), [(tree.serialize(), pretty(value))])
     return f"tree {tree.serialize()}\nvalue {pretty(value)}"

@@ -126,10 +126,11 @@ def lambda_(a: QSym) -> QSym:
     the unit goes to M_(1) alone.  Like `lambda_bar`, it raises the
     degree of every term by exactly one.
     """
-    out = {}
-    for comp, coeff in a.terms.items():
-        for grown in ((1,) + comp,) + (((1 + comp[0],) + comp[1:],) if comp else ()):
-            out[grown] = out.get(grown, 0) + coeff
+    # the prepended keys start with 1 and the absorbed ones with 2 or more,
+    # and each family is injective, so no two terms meet
+    terms = a.terms
+    out = {(1,) + comp: coeff for comp, coeff in terms.items()}
+    out.update({(1 + comp[0],) + comp[1:]: coeff for comp, coeff in terms.items() if comp})
     return QSym._from_valid_terms(out)
 
 

@@ -18,7 +18,9 @@ counts live:
 - the Newton-basis delta inverse (with its helpers `binomial_basis` and
   `to_newton`), which checks the power-sum table in `operators`;
 - the Fraction-accumulating quasi-shuffle product, which checks the
-  integer kernel of `QSym.__mul__`.
+  integer kernel of `QSym.__mul__`;
+- the structure-building render of every carrier value, which checks the
+  JSON text that `render.render_json` writes from the terms.
 
 Guards raise instead of approximating.
 """
@@ -34,6 +36,7 @@ from .algebra import Polynomial, QSym, quasi_shuffle, rat
 from .errors import DomainError, ResourceLimitError
 from .series import Series, is_noncommutative
 from .trees import RootedTree
+from .words import FreeWord, TensorElement
 
 
 def level_sequences(n: int):
@@ -361,6 +364,33 @@ def qsym_mul_by_fractions(a: QSym, b: QSym) -> QSym:
     return QSym(out)
 
 
+def render_by_structure(x):
+    """The JSON-able form of a carrier value, built as dicts and lists:
+    what `json.loads(render.render_json(x))` must equal."""
+    if isinstance(x, (Fraction, int)):
+        return str(Fraction(x))
+    if isinstance(x, Polynomial):
+        return [str(c) for c in x.coeffs]
+    if isinstance(x, QSym):
+        return [
+            {"composition": list(comp), "coefficient": str(x.terms[comp])}
+            for comp in sorted(x.terms)
+        ]
+    if isinstance(x, FreeWord):
+        return [
+            {"word": list(word), "coefficient": str(x.terms[word])}
+            for word in sorted(x.terms, key=lambda w: (len(w), w))
+        ]
+    if isinstance(x, TensorElement):
+        return [
+            {"tensor": [list(word) for word in factors], "coefficient": str(x.terms[factors])}
+            for factors in sorted(x.terms, key=lambda f: (len(f), f))
+        ]
+    if isinstance(x, Series):
+        return [render_by_structure(c) for c in x.coeffs]
+    raise DomainError(f"cannot render a {type(x).__name__}")
+
+
 class FiniteVarPoly:
     """Polynomial in x_1 .. x_num_vars, total degree capped at degree_cap.
 
@@ -408,9 +438,6 @@ class FiniteVarPoly:
 
     def one_like(self):
         return FiniteVarPoly.one(self.num_vars, self.degree_cap)
-
-    def zero_like(self):
-        return FiniteVarPoly.zero(self.num_vars, self.degree_cap)
 
     def is_zero(self) -> bool:
         return not self.terms

@@ -3,10 +3,19 @@
 JSON payloads carry rationals as exact strings ("5", "-1/6"); nothing in
 the package ever renders a float.  Rendering is for output only: values
 compare and hash exactly by themselves.
+
+The value format is defined once, by `render_json`, which writes the
+JSON text of a value straight from its terms: one f-string per term, in
+sorted order, with only the words, whose labels are user strings, going
+through `json.dumps` for escaping.  `render_payload` writes the CLI's
+objects around such values, and `render_value` is the parsed form of
+the same text.  Both match `json.dumps` with its default separators
+byte for byte.
 """
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 from .algebra import Polynomial, QSym
@@ -15,30 +24,65 @@ from .series import Series
 from .words import FreeWord, TensorElement
 
 
-def render_value(x):
-    """A JSON-able form of any carrier value, with deterministic order."""
+def _array(items) -> str:
+    return "[" + ", ".join(items) + "]"
+
+
+def _shortlex(terms):
+    return sorted(terms, key=lambda key: (len(key), key))
+
+
+def render_json(x) -> str:
+    """The JSON text of any carrier value, with deterministic order.
+
+    Each field is converted with !s: a bare f-string field formats a
+    list or Fraction through `format`, which costs more than `str`."""
     if isinstance(x, (Fraction, int)):
-        return str(Fraction(x))
+        return f'"{Fraction(x)!s}"'
     if isinstance(x, Polynomial):
-        return [str(c) for c in x.coeffs]
+        return _array([f'"{c!s}"' for c in x.coeffs])
     if isinstance(x, QSym):
-        return [
-            {"composition": list(comp), "coefficient": str(x.terms[comp])}
-            for comp in sorted(x.terms)
-        ]
+        terms = x.terms
+        return _array([
+            f'{{"composition": {list(comp)!s}, "coefficient": "{terms[comp]!s}"}}'
+            for comp in sorted(terms)
+        ])
     if isinstance(x, FreeWord):
-        return [
-            {"word": list(word), "coefficient": str(x.terms[word])}
-            for word in sorted(x.terms, key=lambda w: (len(w), w))
-        ]
+        terms = x.terms
+        return _array([
+            f'{{"word": {json.dumps(word)}, "coefficient": "{terms[word]!s}"}}'
+            for word in _shortlex(terms)
+        ])
     if isinstance(x, TensorElement):
-        return [
-            {"tensor": [list(word) for word in factors], "coefficient": str(x.terms[factors])}
-            for factors in sorted(x.terms, key=lambda f: (len(f), f))
-        ]
+        terms = x.terms
+        return _array([
+            f'{{"tensor": {json.dumps(factors)}, "coefficient": "{terms[factors]!s}"}}'
+            for factors in _shortlex(terms)
+        ])
     if isinstance(x, Series):
-        return [render_value(c) for c in x.coeffs]
+        return _array([render_json(c) for c in x.coeffs])
     raise DomainError(f"cannot render a {type(x).__name__}")
+
+
+def render_value(x):
+    """A JSON-able form of any carrier value: the parsed `render_json`."""
+    return json.loads(render_json(x))
+
+
+def render_payload(fields) -> str:
+    """The JSON text of an object whose values are plain JSON (str, int,
+    bool), carrier values, or lists of carrier values, in the order
+    given.  An int here is plain JSON, a count, not a carrier value."""
+    parts = []
+    for key, value in fields.items():
+        if isinstance(value, (str, int)):
+            text = json.dumps(value)
+        elif isinstance(value, (list, tuple)):
+            text = _array([render_json(item) for item in value])
+        else:
+            text = render_json(value)
+        parts.append(f"{json.dumps(key)}: {text}")
+    return "{" + ", ".join(parts) + "}"
 
 
 def pretty(x) -> str:

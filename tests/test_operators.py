@@ -256,6 +256,32 @@ def test_prepend_operators_match_finite_model_on_sums():
         assert got == finite_lambda(expanded)
 
 
+def lambda_by_accumulation(a):
+    """The per-term accumulation that `lambda_` replaced."""
+    out = {}
+    for comp, coeff in a.terms.items():
+        for grown in ((1,) + comp,) + (((1 + comp[0],) + comp[1:],) if comp else ()):
+            out[grown] = out.get(grown, 0) + coeff
+    return QSym(out)
+
+
+def test_lambda_matches_accumulation_and_finite_model_on_every_small_tree():
+    # every value of every tree with n <= 8, under both prepend specs.  The
+    # finite model runs in at most 5 variables: that tells every value of
+    # degree up to 5 apart, and beyond it is still an image that lambda_
+    # must commute with; more variables cost seconds per tree at n = 8
+    for name in ("lambda", "lambda-bar"):
+        spec = built_in_spec(name)
+        for n in range(1, 9):
+            for tree in enumerate_trees(n):
+                value = evaluate(tree, spec)
+                got = lambda_(value)
+                assert got == lambda_by_accumulation(value), (name, tree.key)
+                m = min(n + 1, 5)
+                expanded = qsym_to_finite(value, m, n + 1)
+                assert qsym_to_finite(got, m, n + 1) == finite_lambda(expanded), tree.key
+
+
 def test_shift_examples():
     x1 = FiniteVarPoly.variable(1, 2, 3)
     x2 = FiniteVarPoly.variable(2, 2, 3)

@@ -1,0 +1,140 @@
+"""The JSON text written from the carriers' terms.
+
+`render_json` must return exactly the bytes `json.dumps` writes for the
+structure-building render in `oracles`, `render_value` must parse back
+to that structure, and `render_payload` must match `json.dumps` of a CLI
+payload whose values the oracle has rendered."""
+
+import json
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from forestinv.algebra import Polynomial, QSym
+from forestinv.errors import DomainError
+from forestinv.oracles import render_by_structure
+from forestinv.render import render_json, render_payload, render_value
+from forestinv.series import Series
+from forestinv.words import FreeWord, TensorElement
+
+PROPERTY = settings(max_examples=80, deadline=None)
+
+SCALARS = st.one_of(
+    st.integers(-10**30, 10**30),
+    st.fractions(max_denominator=10**6),
+)
+COEFFS = st.one_of(
+    st.integers(-50, 50),
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+)
+COMPOSITIONS = st.lists(st.integers(1, 12), max_size=5).map(tuple)
+# letters that JSON must escape or write as \\u escapes, among plain ones
+LETTERS = st.text(
+    alphabet=st.one_of(
+        st.sampled_from(['"', "\\", " ", "é", "ß", "\n", "\t", "€", "😀", "a", "b"]),
+        st.characters(blacklist_categories=("Cs",)),
+    ),
+    min_size=1,
+    max_size=3,
+)
+WORDS = st.lists(LETTERS, max_size=3).map(tuple)
+TENSOR_KEYS = st.lists(WORDS, max_size=3).map(tuple)
+
+
+def polynomials():
+    return st.builds(Polynomial, st.lists(COEFFS, max_size=8))
+
+
+def qsyms():
+    return st.one_of(
+        st.just(QSym.one()),
+        st.just(QSym.zero()),
+        st.builds(QSym, st.dictionaries(COMPOSITIONS, COEFFS, max_size=8)),
+    )
+
+
+def free_words():
+    return st.builds(FreeWord, st.dictionaries(WORDS, COEFFS, max_size=6))
+
+
+def tensors():
+    return st.builds(TensorElement, st.dictionaries(TENSOR_KEYS, COEFFS, max_size=5))
+
+
+def series_of(values, one):
+    return st.lists(values, min_size=1, max_size=4).map(lambda cs: Series(cs, one))
+
+
+CARRIERS = st.one_of(SCALARS, polynomials(), qsyms(), free_words(), tensors())
+VALUES = st.one_of(
+    CARRIERS,
+    series_of(SCALARS, Fraction(1)),
+    series_of(polynomials(), Polynomial.one()),
+    series_of(qsyms(), QSym.one()),
+    series_of(free_words(), FreeWord.one()),
+    series_of(tensors(), TensorElement.one()),
+)
+
+
+def assert_renders_as_the_oracle(x):
+    expected = render_by_structure(x)
+    assert render_json(x) == json.dumps(expected)
+    assert render_value(x) == expected
+
+
+@PROPERTY
+@given(VALUES)
+def test_render_json_matches_the_structure_render_property(x):
+    assert_renders_as_the_oracle(x)
+
+
+def test_render_json_edge_values():
+    cases = [
+        0, -7, 10**40, Fraction(-1, 6), Fraction(4, 2), True,
+        Polynomial(), Polynomial((0, 0, -3)), Polynomial((Fraction(-1, 2), 0, Fraction(2, 3))),
+        QSym.one(), QSym.zero(), QSym({(1, 2): Fraction(-3, 4), (3,): 2, (): Fraction(1, 3)}),
+        FreeWord.one(), FreeWord.zero(),
+        FreeWord({('a"b', "c\\d"): Fraction(-1, 2), ("s p", "é"): 3, ("😀",): -1}),
+        TensorElement.one(),
+        TensorElement({((), ('q"',)): 2, (("é", "\\"), ("x y",)): Fraction(5, 7)}),
+        Series((Polynomial.one(), Polynomial()), Polynomial.one()),
+        Series((Fraction(1, 2),), Fraction(1)),
+    ]
+    for x in cases:
+        assert_renders_as_the_oracle(x)
+
+
+@pytest.mark.parametrize("x", [object(), "text", [1], {"a": 1}, None, 1.5])
+def test_unrenderable_types_are_domain_errors(x):
+    for render in (render_json, render_value, render_by_structure):
+        with pytest.raises(DomainError, match="cannot render"):
+            render(x)
+
+
+@PROPERTY
+@given(
+    st.text(),
+    st.integers(0, 10**6),
+    st.booleans(),
+    st.one_of(polynomials(), qsyms(), free_words(), tensors()),
+    st.lists(qsyms(), max_size=4),
+    series_of(polynomials(), Polynomial.one()),
+)
+def test_render_payload_matches_json_dumps_property(text, count, flag, value, terms, residual):
+    # the shapes of the CLI's invariant, genfun and planar payloads
+    payloads = [
+        ({"tree": text, "operator": "lambda", "alpha": count, "value": value},
+         {"tree": text, "operator": "lambda", "alpha": count,
+          "value": render_by_structure(value)}),
+        ({"operator": text, "mode": "recurrence", "terms": terms},
+         {"operator": text, "mode": "recurrence",
+          "terms": [render_by_structure(t) for t in terms]}),
+        ({"residual": residual, "residual_zero": flag},
+         {"residual": render_by_structure(residual), "residual_zero": flag}),
+        ({"tree": text, "value": tuple(terms)},
+         {"tree": text, "value": [render_by_structure(t) for t in terms]}),
+    ]
+    for payload, expected in payloads:
+        assert render_payload(payload) == json.dumps(expected)

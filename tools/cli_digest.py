@@ -44,6 +44,16 @@ def _path(vertices, label=None):
     return opening * vertices + ")" * vertices
 
 
+def _star(vertices):
+    return "(" + "()" * (vertices - 1) + ")"
+
+
+def _caterpillar(vertices):
+    # a spine of ceil(n/2) vertices with one leaf on each but the last
+    legs = vertices // 2
+    return "(()" * legs + "()" + ")" * legs
+
+
 def _per_format(argvs):
     return [argv + ("--format", fmt) for argv in argvs for fmt in FORMATS]
 
@@ -78,6 +88,13 @@ _GENFUN_LARGE = [
     for op, terms in (("delta-inv", 30), ("nabla-inv", 20), ("lambda-bar", 9), ("lambda", 9))
 ]
 
+# many-term values, written term by term into the JSON text
+_MANY_TERMS = [
+    ("invariant", "--tree", shape(9), "--operator", op)
+    for shape in (_star, _caterpillar)
+    for op in ("lambda", "lambda-bar")
+] + [("genfun", "--operator", "lambda", "--terms", "7")]
+
 _COLLISIONS = [("collisions", "--operator", op, "--max-n", "7") for op in BUILT_IN_NAMES]
 
 _VERIFY = [("verify", "--suite", "all")] + _per_format(
@@ -90,6 +107,8 @@ _PLANAR = [
     ("planar", "--tree", "(b:(a:)(b:(a:)(a:)))", "--labels", "a,b"),
     ("planar", "--tree", "(x:(y:)(z:))", "--labels", "x,y,z,w"),
     ("planar", "--tree", _path(40, "a")),
+    # labels that JSON must escape: a quote, a backslash, a space, non-ASCII
+    *_per_format([("planar", "--tree", '(q"t:(b\\s:)(s p:(é:)(b\\s:)))')]),
     # malformed trees and a label outside the family
     ("planar", "--tree", "(a:(b:)"),
     ("planar", "--tree", "(a(b:))"),
@@ -115,8 +134,8 @@ _GUARDS = [
 ]
 
 CALLS = (
-    _EVERY_FORMAT + _INVARIANTS + _GENFUN + _GENFUN_LARGE + _COLLISIONS + _VERIFY + _PLANAR
-    + _GUARDS
+    _EVERY_FORMAT + _INVARIANTS + _GENFUN + _GENFUN_LARGE + _MANY_TERMS + _COLLISIONS
+    + _VERIFY + _PLANAR + _GUARDS
 )
 
 
