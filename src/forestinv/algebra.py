@@ -9,7 +9,10 @@ as int and the rest as `fractions.Fraction`, all through the one coercion
 `rat`.  Their constructor and linear-space arithmetic live once, in
 `TermCarrier`.  A quasi-symmetric product clears each operand's
 denominators once, runs the quasi-shuffle accumulation on integer
-numerators and divides once per output term.  No carrier truncates:
+numerators and divides once per output term; the product commutes, so
+the operand with more terms runs outside and goes first into the
+memoized `quasi_shuffle`, whose table then holds a pair of compositions
+of a mixed-size product in one orientation only.  No carrier truncates:
 every product keeps every term.  A sum of many weighted values, such as
 a series coefficient or a tree sum, goes through one carrier kernel,
 `linear_combination`, which accumulates every term into one integer
@@ -497,8 +500,14 @@ class QSym(TermCarrier):
 
     def __mul__(self, other):
         if isinstance(other, QSym):
-            nums_a, den_a = _numerators(self.terms)
-            nums_b, den_b = _numerators(other.terms)
+            # the product commutes: the operand with more terms goes outside
+            # and first into each quasi-shuffle, so the pair table holds one
+            # orientation of every mixed-size pair
+            a, b = self.terms, other.terms
+            if len(a) < len(b):
+                a, b = b, a
+            nums_a, den_a = _numerators(a)
+            nums_b, den_b = _numerators(b)
             out = {}
             for ca, va in nums_a.items():
                 for cb, vb in nums_b.items():

@@ -5,7 +5,7 @@ n vertices.  It can be built two independent ways: by direct enumeration,
 or by the recurrence U_1 = X(1), U_n = X(S_{n-1}(U_1, ..., U_{n-1}))
 where S_k is the elementary Schur polynomial (the weight-k coefficient of
 the exponential of a generic series).  The recurrence runs as one `exp`
-whose feedback map is X, so order N costs N(N-1)/2 carrier products; the
+whose feedback map is X, so order N costs (N-1)(N-2)/2 carrier products; the
 per-term build, one fresh exp per U_n, lives in `oracles` as a test
 reference.  The enumeration build sums each U_n in one pass of
 `algebra.linear_combination` with the int weights n!/alpha(T).  The
@@ -48,7 +48,8 @@ def elementary_schur(values, n: int, one=None):
 
     S_n is the coefficient of q^n in exp(v_1 q + v_2 q^2 + ...); only
     v_1 .. v_n contribute.  S_0 is the unit.  The carrier must be
-    commutative with rational scalars.
+    commutative with rational scalars; a scalar value is taken as that
+    multiple of the unit.
     """
     values = list(values)
     if n < 0:
@@ -90,7 +91,7 @@ def u_by_recurrence(spec: InvariantSpec, order: int) -> USequence:
     One running exp solves E = exp(q X(E)) through q^(order-1): its
     coefficient E_(n-1) is S_(n-1)(U_1, ..., U_(n-1)), so each value the
     operator returns inside it is the next U_n, and the last is
-    X(E_(order-1)).  Costs N(N-1)/2 carrier products at order N, plus one
+    X(E_(order-1)).  Costs (N-1)(N-2)/2 carrier products at order N, plus one
     operator call per term.  Refuses an order whose U_order, or whose
     quasi-symmetric products, are estimated past the operator's cost
     guard (`engine.check_recurrence_cost`)."""

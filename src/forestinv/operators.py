@@ -84,12 +84,10 @@ def _power_sums(degree: int) -> tuple:
     return _POWER_SUMS
 
 
-def delta_inv(g: Polynomial) -> Polynomial:
-    """The unique f with f(t + 1) - f(t) = g(t) and f(0) = 0.
-
-    f(t) = sum_{j<t} g(j), so each t^k goes to the power sum A_k(t) / L:
-    one integer matrix-vector product with the cached power-sum table.
-    """
+def _summed_numerators(g: Polynomial) -> tuple:
+    """The numerators of delta_inv(g) over den * g.denominator, unreduced,
+    and den: one integer matrix-vector product with the cached power-sum
+    table."""
     nums = g.numerators
     rows, den = _power_sums(len(nums) - 1)
     out = [0] * (len(nums) + 1)
@@ -97,6 +95,15 @@ def delta_inv(g: Polynomial) -> Polynomial:
         if n:
             for i, a in enumerate(row):
                 out[i] += n * a
+    return out, den
+
+
+def delta_inv(g: Polynomial) -> Polynomial:
+    """The unique f with f(t + 1) - f(t) = g(t) and f(0) = 0.
+
+    f(t) = sum_{j<t} g(j), so each t^k goes to the power sum A_k(t) / L.
+    """
+    out, den = _summed_numerators(g)
     return Polynomial.from_numerators(out, den * g.denominator)
 
 
@@ -104,10 +111,15 @@ def nabla_inv(g: Polynomial) -> Polynomial:
     """The unique f with f(t) - f(t - 1) = g(t) and f(0) = 0.
 
     With h = delta_inv(g), the map t -> h(t + 1) - g(0) solves it, and
-    h(t + 1) = h(t) + g(t), so no shift of the input is needed.
+    h(t + 1) = h(t) + g(t), so f = h + g - g(0): g's non-constant
+    numerators, scaled to h's denominator, go into h's integer
+    accumulator, and the sum is reduced once.
     """
-    g_minus_constant = Polynomial.from_numerators((0,) + g.numerators[1:], g.denominator)
-    return delta_inv(g) + g_minus_constant
+    out, den = _summed_numerators(g)
+    nums = g.numerators
+    for k in range(1, len(nums)):
+        out[k] += den * nums[k]
+    return Polynomial.from_numerators(out, den * g.denominator)
 
 
 def lambda_bar(a: QSym) -> QSym:

@@ -410,7 +410,7 @@ class FiniteVarPoly:
         clean = {}
         for expo, coeff in terms.items():
             expo = tuple(expo)
-            if len(expo) != num_vars or any(e < 0 for e in expo):
+            if len(expo) != num_vars or min(expo) < 0:
                 raise DomainError(f"bad exponent tuple: {expo}")
             coeff = rat(coeff)
             if coeff != 0 and sum(expo) <= degree_cap:
@@ -553,13 +553,20 @@ def shift_s(p: FiniteVarPoly) -> FiniteVarPoly:
 
 def finite_lambda(p: FiniteVarPoly) -> FiniteVarPoly:
     """Direct finite-model evaluation of the weak prepend operator:
-    the sum over k of x_k times the (k-1)-fold index shift."""
-    out = FiniteVarPoly.zero(p.num_vars, p.degree_cap)
-    shifted = p
-    for k in range(1, p.num_vars + 1):
-        out = out + FiniteVarPoly.variable(k, p.num_vars, p.degree_cap) * shifted
-        shifted = shift_s(shifted)
-    return out
+    the sum over k of x_k times the (k-1)-fold index shift.  The product
+    by x_k bumps the k-th exponent of each term that stays within the
+    degree cap, and all of them sum into one dict."""
+    cap = p.degree_cap
+    out = {}
+    shifted = p.terms
+    for k in range(p.num_vars):
+        for expo, coeff in shifted.items():
+            if sum(expo) < cap:
+                bumped = expo[:k] + (expo[k] + 1,) + expo[k + 1 :]
+                out[bumped] = out.get(bumped, 0) + coeff
+        # the index shift of `FiniteVarPoly.shifted`, on the valid terms
+        shifted = {(0,) + expo[:-1]: coeff for expo, coeff in shifted.items() if not expo[-1]}
+    return FiniteVarPoly(out, p.num_vars, cap)
 
 
 def finite_lambda_bar(p: FiniteVarPoly) -> FiniteVarPoly:

@@ -346,8 +346,8 @@ def u_planar_by_recurrence(family: OperatorFamily, order: int) -> PlanarUSequenc
     One running geometric inverse solves G = 1/(1 - q X(G)) through
     q^(order-1), where X is the family sum: the values the labels'
     operators return inside it on G_(n-1) are the weight-n terms, and the
-    last are theirs on G_(order-1).  About N^2/2 carrier products at
-    order N, plus one operator call per label and term."""
+    last are theirs on G_(order-1).  Costs (N-1)(N-2)/2 carrier products
+    at order N, plus one operator call per label and term."""
     if order < 1:
         raise DomainError("need order >= 1")
     per_label: dict = {label: [] for label in family.labels}

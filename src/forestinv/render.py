@@ -7,16 +7,19 @@ compare and hash exactly by themselves.
 The value format is defined once, by `render_json`, which writes the
 JSON text of a value straight from its terms: one f-string per term, in
 sorted order, with only the words, whose labels are user strings, going
-through `json.dumps` for escaping.  `render_payload` writes the CLI's
-objects around such values, and `render_value` is the parsed form of
-the same text.  Both match `json.dumps` with its default separators
-byte for byte.
+through `json.dumps` for escaping.  A polynomial's coefficients are
+written from its integer numerators, each reduced against the common
+denominator by one gcd.  `render_payload` writes the CLI's objects
+around such values, and `render_value` is the parsed form of the same
+text.  Both match `json.dumps` with its default separators byte for
+byte.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import gcd
 
 from .algebra import Polynomial, QSym
 from .errors import DomainError
@@ -32,6 +35,15 @@ def _shortlex(terms):
     return sorted(terms, key=lambda key: (len(key), key))
 
 
+def _ratio(numerator: int, denominator: int) -> str:
+    """numerator/denominator as a JSON string in lowest terms, the text
+    `str(Fraction(...))` gives; the denominator is positive."""
+    g = gcd(numerator, denominator)
+    if g == denominator:
+        return f'"{numerator // g}"'
+    return f'"{numerator // g}/{denominator // g}"'
+
+
 def render_json(x) -> str:
     """The JSON text of any carrier value, with deterministic order.
 
@@ -40,7 +52,8 @@ def render_json(x) -> str:
     if isinstance(x, (Fraction, int)):
         return f'"{Fraction(x)!s}"'
     if isinstance(x, Polynomial):
-        return _array([f'"{c!s}"' for c in x.coeffs])
+        den = x.denominator
+        return _array([_ratio(n, den) for n in x.numerators])
     if isinstance(x, QSym):
         terms = x.terms
         return _array([

@@ -6,9 +6,11 @@ knowing the carrier type.  Coefficients only need +, - and * with
 rational scalars; noncommutative carriers are fine everywhere except
 `exp`, which refuses them.  `times_q` knows q F one order further than
 F.  `exp` and `geometric_inverse` solve coefficient recurrences in
-N(N+1)/2 carrier products at order N, each optionally feeding a linear
+N(N-1)/2 carrier products at order N, each optionally feeding a linear
 map of its own output back in; each coefficient sums its products in one
-pass of `algebra.linear_combination`, so a weight scales no operand.
+pass of `algebra.linear_combination`, so a weight scales no operand, and
+the term that meets the q^0 coefficient, the unit, is added as it is, so
+no product has the unit as an operand.
 `exp` runs on the labeled coefficients n! E_n, so a series with integral
 labeled coefficients, such as a tree generating function, is
 exponentiated by integer products and one division per output
@@ -143,6 +145,15 @@ def _integral(x):
     return x
 
 
+def _in_carrier(coeffs, one) -> list:
+    """The coefficients as elements of the unit's carrier: a scalar
+    coefficient of a carrier series is scaled onto the unit once here, so
+    the recurrences can add a coefficient as it is."""
+    if isinstance(one, (int, Fraction)):
+        return list(coeffs)
+    return [c * one if isinstance(c, (int, Fraction)) else c for c in coeffs]
+
+
 def exp(series: Series, feedback=None) -> Series:
     """exp of a series f with zero constant term, over a commutative
     carrier, from the labeled form of the recurrence of E' = f' E.  On the
@@ -163,21 +174,25 @@ def exp(series: Series, feedback=None) -> Series:
     X is called once per step, on E_0 .. E_(order-1) in turn, so a caller
     can record its values.
 
-    Costs N(N+1)/2 carrier products at order N, plus N calls of X and N
-    one-pass sums."""
+    A scalar coefficient of a carrier series is taken as that multiple
+    of the unit.  Costs N(N-1)/2 carrier products at order N, plus N calls
+    of X and N one-pass sums: the k = n term is g_n itself, since e_0 is
+    the unit."""
     if is_noncommutative(series.one):
         raise DomainError("exp needs a commutative coefficient algebra")
     if series.coeffs[0] != series._zero():
         raise DomainError("exp needs a zero constant term")
-    labeled = [_integral(factorial(k) * c) for k, c in enumerate(series.coeffs)]
+    coeffs = _in_carrier(series.coeffs, series.one)
+    labeled = [_integral(factorial(k) * c) for k, c in enumerate(coeffs)]
     e = [_integral(series.one)]
     out = [series.one]
     for n in range(1, series.order + 1):
         if feedback is not None:
-            labeled[n] = _integral(factorial(n) * (feedback(out[n - 1]) + series.coeffs[n]))
-        total = linear_combination(
-            ((comb(n - 1, k - 1), labeled[k] * e[n - k]) for k in range(1, n + 1)), series.one
-        )
+            labeled[n] = _integral(factorial(n) * (feedback(out[n - 1]) + coeffs[n]))
+        # k = n meets e_0, the unit: C(n-1, n-1) g_n e_0 is g_n
+        pairs = [(comb(n - 1, k - 1), labeled[k] * e[n - k]) for k in range(1, n)]
+        pairs.append((1, labeled[n]))
+        total = linear_combination(pairs, series.one)
         e.append(_integral(total))
         out.append(Fraction(1, factorial(n)) * total)
     return Series(out, series.one)
@@ -198,16 +213,19 @@ def geometric_inverse(series: Series, feedback=None) -> Series:
     needs it.  As in `exp`, X is called once per step, on G_0 ..
     G_(order-1) in turn, so a caller can record its values.
 
-    Costs N(N+1)/2 carrier products at order N, plus N calls of X and N
-    one-pass sums."""
+    A scalar coefficient of a carrier series is taken as that multiple
+    of the unit.  Costs N(N-1)/2 carrier products at order N, plus N calls
+    of X and N one-pass sums: the k = n term is f_n itself, since G_0 is
+    the unit."""
     if series.coeffs[0] != series._zero():
         raise DomainError("geometric inverse needs a zero constant term")
-    f = list(series.coeffs)
+    f = _in_carrier(series.coeffs, series.one)
     out = [series.one]
     for n in range(1, series.order + 1):
         if feedback is not None:
             f[n] = feedback(out[n - 1]) + f[n]
-        out.append(
-            linear_combination(((1, f[k] * out[n - k]) for k in range(1, n + 1)), series.one)
-        )
+        # k = n meets G_0, the unit: f_n G_0 is f_n
+        pairs = [(1, f[k] * out[n - k]) for k in range(1, n)]
+        pairs.append((1, f[n]))
+        out.append(linear_combination(pairs, series.one))
     return Series(out, series.one)

@@ -129,6 +129,27 @@ def test_qsym_products():
     assert QSym.one() * m2 == m2
 
 
+def test_a_product_and_its_reverse_fill_one_orientation_of_the_pair_table():
+    # the operand with more terms goes outside in either order, so the
+    # reverse product finds every pair the first one filled; parts this
+    # large meet no composition another test has cached
+    x = QSym({(91, 2, 93): 3, (94, 95): Fraction(1, 2), (96,): -1})
+    m1 = QSym.monomial((1,))
+    before = quasi_shuffle.cache_info().misses
+    forward = m1 * x
+    filled = quasi_shuffle.cache_info().misses
+    assert filled > before
+    assert x * m1 == forward
+    assert quasi_shuffle.cache_info().misses == filled
+    assert forward == QSym({
+        (1, 91, 2, 93): 3, (91, 1, 2, 93): 3, (91, 2, 1, 93): 3, (91, 2, 93, 1): 3,
+        (92, 2, 93): 3, (91, 3, 93): 3, (91, 2, 94): 3,
+        (1, 94, 95): Fraction(1, 2), (94, 1, 95): Fraction(1, 2),
+        (94, 95, 1): Fraction(1, 2), (95, 95): Fraction(1, 2), (94, 96): Fraction(1, 2),
+        (1, 96): -1, (96, 1): -1, (97,): -1,
+    })
+
+
 def test_trusted_constructor_drops_cancelled_int_terms():
     # int-only sums and products take the trusted path unchanged unless a
     # coefficient cancels to zero, which is still dropped
@@ -388,6 +409,24 @@ def test_series_recurrences_make_quadratically_many_products(monkeypatch):
     # N(N+1)/2 products at order N; summing powers needs O(N^3)
     assert 0 < counts["poly"] <= order * (order + 1) // 2
     assert 0 < counts["word"] <= order * (order + 1) // 2
+
+
+@pytest.mark.parametrize(
+    "one",
+    [Polynomial.one(), QSym.one(), FreeWord.one()],
+    ids=["polynomial", "qsym", "freeword"],
+)
+def test_series_recurrences_take_scalar_coefficients_onto_a_carrier_unit(one):
+    # a scalar coefficient of a carrier series is that multiple of the
+    # unit; the constant term stays the carrier's zero
+    scalars = (0, 1, Fraction(-1, 2), 3)
+    lifted = tuple(c * one for c in scalars)
+    expected = geometric_inverse(Series(scalars, 1)).map(lambda c: c * one)
+    for coeffs in ((lifted[0], *scalars[1:]), (lifted[0], Fraction(1), lifted[2], 3)):
+        assert geometric_inverse(Series(coeffs, one)) == expected
+        assert geometric_inverse(Series(coeffs, one)) == geometric_inverse(Series(lifted, one))
+        if not is_noncommutative(one):
+            assert exp(Series(coeffs, one)) == exp(Series(scalars, 1)).map(lambda c: c * one)
 
 
 def test_series_domain_errors():

@@ -42,6 +42,10 @@ T = Polynomial.t()
 def test_schur_base_cases():
     assert elementary_schur([], 0, one=Fraction(1)) == 1
     assert elementary_schur([Fraction(5)], 1) == 5
+    # a scalar value is that multiple of the carrier unit it is given with
+    one, m1 = QSym.one(), QSym.monomial((1,))
+    assert elementary_schur([Fraction(2)], 1, one=one) == 2 * one
+    assert elementary_schur([Fraction(1), m1], 2, one=one) == Fraction(1, 2) * one + m1
     # S_2 = v_2 + v_1^2/2, checked symbolically
     v1 = FiniteVarPoly.variable(1, 4, 8)
     v2 = FiniteVarPoly.variable(2, 4, 8)
@@ -201,9 +205,10 @@ def test_running_recurrence_makes_quadratically_many_products(monkeypatch, carri
     for order in (1, 2, 5, 10):
         count[0] = 0
         u_by_recurrence(spec, order)
-        # one running exp through q^(N-1); a fresh exp per term would
-        # make C(N+1, 3) products, 165 at N = 10
-        assert count[0] == order * (order - 1) // 2
+        # one running exp through q^(N-1), none of whose products has the
+        # unit as an operand; a fresh exp per term would make C(N+1, 3)
+        # products, 165 at N = 10
+        assert count[0] == (order - 1) * (order - 2) // 2
 
 
 @pytest.mark.parametrize("name", ["lambda-bar", "lambda"])
@@ -247,8 +252,9 @@ def test_tree_generating_function_multiplies_integers_only(monkeypatch, name):
     spec = built_in_spec(name)
     sequence = u_by_recurrence(spec, 10)
     assert verify_functional_equation(spec, 10, sequence).is_zero()
-    # 45 products in the exp through q^9, in the build and in the residual
-    assert len(operands) == 2 * (45 + 45)
+    # 36 products in the exp through q^9, in the build and in the
+    # residual: none by the unit
+    assert len(operands) == 2 * (36 + 36)
     for value in operands:
         assert all(type(c) is int for c in value.terms.values())
 

@@ -188,7 +188,31 @@ def test_import_builds_no_power_sum_table():
     assert done.stdout.strip() == "True"
 
 
+def nabla_inv_by_sum(g):
+    """The two-step form that `nabla_inv` replaced: delta_inv(g) + g - g(0)."""
+    return delta_inv(g) + g - Polynomial((g.coefficient(0),))
+
+
+def test_nabla_inv_matches_the_two_step_sum_on_every_small_tree():
+    for name in ("delta-inv", "nabla-inv"):
+        spec = built_in_spec(name)
+        for n in range(1, 9):
+            for tree in enumerate_trees(n):
+                g = evaluate(tree, spec)
+                assert nabla_inv(g) == nabla_inv_by_sum(g), (name, tree.key)
+                # a constant term, which nabla_inv drops from g
+                g += Polynomial((Fraction(-3, 7),))
+                assert nabla_inv(g) == nabla_inv_by_sum(g), (name, tree.key)
+
+
 FRACTIONS = st.fractions(min_value=-30, max_value=30, max_denominator=12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.fractions(max_denominator=10**4), max_size=14))
+def test_nabla_inv_matches_the_two_step_sum_property(cs):
+    g = Polynomial(cs)
+    assert nabla_inv(g) == nabla_inv_by_sum(g)
 
 
 @settings(max_examples=50, deadline=None)
@@ -265,11 +289,36 @@ def lambda_by_accumulation(a):
     return QSym(out)
 
 
+def finite_lambda_by_products(p):
+    """The general-product form that `finite_lambda` replaced."""
+    out = FiniteVarPoly.zero(p.num_vars, p.degree_cap)
+    shifted = p
+    for k in range(1, p.num_vars + 1):
+        out = out + FiniteVarPoly.variable(k, p.num_vars, p.degree_cap) * shifted
+        shifted = shift_s(shifted)
+    return out
+
+
+def test_finite_lambda_matches_the_general_product_form():
+    rng = random.Random(53)
+    comps = all_compositions(4)
+    for m, cap in ((1, 4), (3, 4), (4, 5), (6, 6)):
+        for _ in range(4):
+            terms = {comp: rng.randint(-4, 4) for comp in rng.sample(comps, 4)}
+            expanded = qsym_to_finite(QSym(terms), m, cap)
+            assert finite_lambda(expanded) == finite_lambda_by_products(expanded)
+            assert finite_lambda_bar(expanded) == finite_lambda_by_products(shift_s(expanded))
+    # a cap below the image's degree drops the terms the product dropped
+    x1 = FiniteVarPoly.variable(1, 3, 1)
+    assert finite_lambda(x1).is_zero() and finite_lambda_by_products(x1).is_zero()
+
+
 def test_lambda_matches_accumulation_and_finite_model_on_every_small_tree():
     # every value of every tree with n <= 8, under both prepend specs.  The
-    # finite model runs in at most 5 variables: that tells every value of
-    # degree up to 5 apart, and beyond it is still an image that lambda_
-    # must commute with; more variables cost seconds per tree at n = 8
+    # finite model runs in n + 1 variables through n = 7, which tells
+    # every value of degree n + 1 apart; at n = 8 nine variables would
+    # take about 24 s, so there it runs in 5, where each value is still an
+    # image that lambda_ must commute with
     for name in ("lambda", "lambda-bar"):
         spec = built_in_spec(name)
         for n in range(1, 9):
@@ -277,7 +326,7 @@ def test_lambda_matches_accumulation_and_finite_model_on_every_small_tree():
                 value = evaluate(tree, spec)
                 got = lambda_(value)
                 assert got == lambda_by_accumulation(value), (name, tree.key)
-                m = min(n + 1, 5)
+                m = n + 1 if n <= 7 else 5
                 expanded = qsym_to_finite(value, m, n + 1)
                 assert qsym_to_finite(got, m, n + 1) == finite_lambda(expanded), tree.key
 

@@ -106,6 +106,19 @@ def test_render_json_edge_values():
         assert_renders_as_the_oracle(x)
 
 
+def test_polynomial_json_edge_values():
+    cases = {
+        Polynomial(): "[]",
+        Polynomial((0, -2, 0, 7)): '["0", "-2", "0", "7"]',
+        Polynomial((5, 10**30)): f'["5", "{10**30}"]',
+        Polynomial((Fraction(-1, 2), -1, Fraction(-3, 2))): '["-1/2", "-1", "-3/2"]',
+        Polynomial((Fraction(1, 6), 0, Fraction(-2, 3), 2)): '["1/6", "0", "-2/3", "2"]',
+    }
+    for p, text in cases.items():
+        assert render_json(p) == text
+        assert_renders_as_the_oracle(p)
+
+
 @pytest.mark.parametrize("x", [object(), "text", [1], {"a": 1}, None, 1.5])
 def test_unrenderable_types_are_domain_errors(x):
     for render in (render_json, render_value, render_by_structure):
