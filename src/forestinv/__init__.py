@@ -49,19 +49,19 @@ from .operators import (
     LAMBDA_BAR,
     NABLA_INV,
     LinearOperator,
-    delta,
     delta_inv,
     lambda_,
     lambda_bar,
-    nabla,
     nabla_inv,
 )
 from .oracles import (
     FiniteVarPoly,
     brute_force_order_count,
     brute_force_qsym,
+    delta,
     finite_lambda,
     finite_lambda_bar,
+    nabla,
     qsym_to_finite,
     shift_s,
 )

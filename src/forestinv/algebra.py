@@ -284,14 +284,6 @@ class Polynomial:
             total = total * p + n * scale
         return Fraction(total, self.denominator * scale)
 
-    def shift(self, c) -> "Polynomial":
-        """The polynomial f(t + c), computed exactly by Horner steps."""
-        shifted_t = Polynomial((c, 1))
-        out = Polynomial()
-        for a in reversed(self.coeffs):
-            out = out * shifted_t + Polynomial((a,))
-        return out
-
     def __eq__(self, other):
         return (
             isinstance(other, Polynomial)

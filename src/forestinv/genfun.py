@@ -8,12 +8,17 @@ the exponential of a generic series).  The recurrence runs as one `exp`
 whose feedback map is X, so order N costs (N-1)(N-2)/2 carrier products; the
 per-term build, one fresh exp per U_n, lives in `oracles` as a test
 reference.  The enumeration build sums each U_n in one pass of
-`algebra.linear_combination` with the int weights n!/alpha(T).  The
-cross-check of the two builds and the residual of the fixed-point
-equation q * X(exp U(q)) = U(q) are the main correctness evidence for
-the whole engine; the residual is computed from the enumeration build
-so it is not true by construction.  Through q^N it exponentiates U only
-through q^(N-1), all that q * X(exp U) keeps.
+`algebra.linear_combination` with the int weights n!/alpha(T).  Its
+last term applies X once, by the three facts behind the fixed-point
+equation: the tree B+(F) grafted from a forest F has the value X of F's
+value, alpha(B+(F)) = alpha(F), and X is linear.  So
+n! U_n = X(sum over the forests F on n-1 vertices of (n!/alpha(F)) times
+the value of F).  The cross-check of the two builds and the residual of
+the fixed-point equation q * X(exp U(q)) = U(q) are the main
+correctness evidence for the whole engine; the residual is computed
+from the enumeration build so it is not true by construction.  Through
+q^N it exponentiates U only through q^(N-1), all that q * X(exp U)
+keeps.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .algebra import linear_combination, one_like
+from .algebra import linear_combination, one_like, product
 from .engine import InvariantSpec, check_recurrence_cost, evaluate
 from .errors import DomainError, ResourceLimitError
 from .series import Series, exp, is_noncommutative
@@ -114,7 +119,15 @@ def u_by_recurrence(spec: InvariantSpec, order: int) -> USequence:
 def u_by_enumeration(spec: InvariantSpec, order: int) -> USequence:
     """Build U_1 .. U_order as automorphism-weighted sums over all trees:
     n! U_n is one linear combination of the tree values with the int
-    weights n!/alpha(T), the labelings of each tree, divided once."""
+    weights n!/alpha(T), the labelings of each tree, divided once.
+
+    The trees on fewer than `order` vertices are children of larger
+    trees, so each is evaluated and cached.  The largest class is summed
+    before the operator: its weights go on the products of each tree's
+    subtree values, all cache hits, and X is applied once to that sum,
+    which is n! X(S_(n-1)) by linearity.  So no value of a tree on
+    `order` vertices is built or cached.  The per-tree sum this replaces
+    is `oracles.u_by_tree_sums`."""
     if order < 1:
         raise DomainError("need order >= 1")
     if order > _ENUMERATION_CAP:
@@ -123,17 +136,27 @@ def u_by_enumeration(spec: InvariantSpec, order: int) -> USequence:
         )
     _require_commutative(spec)
     _require_bound(spec, order)
-    terms = []
-    for n in range(1, order + 1):
+
+    def class_sum(n, value):
+        """n! times the sum of value(T)/alpha(T) over the trees on n vertices."""
         labelings = factorial(n)
-        total = linear_combination(
-            (
-                (labelings // automorphism_order(tree), evaluate(tree, spec))
-                for tree in enumerate_trees(n)
-            ),
+        return linear_combination(
+            ((labelings // automorphism_order(tree), value(tree)) for tree in enumerate_trees(n)),
             spec.one,
         )
-        terms.append(Fraction(1, labelings) * total)
+
+    def subtrees_value(tree):
+        return product((evaluate(child, spec) for child in tree.children), spec.one)
+
+    terms = [
+        Fraction(1, factorial(n)) * class_sum(n, lambda tree: evaluate(tree, spec))
+        for n in range(1, order)
+    ]
+    # the depth and cost guards `evaluate` would apply to these trees pass
+    # every tree on at most `_ENUMERATION_CAP` vertices, and the degree
+    # bound is checked above, so skipping them skips no refusal
+    top = spec.operator(class_sum(order, subtrees_value))
+    terms.append(Fraction(1, factorial(order)) * top)
     return USequence(spec.name, tuple(terms), spec.one)
 
 

@@ -1,14 +1,14 @@
 """Linear operators on the algebra carriers.
 
 Each operator is a named callable with an algebra tag, so pipelines can
-refuse to mix carriers.  The polynomial operators are the forward and
-backward difference operators and their right inverses pinned down by
+refuse to mix carriers.  The polynomial operators are the right
+inverses of the forward and backward differences, pinned down by
 vanishing at zero; the quasi-symmetric operators prepend a part to each
 composition, with the second one also merging into the head part.  The
 four inverses and prepends raise the degree of every non-zero input by
-exactly one and drop no term.  Their
-index-shift realizations in finitely many variables, which check them,
-live in `oracles`.
+exactly one and drop no term.  The differences themselves and the
+index-shift realizations of the prepends in finitely many variables,
+which check them, live in `oracles`.
 """
 
 from __future__ import annotations
@@ -36,16 +36,6 @@ class LinearOperator:
 
     def __call__(self, x):
         return self.apply(x)
-
-
-def delta(p: Polynomial) -> Polynomial:
-    """Forward difference: f(t + 1) - f(t)."""
-    return p.shift(1) - p
-
-
-def nabla(p: Polynomial) -> Polynomial:
-    """Backward difference: f(t) - f(t - 1)."""
-    return p - p.shift(-1)
 
 
 # Power sums sum_{j<t} j^k = A_k(t) / L for k = 0..d: the integer

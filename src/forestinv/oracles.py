@@ -1,9 +1,9 @@
 """Independent reference computations for the test and verify suites.
 
-Everything here deliberately avoids the canonical-form machinery in
-`trees` (beyond constructing result objects), so these routines can act
-as honest oracles for it.  Alongside the tree census and automorphism
-counts live:
+Everything here but the per-tree sums of U_n deliberately avoids the
+canonical-form machinery in `trees` (beyond constructing result
+objects), so these routines can act as honest oracles for it.  Alongside
+the tree census and automorphism counts live:
 
 - brute-force labeling counts, which check the order polynomials, and
   their monomial sums, which check the quasi-symmetric invariants;
@@ -15,6 +15,11 @@ counts live:
 - the per-term build of the tree generating function (one fresh exp per
   term) and its closed form from labeled-tree counting, which check the
   running build in `genfun`;
+- the sums of U_n over every tree value, which check the enumeration
+  build in `genfun`, whose largest class applies the operator once;
+- the forward and backward differences, with the translation
+  p(t) -> p(t + c) they are made of, which check that the difference
+  inverses in `operators` are right inverses;
 - the Newton-basis delta inverse (with its helpers `binomial_basis` and
   `to_newton`), which checks the power-sum table in `operators`;
 - the Fraction-accumulating quasi-shuffle product, which checks the
@@ -32,10 +37,11 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import Polynomial, QSym, quasi_shuffle, rat
+from .algebra import Polynomial, QSym, linear_combination, quasi_shuffle, rat
+from .engine import evaluate
 from .errors import DomainError, ResourceLimitError
 from .series import Series, is_noncommutative
-from .trees import RootedTree
+from .trees import RootedTree, automorphism_order, enumerate_trees
 from .words import FreeWord, TensorElement
 
 
@@ -231,6 +237,28 @@ def u_by_per_term_exp(spec, order: int) -> list:
     return terms
 
 
+def u_by_tree_sums(spec, order: int) -> list:
+    """U_1 .. U_order of an invariant spec, each n! U_n the sum of every
+    tree value on n vertices with the int weight n!/alpha(T), divided
+    once.  Evaluates and caches every tree of every class, the largest
+    included, where `genfun.u_by_enumeration` applies the operator once
+    to that class's sum."""
+    if order < 1:
+        raise DomainError("need order >= 1")
+    terms = []
+    for n in range(1, order + 1):
+        labelings = math.factorial(n)
+        total = linear_combination(
+            (
+                (labelings // automorphism_order(tree), evaluate(tree, spec))
+                for tree in enumerate_trees(n)
+            ),
+            spec.one,
+        )
+        terms.append(Fraction(1, labelings) * total)
+    return terms
+
+
 # operator name -> (labels may repeat along an edge, value is a polynomial)
 _CLOSED_FORM_KINDS = {
     "delta-inv": (False, True),
@@ -342,6 +370,25 @@ def to_newton(poly: Polynomial) -> list[Fraction]:
     return out
 
 
+def shift(p: Polynomial, c) -> Polynomial:
+    """The polynomial p(t + c), computed exactly by Horner steps."""
+    shifted_t = Polynomial((c, 1))
+    out = Polynomial()
+    for a in reversed(p.coeffs):
+        out = out * shifted_t + Polynomial((a,))
+    return out
+
+
+def delta(p: Polynomial) -> Polynomial:
+    """Forward difference: p(t + 1) - p(t)."""
+    return shift(p, 1) - p
+
+
+def nabla(p: Polynomial) -> Polynomial:
+    """Backward difference: p(t) - p(t - 1)."""
+    return p - shift(p, -1)
+
+
 def delta_inv_by_newton(g: Polynomial) -> Polynomial:
     """Delta^-1 through the Newton basis: writing g in the basis C(t, k)
     sends C(t, k) to C(t, k + 1); every C(t, k + 1) vanishes at 0, which
@@ -418,6 +465,17 @@ class FiniteVarPoly:
         self.terms = clean
         self.num_vars = num_vars
         self.degree_cap = degree_cap
+
+    @classmethod
+    def _from_valid_terms(cls, terms: dict, num_vars: int, degree_cap: int):
+        """The polynomial with these terms, taken as they are: the caller
+        guarantees exponent tuples of length num_vars within the degree
+        cap and non-zero exact coefficients, so nothing is checked."""
+        out = cls.__new__(cls)
+        out.terms = terms
+        out.num_vars = num_vars
+        out.degree_cap = degree_cap
+        return out
 
     @classmethod
     def zero(cls, num_vars: int, degree_cap: int):
@@ -526,23 +584,23 @@ def qsym_to_finite(element: QSym, num_vars: int, degree_cap=None) -> FiniteVarPo
     x_{i_1}^{a_1} ... x_{i_r}^{a_r} over strictly increasing index tuples.
     The degree cap defaults to the element's highest degree.
     """
+    if num_vars < 1:
+        raise DomainError("need at least one variable")
     highest = max((sum(c) for c in element.terms), default=0)
     if degree_cap is None:
         degree_cap = highest
     if degree_cap < highest:
         raise DomainError("degree cap below the element's highest term")
+    # a monomial's non-zero exponents read back both its composition and
+    # its index tuple, so no two terms meet and each keeps its coefficient
     out = {}
     for comp, coeff in element.terms.items():
-        r = len(comp)
-        if r > num_vars:
-            continue
-        for spots in itertools.combinations(range(num_vars), r):
+        for spots in itertools.combinations(range(num_vars), len(comp)):
             expo = [0] * num_vars
             for spot, part in zip(spots, comp):
                 expo[spot] = part
-            key = tuple(expo)
-            out[key] = out.get(key, 0) + coeff
-    return FiniteVarPoly(out, num_vars, degree_cap)
+            out[tuple(expo)] = coeff
+    return FiniteVarPoly._from_valid_terms(out, num_vars, degree_cap)
 
 
 def shift_s(p: FiniteVarPoly) -> FiniteVarPoly:
@@ -566,7 +624,10 @@ def finite_lambda(p: FiniteVarPoly) -> FiniteVarPoly:
                 out[bumped] = out.get(bumped, 0) + coeff
         # the index shift of `FiniteVarPoly.shifted`, on the valid terms
         shifted = {(0,) + expo[:-1]: coeff for expo, coeff in shifted.items() if not expo[-1]}
-    return FiniteVarPoly(out, p.num_vars, cap)
+    # every bumped term stays within the cap; only cancelled ones go
+    return FiniteVarPoly._from_valid_terms(
+        {expo: coeff for expo, coeff in out.items() if coeff}, p.num_vars, cap
+    )
 
 
 def finite_lambda_bar(p: FiniteVarPoly) -> FiniteVarPoly:

@@ -15,6 +15,7 @@ from forestinv.engine import (
     _RECURRENCE_PAIRS,
     InvariantSpec,
     built_in_spec,
+    check_cost,
     check_recurrence_cost,
     evaluate,
     qsym_strict_spec,
@@ -30,10 +31,17 @@ from forestinv.genfun import (
     u_by_recurrence,
     verify_functional_equation,
 )
-from forestinv.oracles import FiniteVarPoly, exp_by_power_sums, u_by_per_term_exp, u_closed_form
+from forestinv.operators import POLYNOMIAL, LinearOperator, delta_inv
+from forestinv.oracles import (
+    FiniteVarPoly,
+    exp_by_power_sums,
+    u_by_per_term_exp,
+    u_by_tree_sums,
+    u_closed_form,
+)
 from forestinv.planar import free_word_family
 from forestinv.series import Series
-from forestinv.trees import automorphism_order, enumerate_trees
+from forestinv.trees import DEPTH_LIMIT, _ENUMERATION_CAP, automorphism_order, enumerate_trees
 from forestinv.words import FreeWord
 
 T = Polynomial.t()
@@ -175,6 +183,69 @@ def test_running_recurrence_matches_closed_form(name, order):
     expected = [exact_value(t) for t in u_closed_form(name, order)]
     got = u_by_recurrence(built_in_spec(name), order).terms
     assert [exact_value(t) for t in got] == expected
+
+
+def fresh_spec(name):
+    """A spec with an empty cache: a built-in operator by name, or the
+    custom linear operator 2 delta_inv."""
+    if name == "twice-delta-inv":
+        twice = LinearOperator(name, POLYNOMIAL, lambda g: 2 * delta_inv(g))
+        return InvariantSpec(name, twice, Polynomial.one())
+    shared = built_in_spec(name)
+    return InvariantSpec(name, shared.operator, shared.one)
+
+
+@pytest.mark.parametrize(
+    "name, max_order",
+    [
+        ("delta-inv", 10),
+        ("nabla-inv", 10),
+        ("lambda-bar", 8),
+        ("lambda", 8),
+        ("twice-delta-inv", 10),
+    ],
+)
+def test_enumeration_matches_per_tree_sums(name, max_order):
+    # the per-tree sum evaluates every tree of the largest class, where the
+    # enumeration build applies the operator once to the class's sum
+    expected = [exact_value(t) for t in u_by_tree_sums(fresh_spec(name), max_order)]
+    for order in range(1, max_order + 1):
+        got = u_by_enumeration(fresh_spec(name), order).terms
+        assert [exact_value(t) for t in got] == expected[:order]
+
+
+# A000081: rooted trees on n = 1, 2, ... vertices
+ROOTED_TREES = (1, 1, 2, 4, 9, 20, 48, 115, 286)
+
+
+def test_enumeration_applies_the_operator_once_to_the_largest_class():
+    calls = [0]
+
+    def counting_delta_inv(g):
+        calls[0] += 1
+        return delta_inv(g)
+
+    operator = LinearOperator("counting-delta-inv", POLYNOMIAL, counting_delta_inv)
+    for order in range(1, len(ROOTED_TREES) + 1):
+        calls[0] = 0
+        spec = InvariantSpec(operator.name, operator, Polynomial.one())
+        u_by_enumeration(spec, order)
+        # one call per tree of each smaller class, one for the largest:
+        # 86 at order 8, against the 200 trees on at most 8 vertices
+        assert calls[0] == sum(ROOTED_TREES[: order - 1]) + 1
+        assert set(spec._cache) == {
+            tree.key for n in range(1, order) for tree in enumerate_trees(n)
+        }
+
+
+@pytest.mark.parametrize("name", BUILT_IN_NAMES)
+def test_cost_guards_pass_every_tree_up_to_the_enumeration_cap(name):
+    # so the largest class, which the enumeration build never evaluates,
+    # skips no refusal of `evaluate`
+    spec = built_in_spec(name)
+    for height in range(_ENUMERATION_CAP):
+        check_cost(spec, _ENUMERATION_CAP, height)
+    assert _ENUMERATION_CAP < DEPTH_LIMIT
 
 
 def test_closed_form_guards():

@@ -17,22 +17,23 @@ import forestinv
 from forestinv import operators, oracles
 from forestinv.algebra import Polynomial, QSym
 from forestinv.engine import InvariantSpec, built_in_spec, evaluate
+from forestinv.errors import DomainError
 from forestinv.operators import (
     POLYNOMIAL,
     LinearOperator,
-    delta,
     delta_inv,
     lambda_,
     lambda_bar,
-    nabla,
     nabla_inv,
 )
 from forestinv.oracles import (
     FiniteVarPoly,
     binomial_basis,
+    delta,
     delta_inv_by_newton,
     finite_lambda,
     finite_lambda_bar,
+    nabla,
     qsym_to_finite,
     shift_s,
 )
@@ -317,7 +318,7 @@ def test_lambda_matches_accumulation_and_finite_model_on_every_small_tree():
     # every value of every tree with n <= 8, under both prepend specs.  The
     # finite model runs in n + 1 variables through n = 7, which tells
     # every value of degree n + 1 apart; at n = 8 nine variables would
-    # take about 24 s, so there it runs in 5, where each value is still an
+    # take about 14 s, so there it runs in 5, where each value is still an
     # image that lambda_ must commute with
     for name in ("lambda", "lambda-bar"):
         spec = built_in_spec(name)
@@ -329,6 +330,33 @@ def test_lambda_matches_accumulation_and_finite_model_on_every_small_tree():
                 m = n + 1 if n <= 7 else 5
                 expanded = qsym_to_finite(value, m, n + 1)
                 assert qsym_to_finite(got, m, n + 1) == finite_lambda(expanded), tree.key
+
+
+def test_finite_results_hold_only_terms_the_checked_constructor_keeps():
+    # qsym_to_finite and finite_lambda build their results unchecked; the
+    # public constructor must keep every term they hold, as it is
+    rng = random.Random(59)
+    comps = all_compositions(4)
+    for m, cap in ((1, 4), (3, 5), (6, 6)):
+        for _ in range(4):
+            terms = {
+                comp: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                for comp in rng.sample(comps, 4)
+            }
+            expanded = qsym_to_finite(QSym(terms), m, cap)
+            for result in (expanded, finite_lambda(expanded), finite_lambda_bar(expanded)):
+                checked = FiniteVarPoly(result.terms, result.num_vars, result.degree_cap)
+                assert checked.terms == result.terms
+                assert all(result.terms.values())
+    with pytest.raises(DomainError, match="at least one variable"):
+        qsym_to_finite(QSym.one(), 0)
+
+
+def test_differences_are_re_exported_from_the_oracles():
+    assert forestinv.delta is oracles.delta
+    assert forestinv.nabla is oracles.nabla
+    assert not hasattr(operators, "delta") and not hasattr(operators, "nabla")
+    assert not hasattr(Polynomial, "shift")
 
 
 def test_shift_examples():

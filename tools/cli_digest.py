@@ -86,6 +86,11 @@ _GENFUN = [
 _GENFUN_LARGE = [
     ("genfun", "--operator", op, "--terms", str(terms), "--mode", "recurrence")
     for op, terms in (("delta-inv", 30), ("nabla-inv", 20), ("lambda-bar", 9), ("lambda", 9))
+] + [
+    # the enumeration build where the largest tree class, summed before
+    # the operator, holds most of the trees
+    ("genfun", "--operator", op, "--terms", str(terms), "--mode", "enumerate")
+    for op, terms in (("delta-inv", 10), ("nabla-inv", 10), ("lambda-bar", 8), ("lambda", 8))
 ]
 
 # many-term values, written term by term into the JSON text
