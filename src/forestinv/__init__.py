@@ -11,7 +11,9 @@ is exact rational.
 from .algebra import (
     Polynomial,
     QSym,
+    code,
     one_like,
+    parts,
     principal_specialization,
     quasi_shuffle,
     rat,

@@ -2,7 +2,12 @@
 
 Two commutative algebras over the rationals live here: dense univariate
 polynomials in t and quasi-symmetric elements written in the monomial
-composition basis.  Arithmetic is exact and runs on Python ints wherever
+composition basis.  A quasi-symmetric term is keyed by the code of its
+composition, one character per part whose code point is the part, made
+by `code` and read back by `parts`, the only encoder and decoder: a str
+caches its hash, so the products, prepends and renders that look a key
+up again and again never re-hash it, and codes sort like the tuples.
+Arithmetic is exact and runs on Python ints wherever
 it can: a polynomial is integer numerators over one common denominator,
 and the dict carriers (here and in `words`) store integral coefficients
 as int and the rest as `fractions.Fraction`, all through the one coercion
@@ -25,6 +30,7 @@ There is no floating point anywhere in the package.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm
@@ -310,12 +316,31 @@ class Polynomial:
         return "Polynomial(%s)" % " + ".join(parts)
 
 
-Composition = tuple
+# Largest part a composition may have: its code point in a key code.
+MAX_PART = sys.maxunicode
+
+
+def code(composition) -> str:
+    """The key code of a composition: one character per part, with the
+    part as its code point; the empty composition gives "", the unit.
+    Code points compare like ints and a prefix sorts first, so codes sort
+    exactly like the tuples they encode."""
+    composition = tuple(composition)
+    if not all(isinstance(part, int) and 1 <= part <= MAX_PART for part in composition):
+        raise DomainError(
+            f"composition parts must be positive integers up to {MAX_PART}: {composition}"
+        )
+    return "".join(map(chr, composition))
+
+
+def parts(key: str) -> tuple:
+    """The composition a key code encodes, as a tuple of ints."""
+    return tuple(map(ord, key))
 
 
 @lru_cache(maxsize=None)
-def quasi_shuffle(a: Composition, b: Composition):
-    """Overlapping shuffles of two compositions, with multiplicities.
+def quasi_shuffle(a: str, b: str):
+    """Overlapping shuffles of two composition codes, with multiplicities.
 
     Each step either takes the head of one argument or merges both heads
     into their sum; this is the structure constant table of the monomial
@@ -325,16 +350,22 @@ def quasi_shuffle(a: Composition, b: Composition):
         return ((b, 1),)
     if not b:
         return ((a, 1),)
+    head_a, rest_a, head_b, rest_b = a[0], a[1:], b[0], b[1:]
+    try:
+        merged = chr(ord(head_a) + ord(head_b))
+    except ValueError:
+        raise DomainError(f"merged composition part is above {MAX_PART}") from None
     acc = {}
-    for comp, m in quasi_shuffle(a[1:], b):
-        comp = (a[0],) + comp
-        acc[comp] = acc.get(comp, 0) + m
-    for comp, m in quasi_shuffle(a, b[1:]):
-        comp = (b[0],) + comp
-        acc[comp] = acc.get(comp, 0) + m
-    for comp, m in quasi_shuffle(a[1:], b[1:]):
-        comp = (a[0] + b[0],) + comp
-        acc[comp] = acc.get(comp, 0) + m
+    get = acc.get
+    for comp, m in quasi_shuffle(rest_a, b):
+        comp = head_a + comp
+        acc[comp] = get(comp, 0) + m
+    for comp, m in quasi_shuffle(a, rest_b):
+        comp = head_b + comp
+        acc[comp] = get(comp, 0) + m
+    for comp, m in quasi_shuffle(rest_a, rest_b):
+        comp = merged + comp
+        acc[comp] = get(comp, 0) + m
     return tuple(acc.items())
 
 
@@ -344,7 +375,7 @@ class TermCarrier:
 
     `terms` maps each key to its non-zero coefficient, an int when
     integral and a Fraction otherwise.  Each subclass supplies its key
-    check `_checked_key` (the key as a tuple, or `DomainError`), the
+    check `_checked_key` (the key it stores, or `DomainError`), the
     product and the repr.  Elements of different carriers never compare
     equal, add or multiply.  No carrier truncates: a tree's value is
     homogeneous of degree its vertex count, so a generating function cut
@@ -418,7 +449,8 @@ class TermCarrier:
         return cls({(): 1})
 
     def one_like(self):
-        return self._from_valid_terms({(): 1})
+        """The unit of this carrier, keyed by its own empty key."""
+        return self._from_valid_terms({self._checked_key(()): 1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -461,18 +493,17 @@ class QSym(TermCarrier):
     """Quasi-symmetric element in the monomial composition basis, graded
     by total degree.
 
-    `terms` maps a composition (a_1, ..., a_r) of positive integers to its
-    rational coefficient; the empty composition () is the unit.
+    `terms` maps the code of a composition (a_1, ..., a_r) of positive
+    integers, `code((a_1, ..., a_r))`, to its rational coefficient; the
+    empty code "" is the unit.  Keys come in as tuples, through the
+    constructor, `monomial` and `one`, and are encoded there; they go out
+    as tuples through `parts`, in `homogeneous_degree`, the repr and the
+    render.
     """
 
     __slots__ = ()
 
-    @staticmethod
-    def _checked_key(comp):
-        comp = tuple(comp)
-        if any(part < 1 for part in comp):
-            raise DomainError(f"composition parts must be positive: {comp}")
-        return comp
+    _checked_key = staticmethod(code)
 
     @classmethod
     def monomial(cls, composition, max_degree: int | None = None):
@@ -487,7 +518,7 @@ class QSym(TermCarrier):
 
     def homogeneous_degree(self):
         """The common degree of all terms, or None if mixed or zero."""
-        degrees = {sum(comp) for comp in self.terms}
+        degrees = {sum(parts(key)) for key in self.terms}
         return degrees.pop() if len(degrees) == 1 else None
 
     def __mul__(self, other):
@@ -515,19 +546,20 @@ class QSym(TermCarrier):
     def __repr__(self):
         if not self.terms:
             return "QSym(0)"
-        parts = []
-        for comp in sorted(self.terms):
-            coeff = self.terms[comp]
-            label = "1" if comp == () else "M(%s)" % ",".join(map(str, comp))
-            parts.append(label if coeff == 1 and comp != () else f"{coeff}*{label}")
-        return "QSym(%s)" % " + ".join(parts)
+        shown = []
+        for key in sorted(self.terms):
+            coeff = self.terms[key]
+            label = "M(%s)" % ",".join(map(str, parts(key))) if key else "1"
+            shown.append(label if coeff == 1 and key else f"{coeff}*{label}")
+        return "QSym(%s)" % " + ".join(shown)
 
 
 def principal_specialization(element: QSym, m: int) -> Fraction:
     """Value after setting x_1 = ... = x_m = 1 and the rest to zero.
 
-    A monomial term indexed by a length-r composition contributes one for
-    each of the C(m, r) increasing index choices.
+    A monomial term indexed by a length-r composition, whose code has r
+    characters, contributes one for each of the C(m, r) increasing index
+    choices.
     """
     if m < 0:
         raise DomainError("need m >= 0")

@@ -3,7 +3,8 @@
 Subcommands: enumerate, invariant, genfun, verify, collisions, planar.
 Output formats: json (default, deterministic ordering), csv, text.
 Exit codes: 0 success, 1 domain or parse error (message on stderr),
-2 resource-guard error.  Rationals render as exact "p/q" strings.
+2 resource-guard error or exhausted memory.  Rationals render as exact
+"p/q" strings.
 The JSON of invariant, genfun and planar, whose payloads hold algebra
 values, is written by `render.render_payload` straight from the values'
 terms; the other payloads go through `json.dumps`.
@@ -231,6 +232,11 @@ def main(argv=None) -> int:
         return 1
     except ResourceLimitError as err:
         print(f"resource limit: {err}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        # the guards bound terms and degrees, not bytes, so a run within
+        # them can still exhaust the memory the process is given
+        print(f"resource limit: {args.subcommand} ran out of memory", file=sys.stderr)
         return 2
     except SystemExit as err:  # argparse --help
         return int(err.code or 0)

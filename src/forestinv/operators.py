@@ -4,7 +4,9 @@ Each operator is a named callable with an algebra tag, so pipelines can
 refuse to mix carriers.  The polynomial operators are the right
 inverses of the forward and backward differences, pinned down by
 vanishing at zero; the quasi-symmetric operators prepend a part to each
-composition, with the second one also merging into the head part.  The
+composition, with the second one also merging into the head part, and
+both work on the key codes of `algebra.code` as they are: the part 1 is
+the character "\x01", and merging adds 1 to the head's code point.  The
 four inverses and prepends raise the degree of every non-zero input by
 exactly one and drop no term.  The differences themselves and the
 index-shift realizations of the prepends in finitely many variables,
@@ -18,7 +20,8 @@ from fractions import Fraction
 from math import comb, lcm
 from typing import Any, Callable
 
-from .algebra import Polynomial, QSym
+from .algebra import MAX_PART, Polynomial, QSym
+from .errors import DomainError
 
 POLYNOMIAL = "polynomial"
 QSYM = "qsym"
@@ -118,7 +121,7 @@ def lambda_bar(a: QSym) -> QSym:
     M_(a_1, ..., a_r) goes to M_(1, a_1, ..., a_r) and the unit goes to
     M_(1), so the degree of every term grows by exactly one.
     """
-    return QSym._from_valid_terms({(1,) + comp: coeff for comp, coeff in a.terms.items()})
+    return QSym._from_valid_terms({"\x01" + key: coeff for key, coeff in a.terms.items()})
 
 
 def lambda_(a: QSym) -> QSym:
@@ -131,8 +134,11 @@ def lambda_(a: QSym) -> QSym:
     # the prepended keys start with 1 and the absorbed ones with 2 or more,
     # and each family is injective, so no two terms meet
     terms = a.terms
-    out = {(1,) + comp: coeff for comp, coeff in terms.items()}
-    out.update({(1 + comp[0],) + comp[1:]: coeff for comp, coeff in terms.items() if comp})
+    out = {"\x01" + key: coeff for key, coeff in terms.items()}
+    try:
+        out.update({chr(1 + ord(key[0])) + key[1:]: coeff for key, coeff in terms.items() if key})
+    except ValueError:
+        raise DomainError(f"merged composition part is above {MAX_PART}") from None
     return QSym._from_valid_terms(out)
 
 

@@ -22,11 +22,14 @@ the tree census and automorphism counts live:
   inverses in `operators` are right inverses;
 - the Newton-basis delta inverse (with its helpers `binomial_basis` and
   `to_newton`), which checks the power-sum table in `operators`;
-- the Fraction-accumulating quasi-shuffle product, which checks the
-  integer kernel of `QSym.__mul__`;
+- the quasi-shuffle on tuples of ints and the Fraction-accumulating
+  product built on it, which check the quasi-shuffle on key codes and
+  the integer kernel of `QSym.__mul__`;
 - the structure-building render of every carrier value, which checks the
   JSON text that `render.render_json` writes from the terms.
 
+Quasi-symmetric keys are decoded with `algebra.parts` where they come
+in, so every routine here works on compositions as tuples of ints.
 Guards raise instead of approximating.
 """
 
@@ -37,7 +40,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import Polynomial, QSym, linear_combination, quasi_shuffle, rat
+from .algebra import Polynomial, QSym, linear_combination, parts, rat
 from .engine import evaluate
 from .errors import DomainError, ResourceLimitError
 from .series import Series, is_noncommutative
@@ -399,14 +402,38 @@ def delta_inv_by_newton(g: Polynomial) -> Polynomial:
     return out
 
 
+@lru_cache(maxsize=None)
+def quasi_shuffle_by_tuples(a: tuple, b: tuple):
+    """Overlapping shuffles of two compositions given as tuples of ints,
+    with multiplicities: what `algebra.quasi_shuffle` gives on their
+    codes.  Each step takes the head of one argument or merges both
+    heads into their sum."""
+    if not a:
+        return ((b, 1),)
+    if not b:
+        return ((a, 1),)
+    acc = {}
+    for comp, m in quasi_shuffle_by_tuples(a[1:], b):
+        comp = (a[0],) + comp
+        acc[comp] = acc.get(comp, 0) + m
+    for comp, m in quasi_shuffle_by_tuples(a, b[1:]):
+        comp = (b[0],) + comp
+        acc[comp] = acc.get(comp, 0) + m
+    for comp, m in quasi_shuffle_by_tuples(a[1:], b[1:]):
+        comp = (a[0] + b[0],) + comp
+        acc[comp] = acc.get(comp, 0) + m
+    return tuple(acc.items())
+
+
 def qsym_mul_by_fractions(a: QSym, b: QSym) -> QSym:
-    """The quasi-shuffle product accumulated on the coefficients as they
-    are, Fractions included, and passed through the public constructor."""
+    """The quasi-shuffle product on tuples, accumulated on the
+    coefficients as they are, Fractions included, and passed through the
+    public constructor."""
     out = {}
-    for ca, va in a.terms.items():
-        for cb, vb in b.terms.items():
+    for ka, va in a.terms.items():
+        for kb, vb in b.terms.items():
             v = va * vb
-            for comp, m in quasi_shuffle(ca, cb):
+            for comp, m in quasi_shuffle_by_tuples(parts(ka), parts(kb)):
                 out[comp] = out.get(comp, 0) + m * v
     return QSym(out)
 
@@ -420,8 +447,8 @@ def render_by_structure(x):
         return [str(c) for c in x.coeffs]
     if isinstance(x, QSym):
         return [
-            {"composition": list(comp), "coefficient": str(x.terms[comp])}
-            for comp in sorted(x.terms)
+            {"composition": list(comp), "coefficient": str(coeff)}
+            for comp, coeff in sorted((parts(key), coeff) for key, coeff in x.terms.items())
         ]
     if isinstance(x, FreeWord):
         return [
@@ -586,7 +613,8 @@ def qsym_to_finite(element: QSym, num_vars: int, degree_cap=None) -> FiniteVarPo
     """
     if num_vars < 1:
         raise DomainError("need at least one variable")
-    highest = max((sum(c) for c in element.terms), default=0)
+    terms = {parts(key): coeff for key, coeff in element.terms.items()}
+    highest = max((sum(c) for c in terms), default=0)
     if degree_cap is None:
         degree_cap = highest
     if degree_cap < highest:
@@ -594,7 +622,7 @@ def qsym_to_finite(element: QSym, num_vars: int, degree_cap=None) -> FiniteVarPo
     # a monomial's non-zero exponents read back both its composition and
     # its index tuple, so no two terms meet and each keeps its coefficient
     out = {}
-    for comp, coeff in element.terms.items():
+    for comp, coeff in terms.items():
         for spots in itertools.combinations(range(num_vars), len(comp)):
             expo = [0] * num_vars
             for spot, part in zip(spots, comp):

@@ -9,10 +9,13 @@ JSON text of a value straight from its terms: one f-string per term, in
 sorted order, with only the words, whose labels are user strings, going
 through `json.dumps` for escaping.  A polynomial's coefficients are
 written from its integer numerators, each reduced against the common
-denominator by one gcd.  `render_payload` writes the CLI's objects
-around such values, and `render_value` is the parsed form of the same
-text.  Both match `json.dumps` with its default separators byte for
-byte.
+denominator by one gcd.  A quasi-symmetric key code (see
+`algebra.code`) is decoded here, where it is written: one
+`str.translate` turns each of its characters into the part's digits
+and a separator, and codes sort like the compositions they encode.
+`render_payload` writes the CLI's objects around such values, and
+`render_value` is the parsed form of the same text.  Both match
+`json.dumps` with its default separators byte for byte.
 """
 
 from __future__ import annotations
@@ -29,6 +32,18 @@ from .words import FreeWord, TensorElement
 
 def _array(items) -> str:
     return "[" + ", ".join(items) + "]"
+
+
+class _PartText(dict):
+    """Code point -> the JSON text of that part and a separator, "k, ";
+    one entry per part size ever rendered, made on first use."""
+
+    def __missing__(self, point):
+        text = self[point] = f"{point}, "
+        return text
+
+
+_PARTS = _PartText()
 
 
 def _shortlex(terms):
@@ -57,8 +72,8 @@ def render_json(x) -> str:
     if isinstance(x, QSym):
         terms = x.terms
         return _array([
-            f'{{"composition": {list(comp)!s}, "coefficient": "{terms[comp]!s}"}}'
-            for comp in sorted(terms)
+            f'{{"composition": [{key.translate(_PARTS)[:-2]}], "coefficient": "{terms[key]!s}"}}'
+            for key in sorted(terms)
         ])
     if isinstance(x, FreeWord):
         terms = x.terms

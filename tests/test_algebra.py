@@ -14,8 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from forestinv.algebra import (
+    MAX_PART,
     Polynomial,
     QSym,
+    code,
+    parts,
     principal_specialization,
     quasi_shuffle,
     rat,
@@ -28,6 +31,7 @@ from forestinv.oracles import (
     exp_by_power_sums,
     geometric_inverse_by_powers,
     qsym_to_finite,
+    render_by_structure,
     shift,
     to_newton,
 )
@@ -118,8 +122,50 @@ def test_newton_round_trip():
 
 def test_quasi_shuffle_structure():
     # two singletons: both orders plus the merged part
-    assert dict(quasi_shuffle((1,), (2,))) == {(1, 2): 1, (2, 1): 1, (3,): 1}
-    assert dict(quasi_shuffle((), (1, 2))) == {(1, 2): 1}
+    def shuffled(a, b):
+        return {parts(key): m for key, m in quasi_shuffle(code(a), code(b))}
+
+    assert shuffled((1,), (2,)) == {(1, 2): 1, (2, 1): 1, (3,): 1}
+    assert shuffled((), (1, 2)) == {(1, 2): 1}
+
+
+def test_key_codes_round_trip_and_mark_the_unit():
+    for comp in [(), (1,), (3, 1, 2), (255, 256, 65535, 65536), (MAX_PART, 1)]:
+        key = code(comp)
+        assert type(key) is str and len(key) == len(comp)
+        assert parts(key) == comp
+    assert code(()) == "" and QSym.one().terms == {"": 1}
+    assert QSym.monomial((1,)).one_like() == QSym.one()
+    assert FreeWord.generator("a").one_like().terms == {(): 1}
+
+
+def test_parts_past_one_byte_render_repr_and_specialize_like_the_oracle():
+    big = QSym.monomial((300, 70000, 1))
+    mixed = big + QSym({(2,): 1, (70000,): Fraction(-1, 2), (1, 300): 3, (0xD800, 1): 1})
+    for x in (big, mixed, big * QSym.monomial((5,)), lambda_(big), lambda_bar(mixed)):
+        assert render_value(x) == render_by_structure(x)
+        finite = qsym_to_finite(x, 4)
+        assert principal_specialization(x, 4) == sum(finite.terms.values())
+    assert repr(big) == "QSym(M(300,70000,1))"
+    assert big.homogeneous_degree() == 70301
+    assert render_value(lambda_(big))[1] == {"composition": [301, 70000, 1], "coefficient": "1"}
+
+
+def test_parts_past_the_largest_code_point_are_refused():
+    for comp in [(MAX_PART + 1,), (1, 2**70), (0,), (2, -1), (1.5,), ("a",)]:
+        with pytest.raises(DomainError):
+            code(comp)
+        with pytest.raises(DomainError):
+            QSym({comp: 1})
+    with pytest.raises(DomainError):
+        QSym.monomial((MAX_PART + 1,))
+    top = QSym.monomial((MAX_PART,))
+    # a merged head past the largest code point is refused, not a chr error
+    with pytest.raises(DomainError):
+        top * QSym.monomial((1,))
+    with pytest.raises(DomainError):
+        lambda_(top)
+    assert parts(next(iter(lambda_bar(top).terms))) == (1, MAX_PART)
 
 
 def test_qsym_products():
@@ -155,11 +201,11 @@ def test_trusted_constructor_drops_cancelled_int_terms():
     # int-only sums and products take the trusted path unchanged unless a
     # coefficient cancels to zero, which is still dropped
     a = QSym({(1,): 1, (2,): 2})
-    assert (a + QSym({(1,): -1})).terms == {(2,): 2}
+    assert (a + QSym({(1,): -1})).terms == {code((2,)): 2}
     assert (a - a).terms == {}
     # M_1 M_(1,1) = 3 M_(1,1,1) + M_(1,2) + M_(2,1); M_1 M_2 = M_(1,2) + M_(2,1) + M_3
     product = QSym.monomial((1,)) * QSym({(1, 1): 1, (2,): -1})
-    assert product.terms == {(1, 1, 1): 3, (3,): -1}
+    assert product.terms == {code((1, 1, 1)): 3, code((3,)): -1}
     assert product == QSym({(1, 1, 1): 3, (3,): -1, (1, 2): 0})
 
 

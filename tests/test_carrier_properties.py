@@ -8,9 +8,11 @@ public constructor, checked for leftovers the trusted path must clean up
 axioms.  The public constructors must still refuse bad keys, and
 elements of different carriers, Polynomial included, must never compare
 equal or combine.  No carrier truncates; the QSym grading that makes
-this safe is pinned as a property.  The integer-numerator QSym product
-is checked against the Fraction-accumulating oracle, and each carrier's
-one-pass `linear_combination` against the running sum it replaces."""
+this safe is pinned as a property.  The quasi-shuffle on key codes is
+checked against the one on tuples it replaced, codes against the
+tuples they encode, the integer-numerator QSym product against the
+Fraction-accumulating oracle, and each carrier's one-pass
+`linear_combination` against the running sum it replaces."""
 
 import itertools
 import operator
@@ -21,10 +23,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from forestinv.algebra import Polynomial, QSym, linear_combination, quasi_shuffle
+from forestinv.algebra import (
+    MAX_PART,
+    Polynomial,
+    QSym,
+    code,
+    linear_combination,
+    parts,
+    quasi_shuffle,
+)
 from forestinv.errors import DomainError
 from forestinv.operators import lambda_, lambda_bar
-from forestinv.oracles import qsym_mul_by_fractions
+from forestinv.oracles import qsym_mul_by_fractions, quasi_shuffle_by_tuples
 from forestinv.words import FreeWord, TensorElement
 
 PROPERTY = settings(max_examples=60, deadline=None)
@@ -56,6 +66,12 @@ def tensors():
 
 def polynomials():
     return st.builds(Polynomial, st.lists(COEFFS, max_size=4))
+
+
+def by_tuples(raw):
+    """Raw quasi-symmetric terms keyed by key codes, rekeyed by the
+    compositions the public constructor takes."""
+    return {parts(key): coeff for key, coeff in raw.items()}
 
 
 def exact(element):
@@ -115,15 +131,16 @@ def test_qsym_arithmetic_matches_public_constructor(a, b, c):
         (c * a, raw_scaled(c, a)),
     ]
     for result, raw in cases:
-        assert_matches(result, QSym(raw))
+        assert_matches(result, QSym(by_tuples(raw)))
 
 
 @PROPERTY
 @given(qsyms())
 def test_prepend_operators_match_public_constructor(a):
-    prepended = {(1,) + comp: coeff for comp, coeff in a.terms.items()}
+    terms = by_tuples(a.terms)
+    prepended = {(1,) + comp: coeff for comp, coeff in terms.items()}
     absorbed = dict(prepended)
-    for comp, coeff in a.terms.items():
+    for comp, coeff in terms.items():
         if comp:
             head = (1 + comp[0],) + comp[1:]
             absorbed[head] = absorbed.get(head, 0) + coeff
@@ -246,12 +263,14 @@ def test_trusted_paths_clean_up_their_results():
     assert (q + (-q)).terms == {}
     assert (q * 0).terms == {} and (0 * q).terms == {}
     # integral Fractions come back as int, from sums, products and scalars
-    assert exact(q + q) == {(1,): (int, 1), (2,): (Fraction, Fraction(4, 3))}
-    assert exact(QSym({(1,): third}) * QSym({(2,): Fraction(3, 2)})) == {
+    assert by_tuples(exact(q + q)) == {(1,): (int, 1), (2,): (Fraction, Fraction(4, 3))}
+    assert by_tuples(exact(QSym({(1,): third}) * QSym({(2,): Fraction(3, 2)}))) == {
         (1, 2): (int, 1), (2, 1): (int, 1), (3,): (int, 1)
     }
-    assert exact(q * Fraction(3, 2)) == {(1,): (Fraction, Fraction(3, 4)), (2,): (int, 1)}
-    assert exact(Fraction(6) * q) == {(1,): (int, 3), (2,): (int, 4)}
+    assert by_tuples(exact(q * Fraction(3, 2))) == {
+        (1,): (Fraction, Fraction(3, 4)), (2,): (int, 1)
+    }
+    assert by_tuples(exact(Fraction(6) * q)) == {(1,): (int, 3), (2,): (int, 4)}
     w = FreeWord({("a",): half, ("b",): third})
     assert (w - w).terms == {}
     assert exact(w * FreeWord({("b",): Fraction(3, 2)})) == {
@@ -303,6 +322,51 @@ ANY_QSYM = st.one_of(*(qsyms_with(kind) for kind in COEFF_KINDS.values()))
 @given(ANY_QSYM, ANY_QSYM)
 def test_qsym_product_matches_fraction_oracle_property(a, b):
     assert_matches(a * b, qsym_mul_by_fractions(a, b))
+
+
+def compositions_of(total):
+    if total == 0:
+        return [()]
+    return [
+        (part,) + rest for part in range(1, total + 1) for rest in compositions_of(total - part)
+    ]
+
+
+def assert_coded_shuffle_matches_the_reference(a, b):
+    coded = quasi_shuffle(code(a), code(b))
+    decoded = {parts(key): m for key, m in coded}
+    assert len(decoded) == len(coded)
+    assert decoded == dict(quasi_shuffle_by_tuples(a, b)), (a, b)
+
+
+def test_coded_quasi_shuffle_matches_the_tuple_reference_up_to_degree_8():
+    by_degree = [compositions_of(total) for total in range(9)]
+    for degree_a, comps_a in enumerate(by_degree):
+        for comps_b in by_degree[: 9 - degree_a]:
+            for a in comps_a:
+                for b in comps_b:
+                    assert_coded_shuffle_matches_the_reference(a, b)
+
+
+# parts on both sides of the one- and two-byte code points, and up to half
+# the largest one, so that no merged part passes it
+WIDE_COMPOSITIONS = st.lists(
+    st.one_of(st.integers(1, 3), st.integers(250, 260), st.integers(1, MAX_PART // 2)),
+    max_size=4,
+).map(tuple)
+
+
+@PROPERTY
+@given(WIDE_COMPOSITIONS, WIDE_COMPOSITIONS)
+def test_coded_quasi_shuffle_matches_the_tuple_reference_property(a, b):
+    assert_coded_shuffle_matches_the_reference(a, b)
+
+
+@PROPERTY
+@given(st.lists(st.lists(st.integers(1, MAX_PART), max_size=5).map(tuple), max_size=12))
+def test_codes_round_trip_and_sort_like_their_compositions_property(comps):
+    assert [parts(code(comp)) for comp in comps] == comps
+    assert [parts(key) for key in sorted(map(code, comps))] == sorted(comps)
 
 
 def random_qsym(rng, kind, max_degree, size=8):

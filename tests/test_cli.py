@@ -216,6 +216,18 @@ def test_resource_guard_exit_code(capsys):
     assert code == 2
 
 
+def test_exhausted_memory_exits_with_a_resource_limit_naming_the_subcommand(
+    capsys, monkeypatch
+):
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._COMMANDS, "collisions", exhausted)
+    code, out, err = run(capsys, "collisions", "--operator", "lambda", "--max-n", "13")
+    assert (code, out) == (2, "")
+    assert err == "resource limit: collisions ran out of memory\n"
+
+
 def test_usage_errors(capsys):
     code, out, err = run(capsys, "enumerate", "--vertices", "3", "--bogus")
     assert code == 1
@@ -276,6 +288,31 @@ def test_successive_calls_match_fresh_processes(capsys, monkeypatch):
             capture_output=True, text=True, env=env,
         )
         assert (fresh.returncode, fresh.stdout, fresh.stderr) == seen, argv
+
+
+# quasi-symmetric keys are str codes, whose hashes are salted per process;
+# no output may depend on the salt
+SALTED_CALLS = [
+    ("collisions", "--operator", "lambda", "--max-n", "7"),
+    ("invariant", "--tree", "(" + "()" * 8 + ")", "--operator", "lambda"),
+    ("genfun", "--operator", "lambda-bar", "--terms", "7"),
+]
+
+
+@pytest.mark.parametrize("argv", SALTED_CALLS, ids=lambda argv: argv[0])
+def test_output_does_not_depend_on_the_hash_seed(argv):
+    src = Path(forestinv.__file__).resolve().parents[1]
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=seed)
+        done = subprocess.run(
+            [sys.executable, "-m", "forestinv.cli", *argv],
+            capture_output=True, env=env,
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0]
 
 
 def test_parser_is_built_once(capsys, monkeypatch):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import forestinv
 from forestinv import operators, oracles
-from forestinv.algebra import Polynomial, QSym
+from forestinv.algebra import Polynomial, QSym, parts
 from forestinv.engine import InvariantSpec, built_in_spec, evaluate
 from forestinv.errors import DomainError
 from forestinv.operators import (
@@ -284,7 +284,8 @@ def test_prepend_operators_match_finite_model_on_sums():
 def lambda_by_accumulation(a):
     """The per-term accumulation that `lambda_` replaced."""
     out = {}
-    for comp, coeff in a.terms.items():
+    for key, coeff in a.terms.items():
+        comp = parts(key)
         for grown in ((1,) + comp,) + (((1 + comp[0],) + comp[1:],) if comp else ()):
             out[grown] = out.get(grown, 0) + coeff
     return QSym(out)
@@ -408,7 +409,7 @@ def test_prepend_operators_injective_between_degrees(operator):
             image = operator(QSym.monomial(comp))
             column = [Fraction(0)] * len(codomain)
             for out_comp, coeff in image.terms.items():
-                column[codomain[out_comp]] = coeff
+                column[codomain[parts(out_comp)]] = coeff
             columns.append(column)
         rows = [[columns[j][i] for j in range(len(columns))] for i in range(len(codomain))]
         assert exact_rank(rows) == len(domain)

@@ -93,12 +93,19 @@ _GENFUN_LARGE = [
     for op, terms in (("delta-inv", 10), ("nabla-inv", 10), ("lambda-bar", 8), ("lambda", 8))
 ]
 
-# many-term values, written term by term into the JSON text
+# many-term values, written term by term into the JSON text, up to the
+# 1024- and 2048-term values of the 12-vertex trees
 _MANY_TERMS = [
     ("invariant", "--tree", shape(9), "--operator", op)
     for shape in (_star, _caterpillar)
     for op in ("lambda", "lambda-bar")
-] + [("genfun", "--operator", "lambda", "--terms", "7")]
+] + [
+    ("invariant", "--tree", shape(12), "--operator", "lambda")
+    for shape in (_star, _caterpillar, _path)
+] + [
+    ("invariant", "--tree", _star(12), "--operator", "lambda-bar"),
+    ("genfun", "--operator", "lambda", "--terms", "7"),
+]
 
 _COLLISIONS = [("collisions", "--operator", op, "--max-n", "7") for op in BUILT_IN_NAMES]
 
