@@ -7,25 +7,28 @@ composition, one character per part whose code point is the part, made
 by `code` and read back by `parts`, the only encoder and decoder: a str
 caches its hash, so the products, prepends and renders that look a key
 up again and again never re-hash it, and codes sort like the tuples.
-Arithmetic is exact and runs on Python ints wherever
-it can: a polynomial is integer numerators over one common denominator,
-and the dict carriers (here and in `words`) store integral coefficients
-as int and the rest as `fractions.Fraction`, all through the one coercion
-`rat`.  Their constructor and linear-space arithmetic live once, in
-`TermCarrier`.  A quasi-symmetric product clears each operand's
-denominators once, runs the quasi-shuffle accumulation on integer
-numerators and divides once per output term; the product commutes, so
-the operand with more terms runs outside and goes first into the
-memoized `quasi_shuffle`, whose table then holds a pair of compositions
-of a mixed-size product in one orientation only.  No carrier truncates:
-every product keeps every term.  A sum of many weighted values, such as
-a series coefficient or a tree sum, goes through one carrier kernel,
-`linear_combination`, which accumulates every term into one integer
-list or dict over one common denominator and normalizes once; the
-module function of that name picks the kernel from the unit, and scalars
-just add.  `product` multiplies values left to right starting from the
-first, so no product has the unit as an operand.
-There is no floating point anywhere in the package.
+
+Every carrier, here and in `words`, stores one exact form: integer
+numerators over one positive denominator, kept reduced, so all its
+arithmetic runs on Python ints.  `rat`, the one coefficient coercion,
+brings outside coefficients in at the public constructors, and
+Fractions come back only in the `coeffs` and `terms` views.  The dict
+carriers' constructor and linear-space arithmetic live once, in
+`TermCarrier`.  A product multiplies numerators and the two
+denominators; a quasi-symmetric product commutes, so the operand with
+more terms runs outside and goes first into the memoized
+`quasi_shuffle`, whose table then holds a pair of compositions of a
+mixed-size product in one orientation only.  No carrier truncates:
+every product keeps every term.
+
+A sum of weighted values, such as a series coefficient or a tree sum,
+goes through one carrier kernel, `linear_combination`, which
+accumulates every term into one integer list or dict over one common
+denominator and reduces once; each carrier's +, - and scaling are one
+call of it.  The module function of that name picks the kernel from
+the unit, and scalars just add.  `product` multiplies values left to
+right starting from the first, so no product has the unit as an
+operand.  There is no floating point anywhere in the package.
 """
 
 from __future__ import annotations
@@ -55,37 +58,6 @@ def rat(x):
     if isinstance(x, str):
         return rat(Fraction(x))
     raise DomainError(f"not an exact scalar: {x!r}")
-
-
-_INT_ONLY = frozenset((int,))
-
-
-def _exact_nonzero(terms) -> dict:
-    """The terms without zero coefficients, integral Fractions stored as
-    int: the only clean-up a sum or product of valid terms needs.  A
-    zero-free int-only dict comes back as it is, after two scans of its
-    values, so callers pass a fresh dict that they own."""
-    values = terms.values()
-    if _INT_ONLY.issuperset(map(type, values)) and 0 not in values:
-        return terms
-    clean = {}
-    for key, coeff in terms.items():
-        if coeff:
-            if type(coeff) is not int and coeff.denominator == 1:
-                coeff = coeff.numerator
-            clean[key] = coeff
-    return clean
-
-
-def _numerators(terms) -> tuple[dict, int]:
-    """The terms as integer numerators over the lcm of their coefficients'
-    denominators, and that lcm; int-only terms come back as they are,
-    after one scan of the coefficient types."""
-    if _INT_ONLY.issuperset(map(type, terms.values())):
-        return terms, 1
-    den = lcm(*(coeff.denominator for coeff in terms.values()))
-    return {key: coeff.numerator * (den // coeff.denominator)
-            for key, coeff in terms.items()}, den
 
 
 def one_like(x):
@@ -231,27 +203,15 @@ class Polynomial:
     def __add__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        a, b = self.numerators, other.numerators
-        den, other_den = self.denominator, other.denominator
-        if den != other_den:
-            g = gcd(den, other_den)
-            a = [n * (other_den // g) for n in a]
-            b = [n * (den // g) for n in b]
-            den = den // g * other_den
-        if len(a) < len(b):
-            a, b = b, a
-        merged = list(a)
-        for i, n in enumerate(b):
-            merged[i] += n
-        return Polynomial.from_numerators(merged, den)
+        return Polynomial.linear_combination(((1, self), (1, other)))
 
     def __neg__(self):
-        return Polynomial.from_numerators([-n for n in self.numerators], self.denominator)
+        return Polynomial.linear_combination(((-1, self),))
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self + (-other)
+        return Polynomial.linear_combination(((1, self), (-1, other)))
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
@@ -272,10 +232,7 @@ class Polynomial:
     def _scaled(self, other) -> "Polynomial":
         if isinstance(other, TermCarrier):
             return NotImplemented
-        c = rat(other)
-        return Polynomial.from_numerators(
-            [c.numerator * n for n in self.numerators], c.denominator * self.denominator
-        )
+        return Polynomial.linear_combination(((other, self),))
 
     def __call__(self, x) -> Fraction:
         nums = self.numerators
@@ -373,22 +330,27 @@ class TermCarrier:
     """A rational combination of basis keys: the linear-space arithmetic
     shared by `QSym` and the word algebras.
 
-    `terms` maps each key to its non-zero coefficient, an int when
-    integral and a Fraction otherwise.  Each subclass supplies its key
-    check `_checked_key` (the key it stores, or `DomainError`), the
-    product and the repr.  Elements of different carriers never compare
-    equal, add or multiply.  No carrier truncates: a tree's value is
-    homogeneous of degree its vertex count, so a generating function cut
-    at q^N is already bounded in every degree.
+    The stored form is the one `Polynomial` keeps: `numerators` maps each
+    key to a non-zero int and `denominator` is one positive int, kept
+    reduced, so the gcd of the denominator and all numerators is 1 and
+    equal elements have equal representations.  `terms` gives each
+    key's coefficient, an int when integral and a Fraction otherwise.
+    Each subclass supplies its key check `_checked_key` (the key it
+    stores, or `DomainError`), the product and the repr.  Elements of
+    different carriers never compare equal, add or multiply.  No carrier
+    truncates: a tree's value is homogeneous of degree its vertex count,
+    so a generating function cut at q^N is already bounded in every
+    degree.
 
     Keys are checked once, where outside data comes in: the public
-    constructor checks every key and coerces every coefficient.  Sums,
-    negation, scalar products and products of valid elements build their
-    result through the trusted `_from_valid_terms`, which only drops zero
-    coefficients and stores integral Fractions as int.
+    constructor checks every key, coerces every coefficient and clears
+    the denominators once.  Every other result is built from integer
+    numerators through the trusted `_from_numerators`, which drops zero
+    numerators and reduces once; +, - and scaling are each one call of
+    `linear_combination`.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("numerators", "denominator")
 
     # read by `series.is_noncommutative`; exp refuses noncommutative carriers
     noncommutative = False
@@ -400,24 +362,45 @@ class TermCarrier:
             coeff = rat(coeff)
             if coeff != 0:
                 clean[key] = coeff
-        self.terms = clean
+        den = lcm(*(c.denominator for c in clean.values()))
+        # the lcm of reduced denominators leaves the numerators coprime to it
+        self.numerators = {key: c.numerator * (den // c.denominator) for key, c in clean.items()}
+        self.denominator = den
 
     @classmethod
-    def _from_valid_terms(cls, terms):
-        """The element with these terms, trusted to be valid keys with
-        exact coefficients; only zeros and integral Fractions are cleaned
-        up."""
+    def _from_numerators(cls, numerators: dict, denominator: int):
+        """The element with coefficients numerators[key] / denominator,
+        brought to reduced form: the keys are trusted to be valid, the
+        numerators are ints, the denominator is positive, and the dict is
+        the caller's to give away."""
+        if 0 in numerators.values():
+            numerators = {key: n for key, n in numerators.items() if n}
+        if denominator != 1:
+            # with no numerators left the gcd is the denominator itself
+            g = gcd(denominator, *numerators.values())
+            if g != 1:
+                numerators = {key: n // g for key, n in numerators.items()}
+                denominator //= g
         out = object.__new__(cls)
-        out.terms = _exact_nonzero(terms)
+        out.numerators = numerators
+        out.denominator = denominator
         return out
+
+    @property
+    def terms(self) -> dict:
+        """Each key's coefficient: the numerators themselves over
+        denominator 1, else each one over the denominator through `rat`."""
+        den = self.denominator
+        if den == 1:
+            return self.numerators
+        return {key: rat(Fraction(n, den)) for key, n in self.numerators.items()}
 
     @classmethod
     def linear_combination(cls, pairs):
         """The sum of c * x over (weight, element) pairs in one pass: every
         term lands in one dict of integer numerators over one common
         denominator, rescaled to the lcm when a new denominator comes, and
-        the result is divided and cleaned up once.  Int weights on
-        int-only elements give int-only terms."""
+        the result is reduced once."""
         acc, den = {}, 1
         for c, x in pairs:
             if type(x) is not cls:
@@ -425,19 +408,16 @@ class TermCarrier:
             num, c_den = _weight(c)
             if not num:
                 continue
-            nums, x_den = _numerators(x.terms)
-            term_den = c_den * x_den
+            term_den = c_den * x.denominator
             if den % term_den:
                 grown = lcm(den, term_den)
                 acc = {key: v * (grown // den) for key, v in acc.items()}
                 den = grown
             scale = num * (den // term_den)
             get = acc.get
-            for key, v in nums.items():
+            for key, v in x.numerators.items():
                 acc[key] = get(key, 0) + scale * v
-        if den != 1:
-            acc = {key: Fraction(v, den) for key, v in acc.items()}
-        return cls._from_valid_terms(acc)
+        return cls._from_numerators(acc, den)
 
     @classmethod
     def zero(cls):
@@ -450,55 +430,52 @@ class TermCarrier:
 
     def one_like(self):
         """The unit of this carrier, keyed by its own empty key."""
-        return self._from_valid_terms({self._checked_key(()): 1})
+        return self._from_numerators({self._checked_key(()): 1}, 1)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.numerators
 
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        merged = dict(self.terms)
-        for key, coeff in other.terms.items():
-            merged[key] = merged.get(key, 0) + coeff
-        return self._from_valid_terms(merged)
+        return self.linear_combination(((1, self), (1, other)))
 
     def __neg__(self):
-        return self._from_valid_terms({key: -coeff for key, coeff in self.terms.items()})
+        return self.linear_combination(((-1, self),))
 
     def __sub__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self + (-other)
+        return self.linear_combination(((1, self), (-1, other)))
 
     def _scaled(self, other):
         """The element times a scalar; another carrier is no scalar."""
         if isinstance(other, (TermCarrier, Polynomial)):
             return NotImplemented
-        scalar = rat(other)
-        return self._from_valid_terms(
-            {key: scalar * coeff for key, coeff in self.terms.items()}
-        )
+        return self.linear_combination(((other, self),))
 
     __rmul__ = _scaled
 
     def __eq__(self, other):
-        return type(other) is type(self) and self.terms == other.terms
+        return (
+            type(other) is type(self)
+            and self.denominator == other.denominator
+            and self.numerators == other.numerators
+        )
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((frozenset(self.numerators.items()), self.denominator))
 
 
 class QSym(TermCarrier):
     """Quasi-symmetric element in the monomial composition basis, graded
     by total degree.
 
-    `terms` maps the code of a composition (a_1, ..., a_r) of positive
-    integers, `code((a_1, ..., a_r))`, to its rational coefficient; the
-    empty code "" is the unit.  Keys come in as tuples, through the
-    constructor, `monomial` and `one`, and are encoded there; they go out
-    as tuples through `parts`, in `homogeneous_degree`, the repr and the
-    render.
+    A key is the code of a composition (a_1, ..., a_r) of positive
+    integers, `code((a_1, ..., a_r))`; the empty code "" is the unit.
+    Keys come in as tuples, through the constructor, `monomial` and
+    `one`, and are encoded there; they go out as tuples through `parts`,
+    in `homogeneous_degree`, the repr and the render.
     """
 
     __slots__ = ()
@@ -518,7 +495,7 @@ class QSym(TermCarrier):
 
     def homogeneous_degree(self):
         """The common degree of all terms, or None if mixed or zero."""
-        degrees = {sum(parts(key)) for key in self.terms}
+        degrees = {sum(parts(key)) for key in self.numerators}
         return degrees.pop() if len(degrees) == 1 else None
 
     def __mul__(self, other):
@@ -526,21 +503,16 @@ class QSym(TermCarrier):
             # the product commutes: the operand with more terms goes outside
             # and first into each quasi-shuffle, so the pair table holds one
             # orientation of every mixed-size pair
-            a, b = self.terms, other.terms
+            a, b = self.numerators, other.numerators
             if len(a) < len(b):
                 a, b = b, a
-            nums_a, den_a = _numerators(a)
-            nums_b, den_b = _numerators(b)
             out = {}
-            for ca, va in nums_a.items():
-                for cb, vb in nums_b.items():
+            for ca, va in a.items():
+                for cb, vb in b.items():
                     v = va * vb
                     for comp, m in quasi_shuffle(ca, cb):
                         out[comp] = out.get(comp, 0) + m * v
-            den = den_a * den_b
-            if den != 1:
-                out = {comp: Fraction(v, den) for comp, v in out.items()}
-            return QSym._from_valid_terms(out)
+            return QSym._from_numerators(out, self.denominator * other.denominator)
         return self._scaled(other)
 
     def __repr__(self):

@@ -121,7 +121,8 @@ def lambda_bar(a: QSym) -> QSym:
     M_(a_1, ..., a_r) goes to M_(1, a_1, ..., a_r) and the unit goes to
     M_(1), so the degree of every term grows by exactly one.
     """
-    return QSym._from_valid_terms({"\x01" + key: coeff for key, coeff in a.terms.items()})
+    prepended = {"\x01" + key: n for key, n in a.numerators.items()}
+    return QSym._from_numerators(prepended, a.denominator)
 
 
 def lambda_(a: QSym) -> QSym:
@@ -133,13 +134,13 @@ def lambda_(a: QSym) -> QSym:
     """
     # the prepended keys start with 1 and the absorbed ones with 2 or more,
     # and each family is injective, so no two terms meet
-    terms = a.terms
-    out = {"\x01" + key: coeff for key, coeff in terms.items()}
+    nums = a.numerators
+    out = {"\x01" + key: n for key, n in nums.items()}
     try:
-        out.update({chr(1 + ord(key[0])) + key[1:]: coeff for key, coeff in terms.items() if key})
+        out.update({chr(1 + ord(key[0])) + key[1:]: n for key, n in nums.items() if key})
     except ValueError:
         raise DomainError(f"merged composition part is above {MAX_PART}") from None
-    return QSym._from_valid_terms(out)
+    return QSym._from_numerators(out, a.denominator)
 
 
 DELTA_INV = LinearOperator("delta-inv", POLYNOMIAL, delta_inv)

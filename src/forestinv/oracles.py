@@ -494,7 +494,7 @@ class FiniteVarPoly:
         self.degree_cap = degree_cap
 
     @classmethod
-    def _from_valid_terms(cls, terms: dict, num_vars: int, degree_cap: int):
+    def _unchecked(cls, terms: dict, num_vars: int, degree_cap: int):
         """The polynomial with these terms, taken as they are: the caller
         guarantees exponent tuples of length num_vars within the degree
         cap and non-zero exact coefficients, so nothing is checked."""
@@ -628,7 +628,7 @@ def qsym_to_finite(element: QSym, num_vars: int, degree_cap=None) -> FiniteVarPo
             for spot, part in zip(spots, comp):
                 expo[spot] = part
             out[tuple(expo)] = coeff
-    return FiniteVarPoly._from_valid_terms(out, num_vars, degree_cap)
+    return FiniteVarPoly._unchecked(out, num_vars, degree_cap)
 
 
 def shift_s(p: FiniteVarPoly) -> FiniteVarPoly:
@@ -653,7 +653,7 @@ def finite_lambda(p: FiniteVarPoly) -> FiniteVarPoly:
         # the index shift of `FiniteVarPoly.shifted`, on the valid terms
         shifted = {(0,) + expo[:-1]: coeff for expo, coeff in shifted.items() if not expo[-1]}
     # every bumped term stays within the cap; only cancelled ones go
-    return FiniteVarPoly._from_valid_terms(
+    return FiniteVarPoly._unchecked(
         {expo: coeff for expo, coeff in out.items() if coeff}, p.num_vars, cap
     )
 

@@ -37,11 +37,11 @@ class _Concatenation(TermCarrier):
     def __mul__(self, other):
         if type(other) is type(self):
             out = {}
-            for ka, ca in self.terms.items():
-                for kb, cb in other.terms.items():
+            for ka, ca in self.numerators.items():
+                for kb, cb in other.numerators.items():
                     key = ka + kb
                     out[key] = out.get(key, 0) + ca * cb
-            return self._from_valid_terms(out)
+            return self._from_numerators(out, self.denominator * other.denominator)
         return self._scaled(other)
 
 

@@ -5,16 +5,19 @@ products and the prepend operators build their results on a trusted path.
 Each result here is compared with the same raw terms passed through the
 public constructor, checked for leftovers the trusted path must clean up
 (zero coefficients and integral Fractions), and run through the ring
-axioms.  The public constructors must still refuse bad keys, and
-elements of different carriers, Polynomial included, must never compare
-equal or combine.  No carrier truncates; the QSym grading that makes
-this safe is pinned as a property.  The quasi-shuffle on key codes is
-checked against the one on tuples it replaced, codes against the
-tuples they encode, the integer-numerator QSym product against the
-Fraction-accumulating oracle, and each carrier's one-pass
-`linear_combination` against the running sum it replaces."""
+axioms; each keeps the public constructor's reduced stored form, integer
+numerators over one positive denominator.  The public constructors must
+still refuse bad keys, and elements of different carriers, Polynomial
+included, must never compare equal or combine.  No carrier truncates;
+the QSym grading that makes this safe is pinned as a property.  The
+quasi-shuffle on key codes is checked against the one on tuples it
+replaced, codes against the tuples they encode, the integer-numerator
+QSym product against the Fraction-accumulating oracle, and each
+carrier's one-pass `linear_combination` against the running sum it
+replaces."""
 
 import itertools
+import math
 import operator
 import random
 from fractions import Fraction
@@ -134,16 +137,22 @@ def test_qsym_arithmetic_matches_public_constructor(a, b, c):
         assert_matches(result, QSym(by_tuples(raw)))
 
 
-@PROPERTY
-@given(qsyms())
-def test_prepend_operators_match_public_constructor(a):
-    terms = by_tuples(a.terms)
+def raw_prepends(terms):
+    """The raw terms of lambda_bar and of lambda_ on terms keyed by
+    compositions."""
     prepended = {(1,) + comp: coeff for comp, coeff in terms.items()}
     absorbed = dict(prepended)
     for comp, coeff in terms.items():
         if comp:
             head = (1 + comp[0],) + comp[1:]
             absorbed[head] = absorbed.get(head, 0) + coeff
+    return prepended, absorbed
+
+
+@PROPERTY
+@given(qsyms())
+def test_prepend_operators_match_public_constructor(a):
+    prepended, absorbed = raw_prepends(by_tuples(a.terms))
     for result, raw in ((lambda_bar(a), prepended), (lambda_(a), absorbed)):
         assert_matches(result, QSym(raw))
 
@@ -279,6 +288,64 @@ def test_trusted_paths_clean_up_their_results():
     t = TensorElement({(("a",),): half, ((), ("b",)): third})
     assert (t - t).terms == {}
     assert exact(t + t) == {(("a",),): (int, 1), ((), ("b",)): (Fraction, Fraction(4, 3))}
+
+
+# each dict carrier with raw terms for its public constructor, its product
+# on raw terms, and the map from stored keys back to constructor keys
+STORED_FORM_CARRIERS = {
+    QSym: (st.dictionaries(COMPOSITIONS, COEFFS, max_size=4), raw_quasi_shuffle, by_tuples),
+    FreeWord: (st.dictionaries(WORDS, COEFFS, max_size=4), raw_concatenation, dict),
+    TensorElement: (st.dictionaries(TENSOR_KEYS, COEFFS, max_size=3), raw_concatenation, dict),
+}
+
+
+def raw_combination(pairs):
+    out = {}
+    for c, x in pairs:
+        for key, coeff in x.terms.items():
+            out[key] = out.get(key, 0) + c * coeff
+    return out
+
+
+def assert_stored_form(result, expected):
+    """Reduced integer numerators over one positive denominator, the same
+    pair the public constructor stores, and the same `terms` view."""
+    nums, den = result.numerators, result.denominator
+    assert type(den) is int and den > 0
+    assert all(type(n) is int and n != 0 for n in nums.values())
+    assert math.gcd(den, *nums.values()) == 1
+    assert (nums, den) == (expected.numerators, expected.denominator)
+    assert_matches(result, expected)
+
+
+@PROPERTY
+@given(
+    st.data(),
+    st.sampled_from(sorted(STORED_FORM_CARRIERS, key=lambda c: c.__name__)),
+    st.integers(-3, 3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=6),
+)
+def test_dict_carriers_keep_the_reduced_stored_form_property(data, carrier, k, f):
+    raw_terms, raw_product, rekey = STORED_FORM_CARRIERS[carrier]
+    raw_a, raw_b = data.draw(raw_terms), data.draw(raw_terms)
+    a, b = carrier(raw_a), carrier(raw_b)
+    assert a.terms == {carrier._checked_key(key): c for key, c in raw_a.items() if c}
+    cases = [
+        (a, raw_a),
+        (a + b, rekey(raw_sum(a, b))),
+        (a - b, rekey(raw_sum(a, b, -1))),
+        (-a, rekey(raw_scaled(-1, a))),
+        (k * a, rekey(raw_scaled(k, a))),
+        (a * f, rekey(raw_scaled(f, a))),
+        (a * b, rekey(raw_product(a, b))),
+        (carrier.linear_combination([(k, a), (f, b)]), rekey(raw_combination([(k, a), (f, b)]))),
+        (a.one_like(), {(): 1}),
+    ]
+    if carrier is QSym:
+        prepended, absorbed = raw_prepends(raw_a)
+        cases += [(lambda_bar(a), prepended), (lambda_(a), absorbed)]
+    for result, raw in cases:
+        assert_stored_form(result, carrier(raw))
 
 
 def test_public_constructors_still_check_keys():

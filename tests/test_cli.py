@@ -127,6 +127,20 @@ def test_genfun_verify_mode(capsys):
     assert all(coeffs == [] for coeffs in payload["residual"])
 
 
+def test_genfun_csv_writes_fraction_coefficients(capsys):
+    code, out, err = run(
+        capsys, "genfun", "--operator", "lambda-bar", "--terms", "4", "--format", "csv"
+    )
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "n,value",
+        "1,M(1)",
+        '2,"M(1,1)"',
+        '3,"2*M(1,1,1) + 1/2*M(1,2)"',
+        '4,"6*M(1,1,1,1) + 2*M(1,1,2) + 3/2*M(1,2,1) + 1/6*M(1,3)"',
+    ]
+
+
 def test_verify_cayley(capsys):
     code, out, err = run(capsys, "verify", "--suite", "cayley", "--max-n", "10")
     assert code == 0
@@ -142,6 +156,20 @@ def test_verify_census_text(capsys):
     )
     assert code == 0
     assert out.startswith("[PASS] census")
+
+
+def test_verify_census_csv(capsys):
+    code, out, err = run(
+        capsys, "verify", "--suite", "census", "--max-n", "3", "--format", "csv"
+    )
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "suite,passed,detail",
+        "census,True,trees n=1: 1 canonical vs 1 by level sequences (same classes)",
+        "census,True,trees n=2: 1 canonical vs 1 by level sequences (same classes)",
+        "census,True,trees n=3: 2 canonical vs 2 by level sequences (same classes)",
+        'census,True,"forests n=1..3: [1, 2, 4] vs Euler transform [1, 2, 4]"',
+    ]
 
 
 def test_verify_unknown_suite(capsys):
@@ -162,6 +190,19 @@ def test_collisions_clean(capsys):
     )
     assert code == 0
     assert out.strip() == "no collisions for lambda-bar with n <= 4"
+
+
+def test_collisions_found_in_text_and_csv(capsys):
+    argv = ("collisions", "--operator", "delta-inv", "--max-n", "5")
+    code, out, err = run(capsys, *argv, "--format", "text")
+    assert (code, err) == (0, "")
+    assert out == "n=5: ((()()())) vs ((())(())) (alpha 6/2)\n"
+    code, out, err = run(capsys, *argv, "--format", "csv")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "n,invariant,tree_a,tree_b,alpha_a,alpha_b,alpha_collision",
+        "5,delta-inv,((()()())),((())(())),6,2,False",
+    ]
 
 
 def test_planar_example(capsys):
@@ -374,6 +415,16 @@ def test_huge_quasi_symmetric_values_exit_with_the_estimate_and_the_limit(capsys
         assert (code, out) == (2, "")
         assert err.startswith("resource limit:")
         assert str(estimate) in err and str(QSYM_TERM_LIMIT) in err
+
+
+def test_long_term_estimates_print_as_a_power_of_two(capsys):
+    star = "(" + "()" * 69 + ")"
+    code, out, err = run(capsys, "invariant", "--tree", star, "--operator", "lambda")
+    assert (code, out) == (2, "")
+    assert err == (
+        "resource limit: the lambda value of a tree on 70 vertices has an estimated "
+        f"2^64 or more terms, over the limit of {QSYM_TERM_LIMIT}\n"
+    )
 
 
 def test_deep_and_wide_polynomial_values_exit_with_the_degree_and_the_limit(capsys):

@@ -1,7 +1,6 @@
 """Difference operators and the power-sum table behind their inverses,
 prepend operators, and the finite-variable model oracle."""
 
-import itertools
 import os
 import random
 import subprocess

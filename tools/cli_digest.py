@@ -63,6 +63,7 @@ _EVERY_FORMAT = _per_format([
     ("enumerate", "--vertices", "5"),
     ("invariant", "--tree", "(()(()))", "--operator", "lambda"),
     ("genfun", "--operator", "delta-inv", "--terms", "6"),
+    ("genfun", "--operator", "lambda-bar", "--terms", "6"),
     ("verify", "--suite", "planar"),
     ("collisions", "--operator", "delta-inv", "--max-n", "6"),
     ("planar", "--tree", "(a:(b:)(a:(c:)))"),
