@@ -11,24 +11,25 @@ up again and again never re-hash it, and codes sort like the tuples.
 Every carrier, here and in `words`, stores one exact form: integer
 numerators over one positive denominator, kept reduced, so all its
 arithmetic runs on Python ints.  `rat`, the one coefficient coercion,
-brings outside coefficients in at the public constructors, and
-Fractions come back only in the `coeffs` and `terms` views.  The dict
-carriers' constructor and linear-space arithmetic live once, in
-`TermCarrier`.  A product multiplies numerators and the two
-denominators; a quasi-symmetric product commutes, so the operand with
-more terms runs outside and goes first into the memoized
-`quasi_shuffle`, whose table then holds a pair of compositions of a
-mixed-size product in one orientation only.  No carrier truncates:
-every product keeps every term.
+brings outside coefficients in at the public constructors, after which
+`_cleared` puts them over one denominator; reprs and renders write each
+coefficient from its numerator with `ratio_text`, and Fractions come
+back only in the `coeffs` and `terms` views.  Every carrier's +, -,
+scaling and equality live once, in `_LinearSpace`, and the dict
+carriers' constructor once, in `TermCarrier`.  A product multiplies
+numerators and the two denominators; a quasi-symmetric product
+commutes, so the operand with more terms runs outside and goes first
+into the memoized `quasi_shuffle`, whose table then holds a pair of
+compositions of a mixed-size product in one orientation only.  No
+carrier truncates: every product keeps every term.
 
 A sum of weighted values, such as a series coefficient or a tree sum,
 goes through one carrier kernel, `linear_combination`, which
 accumulates every term into one integer list or dict over one common
-denominator and reduces once; each carrier's +, - and scaling are one
-call of it.  The module function of that name picks the kernel from
-the unit, and scalars just add.  `product` multiplies values left to
-right starting from the first, so no product has the unit as an
-operand.  There is no floating point anywhere in the package.
+denominator and reduces once.  The module function of that name picks
+the kernel from the unit, and scalars just add.  `product` multiplies
+values left to right starting from the first, so no product has the
+unit as an operand.  There is no floating point anywhere in the package.
 """
 
 from __future__ import annotations
@@ -95,7 +96,66 @@ def _weight(c):
     return c.numerator, c.denominator
 
 
-class Polynomial:
+def _cleared(coeffs: list):
+    """Exact coefficients from `rat` as integer numerators over one
+    denominator, the lcm of theirs: that leaves the numerators coprime to
+    it, so the pair is already reduced."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def ratio_text(numerator: int, denominator: int) -> str:
+    """numerator/denominator in lowest terms, the text `str(Fraction(...))`
+    gives; the denominator is positive.  Reprs and renders write every
+    coefficient with it, straight from the stored numerators."""
+    if denominator == 1:
+        return str(numerator)
+    g = gcd(numerator, denominator)
+    if g == denominator:
+        return str(numerator // g)
+    return f"{numerator // g}/{denominator // g}"
+
+
+class _LinearSpace:
+    """What every carrier's stored form, integer `numerators` over one
+    positive reduced `denominator`, gives alike: +, - and scaling are
+    each one call of the class's `linear_combination`, and equal elements
+    have equal stored forms.  Another carrier is no scalar."""
+
+    __slots__ = ()
+
+    def is_zero(self) -> bool:
+        return not self.numerators
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.linear_combination(((1, self), (1, other)))
+
+    def __neg__(self):
+        return self.linear_combination(((-1, self),))
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.linear_combination(((1, self), (-1, other)))
+
+    def _scaled(self, other):
+        if isinstance(other, _LinearSpace):
+            return NotImplemented
+        return self.linear_combination(((other, self),))
+
+    __rmul__ = _scaled
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and self.denominator == other.denominator
+            and self.numerators == other.numerators
+        )
+
+
+class Polynomial(_LinearSpace):
     """Dense univariate polynomial in t with rational coefficients.
 
     The coefficients are integer numerators, ascending, over one positive
@@ -109,10 +169,7 @@ class Polynomial:
     __slots__ = ("numerators", "denominator")
 
     def __init__(self, coeffs=()):
-        cs = [rat(c) for c in coeffs]
-        den = lcm(*(c.denominator for c in cs))
-        # the lcm of reduced denominators leaves the numerators coprime to it
-        nums = [c.numerator * (den // c.denominator) for c in cs]
+        nums, den = _cleared([rat(c) for c in coeffs])
         while nums and not nums[-1]:
             nums.pop()
         self.numerators = tuple(nums)
@@ -192,26 +249,10 @@ class Polynomial:
         # zero reports degree -1
         return len(self.numerators) - 1
 
-    def is_zero(self) -> bool:
-        return not self.numerators
-
     def coefficient(self, k: int) -> Fraction:
         if 0 <= k < len(self.numerators):
             return Fraction(self.numerators[k], self.denominator)
         return Fraction(0)
-
-    def __add__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return Polynomial.linear_combination(((1, self), (1, other)))
-
-    def __neg__(self):
-        return Polynomial.linear_combination(((-1, self),))
-
-    def __sub__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return Polynomial.linear_combination(((1, self), (-1, other)))
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
@@ -226,14 +267,6 @@ class Polynomial:
             return Polynomial.from_numerators(out, self.denominator * other.denominator)
         return self._scaled(other)
 
-    def __rmul__(self, other):
-        return self._scaled(other)
-
-    def _scaled(self, other) -> "Polynomial":
-        if isinstance(other, TermCarrier):
-            return NotImplemented
-        return Polynomial.linear_combination(((other, self),))
-
     def __call__(self, x) -> Fraction:
         nums = self.numerators
         if not nums:
@@ -247,29 +280,24 @@ class Polynomial:
             total = total * p + n * scale
         return Fraction(total, self.denominator * scale)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Polynomial)
-            and self.denominator == other.denominator
-            and self.numerators == other.numerators
-        )
-
     def __hash__(self):
         return hash((self.numerators, self.denominator))
 
     def __repr__(self):
         if self.is_zero():
             return "Polynomial(0)"
+        den = self.denominator
         parts = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
+        for k, n in enumerate(self.numerators):
+            if not n:
                 continue
+            c = ratio_text(n, den)
             if k == 0:
-                parts.append(str(c))
+                parts.append(c)
             elif k == 1:
-                parts.append(f"{c}*t" if c != 1 else "t")
+                parts.append(f"{c}*t" if n != den else "t")
             else:
-                parts.append(f"{c}*t^{k}" if c != 1 else f"t^{k}")
+                parts.append(f"{c}*t^{k}" if n != den else f"t^{k}")
         return "Polynomial(%s)" % " + ".join(parts)
 
 
@@ -326,15 +354,17 @@ def quasi_shuffle(a: str, b: str):
     return tuple(acc.items())
 
 
-class TermCarrier:
-    """A rational combination of basis keys: the linear-space arithmetic
-    shared by `QSym` and the word algebras.
+class TermCarrier(_LinearSpace):
+    """A rational combination of basis keys: the constructor and stored
+    form shared by `QSym` and the word algebras.
 
     The stored form is the one `Polynomial` keeps: `numerators` maps each
     key to a non-zero int and `denominator` is one positive int, kept
     reduced, so the gcd of the denominator and all numerators is 1 and
     equal elements have equal representations.  `terms` gives each
-    key's coefficient, an int when integral and a Fraction otherwise.
+    key's coefficient, an int when integral and a Fraction otherwise,
+    built anew on every read over a denominator other than 1: read it
+    once per call.
     Each subclass supplies its key check `_checked_key` (the key it
     stores, or `DomainError`), the product and the repr.  Elements of
     different carriers never compare equal, add or multiply.  No carrier
@@ -346,8 +376,7 @@ class TermCarrier:
     constructor checks every key, coerces every coefficient and clears
     the denominators once.  Every other result is built from integer
     numerators through the trusted `_from_numerators`, which drops zero
-    numerators and reduces once; +, - and scaling are each one call of
-    `linear_combination`.
+    numerators and reduces once.
     """
 
     __slots__ = ("numerators", "denominator")
@@ -362,10 +391,8 @@ class TermCarrier:
             coeff = rat(coeff)
             if coeff != 0:
                 clean[key] = coeff
-        den = lcm(*(c.denominator for c in clean.values()))
-        # the lcm of reduced denominators leaves the numerators coprime to it
-        self.numerators = {key: c.numerator * (den // c.denominator) for key, c in clean.items()}
-        self.denominator = den
+        nums, self.denominator = _cleared(list(clean.values()))
+        self.numerators = dict(zip(clean, nums))
 
     @classmethod
     def _from_numerators(cls, numerators: dict, denominator: int):
@@ -432,37 +459,6 @@ class TermCarrier:
         """The unit of this carrier, keyed by its own empty key."""
         return self._from_numerators({self._checked_key(()): 1}, 1)
 
-    def is_zero(self) -> bool:
-        return not self.numerators
-
-    def __add__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.linear_combination(((1, self), (1, other)))
-
-    def __neg__(self):
-        return self.linear_combination(((-1, self),))
-
-    def __sub__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.linear_combination(((1, self), (-1, other)))
-
-    def _scaled(self, other):
-        """The element times a scalar; another carrier is no scalar."""
-        if isinstance(other, (TermCarrier, Polynomial)):
-            return NotImplemented
-        return self.linear_combination(((other, self),))
-
-    __rmul__ = _scaled
-
-    def __eq__(self, other):
-        return (
-            type(other) is type(self)
-            and self.denominator == other.denominator
-            and self.numerators == other.numerators
-        )
-
     def __hash__(self):
         return hash((frozenset(self.numerators.items()), self.denominator))
 
@@ -516,13 +512,14 @@ class QSym(TermCarrier):
         return self._scaled(other)
 
     def __repr__(self):
-        if not self.terms:
+        nums, den = self.numerators, self.denominator
+        if not nums:
             return "QSym(0)"
         shown = []
-        for key in sorted(self.terms):
-            coeff = self.terms[key]
+        for key in sorted(nums):
+            n = nums[key]
             label = "M(%s)" % ",".join(map(str, parts(key))) if key else "1"
-            shown.append(label if coeff == 1 and key else f"{coeff}*{label}")
+            shown.append(label if n == den and key else f"{ratio_text(n, den)}*{label}")
         return "QSym(%s)" % " + ".join(shown)
 
 

@@ -430,8 +430,9 @@ def qsym_mul_by_fractions(a: QSym, b: QSym) -> QSym:
     coefficients as they are, Fractions included, and passed through the
     public constructor."""
     out = {}
+    b_terms = b.terms
     for ka, va in a.terms.items():
-        for kb, vb in b.terms.items():
+        for kb, vb in b_terms.items():
             v = va * vb
             for comp, m in quasi_shuffle_by_tuples(parts(ka), parts(kb)):
                 out[comp] = out.get(comp, 0) + m * v
@@ -451,14 +452,16 @@ def render_by_structure(x):
             for comp, coeff in sorted((parts(key), coeff) for key, coeff in x.terms.items())
         ]
     if isinstance(x, FreeWord):
+        terms = x.terms
         return [
-            {"word": list(word), "coefficient": str(x.terms[word])}
-            for word in sorted(x.terms, key=lambda w: (len(w), w))
+            {"word": list(word), "coefficient": str(terms[word])}
+            for word in sorted(terms, key=lambda w: (len(w), w))
         ]
     if isinstance(x, TensorElement):
+        terms = x.terms
         return [
-            {"tensor": [list(word) for word in factors], "coefficient": str(x.terms[factors])}
-            for factors in sorted(x.terms, key=lambda f: (len(f), f))
+            {"tensor": [list(word) for word in factors], "coefficient": str(terms[factors])}
+            for factors in sorted(terms, key=lambda f: (len(f), f))
         ]
     if isinstance(x, Series):
         return [render_by_structure(c) for c in x.coeffs]

@@ -7,12 +7,13 @@ compare and hash exactly by themselves.
 The value format is defined once, by `render_json`, which writes the
 JSON text of a value straight from its terms: one f-string per term, in
 sorted order, with only the words, whose labels are user strings, going
-through `json.dumps` for escaping.  A polynomial's coefficients are
-written from its integer numerators, each reduced against the common
-denominator by one gcd.  A quasi-symmetric key code (see
-`algebra.code`) is decoded here, where it is written: one
-`str.translate` turns each of its characters into the part's digits
-and a separator, and codes sort like the compositions they encode.
+through `json.dumps` for escaping.  Every coefficient is written from
+its integer numerator by `algebra.ratio_text`, reduced against the
+common denominator by one gcd, as the reprs write it.  A
+quasi-symmetric key code (see `algebra.code`) is decoded here, where it
+is written: one `str.translate` turns each of its characters into the
+part's digits and a separator, and codes sort like the compositions
+they encode.
 `render_payload` writes the CLI's objects around such values, and
 `render_value` is the parsed form of the same text.  Both match
 `json.dumps` with its default separators byte for byte.
@@ -22,9 +23,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import gcd
-
-from .algebra import Polynomial, QSym
+from .algebra import Polynomial, QSym, ratio_text
 from .errors import DomainError
 from .series import Series
 from .words import FreeWord, TensorElement
@@ -50,13 +49,13 @@ def _shortlex(terms):
     return sorted(terms, key=lambda key: (len(key), key))
 
 
-def _ratio(numerator: int, denominator: int) -> str:
-    """numerator/denominator as a JSON string in lowest terms, the text
-    `str(Fraction(...))` gives; the denominator is positive."""
-    g = gcd(numerator, denominator)
-    if g == denominator:
-        return f'"{numerator // g}"'
-    return f'"{numerator // g}/{denominator // g}"'
+def _coefficient_texts(x) -> dict:
+    """Each key of a dict carrier mapped to its coefficient's text, or
+    over denominator 1 to the numerator itself, which !s writes alike."""
+    nums, den = x.numerators, x.denominator
+    if den == 1:
+        return nums
+    return {key: ratio_text(n, den) for key, n in nums.items()}
 
 
 def render_json(x) -> str:
@@ -68,24 +67,24 @@ def render_json(x) -> str:
         return f'"{Fraction(x)!s}"'
     if isinstance(x, Polynomial):
         den = x.denominator
-        return _array([_ratio(n, den) for n in x.numerators])
+        return _array([f'"{ratio_text(n, den)}"' for n in x.numerators])
     if isinstance(x, QSym):
-        terms = x.terms
+        texts = _coefficient_texts(x)
         return _array([
-            f'{{"composition": [{key.translate(_PARTS)[:-2]}], "coefficient": "{terms[key]!s}"}}'
-            for key in sorted(terms)
+            f'{{"composition": [{key.translate(_PARTS)[:-2]}], "coefficient": "{texts[key]!s}"}}'
+            for key in sorted(texts)
         ])
     if isinstance(x, FreeWord):
-        terms = x.terms
+        texts = _coefficient_texts(x)
         return _array([
-            f'{{"word": {json.dumps(word)}, "coefficient": "{terms[word]!s}"}}'
-            for word in _shortlex(terms)
+            f'{{"word": {json.dumps(word)}, "coefficient": "{texts[word]!s}"}}'
+            for word in _shortlex(texts)
         ])
     if isinstance(x, TensorElement):
-        terms = x.terms
+        texts = _coefficient_texts(x)
         return _array([
-            f'{{"tensor": {json.dumps(factors)}, "coefficient": "{terms[factors]!s}"}}'
-            for factors in _shortlex(terms)
+            f'{{"tensor": {json.dumps(factors)}, "coefficient": "{texts[factors]!s}"}}'
+            for factors in _shortlex(texts)
         ])
     if isinstance(x, Series):
         return _array([render_json(c) for c in x.coeffs])

@@ -13,7 +13,7 @@ vertex count, so the generating functions are cut by their order alone.
 
 from __future__ import annotations
 
-from .algebra import TermCarrier
+from .algebra import TermCarrier, ratio_text
 from .errors import DomainError
 
 Word = tuple
@@ -57,13 +57,14 @@ class FreeWord(_Concatenation):
         return cls({(label,): 1})
 
     def __repr__(self):
-        if not self.terms:
+        nums, den = self.numerators, self.denominator
+        if not nums:
             return "FreeWord(0)"
         parts = []
-        for word in sorted(self.terms, key=lambda w: (len(w), w)):
-            coeff = self.terms[word]
+        for word in sorted(nums, key=lambda w: (len(w), w)):
+            n = nums[word]
             body = ".".join(word) if word else "1"
-            parts.append(body if coeff == 1 and word else f"{coeff}*{body}")
+            parts.append(body if n == den and word else f"{ratio_text(n, den)}*{body}")
         return "FreeWord(%s)" % " + ".join(parts)
 
 
@@ -82,16 +83,17 @@ class TensorElement(_Concatenation):
         return cls({(tuple(word),): 1})
 
     def __repr__(self):
-        if not self.terms:
+        nums, den = self.numerators, self.denominator
+        if not nums:
             return "TensorElement(0)"
         parts = []
-        for factors in sorted(self.terms, key=lambda f: (len(f), f)):
-            coeff = self.terms[factors]
+        for factors in sorted(nums, key=lambda f: (len(f), f)):
+            n = nums[factors]
             body = (
                 " @ ".join(".".join(w) if w else "1" for w in factors)
                 if factors
                 else "1"
             )
-            parts.append(body if coeff == 1 and factors else f"{coeff}*[{body}]")
+            parts.append(body if n == den and factors else f"{ratio_text(n, den)}*[{body}]")
         return "TensorElement(%s)" % " + ".join(parts)
 

@@ -12,10 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from forestinv.algebra import Polynomial, QSym
+from forestinv.algebra import Polynomial, QSym, TermCarrier, ratio_text
 from forestinv.errors import DomainError
 from forestinv.oracles import render_by_structure
-from forestinv.render import render_json, render_payload, render_value
+from forestinv.render import pretty, render_json, render_payload, render_value
 from forestinv.series import Series
 from forestinv.words import FreeWord, TensorElement
 
@@ -88,6 +88,27 @@ def assert_renders_as_the_oracle(x):
 @given(VALUES)
 def test_render_json_matches_the_structure_render_property(x):
     assert_renders_as_the_oracle(x)
+
+
+@PROPERTY
+@given(st.integers(-10**30, 10**30), st.integers(1, 10**6))
+def test_ratio_text_writes_what_fraction_writes_property(numerator, denominator):
+    assert ratio_text(numerator, denominator) == str(Fraction(numerator, denominator))
+
+
+def _no_terms_view(self):
+    raise AssertionError("read the Fraction view of a carrier")
+
+
+@PROPERTY
+@given(st.one_of(qsyms(), free_words(), tensors()))
+def test_reprs_and_renders_write_from_the_numerators_property(x):
+    # the `terms` view is built anew on every read, so a repr or render
+    # reading it per term would build one view per term
+    expected = render_json(x), pretty(x)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(TermCarrier, "terms", property(_no_terms_view))
+        assert (render_json(x), pretty(x)) == expected
 
 
 def test_render_json_edge_values():
