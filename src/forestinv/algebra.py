@@ -532,8 +532,6 @@ def principal_specialization(element: QSym, m: int) -> Fraction:
     """
     if m < 0:
         raise DomainError("need m >= 0")
-    total = Fraction(0)
-    for comp, coeff in element.terms.items():
-        total += coeff * comb(m, len(comp))
-    return total
+    total = sum(n * comb(m, len(comp)) for comp, n in element.numerators.items())
+    return Fraction(total, element.denominator)
 

@@ -78,7 +78,10 @@ def _strict_terms(vertices: int, height: int) -> int:
     m = vertices - 2
     if m < 0:
         return 1
-    if m > 64 and 2 * (height - 1) <= m:
+    # the C(m, j) sum to 2^m, so sum the shorter side of j = height - 1
+    if 2 * (height - 1) > m:
+        return sum(comb(m, j) for j in range(height - 1, m + 1))
+    if m > 64:
         # at least half of the 2^m compositions have that many parts
         return _PAST_EVERY_LIMIT
     return (1 << m) - sum(comb(m, j) for j in range(height - 1))

@@ -7,6 +7,8 @@ the tree census and automorphism counts live:
 
 - brute-force labeling counts, which check the order polynomials, and
   their monomial sums, which check the quasi-symmetric invariants;
+- the lambda-bar term estimate as 2^(n-2) minus the short compositions,
+  which checks the cost guard's sum over the long ones in `engine`;
 - the finite-variable polynomial model `FiniteVarPoly`, with the
   expansion of quasi-symmetric elements into it and the index-shift
   realizations of the prepend operators;
@@ -41,7 +43,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import Polynomial, QSym, linear_combination, parts, rat
-from .engine import evaluate
+from .engine import _PAST_EVERY_LIMIT, evaluate
 from .errors import DomainError, ResourceLimitError
 from .series import Series, is_noncommutative
 from .trees import RootedTree, automorphism_order, enumerate_trees
@@ -169,6 +171,24 @@ def brute_force_qsym(tree: RootedTree, m: int, strict: bool = True) -> FiniteVar
         key = tuple(expo)
         terms[key] = terms.get(key, 0) + 1
     return FiniteVarPoly(terms, m, tree.vertex_count)
+
+
+def strict_terms_by_complement(vertices: int, height: int) -> int:
+    """The lambda-bar term estimate of `engine._strict_terms` as 2^(n-2)
+    minus the compositions with at most `height` parts, the sum of
+    C(n-2, j) over j < height - 1, each binomial from the one before it.
+    Keeps that estimate's cut to 2^64 when n - 2 > 64 and at least half
+    the compositions have more parts."""
+    m = vertices - 2
+    if m < 0:
+        return 1
+    if m > 64 and 2 * (height - 1) <= m:
+        return _PAST_EVERY_LIMIT
+    below, binomial = 0, 1
+    for j in range(height - 1):
+        below += binomial
+        binomial = binomial * (m - j) // (j + 1)
+    return (1 << m) - below
 
 
 def euler_transform(counts) -> list[int]:

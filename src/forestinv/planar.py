@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from .algebra import linear_combination, product
 from .errors import DomainError, ParseError, ResourceLimitError
@@ -427,15 +427,20 @@ def tensor_cocycle_apply(
     if base.algebra != FREE_WORD:
         raise DomainError("the base family must act on the free word algebra")
     operator = base[label]
+    # (numerator, prefix, image) per split, then one common denominator
+    splits = [
+        (n, factors[:j], operator(FreeWord({sum(factors[j:], ()): 1})))
+        for factors, n in element.numerators.items()
+        for j in range(len(factors) + 1)
+    ]
+    den = lcm(*[image.denominator for _, _, image in splits])
     out: dict = {}
-    for factors, coeff in element.terms.items():
-        for j in range(len(factors) + 1):
-            prefix = factors[:j]
-            rest = FreeWord({sum(factors[j:], ()): 1})
-            for word, wcoeff in operator(rest).terms.items():
-                key = prefix + (word,)
-                out[key] = out.get(key, 0) + coeff * wcoeff
-    return TensorElement(out)
+    for n, prefix, image in splits:
+        scale = n * (den // image.denominator)
+        for word, wn in image.numerators.items():
+            key = prefix + (word,)
+            out[key] = out.get(key, 0) + scale * wn
+    return TensorElement._from_numerators(out, element.denominator * den)
 
 
 def tensor_family(base: OperatorFamily) -> OperatorFamily:

@@ -8,12 +8,17 @@ first, ties broken lexicographically); a forest's key is the shortlex
 concatenation of its trees' keys.  The empty forest has the empty key.
 
 Values are immutable and hash by key.
+
+Enumeration builds each tree once: a non-decreasing walk over all smaller
+trees in shortlex order meets each multiset of children once, in canonical
+order, writing key, height and automorphism order as it goes.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from operator import attrgetter
 
 from .errors import DomainError, ParseError, ResourceLimitError
 
@@ -36,8 +41,9 @@ def check_depth(height: int) -> None:
         )
 
 
-def shortlex(key: str) -> tuple[int, str]:
-    """Canonical order on keys: by length, then lexicographically."""
+def shortlex(value) -> tuple[int, str]:
+    """Canonical order on trees and forests: by key length, then by key."""
+    key = value.key
     return (len(key), key)
 
 
@@ -47,11 +53,21 @@ class RootedTree:
     __slots__ = ("children", "key", "vertex_count", "height")
 
     def __init__(self, children=()):
-        kids = tuple(sorted(children, key=lambda c: shortlex(c.key)))
+        kids = tuple(children)
+        if len(kids) > 1:
+            kids = tuple(sorted(kids, key=shortlex))
         self.children = kids
-        self.key = "(%s)" % "".join(c.key for c in kids)
-        self.vertex_count = 1 + sum(c.vertex_count for c in kids)
-        self.height = 1 + max((c.height for c in kids), default=-1)
+        self.key = "(%s)" % "".join([c.key for c in kids])
+        self.vertex_count = 1 + sum([c.vertex_count for c in kids])
+        self.height = 1 + max([c.height for c in kids], default=-1)
+
+    @classmethod
+    def _canonical(cls, children, key, vertex_count, height):
+        """The tree with these fields, trusted to be canonical: no sort."""
+        tree = object.__new__(cls)
+        tree.children, tree.key = children, key
+        tree.vertex_count, tree.height = vertex_count, height
+        return tree
 
     def __eq__(self, other):
         return isinstance(other, RootedTree) and self.key == other.key
@@ -60,7 +76,7 @@ class RootedTree:
         return hash(self.key)
 
     def __lt__(self, other):
-        return shortlex(self.key) < shortlex(other.key)
+        return shortlex(self) < shortlex(other)
 
     def __repr__(self):
         return f"RootedTree({self.key!r})"
@@ -72,10 +88,12 @@ class RootedForest:
     __slots__ = ("trees", "key", "vertex_count")
 
     def __init__(self, trees=()):
-        ts = tuple(sorted(trees, key=lambda t: shortlex(t.key)))
+        ts = tuple(trees)
+        if len(ts) > 1:
+            ts = tuple(sorted(ts, key=shortlex))
         self.trees = ts
-        self.key = "".join(t.key for t in ts)
-        self.vertex_count = sum(t.vertex_count for t in ts)
+        self.key = "".join([t.key for t in ts])
+        self.vertex_count = sum([t.vertex_count for t in ts])
 
     def __iter__(self):
         return iter(self.trees)
@@ -90,7 +108,7 @@ class RootedForest:
         return hash(self.key)
 
     def __lt__(self, other):
-        return shortlex(self.key) < shortlex(other.key)
+        return shortlex(self) < shortlex(other)
 
     def __repr__(self):
         return f"RootedForest({self.key!r})"
@@ -139,7 +157,8 @@ def _parse_at(text, pos):
         if ch == "(":
             open_vertices.append([])
         elif ch == ")":
-            tree = RootedTree(open_vertices.pop())
+            kids = open_vertices.pop()
+            tree = RootedTree(kids) if kids else SINGLETON
             if not open_vertices:
                 return tree, i
             open_vertices[-1].append(tree)
@@ -187,12 +206,10 @@ def enumerate_trees(n: int) -> list[RootedTree]:
         raise DomainError("tree enumeration needs n >= 1")
     if n > _ENUMERATION_CAP:
         raise ResourceLimitError(f"enumerating all trees on {n} vertices is over the limit")
-    got = _TREE_CACHE.get(n)
-    if got is None:
-        grown = [b_plus(forest) for forest in enumerate_forests(n - 1)]
-        got = tuple(sorted(grown, key=lambda t: shortlex(t.key)))
-        _TREE_CACHE[n] = got
-    return list(got)
+    for size in range(1, n + 1):
+        if size not in _TREE_CACHE:
+            _TREE_CACHE[size] = _grow_trees(size)
+    return list(_TREE_CACHE[n])
 
 
 def enumerate_forests(n: int) -> list[RootedForest]:
@@ -205,33 +222,34 @@ def enumerate_forests(n: int) -> list[RootedForest]:
         raise ResourceLimitError(f"enumerating all forests on {n} vertices is over the limit")
     got = _FOREST_CACHE.get(n)
     if got is None:
-        got = tuple(_build_forests(n))
+        # a tree's key is its forest's key in parentheses, so the order holds
+        got = tuple([remove_root(tree) for tree in enumerate_trees(n + 1)])
         _FOREST_CACHE[n] = got
     return list(got)
 
 
-def _build_forests(n):
-    # The pool holds every tree of size <= n, biggest sizes first.  A
-    # multiset is a non-decreasing walk of pool indices, so each one is
-    # produced exactly once; start_for_budget skips trees too big to fit.
-    pool = []
-    for size in range(n, 0, -1):
-        pool.extend(enumerate_trees(size))
-    start_for_budget = [0] * (n + 1)
-    for budget in range(1, n + 1):
-        start_for_budget[budget] = sum(
-            len(_TREE_CACHE[s]) for s in range(budget + 1, n + 1)
-        )
+def _grow_trees(n):
+    # pool[:fits[r]] holds the trees of at most r vertices; a child uses up
+    # the budget or leaves room for one as big, so no branch ends short.  The
+    # k-th copy of a child t multiplies alpha by k * alpha(t): k! alpha(t)^k.
+    pool = [tree for size in range(1, n) for tree in _TREE_CACHE[size]]
+    alphas = [_AUT_CACHE[tree.key] for tree in pool]
+    fits = list(itertools.accumulate([len(_TREE_CACHE[s]) for s in range(1, n)], initial=0))
     out = []
 
-    def grow(remaining, start, acc):
-        if remaining == 0:
-            out.append(RootedForest(acc))
+    def walk(remaining, last, run, kids, key, height, alpha):
+        if not remaining:
+            tree = RootedTree._canonical(kids, "(" + key + ")", n, height + 1)
+            _AUT_CACHE[tree.key] = alpha
+            out.append(tree)
             return
-        for i in range(max(start, start_for_budget[remaining]), len(pool)):
-            tree = pool[i]
-            grow(remaining - tree.vertex_count, i, acc + (tree,))
+        ends_here = range(max(last, fits[remaining - 1]), fits[remaining])
+        for i in itertools.chain(range(last, fits[remaining // 2]), ends_here):
+            child, k = pool[i], run + 1 if i == last else 1
+            walk(remaining - child.vertex_count, i, k, kids + (child,), key + child.key,
+                 max(height, child.height), alpha * alphas[i] * k)
 
-    grow(n, 0, ())
-    out.sort(key=lambda f: shortlex(f.key))
-    return out
+    walk(n - 1, 0, 0, (), "", -1, 1)
+    # keys of one size have one length, so string order is shortlex order
+    out.sort(key=attrgetter("key"))
+    return tuple(out)

@@ -12,9 +12,11 @@ included, must never compare equal or combine.  No carrier truncates;
 the QSym grading that makes this safe is pinned as a property.  The
 quasi-shuffle on key codes is checked against the one on tuples it
 replaced, codes against the tuples they encode, the integer-numerator
-QSym product against the Fraction-accumulating oracle, and each
+QSym product against the Fraction-accumulating oracle, each
 carrier's one-pass `linear_combination` against the running sum it
-replaces."""
+replaces, and `principal_specialization` and the tensor split, which
+read the numerators, against their bodies over the Fraction `terms`
+view."""
 
 import itertools
 import math
@@ -33,11 +35,13 @@ from forestinv.algebra import (
     code,
     linear_combination,
     parts,
+    principal_specialization,
     quasi_shuffle,
 )
 from forestinv.errors import DomainError
-from forestinv.operators import lambda_, lambda_bar
+from forestinv.operators import FREE_WORD, LinearOperator, lambda_, lambda_bar
 from forestinv.oracles import qsym_mul_by_fractions, quasi_shuffle_by_tuples
+from forestinv.planar import OperatorFamily, free_word_family, tensor_cocycle_apply
 from forestinv.words import FreeWord, TensorElement
 
 PROPERTY = settings(max_examples=60, deadline=None)
@@ -543,3 +547,53 @@ def test_linear_combination_refuses_another_carrier():
     for carrier, other in ((QSym, FreeWord), (FreeWord, TensorElement), (Polynomial, QSym)):
         with pytest.raises(TypeError):
             carrier.linear_combination([(1, carrier.one()), (1, other.one())])
+
+
+def specialization_by_terms(element, m):
+    """`principal_specialization` as it read the Fraction `terms` view."""
+    total = Fraction(0)
+    for comp, coeff in element.terms.items():
+        total += coeff * math.comb(m, len(comp))
+    return total
+
+
+def cocycle_by_terms(label, element, base):
+    """`tensor_cocycle_apply` as it read the Fraction `terms` views."""
+    op = base[label]
+    out = {}
+    for factors, coeff in element.terms.items():
+        for j in range(len(factors) + 1):
+            rest = FreeWord({sum(factors[j:], ()): 1})
+            for word, wcoeff in op(rest).terms.items():
+                key = factors[:j] + (word,)
+                out[key] = out.get(key, 0) + coeff * wcoeff
+    return TensorElement(out)
+
+
+def weighted_prepend(x):
+    # a word w goes to a.w / (len(w) + 1): the images' denominators differ
+    return FreeWord({("a",) + w: c * Fraction(1, len(w) + 1) for w, c in x.terms.items()})
+
+
+WEIGHTED_FAMILY = OperatorFamily(
+    {"a": LinearOperator("weighted-a", FREE_WORD, weighted_prepend),
+     "b": free_word_family(["b"])["b"]},
+    FreeWord.one(),
+)
+
+
+@PROPERTY
+@given(qsyms(), st.integers(0, 6))
+def test_principal_specialization_matches_the_terms_view_property(x, m):
+    got = principal_specialization(x, m)
+    assert type(got) is Fraction
+    assert got == specialization_by_terms(x, m)
+
+
+@PROPERTY
+@given(tensors(), st.sampled_from("ab"))
+def test_tensor_cocycle_matches_the_terms_view_property(x, label):
+    got = tensor_cocycle_apply(label, x, WEIGHTED_FAMILY)
+    expected = cocycle_by_terms(label, x, WEIGHTED_FAMILY)
+    assert exact(got) == exact(expected)
+    assert (got.numerators, got.denominator) == (expected.numerators, expected.denominator)

@@ -34,6 +34,7 @@ from forestinv.oracles import (
     brute_force_qsym,
     count_root_automorphisms,
     qsym_to_finite,
+    strict_terms_by_complement,
 )
 from forestinv.render import render_value
 from forestinv.trees import (
@@ -177,6 +178,15 @@ def test_qsym_term_estimates_bound_the_values():
     # past 2^64 the estimates stop growing; a deep tree's stays exact
     assert weak(10**15, 1) == strict(10**15, 1) == 2**64
     assert strict(400, 398) == 1 + 398
+
+
+def test_strict_term_estimate_matches_its_complement_oracle():
+    # the guard sums the long compositions, the oracle subtracts the short
+    # ones from 2^(n-2); past n - 2 = 64 both cut a shallow tree to 2^64
+    strict, _, _ = built_in_spec("lambda-bar").guard
+    for n in range(2, 300):
+        for height in range(1, n):
+            assert strict(n, height) == strict_terms_by_complement(n, height), (n, height)
 
 
 def test_qsym_term_guard():

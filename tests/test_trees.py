@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from forestinv import oracles
+from forestinv import oracles, trees
 from forestinv.errors import DomainError, ParseError, ResourceLimitError
 from forestinv.trees import (
     EMPTY_FOREST,
@@ -92,10 +92,42 @@ def test_automorphism_examples():
     assert automorphism_order(parse_tree("(()(()))")) == 1
 
 
-def test_automorphism_against_brute_force():
-    for n in range(1, 8):
+@pytest.fixture
+def fresh_caches(monkeypatch):
+    """Empty tree, forest and automorphism caches for one test; the
+    module's own come back afterwards."""
+    for name in ("_TREE_CACHE", "_FOREST_CACHE", "_AUT_CACHE"):
+        monkeypatch.setattr(trees, name, {})
+
+
+def test_automorphism_against_brute_force(fresh_caches):
+    # the orders the enumeration writes, before anything else computes one
+    enumerate_trees(8)
+    written = dict(trees._AUT_CACHE)
+    for n in range(1, 9):
         for tree in enumerate_trees(n):
-            assert automorphism_order(tree) == oracles.count_root_automorphisms(tree)
+            assert written[tree.key] == oracles.count_root_automorphisms(tree), tree
+            assert automorphism_order(tree) == written[tree.key]
+
+
+def test_enumeration_writes_the_recursive_automorphism_orders(fresh_caches):
+    enumerate_trees(12)
+    written = dict(trees._AUT_CACHE)
+    trees._AUT_CACHE.clear()
+    for n in range(1, 13):
+        for tree in enumerate_trees(n):
+            assert automorphism_order(tree) == written[tree.key], tree
+
+
+def test_enumerated_trees_match_the_public_constructor(fresh_caches):
+    for n in range(1, 13):
+        for tree in enumerate_trees(n):
+            rebuilt = RootedTree(tree.children)
+            assert (tree.key, tree.height, tree.vertex_count) == (
+                rebuilt.key, rebuilt.height, rebuilt.vertex_count
+            )
+            assert tree.children == rebuilt.children
+            assert type(tree.children) is tuple
 
 
 def test_tree_census():
@@ -110,7 +142,7 @@ def test_tree_census_against_level_sequences():
 
 def test_same_isomorphism_classes_as_level_sequences():
     # not just the same count: the same canonical keys
-    for n in range(1, 9):
+    for n in range(1, 13):
         ours = sorted(t.key for t in enumerate_trees(n))
         theirs = sorted(
             oracles.tree_from_level_sequence(seq).key
@@ -148,6 +180,17 @@ def test_forest_census_matches_euler_transform():
     tree_counts = [len(enumerate_trees(n)) for n in range(1, 10)]
     forest_counts = [len(enumerate_forests(n)) for n in range(1, 10)]
     assert forest_counts == oracles.euler_transform(tree_counts)
+
+
+def test_forests_are_the_next_trees_without_their_roots(fresh_caches):
+    enumerate_trees(12)
+    assert trees._FOREST_CACHE == {}  # filled only by enumerate_forests
+    for n in range(0, 12):
+        forests = enumerate_forests(n)
+        assert forests == [RootedForest(t.children) for t in enumerate_trees(n + 1)]
+        keys = [f.key for f in forests]
+        assert keys == sorted(keys, key=lambda k: (len(k), k)) and len(set(keys)) == len(keys)
+        assert all(f.vertex_count == n for f in forests)
 
 
 def test_forest_count_equals_next_tree_count():

@@ -108,6 +108,12 @@ _MANY_TERMS = [
     ("genfun", "--operator", "lambda", "--terms", "7"),
 ]
 
+# whole classes with their automorphism orders, as the enumeration writes them
+_ENUMERATE = [
+    ("enumerate", "--vertices", "12", "--format", "csv"),
+    ("enumerate", "--vertices", "14"),
+]
+
 _COLLISIONS = [("collisions", "--operator", op, "--max-n", "7") for op in BUILT_IN_NAMES]
 
 _VERIFY = [("verify", "--suite", "all")] + _per_format(
@@ -133,6 +139,8 @@ _PLANAR = [
 ]
 
 _GUARDS = [
+    # a path just under the depth limit: its lambda-bar estimate is one term
+    ("invariant", "--tree", _path(499), "--operator", "lambda-bar"),
     ("invariant", "--tree", _path(501), "--operator", "lambda-bar"),
     ("invariant", "--tree", _path(501), "--operator", "delta-inv"),
     ("planar", "--tree", _path(501, "a")),
@@ -147,8 +155,8 @@ _GUARDS = [
 ]
 
 CALLS = (
-    _EVERY_FORMAT + _INVARIANTS + _GENFUN + _GENFUN_LARGE + _MANY_TERMS + _COLLISIONS
-    + _VERIFY + _PLANAR + _GUARDS
+    _EVERY_FORMAT + _INVARIANTS + _GENFUN + _GENFUN_LARGE + _MANY_TERMS + _ENUMERATE
+    + _COLLISIONS + _VERIFY + _PLANAR + _GUARDS
 )
 
 
