@@ -17,6 +17,10 @@ refuses a tree past it before any product.  The quasi-symmetric
 recurrence is also refused past an exact count of the operand-term
 pairs its products take.  The brute-force recounts of both from the
 definitions live in `oracles`.
+
+The collision search buckets each class by a fingerprint that equal
+values share, their images mod a prime at fixed points, and evaluates
+only the trees that share a bucket.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb
+from operator import mul
 
 from .algebra import Polynomial, QSym, product
 from .errors import DomainError, ResourceLimitError
@@ -35,6 +40,7 @@ from .operators import (
     LinearOperator,
 )
 from .trees import (
+    _ENUMERATION_CAP,
     RootedForest,
     RootedTree,
     automorphism_order,
@@ -199,16 +205,20 @@ def check_recurrence_cost(spec: InvariantSpec, order: int) -> None:
         )
 
 
+def _outgrown(spec: InvariantSpec, vertices: int) -> DomainError:
+    """The refusal of a tree on more vertices than the spec's degree bound."""
+    return DomainError(
+        f"tree on {vertices} vertices outgrows the degree bound {spec.degree_bound}"
+    )
+
+
 def evaluate(tree: RootedTree, spec: InvariantSpec):
     """Value of a rooted tree: the operator applied to the product of the
     values of the subtrees hanging off the root.  Refuses a tree deeper
     than `trees.DEPTH_LIMIT`, and one whose value is estimated past its
     operator's cost guard."""
     if spec.degree_bound is not None and tree.vertex_count > spec.degree_bound:
-        raise DomainError(
-            f"tree on {tree.vertex_count} vertices outgrows the "
-            f"degree bound {spec.degree_bound}"
-        )
+        raise _outgrown(spec, tree.vertex_count)
     got = spec._cache.get(tree.key)
     if got is None:
         check_depth(tree.height)
@@ -316,20 +326,87 @@ class CollisionPair:
         }
 
 
+# A collision fingerprint of a value f is its evaluations mod this prime on
+# the suffixes of m points, v_i = f(x_i, ..., x_m) for i = 1 .. m + 1 (so
+# v_(m+1) is the constant term and the unit is all ones).  Evaluation is a
+# ring map, so a product is pointwise, and each operator is one suffix sum,
+# w_i = sum over k >= i of x_k v_k (weak) or x_k v_(k+1) (strict).  With
+# every x_k = 1, v_i of a polynomial is its value at t = m - i + 1.
+_MODULUS = (1 << 61) - 1
+
+# One residue per vertex count enumeration admits, none 0 or 1: the orbit
+# of x -> x^2 + 1 from an arbitrary start, so no low-degree relation holds.
+_POINTS = tuple(itertools.accumulate(
+    range(1, _ENUMERATION_CAP), lambda x, _: (x * x + 1) % _MODULUS, initial=0x1E3779B97F4A7C15
+))
+
+# The unit, whether the suffix sum is weak, and the points of each operator.
+_SUFFIX_MODELS = {
+    DELTA_INV: (Polynomial.one(), False, (1,) * _ENUMERATION_CAP),
+    NABLA_INV: (Polynomial.one(), True, (1,) * _ENUMERATION_CAP),
+    LAMBDA_BAR: (QSym.one(), False, _POINTS),
+    LAMBDA: (QSym.one(), True, _POINTS),
+}
+
+
+def _fingerprinter(spec: InvariantSpec, m: int):
+    """Each tree's fingerprint under the spec on m points, memoized by key;
+    a spec outside `_SUFFIX_MODELS`, or with another unit, gives None."""
+    model = _SUFFIX_MODELS.get(spec.operator)
+    if model is None or spec.one != model[0]:
+        return lambda tree: None
+    _, weak, points = model
+    points, unit, memo = points[m - 1 :: -1], (1,) * (m + 1), {}
+
+    def fingerprint(tree):
+        got = memo.get(tree.key)
+        if got is None:
+            children = tree.children
+            values = fingerprint(children[0]) if children else unit
+            for child in children[1:]:
+                values = tuple([a * b % _MODULUS for a, b in zip(values, fingerprint(child))])
+            # the suffix sums, accumulated from x_m down to x_1
+            tail = values[m - 1 :: -1] if weak else values[:0:-1]
+            sums = [s % _MODULUS for s in itertools.accumulate(map(mul, points, tail))]
+            got = memo[tree.key] = tuple(sums[::-1]) + (0,)
+        return got
+
+    return fingerprint
+
+
 def collision_report(n_max: int, spec: InvariantSpec) -> list[CollisionPair]:
     """All pairs of distinct trees on up to n_max vertices whose values
-    under the given invariant agree exactly.  Values are grouped as dict
-    keys: every carrier hashes, and compares equal exactly when the values
-    are equal."""
+    under the given invariant agree exactly.
+
+    Equal values share a fingerprint (see `_MODULUS`), so only the trees
+    that share one with another tree are evaluated, and they are grouped
+    by value, which every carrier hashes and compares exactly.  Groups
+    come in the order of their first tree.  Every built-in cost guard
+    passes every tree on at most `_ENUMERATION_CAP` vertices, so a tree
+    never evaluated skips no refusal."""
     if n_max < 1:
         raise DomainError("need n_max >= 1")
+    fingerprint = _fingerprinter(spec, min(n_max, _ENUMERATION_CAP))
     pairs = []
     for n in range(1, n_max + 1):
-        groups: dict[object, list[RootedTree]] = {}
-        for tree in enumerate_trees(n):
-            groups.setdefault(evaluate(tree, spec), []).append(tree)
-        for bucket in groups.values():
-            for a, b in itertools.combinations(bucket, 2):
+        trees = enumerate_trees(n)
+        if spec.degree_bound is not None and n > spec.degree_bound:
+            raise _outgrown(spec, n)
+        buckets: dict[object, list[int]] = {}
+        for i, tree in enumerate(trees):
+            buckets.setdefault(fingerprint(tree), []).append(i)
+        groups = []
+        for bucket in buckets.values():
+            if len(bucket) > 1:
+                exact: dict[object, list[int]] = {}
+                for i in bucket:
+                    exact.setdefault(evaluate(trees[i], spec), []).append(i)
+                groups.extend(group for group in exact.values() if len(group) > 1)
+        # groups are disjoint, so list order is the order of first indices
+        groups.sort()
+        for group in groups:
+            for i, j in itertools.combinations(group, 2):
+                a, b = trees[i], trees[j]
                 alpha_a, alpha_b = automorphism_order(a), automorphism_order(b)
                 pairs.append(
                     CollisionPair(

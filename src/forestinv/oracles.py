@@ -28,7 +28,9 @@ the tree census and automorphism counts live:
   product built on it, which check the quasi-shuffle on key codes and
   the integer kernel of `QSym.__mul__`;
 - the structure-building render of every carrier value, which checks the
-  JSON text that `render.render_json` writes from the terms.
+  JSON text that `render.render_json` writes from the terms;
+- the suffix evaluations mod p of a value, from its terms, which check
+  the collision fingerprints that `engine` builds along each tree.
 
 Quasi-symmetric keys are decoded with `algebra.parts` where they come
 in, so every routine here works on compositions as tuples of ints.
@@ -686,3 +688,35 @@ def finite_lambda_bar(p: FiniteVarPoly) -> FiniteVarPoly:
     the sum over k of x_k times the k-fold index shift, which is the weak
     one applied after a single shift."""
     return finite_lambda(shift_s(p))
+
+
+def _residue(x, p: int) -> int:
+    """An exact scalar mod p, its denominator inverted."""
+    x = Fraction(x)
+    return x.numerator * pow(x.denominator, -1, p) % p
+
+
+def suffix_values(value, points, p: int) -> tuple:
+    """The collision fingerprint of a value, built straight from it: with
+    m = len(points), entry i (from 1 to m + 1) is a QSym value evaluated
+    on the suffix x_i .. x_m of the points, mod p, and a Polynomial
+    value's value at t = m - i + 1, mod p (its points are all ones).
+
+    Each M_alpha is a small DP over increasing index choices: its parts
+    are placed from the last, and the sum over choices at indices >= j
+    takes index j for the part or skips it."""
+    m = len(points)
+    if isinstance(value, Polynomial):
+        return tuple(_residue(value(m - i), p) for i in range(m + 1))
+    out = [0] * (m + 1)
+    for key, coeff in value.terms.items():
+        # on_suffix[j]: the parts placed so far, summed over the suffix from j
+        on_suffix = [1] * (m + 1)
+        for part in reversed(parts(key)):
+            placed = [0] * (m + 1)
+            for j in range(m - 1, -1, -1):
+                placed[j] = (placed[j + 1] + pow(points[j], part, p) * on_suffix[j + 1]) % p
+            on_suffix = placed
+        c = _residue(coeff, p)
+        out = [(total + c * v) % p for total, v in zip(out, on_suffix)]
+    return tuple(out)

@@ -95,6 +95,13 @@ class RootedForest:
         self.key = "".join([t.key for t in ts])
         self.vertex_count = sum([t.vertex_count for t in ts])
 
+    @classmethod
+    def _canonical(cls, trees, key, vertex_count):
+        """The forest with these fields, trusted to be canonical: no sort."""
+        forest = object.__new__(cls)
+        forest.trees, forest.key, forest.vertex_count = trees, key, vertex_count
+        return forest
+
     def __iter__(self):
         return iter(self.trees)
 
@@ -173,7 +180,8 @@ def b_plus(forest) -> RootedTree:
 
 def remove_root(tree: RootedTree) -> RootedForest:
     """The forest of components left after deleting the root vertex."""
-    return RootedForest(tree.children)
+    # the children are canonical, and the key is the tree's without its root
+    return RootedForest._canonical(tree.children, tree.key[1:-1], tree.vertex_count - 1)
 
 
 _AUT_CACHE: dict[str, int] = {}

@@ -1,5 +1,6 @@
 """Invariant engine: recursive evaluation, the four shipped invariants,
-brute-force oracles, and collision reporting."""
+brute-force oracles, and collision reporting, with its fingerprints
+checked against the suffix evaluations built from each exact value."""
 
 import itertools
 import json
@@ -7,7 +8,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from forestinv import engine
 from forestinv.algebra import Polynomial, QSym, principal_specialization
 from forestinv.engine import (
     BUILT_IN_NAMES,
@@ -28,16 +32,18 @@ from forestinv.engine import (
     weak_order_spec,
 )
 from forestinv.errors import DomainError, ResourceLimitError
-from forestinv.operators import LinearOperator, POLYNOMIAL
+from forestinv.operators import DELTA_INV, LinearOperator, POLYNOMIAL, lambda_, lambda_bar
 from forestinv.oracles import (
     brute_force_order_count,
     brute_force_qsym,
     count_root_automorphisms,
     qsym_to_finite,
     strict_terms_by_complement,
+    suffix_values,
 )
 from forestinv.render import render_value
 from forestinv.trees import (
+    _ENUMERATION_CAP,
     EMPTY_FOREST,
     SINGLETON,
     RootedForest,
@@ -345,12 +351,11 @@ def test_collision_report_flags_alpha():
     assert not pair.alpha_collision
 
 
-@pytest.mark.parametrize("name", BUILT_IN_NAMES)
-def test_collision_report_groups_as_the_rendered_values_do(name):
-    # the grouping it replaced: by the compact JSON form of each value
-    spec = built_in_spec(name)
+def exact_pairs(n_max, spec):
+    """The pairs of the grouping the fingerprints replaced: every tree of a
+    class evaluated, and the values grouped by their compact JSON form."""
     expected = []
-    for n in range(1, 8):
+    for n in range(1, n_max + 1):
         groups = {}
         for tree in enumerate_trees(n):
             rendered = json.dumps(
@@ -359,7 +364,94 @@ def test_collision_report_groups_as_the_rendered_values_do(name):
             groups.setdefault(rendered, []).append(tree.key)
         for bucket in groups.values():
             expected.extend((n, a, b) for a, b in itertools.combinations(bucket, 2))
-    assert [(p.n, p.tree_a, p.tree_b) for p in collision_report(7, spec)] == expected
+    return expected
+
+
+def reported_pairs(n_max, spec):
+    return [(p.n, p.tree_a, p.tree_b) for p in collision_report(n_max, spec)]
+
+
+@pytest.mark.parametrize("name", BUILT_IN_NAMES)
+def test_collision_report_groups_as_the_rendered_values_do(name):
+    spec = built_in_spec(name)
+    assert reported_pairs(10, spec) == exact_pairs(10, spec)
+
+
+@pytest.mark.parametrize("name", BUILT_IN_NAMES)
+def test_collision_report_splits_buckets_that_collide_by_chance(monkeypatch, name):
+    # mod 3 most unequal values share a fingerprint, so confirmation must
+    # split buckets, and the output is still the exact grouping
+    monkeypatch.setattr(engine, "_MODULUS", 3)
+    spec = built_in_spec(name)
+    fingerprint = engine._fingerprinter(spec, 7)
+    split = 0
+    for n in range(1, 8):
+        buckets = {}
+        for tree in enumerate_trees(n):
+            buckets.setdefault(fingerprint(tree), set()).add(evaluate(tree, spec))
+        split += sum(len(values) > 1 for values in buckets.values())
+    assert split > 0
+    assert reported_pairs(7, spec) == exact_pairs(7, spec)
+
+
+@pytest.mark.parametrize("name", BUILT_IN_NAMES)
+def test_fingerprints_are_the_suffix_values_of_the_exact_values(name):
+    spec = built_in_spec(name)
+    fingerprint = engine._fingerprinter(spec, 8)
+    points = engine._SUFFIX_MODELS[spec.operator][2][:8]
+    for n in range(1, 9):
+        for tree in enumerate_trees(n):
+            assert fingerprint(tree) == suffix_values(
+                evaluate(tree, spec), points, engine._MODULUS
+            ), tree.key
+
+
+def test_fingerprint_points_are_distinct_residues_past_one():
+    points = engine._POINTS
+    assert len(points) >= _ENUMERATION_CAP
+    assert len(set(points)) == len(points)
+    assert all(1 < x < engine._MODULUS for x in points)
+
+
+def test_collision_report_evaluates_every_tree_of_a_spec_with_another_unit():
+    # with unit 0 every value is 0, so all trees of a class collide; the
+    # built-in operator's fingerprints, made for unit 1, would split them
+    zero = InvariantSpec("zero", DELTA_INV, Polynomial.zero())
+    assert reported_pairs(5, zero) == [
+        (n, a.key, b.key)
+        for n in range(1, 6)
+        for a, b in itertools.combinations(enumerate_trees(n), 2)
+    ]
+
+
+FINGERPRINT_VARIABLES = 5
+SMALL_COMPOSITIONS = (
+    st.lists(st.integers(1, 3), max_size=3)
+    .filter(lambda parts: sum(parts) <= FINGERPRINT_VARIABLES)
+    .map(tuple)
+)
+INTEGER_QSYMS = st.dictionaries(
+    SMALL_COMPOSITIONS, st.integers(-5, 5), max_size=4
+).map(QSym)
+
+
+def suffix_sums(values, points, weak):
+    """w_i = sum over k >= i of x_k v_k (weak) or x_k v_(k+1) (strict)."""
+    m = len(points)
+    return tuple(
+        sum(points[k] * values[k if weak else k + 1] for k in range(i, m)) % engine._MODULUS
+        for i in range(m + 1)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(INTEGER_QSYMS, INTEGER_QSYMS)
+def test_suffix_values_are_a_ring_map_that_commutes_with_the_prepends_property(a, b):
+    points, p = engine._POINTS[:FINGERPRINT_VARIABLES], engine._MODULUS
+    image_a, image_b = suffix_values(a, points, p), suffix_values(b, points, p)
+    assert suffix_values(a * b, points, p) == tuple(x * y % p for x, y in zip(image_a, image_b))
+    assert suffix_values(lambda_bar(a), points, p) == suffix_sums(image_a, points, weak=False)
+    assert suffix_values(lambda_(a), points, p) == suffix_sums(image_a, points, weak=True)
 
 
 def test_collision_report_bound_guard():

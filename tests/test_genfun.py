@@ -41,7 +41,7 @@ from forestinv.oracles import (
 )
 from forestinv.planar import free_word_family
 from forestinv.series import Series
-from forestinv.trees import DEPTH_LIMIT, _ENUMERATION_CAP, automorphism_order, enumerate_trees
+from forestinv.trees import _ENUMERATION_CAP, automorphism_order, check_depth, enumerate_trees
 from forestinv.words import FreeWord
 
 T = Polynomial.t()
@@ -241,11 +241,13 @@ def test_enumeration_applies_the_operator_once_to_the_largest_class():
 @pytest.mark.parametrize("name", BUILT_IN_NAMES)
 def test_cost_guards_pass_every_tree_up_to_the_enumeration_cap(name):
     # so the largest class, which the enumeration build never evaluates,
-    # skips no refusal of `evaluate`
+    # and the trees that `collision_report` never evaluates (alone in their
+    # fingerprint bucket) skip no refusal of `evaluate`
     spec = built_in_spec(name)
-    for height in range(_ENUMERATION_CAP):
-        check_cost(spec, _ENUMERATION_CAP, height)
-    assert _ENUMERATION_CAP < DEPTH_LIMIT
+    for vertices in range(1, _ENUMERATION_CAP + 1):
+        for height in range(vertices):
+            check_depth(height)
+            check_cost(spec, vertices, height)
 
 
 def test_closed_form_guards():

@@ -183,11 +183,15 @@ def test_forest_census_matches_euler_transform():
 
 
 def test_forests_are_the_next_trees_without_their_roots(fresh_caches):
-    enumerate_trees(12)
+    enumerate_trees(13)
     assert trees._FOREST_CACHE == {}  # filled only by enumerate_forests
-    for n in range(0, 12):
+    for n in range(0, 13):
         forests = enumerate_forests(n)
-        assert forests == [RootedForest(t.children) for t in enumerate_trees(n + 1)]
+        # the trusted forests of `remove_root` hold what the public constructor builds
+        rebuilt = [RootedForest(t.children) for t in enumerate_trees(n + 1)]
+        assert [(f.trees, f.key, f.vertex_count) for f in forests] == [
+            (f.trees, f.key, f.vertex_count) for f in rebuilt
+        ]
         keys = [f.key for f in forests]
         assert keys == sorted(keys, key=lambda k: (len(k), k)) and len(set(keys)) == len(keys)
         assert all(f.vertex_count == n for f in forests)

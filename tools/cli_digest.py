@@ -114,7 +114,16 @@ _ENUMERATE = [
     ("enumerate", "--vertices", "14"),
 ]
 
-_COLLISIONS = [("collisions", "--operator", op, "--max-n", "7") for op in BUILT_IN_NAMES]
+# whole-class searches: every pair of the polynomial invariants, and the
+# quasi-symmetric ones' empty answers up to the sizes where their values are big
+_COLLISIONS = [
+    ("collisions", "--operator", op, "--max-n", max_n)
+    for max_n in ("7", "9")
+    for op in BUILT_IN_NAMES
+] + [
+    ("collisions", "--operator", "delta-inv", "--max-n", "9", "--format", fmt)
+    for fmt in ("csv", "text")
+] + [("collisions", "--operator", "lambda", "--max-n", "11")]
 
 _VERIFY = [("verify", "--suite", "all")] + _per_format(
     [("verify", "--suite", "grafting", "--max-n", "3")]
