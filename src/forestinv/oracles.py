@@ -3,7 +3,9 @@
 Everything here but the per-tree sums of U_n deliberately avoids the
 canonical-form machinery in `trees` (beyond constructing result
 objects), so these routines can act as honest oracles for it.  Alongside
-the tree census and automorphism counts live:
+the tree census and the automorphism counts (by vertex permutations, and
+by the recursive block rule, which checks the α every tree is built with)
+live:
 
 - brute-force labeling counts, which check the order polynomials, and
   their monomial sums, which check the quasi-symmetric invariants;
@@ -115,13 +117,34 @@ def _parent_array(tree: RootedTree) -> list[int]:
     return parents
 
 
+def automorphism_order_by_blocks(tree: RootedTree) -> int:
+    """Root-preserving automorphism order by the block rule, recursively:
+    each block of k isomorphic children contributes k! times the k-th
+    power of the child's own order, and distinct blocks multiply."""
+    got = 1
+    for _, group in itertools.groupby(tree.children, key=lambda c: c.key):
+        block = list(group)
+        got *= math.factorial(len(block)) * automorphism_order_by_blocks(block[0]) ** len(block)
+    return got
+
+
+def check_permutation_brute_force(vertices: int) -> None:
+    """Refuse a permutation count on trees of this many vertices when it
+    would scan more than a million permutations of the non-root ones."""
+    scanned, limit = math.factorial(max(vertices - 1, 0)), 1_000_000
+    if scanned > limit:
+        raise ResourceLimitError(
+            f"{vertices} vertices is too many for permutation brute force: "
+            f"{vertices - 1}! = {scanned} permutations, over the limit of {limit}"
+        )
+
+
 def count_root_automorphisms(tree: RootedTree) -> int:
     """Count root-preserving automorphisms by brute force over vertex
     permutations.  Exact but factorial; guarded, never approximated."""
     parent = _parent_array(tree)
     v = len(parent)
-    if math.factorial(max(v - 1, 0)) > 1_000_000:
-        raise ResourceLimitError(f"{v} vertices is too many for permutation brute force")
+    check_permutation_brute_force(v)
     count = 0
     for perm in itertools.permutations(range(1, v)):
         image = (0,) + perm

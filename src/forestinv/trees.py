@@ -7,17 +7,19 @@ equal.  The canonical key of a tree is the balanced-parenthesis word
 first, ties broken lexicographically); a forest's key is the shortlex
 concatenation of its trees' keys.  The empty forest has the empty key.
 
-Values are immutable and hash by key.
+Values are immutable and hash by key.  Every tree carries its
+root-preserving automorphism order α, written where the tree is built by
+one rule: with the children in canonical order, the k-th consecutive copy
+of a child t multiplies α by k·α(t), so a block of k copies gives k!·α(t)^k.
 
 Enumeration builds each tree once: a non-decreasing walk over all smaller
 trees in shortlex order meets each multiset of children once, in canonical
-order, writing key, height and automorphism order as it goes.
+order, writing key, height and α as it goes.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from operator import attrgetter
 
 from .errors import DomainError, ParseError, ResourceLimitError
@@ -25,10 +27,14 @@ from .errors import DomainError, ParseError, ResourceLimitError
 # largest size whose full census fits comfortably in memory
 _ENUMERATION_CAP = 16
 
-# Most levels a tree may have for the recursive walkers (evaluation,
-# automorphism counts, planar hashing and equality), which take one frame
-# per level: well inside the interpreter's default limit of 1000 frames.
+# Most levels a tree may have for the recursive walkers (evaluation, planar
+# hashing and equality), which take one frame per level: well inside the
+# interpreter's default limit of 1000 frames.
 DEPTH_LIMIT = 500
+
+# Most key characters a parse may write across its subtrees.  Each vertex's
+# key is twice its subtree's size, so a path of n vertices writes n(n + 1).
+KEY_CHAR_LIMIT = 2**26
 
 
 def check_depth(height: int) -> None:
@@ -50,23 +56,31 @@ def shortlex(value) -> tuple[int, str]:
 class RootedTree:
     """An unlabeled rooted tree in canonical form."""
 
-    __slots__ = ("children", "key", "vertex_count", "height")
+    __slots__ = ("children", "key", "vertex_count", "height", "alpha")
 
     def __init__(self, children=()):
         kids = tuple(children)
         if len(kids) > 1:
             kids = tuple(sorted(kids, key=shortlex))
         self.children = kids
-        self.key = "(%s)" % "".join([c.key for c in kids])
-        self.vertex_count = 1 + sum([c.vertex_count for c in kids])
-        self.height = 1 + max([c.height for c in kids], default=-1)
+        keys, vertex_count, height, alpha, run = [], 1, 0, 1, 0
+        for c in kids:
+            key = c.key
+            run = run + 1 if keys and key == keys[-1] else 1
+            keys.append(key)
+            vertex_count += c.vertex_count
+            if c.height >= height:
+                height = c.height + 1
+            alpha *= run * c.alpha
+        self.key = "(%s)" % "".join(keys)
+        self.vertex_count, self.height, self.alpha = vertex_count, height, alpha
 
     @classmethod
-    def _canonical(cls, children, key, vertex_count, height):
+    def _canonical(cls, children, key, vertex_count, height, alpha):
         """The tree with these fields, trusted to be canonical: no sort."""
         tree = object.__new__(cls)
         tree.children, tree.key = children, key
-        tree.vertex_count, tree.height = vertex_count, height
+        tree.vertex_count, tree.height, tree.alpha = vertex_count, height, alpha
         return tree
 
     def __eq__(self, other):
@@ -130,7 +144,9 @@ def parse_tree(text: str) -> RootedTree:
 
     Children are re-sorted into canonical order, so any reordering of the
     input parses to the same value.  Raises ParseError with the offending
-    character offset on empty, unbalanced, or multi-root input.
+    character offset on empty, unbalanced, or multi-root input, and
+    ResourceLimitError before building keys of more than KEY_CHAR_LIMIT
+    characters in all.
     """
     if not text:
         raise ParseError("empty input", 0)
@@ -155,6 +171,8 @@ def _parse_at(text, pos):
     if text[pos] != "(":
         raise ParseError(f"expected '(' but found {text[pos]!r}", pos)
     open_vertices = [[]]
+    # a vertex writes two characters into its own key and each ancestor's
+    key_chars = 2
     i = pos + 1
     while True:
         if i >= len(text):
@@ -163,6 +181,12 @@ def _parse_at(text, pos):
         i += 1
         if ch == "(":
             open_vertices.append([])
+            key_chars += 2 * len(open_vertices)
+            if key_chars > KEY_CHAR_LIMIT:
+                raise ResourceLimitError(
+                    f"the tree's keys would hold at least {key_chars} characters, "
+                    f"over the limit of {KEY_CHAR_LIMIT}"
+                )
         elif ch == ")":
             kids = open_vertices.pop()
             tree = RootedTree(kids) if kids else SINGLETON
@@ -184,27 +208,13 @@ def remove_root(tree: RootedTree) -> RootedForest:
     return RootedForest._canonical(tree.children, tree.key[1:-1], tree.vertex_count - 1)
 
 
-_AUT_CACHE: dict[str, int] = {}
-
-
 def automorphism_order(tree: RootedTree) -> int:
-    """Order of the root-preserving automorphism group, exactly.
-
-    A block of k isomorphic children contributes k! times the k-th power
-    of the child's own order; distinct blocks multiply independently.
-    """
-    got = _AUT_CACHE.get(tree.key)
-    if got is None:
-        got = 1
-        for _, group in itertools.groupby(tree.children, key=lambda c: c.key):
-            block = list(group)
-            got *= math.factorial(len(block)) * automorphism_order(block[0]) ** len(block)
-        _AUT_CACHE[tree.key] = got
-    return got
+    """Order of the root-preserving automorphism group, exactly: the α
+    the tree was built with."""
+    return tree.alpha
 
 
 _TREE_CACHE: dict[int, tuple] = {}
-_FOREST_CACHE: dict[int, tuple] = {}
 
 
 def enumerate_trees(n: int) -> list[RootedTree]:
@@ -228,12 +238,8 @@ def enumerate_forests(n: int) -> list[RootedForest]:
     # forests on n vertices biject with trees on n + 1, so cap one lower
     if n >= _ENUMERATION_CAP:
         raise ResourceLimitError(f"enumerating all forests on {n} vertices is over the limit")
-    got = _FOREST_CACHE.get(n)
-    if got is None:
-        # a tree's key is its forest's key in parentheses, so the order holds
-        got = tuple([remove_root(tree) for tree in enumerate_trees(n + 1)])
-        _FOREST_CACHE[n] = got
-    return list(got)
+    # a tree's key is its forest's key in parentheses, so the order holds
+    return [remove_root(tree) for tree in enumerate_trees(n + 1)]
 
 
 def _grow_trees(n):
@@ -241,21 +247,18 @@ def _grow_trees(n):
     # the budget or leaves room for one as big, so no branch ends short.  The
     # k-th copy of a child t multiplies alpha by k * alpha(t): k! alpha(t)^k.
     pool = [tree for size in range(1, n) for tree in _TREE_CACHE[size]]
-    alphas = [_AUT_CACHE[tree.key] for tree in pool]
     fits = list(itertools.accumulate([len(_TREE_CACHE[s]) for s in range(1, n)], initial=0))
     out = []
 
     def walk(remaining, last, run, kids, key, height, alpha):
         if not remaining:
-            tree = RootedTree._canonical(kids, "(" + key + ")", n, height + 1)
-            _AUT_CACHE[tree.key] = alpha
-            out.append(tree)
+            out.append(RootedTree._canonical(kids, "(" + key + ")", n, height + 1, alpha))
             return
         ends_here = range(max(last, fits[remaining - 1]), fits[remaining])
         for i in itertools.chain(range(last, fits[remaining // 2]), ends_here):
             child, k = pool[i], run + 1 if i == last else 1
             walk(remaining - child.vertex_count, i, k, kids + (child,), key + child.key,
-                 max(height, child.height), alpha * alphas[i] * k)
+                 max(height, child.height), alpha * child.alpha * k)
 
     walk(n - 1, 0, 0, (), "", -1, 1)
     # keys of one size have one length, so string order is shortlex order

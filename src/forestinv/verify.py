@@ -250,6 +250,7 @@ def suite_grafting(max_n: int = 4) -> SuiteResult:
 
 def suite_automorphisms(max_n: int = 7) -> SuiteResult:
     """Automorphism orders against permutation brute force."""
+    oracles.check_permutation_brute_force(max_n)
     lines, checks = [], []
     for n in range(1, max_n + 1):
         ok = all(

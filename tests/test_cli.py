@@ -15,7 +15,7 @@ import forestinv
 from forestinv import cli
 from forestinv.cli import main
 from forestinv.engine import POLY_DEGREE_LIMIT, QSYM_PAIR_LIMIT, QSYM_TERM_LIMIT
-from forestinv.trees import DEPTH_LIMIT
+from forestinv.trees import DEPTH_LIMIT, KEY_CHAR_LIMIT
 
 
 def run(capsys, *argv):
@@ -170,6 +170,19 @@ def test_verify_census_csv(capsys):
         "census,True,trees n=3: 2 canonical vs 2 by level sequences (same classes)",
         'census,True,"forests n=1..3: [1, 2, 4] vs Euler transform [1, 2, 4]"',
     ]
+
+
+def test_verify_automorphisms_refuses_before_its_first_class(capsys, monkeypatch):
+    counted = []
+    monkeypatch.setattr(
+        forestinv.oracles, "count_root_automorphisms", lambda tree: counted.append(tree)
+    )
+    code, out, err = run(capsys, "verify", "--suite", "automorphisms", "--max-n", "11")
+    assert (code, out, counted) == (2, "", [])
+    assert err == (
+        "resource limit: 11 vertices is too many for permutation brute force: "
+        "10! = 3628800 permutations, over the limit of 1000000\n"
+    )
 
 
 def test_verify_unknown_suite(capsys):
@@ -386,6 +399,23 @@ def test_deep_trees_exit_with_the_depth_and_the_limit(capsys):
         assert out == ""
         assert err.startswith("resource limit:")
         assert "1000" in err and str(DEPTH_LIMIT) in err
+
+
+def test_trees_with_quadratic_keys_are_refused_before_they_are_built(capsys):
+    # a path of n vertices writes n(n + 1) key characters; 20000 would be 400 M
+    code, out, err = run(
+        capsys, "invariant", "--tree", path_text(20000), "--operator", "lambda-bar"
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("resource limit: the tree's keys would hold at least ")
+    assert str(KEY_CHAR_LIMIT) in err and "depth" not in err
+    # the longest path under the limit still reaches the depth check
+    longest = max(n for n in range(8000, 8300) if n * (n + 1) <= KEY_CHAR_LIMIT)
+    code, out, err = run(
+        capsys, "invariant", "--tree", path_text(longest), "--operator", "delta-inv"
+    )
+    assert (code, out) == (2, "")
+    assert f"depth {longest}" in err and str(DEPTH_LIMIT) in err
 
 
 def test_trees_at_the_depth_limit_are_evaluated(capsys):

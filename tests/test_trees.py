@@ -94,37 +94,32 @@ def test_automorphism_examples():
 
 @pytest.fixture
 def fresh_caches(monkeypatch):
-    """Empty tree, forest and automorphism caches for one test; the
-    module's own come back afterwards."""
-    for name in ("_TREE_CACHE", "_FOREST_CACHE", "_AUT_CACHE"):
-        monkeypatch.setattr(trees, name, {})
+    """An empty tree cache for one test; the module's own comes back
+    afterwards."""
+    monkeypatch.setattr(trees, "_TREE_CACHE", {})
 
 
 def test_automorphism_against_brute_force(fresh_caches):
-    # the orders the enumeration writes, before anything else computes one
-    enumerate_trees(8)
-    written = dict(trees._AUT_CACHE)
+    # the orders the enumeration walk writes, in a census built afresh
     for n in range(1, 9):
         for tree in enumerate_trees(n):
-            assert written[tree.key] == oracles.count_root_automorphisms(tree), tree
-            assert automorphism_order(tree) == written[tree.key]
+            assert tree.alpha == oracles.count_root_automorphisms(tree), tree
+            assert automorphism_order(tree) == tree.alpha
 
 
 def test_enumeration_writes_the_recursive_automorphism_orders(fresh_caches):
-    enumerate_trees(12)
-    written = dict(trees._AUT_CACHE)
-    trees._AUT_CACHE.clear()
     for n in range(1, 13):
         for tree in enumerate_trees(n):
-            assert automorphism_order(tree) == written[tree.key], tree
+            assert tree.alpha == oracles.automorphism_order_by_blocks(tree), tree
 
 
 def test_enumerated_trees_match_the_public_constructor(fresh_caches):
+    # the walk's fields against the constructor's
     for n in range(1, 13):
         for tree in enumerate_trees(n):
             rebuilt = RootedTree(tree.children)
-            assert (tree.key, tree.height, tree.vertex_count) == (
-                rebuilt.key, rebuilt.height, rebuilt.vertex_count
+            assert (tree.key, tree.height, tree.vertex_count, tree.alpha) == (
+                rebuilt.key, rebuilt.height, rebuilt.vertex_count, rebuilt.alpha
             )
             assert tree.children == rebuilt.children
             assert type(tree.children) is tuple
@@ -183,8 +178,6 @@ def test_forest_census_matches_euler_transform():
 
 
 def test_forests_are_the_next_trees_without_their_roots(fresh_caches):
-    enumerate_trees(13)
-    assert trees._FOREST_CACHE == {}  # filled only by enumerate_forests
     for n in range(0, 13):
         forests = enumerate_forests(n)
         # the trusted forests of `remove_root` hold what the public constructor builds
@@ -294,3 +287,14 @@ def test_parse_serialize_round_trip_property(forest):
     parsed = parse_forest("".join(nested_text(nested) for nested in forest))
     assert parsed == RootedForest(trees)
     assert parse_forest(parsed.key) == parsed
+
+
+@settings(max_examples=80, deadline=None)
+@given(NESTED)
+def test_parsed_automorphism_order_property(nested):
+    # any child order: the parser's constructor writes the block rule's order
+    tree = parse_tree(nested_text(nested))
+    assert tree.alpha == oracles.automorphism_order_by_blocks(tree)
+    assert tree.alpha == nested_tree(nested).alpha
+    if tree.vertex_count <= 7:
+        assert tree.alpha == oracles.count_root_automorphisms(tree)

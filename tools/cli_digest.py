@@ -54,6 +54,10 @@ def _caterpillar(vertices):
     return "(()" * legs + "()" + ")" * legs
 
 
+def _complete_binary(levels):
+    return "()" if levels == 1 else "(" + _complete_binary(levels - 1) * 2 + ")"
+
+
 def _per_format(argvs):
     return [argv + ("--format", fmt) for argv in argvs for fmt in FORMATS]
 
@@ -108,10 +112,13 @@ _MANY_TERMS = [
     ("genfun", "--operator", "lambda", "--terms", "7"),
 ]
 
-# whole classes with their automorphism orders, as the enumeration writes them
+# whole classes with their automorphism orders, as the enumeration writes them,
+# and the order the parser writes on a tree past the enumerated sizes: the
+# complete binary tree on 31 vertices nests repeated blocks, alpha = 2^15
 _ENUMERATE = [
     ("enumerate", "--vertices", "12", "--format", "csv"),
     ("enumerate", "--vertices", "14"),
+    ("invariant", "--tree", _complete_binary(5), "--operator", "delta-inv", "--format", "csv"),
 ]
 
 # whole-class searches: every pair of the polynomial invariants, and the
