@@ -8,12 +8,12 @@ small.
 """
 
 from forestinv import (
+    built_in_spec,
     collision_report,
     parse_tree,
     pretty,
     principal_specialization,
     qsym_strict,
-    qsym_strict_spec,
     qsym_weak,
     strict_order_poly,
     strict_order_spec,
@@ -52,7 +52,7 @@ def main():
     colliding = parse_tree(pairs[0].tree_a), parse_tree(pairs[0].tree_b)
     print("  strict qsym values differ:", qsym_strict(colliding[0]) != qsym_strict(colliding[1]))
     for n_max in (5, 6, 7):
-        found = collision_report(n_max, qsym_strict_spec(n_max))
+        found = collision_report(n_max, built_in_spec("lambda-bar"))
         polys = collision_report(n_max, strict_order_spec())
         print(f"  n <= {n_max}: qsym {len(found)} collisions, polynomial {len(polys)}")
 

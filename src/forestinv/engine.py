@@ -45,6 +45,7 @@ from .trees import (
     RootedTree,
     automorphism_order,
     check_depth,
+    check_enumeration,
     enumerate_trees,
 )
 
@@ -381,17 +382,18 @@ def collision_report(n_max: int, spec: InvariantSpec) -> list[CollisionPair]:
     Equal values share a fingerprint (see `_MODULUS`), so only the trees
     that share one with another tree are evaluated, and they are grouped
     by value, which every carrier hashes and compares exactly.  Groups
-    come in the order of their first tree.  Every built-in cost guard
-    passes every tree on at most `_ENUMERATION_CAP` vertices, so a tree
-    never evaluated skips no refusal."""
+    come in the order of their first tree.  n_max is checked against the
+    enumeration cap and the degree bound first, and every built-in cost
+    guard passes every tree the cap admits, so skipping one skips no refusal."""
     if n_max < 1:
         raise DomainError("need n_max >= 1")
-    fingerprint = _fingerprinter(spec, min(n_max, _ENUMERATION_CAP))
+    check_enumeration(n_max)
+    if spec.degree_bound is not None and n_max > spec.degree_bound:
+        raise _outgrown(spec, spec.degree_bound + 1)
+    fingerprint = _fingerprinter(spec, n_max)
     pairs = []
     for n in range(1, n_max + 1):
         trees = enumerate_trees(n)
-        if spec.degree_bound is not None and n > spec.degree_bound:
-            raise _outgrown(spec, n)
         buckets: dict[object, list[int]] = {}
         for i, tree in enumerate(trees):
             buckets.setdefault(fingerprint(tree), []).append(i)

@@ -8,7 +8,8 @@ the exponential of a generic series).  The recurrence runs as one `exp`
 whose feedback map is X, so order N costs (N-1)(N-2)/2 carrier products; the
 per-term build, one fresh exp per U_n, lives in `oracles` as a test
 reference.  The enumeration build sums each U_n in one pass of
-`algebra.linear_combination` with the int weights n!/alpha(T).  Its
+`algebra.linear_combination` with the int weights n!/alpha(T), after
+`trees.check_enumeration` is asked about its largest class.  Its
 last term applies X once, by the three facts behind the fixed-point
 equation: the tree B+(F) grafted from a forest F has the value X of F's
 value, alpha(B+(F)) = alpha(F), and X is linear.  So
@@ -29,9 +30,9 @@ from math import factorial
 
 from .algebra import linear_combination, one_like, product
 from .engine import InvariantSpec, check_recurrence_cost, evaluate
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError
 from .series import Series, exp, is_noncommutative
-from .trees import _ENUMERATION_CAP, automorphism_order, enumerate_trees
+from .trees import automorphism_order, check_enumeration, enumerate_trees
 
 
 def _require_commutative(spec: InvariantSpec) -> None:
@@ -130,10 +131,7 @@ def u_by_enumeration(spec: InvariantSpec, order: int) -> USequence:
     is `oracles.u_by_tree_sums`."""
     if order < 1:
         raise DomainError("need order >= 1")
-    if order > _ENUMERATION_CAP:
-        raise ResourceLimitError(
-            f"enumerating all trees through {order} vertices is over the limit"
-        )
+    check_enumeration(order)
     _require_commutative(spec)
     _require_bound(spec, order)
 
@@ -153,8 +151,8 @@ def u_by_enumeration(spec: InvariantSpec, order: int) -> USequence:
         for n in range(1, order)
     ]
     # the depth and cost guards `evaluate` would apply to these trees pass
-    # every tree on at most `_ENUMERATION_CAP` vertices, and the degree
-    # bound is checked above, so skipping them skips no refusal
+    # every tree the enumeration cap admits, and the degree bound is
+    # checked above, so skipping them skips no refusal
     top = spec.operator(class_sum(order, subtrees_value))
     terms.append(Fraction(1, factorial(order)) * top)
     return USequence(spec.name, tuple(terms), spec.one)
@@ -212,10 +210,7 @@ def cayley_check(n_max: int) -> CayleyReport:
     those numbers satisfies q * exp(u) = u through q^n_max."""
     if n_max < 1:
         raise DomainError("need n_max >= 1")
-    if n_max > _ENUMERATION_CAP:
-        raise ResourceLimitError(
-            f"enumerating all trees through {n_max} vertices is over the limit"
-        )
+    check_enumeration(n_max)
     rows = []
     sums = []
     for n in range(1, n_max + 1):

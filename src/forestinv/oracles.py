@@ -47,7 +47,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import Polynomial, QSym, linear_combination, parts, rat
-from .engine import _PAST_EVERY_LIMIT, evaluate
+from .engine import _PAST_EVERY_LIMIT, _count_text, evaluate
 from .errors import DomainError, ResourceLimitError
 from .series import Series, is_noncommutative
 from .trees import RootedTree, automorphism_order, enumerate_trees
@@ -156,14 +156,28 @@ def count_root_automorphisms(tree: RootedTree) -> int:
 _BRUTE_FORCE_LIMIT = 10_000_000
 
 
+def check_labeling_brute_force(vertices: int, labels: int) -> None:
+    """Refuse a labeling scan on trees of this many vertices by
+    {1..labels} when it would try more than `_BRUTE_FORCE_LIMIT` of the
+    labels^vertices assignments."""
+    # exact through 64 vertices, past that a lower bound that two or more
+    # labels put over the limit, so no huge power is built
+    scanned = labels ** min(vertices, 64)
+    if scanned > _BRUTE_FORCE_LIMIT:
+        raise ResourceLimitError(
+            f"{vertices} vertices is too many for labeling brute force: "
+            f"{labels}^{vertices} = {_count_text(scanned)} assignments, "
+            f"over the limit of {_BRUTE_FORCE_LIMIT}"
+        )
+
+
 def _order_preserving_labelings(tree: RootedTree, labels: int, strict: bool):
     """Every labeling of the vertices (in depth-first order) by {1..labels}
     that increases (strict) or does not decrease (weak) away from the root,
-    found by scanning all labels^v assignments; refused up front when
-    there are more than `_BRUTE_FORCE_LIMIT` of them."""
+    found by scanning all labels^v assignments; refused up front by
+    `check_labeling_brute_force`."""
     v = tree.vertex_count
-    if labels**v > _BRUTE_FORCE_LIMIT:
-        raise ResourceLimitError(f"{labels}^{v} assignments is over the brute-force limit")
+    check_labeling_brute_force(v, labels)
     parents = _parent_array(tree)
     edges = [(parents[i], i) for i in range(1, v)]
     gap = 1 if strict else 0

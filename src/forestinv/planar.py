@@ -9,7 +9,8 @@ the value of a tree applies the root label's operator to the ordered
 product of the children's values, and a forest takes the ordered product
 of its components; each product starts from its first factor, never the
 unit.  Trees and forests of a given size come from one memoized level
-builder, and a size past `_PLANAR_GUARD` is refused.
+builder, and a size past `_PLANAR_GUARD` is refused, by the enumeration
+build before its first size.
 
 The fixed-point equation replaces the exponential with the geometric sum
 1/(1 - U), split per root label, and the recurrence build is one
@@ -253,6 +254,14 @@ def planar_tree_count(n: int, label_count: int) -> int:
     return _catalan(n - 1) * label_count**n
 
 
+def _check_planar_count(count: int, kind: str, n: int) -> None:
+    """Refuse building more than `_PLANAR_GUARD` planar trees or forests."""
+    if count > _PLANAR_GUARD:
+        raise ResourceLimitError(
+            f"{count} planar {kind} on {n} vertices exceed the limit {_PLANAR_GUARD}"
+        )
+
+
 def _check_labels(labels) -> tuple:
     labels = tuple(labels)
     if not labels or len(set(labels)) != len(labels):
@@ -295,8 +304,7 @@ def enumerate_planar(n: int, labels) -> list[PlanarTree]:
     labels = _check_labels(labels)
     if n < 1:
         raise DomainError("need n >= 1")
-    if planar_tree_count(n, len(labels)) > _PLANAR_GUARD:
-        raise ResourceLimitError(f"too many planar trees on {n} vertices")
+    _check_planar_count(planar_tree_count(n, len(labels)), "trees", n)
     tree_level, _ = _planar_levels(labels)
     return tree_level(n)
 
@@ -307,11 +315,7 @@ def enumerate_planar_forests(n: int, labels) -> list[PlanarForest]:
     labels = _check_labels(labels)
     if n < 0:
         raise DomainError("need n >= 0")
-    count = _catalan(n) * len(labels) ** n
-    if count > _PLANAR_GUARD:
-        raise ResourceLimitError(
-            f"{count} planar forests on {n} vertices exceed the limit {_PLANAR_GUARD}"
-        )
+    _check_planar_count(_catalan(n) * len(labels) ** n, "forests", n)
     _, forest_level = _planar_levels(labels)
     return [PlanarForest(trees) for trees in forest_level(n)]
 
@@ -366,9 +370,11 @@ def u_planar_by_recurrence(family: OperatorFamily, order: int) -> PlanarUSequenc
 def u_planar_by_enumeration(family: OperatorFamily, order: int) -> PlanarUSequence:
     """Build the per-label terms as plain sums over all planar trees,
     grouped by root label.  No automorphism weights: planar trees are
-    rigid."""
+    rigid.  The count grows with the size, so the largest is checked
+    against the guard before the first."""
     if order < 1:
         raise DomainError("need order >= 1")
+    _check_planar_count(planar_tree_count(order, len(family.labels)), "trees", order)
     per_label: dict = {label: [] for label in family.labels}
     for n in range(1, order + 1):
         trees = enumerate_planar(n, family.labels)

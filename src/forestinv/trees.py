@@ -14,7 +14,8 @@ of a child t multiplies α by k·α(t), so a block of k copies gives k!·α(t)^k
 
 Enumeration builds each tree once: a non-decreasing walk over all smaller
 trees in shortlex order meets each multiset of children once, in canonical
-order, writing key, height and α as it goes.
+order, writing key, height and α as it goes, up to the one cap that
+`check_enumeration` checks and every whole-class run asks first.
 """
 
 from __future__ import annotations
@@ -44,6 +45,14 @@ def check_depth(height: int) -> None:
         raise ResourceLimitError(
             f"a tree of depth {height + 1} is deeper than the limit of "
             f"{DEPTH_LIMIT} levels"
+        )
+
+
+def check_enumeration(vertices: int) -> None:
+    """Refuse a census of the trees on this many vertices past the cap."""
+    if vertices > _ENUMERATION_CAP:
+        raise ResourceLimitError(
+            f"enumerating all trees on {vertices} vertices is over the limit of {_ENUMERATION_CAP}"
         )
 
 
@@ -150,30 +159,31 @@ def parse_tree(text: str) -> RootedTree:
     """
     if not text:
         raise ParseError("empty input", 0)
-    tree, end = _parse_at(text, 0)
+    tree, end, _ = _parse_at(text, 0)
     if end != len(text):
         raise ParseError("unexpected text after the root tree", end)
     return tree
 
 
 def parse_forest(text: str) -> RootedForest:
-    """Parse a juxtaposition of zero or more trees as a forest."""
+    """Parse a juxtaposition of zero or more trees as a forest; its trees
+    share one budget of KEY_CHAR_LIMIT key characters."""
     trees = []
-    pos = 0
+    pos = key_chars = 0
     while pos < len(text):
-        tree, pos = _parse_at(text, pos)
+        tree, pos, key_chars = _parse_at(text, pos, key_chars, "forest's")
         trees.append(tree)
     return RootedForest(trees)
 
 
-def _parse_at(text, pos):
-    # one list of finished children per open vertex, so depth costs no stack
+def _parse_at(text, pos, key_chars=0, whose="tree's"):
+    """The tree starting at pos, the offset past it, and key_chars plus
+    the key characters it writes."""
     if text[pos] != "(":
         raise ParseError(f"expected '(' but found {text[pos]!r}", pos)
-    open_vertices = [[]]
-    # a vertex writes two characters into its own key and each ancestor's
-    key_chars = 2
-    i = pos + 1
+    # one list of finished children per open vertex, so depth costs no stack
+    open_vertices = []
+    i = pos
     while True:
         if i >= len(text):
             raise ParseError("unbalanced input: missing ')'", i)
@@ -181,17 +191,18 @@ def _parse_at(text, pos):
         i += 1
         if ch == "(":
             open_vertices.append([])
+            # a vertex writes two characters into its own key and each ancestor's
             key_chars += 2 * len(open_vertices)
             if key_chars > KEY_CHAR_LIMIT:
                 raise ResourceLimitError(
-                    f"the tree's keys would hold at least {key_chars} characters, "
+                    f"the {whose} keys would hold at least {key_chars} characters, "
                     f"over the limit of {KEY_CHAR_LIMIT}"
                 )
         elif ch == ")":
             kids = open_vertices.pop()
             tree = RootedTree(kids) if kids else SINGLETON
             if not open_vertices:
-                return tree, i
+                return tree, i, key_chars
             open_vertices[-1].append(tree)
         else:
             raise ParseError(f"expected '(' but found {ch!r}", i - 1)
@@ -222,8 +233,7 @@ def enumerate_trees(n: int) -> list[RootedTree]:
     canonical key order."""
     if n < 1:
         raise DomainError("tree enumeration needs n >= 1")
-    if n > _ENUMERATION_CAP:
-        raise ResourceLimitError(f"enumerating all trees on {n} vertices is over the limit")
+    check_enumeration(n)
     for size in range(1, n + 1):
         if size not in _TREE_CACHE:
             _TREE_CACHE[size] = _grow_trees(size)
@@ -237,7 +247,9 @@ def enumerate_forests(n: int) -> list[RootedForest]:
         raise DomainError("forest enumeration needs n >= 0")
     # forests on n vertices biject with trees on n + 1, so cap one lower
     if n >= _ENUMERATION_CAP:
-        raise ResourceLimitError(f"enumerating all forests on {n} vertices is over the limit")
+        raise ResourceLimitError(
+            f"enumerating all forests on {n} vertices is over the limit of {_ENUMERATION_CAP - 1}"
+        )
     # a tree's key is its forest's key in parentheses, so the order holds
     return [remove_root(tree) for tree in enumerate_trees(n + 1)]
 

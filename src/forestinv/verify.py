@@ -3,7 +3,8 @@
 Each suite cross-checks one layer of the package against an independent
 oracle or a closed-form identity and reports pass/fail lines.  The CLI
 `verify` subcommand runs these; the acceptance tests run the same
-routines at their contractual sizes.
+routines at their contractual sizes, on the shared built-in specs; a
+suite over the classes n <= max_n asks each limit about max_n first.
 """
 
 from __future__ import annotations
@@ -14,15 +15,13 @@ from fractions import Fraction
 from . import oracles
 from .algebra import principal_specialization
 from .engine import (
+    BUILT_IN_NAMES,
+    built_in_spec,
     collision_report,
     order_poly,
     qsym_strict,
-    qsym_strict_spec,
     qsym_weak,
-    qsym_weak_spec,
     strict_order_poly,
-    strict_order_spec,
-    weak_order_spec,
 )
 from .errors import DomainError
 from .genfun import cayley_check, u_by_enumeration, u_by_recurrence, verify_functional_equation
@@ -30,6 +29,7 @@ from .oracles import (
     FiniteVarPoly,
     brute_force_order_count,
     brute_force_qsym,
+    check_labeling_brute_force,
     finite_lambda_bar,
     qsym_to_finite,
     shift_s,
@@ -44,7 +44,7 @@ from .planar import (
     u_planar_by_enumeration,
     u_planar_by_recurrence,
 )
-from .trees import automorphism_order, enumerate_forests, enumerate_trees
+from .trees import automorphism_order, check_enumeration, enumerate_forests, enumerate_trees
 
 
 @dataclass
@@ -64,13 +64,15 @@ def _result(suite, checks, lines):
 def suite_census(max_n: int = 8) -> SuiteResult:
     """Tree and forest counts against the level-sequence oracle and the
     Euler transform."""
-    lines, checks = [], []
-    tree_counts = []
+    # largest first: the forests on max_n need the trees on max_n + 1
+    forest_counts = [len(enumerate_forests(n)) for n in range(max_n, 0, -1)][::-1]
+    lines, checks, tree_counts = [], [], []
     for n in range(1, max_n + 1):
-        count = len(enumerate_trees(n))
+        trees = enumerate_trees(n)
+        count = len(trees)
         tree_counts.append(count)
         independent = oracles.count_trees_by_level_sequence(n)
-        same_keys = sorted(t.key for t in enumerate_trees(n)) == sorted(
+        same_keys = sorted(t.key for t in trees) == sorted(
             oracles.tree_from_level_sequence(seq).key for seq in oracles.level_sequences(n)
         )
         ok = count == independent and same_keys
@@ -79,7 +81,6 @@ def suite_census(max_n: int = 8) -> SuiteResult:
             f"trees n={n}: {count} canonical vs {independent} by level sequences "
             f"({'same classes' if same_keys else 'CLASS MISMATCH'})"
         )
-    forest_counts = [len(enumerate_forests(n)) for n in range(1, max_n + 1)]
     expected = oracles.euler_transform(tree_counts)
     ok = forest_counts == expected
     checks.append(ok)
@@ -98,41 +99,33 @@ def suite_cayley(max_n: int = 12) -> SuiteResult:
     return _result("cayley", [report.ok], lines)
 
 
-def _four_specs(order: int):
-    return (
-        ("delta-inv", strict_order_spec()),
-        ("nabla-inv", weak_order_spec()),
-        ("lambda-bar", qsym_strict_spec(order)),
-        ("lambda", qsym_weak_spec(order)),
-    )
-
-
 def suite_recurrence(max_n: int = 8) -> SuiteResult:
     """Fixed-point recurrence against direct enumeration, all four
     shipped invariants."""
     lines, checks = [], []
-    for name, spec in _four_specs(max_n):
+    for spec in map(built_in_spec, BUILT_IN_NAMES):
         rec = u_by_recurrence(spec, max_n)
         enu = u_by_enumeration(spec, max_n)
         ok = rec.terms == enu.terms
         checks.append(ok)
-        lines.append(f"{name}: recurrence == enumeration through n={max_n}: {ok}")
+        lines.append(f"{spec.name}: recurrence == enumeration through n={max_n}: {ok}")
     return _result("recurrence", checks, lines)
 
 
 def suite_functional_equation(max_n: int = 8) -> SuiteResult:
     """Residual of q * X(exp U(q)) - U(q) with U built by enumeration."""
     lines, checks = [], []
-    for name, spec in _four_specs(max_n):
+    for spec in map(built_in_spec, BUILT_IN_NAMES):
         residual = verify_functional_equation(spec, max_n)
         ok = residual.is_zero()
         checks.append(ok)
-        lines.append(f"{name}: residual zero through q^{max_n}: {ok}")
+        lines.append(f"{spec.name}: residual zero through q^{max_n}: {ok}")
     return _result("functional-equation", checks, lines)
 
 
 def suite_order_oracle(max_n: int = 6, m_max: int = 5) -> SuiteResult:
     """Order polynomials against brute-force labeling counts."""
+    check_labeling_brute_force(max_n, m_max)
     lines, checks = [], []
     for n in range(1, max_n + 1):
         ok = True
@@ -152,6 +145,8 @@ def suite_order_oracle(max_n: int = 6, m_max: int = 5) -> SuiteResult:
 def suite_qsym_oracle(max_n: int = 5) -> SuiteResult:
     """Quasi-symmetric values against brute-force monomial sums in
     m = n + 2 variables."""
+    # (n + 2)^n grows with n, so the largest class decides
+    check_labeling_brute_force(max_n, max_n + 2)
     lines, checks = [], []
     for n in range(1, max_n + 1):
         m = n + 2
@@ -169,6 +164,7 @@ def suite_qsym_oracle(max_n: int = 5) -> SuiteResult:
 def suite_specialization(max_n: int = 6, m_max: int = 6) -> SuiteResult:
     """Principal specialization of the quasi-symmetric refinements
     against the order polynomials."""
+    check_enumeration(max_n)
     lines, checks = [], []
     for n in range(1, max_n + 1):
         ok = True
@@ -190,7 +186,7 @@ def suite_specialization(max_n: int = 6, m_max: int = 6) -> SuiteResult:
 def suite_collisions(max_n: int = 7) -> SuiteResult:
     """Distinguishing-power survey of the strict quasi-symmetric
     invariant.  Collisions are findings to report, not failures."""
-    pairs = collision_report(max_n, qsym_strict_spec(max_n))
+    pairs = collision_report(max_n, built_in_spec("lambda-bar"))
     lines = [f"lambda-bar invariant over all trees with n <= {max_n}: {len(pairs)} collision pairs"]
     for pair in pairs:
         lines.append(
@@ -234,9 +230,10 @@ def suite_planar(max_n: int = 6) -> SuiteResult:
 def suite_grafting(max_n: int = 4) -> SuiteResult:
     """Tensor-valued grafting identity and multiplicativity over every
     two-label planar forest with at most max_n vertices."""
-    samples = []
-    for n in range(0, max_n + 1):
-        samples.extend(enumerate_planar_forests(n, ("a", "b")))
+    # the largest size first, so that a size past the planar guard is
+    # refused before any forest is built
+    levels = [enumerate_planar_forests(n, ("a", "b")) for n in range(max_n, -1, -1)]
+    samples = [forest for level in reversed(levels) for forest in level]
     base = free_word_family(("a", "b"))
     report = check_tensor_grafting(samples, base, product_vertex_cap=max_n)
     graft_ok = all(c["ok"] for c in report.graft_checks)

@@ -185,6 +185,53 @@ def test_verify_automorphisms_refuses_before_its_first_class(capsys, monkeypatch
     )
 
 
+# whole-class runs past a limit: library calls, and verify suites by argv
+_PAST_A_LIMIT = {
+    "collision_report": lambda: forestinv.collision_report(
+        17, forestinv.built_in_spec("delta-inv")
+    ),
+    "u_by_enumeration": lambda: forestinv.u_by_enumeration(
+        forestinv.built_in_spec("lambda"), 17
+    ),
+    "cayley_check": lambda: forestinv.cayley_check(17),
+    "u_planar_by_enumeration": lambda: forestinv.u_planar_by_enumeration(
+        forestinv.free_word_family(("a", "b")), 10
+    ),
+    "census 16": ("census", "16"),
+    "census 17": ("census", "17"),
+    "specialization": ("specialization", "17"),
+    "order-oracle": ("order-oracle", "11"),
+    "qsym-oracle": ("qsym-oracle", "8"),
+}
+
+
+@pytest.mark.parametrize("case", list(_PAST_A_LIMIT))
+def test_whole_class_runs_refuse_before_their_first_class(case, capsys, monkeypatch):
+    # from an empty census, record every class grown, tree evaluated and
+    # labeling brute force begun
+    work = []
+    trees, grow = forestinv.trees, forestinv.trees._grow_trees
+    monkeypatch.setattr(trees, "_TREE_CACHE", {})
+    monkeypatch.setattr(trees, "_grow_trees", lambda n: work.append(("grow", n)) or grow(n))
+    for module in (forestinv.engine, forestinv.genfun):
+        monkeypatch.setattr(module, "evaluate", lambda tree, spec: work.append(tree))
+    monkeypatch.setattr(
+        forestinv.planar, "evaluate_planar", lambda tree, family: work.append(tree)
+    )
+    monkeypatch.setattr(
+        forestinv.oracles, "_order_preserving_labelings", lambda *args: work.append(args) or ()
+    )
+    call = _PAST_A_LIMIT[case]
+    if callable(call):
+        with pytest.raises(forestinv.ResourceLimitError):
+            call()
+    else:
+        suite, max_n = call
+        code, out, err = run(capsys, "verify", "--suite", suite, "--max-n", max_n)
+        assert (code, out) == (2, "") and err.startswith("resource limit: ")
+    assert work == []
+
+
 def test_verify_unknown_suite(capsys):
     code, out, err = run(capsys, "verify", "--suite", "nonsense")
     assert code == 1

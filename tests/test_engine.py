@@ -454,9 +454,16 @@ def test_suffix_values_are_a_ring_map_that_commutes_with_the_prepends_property(a
     assert suffix_values(lambda_(a), points, p) == suffix_sums(image_a, points, weak=True)
 
 
-def test_collision_report_bound_guard():
-    with pytest.raises(DomainError):
-        collision_report(6, qsym_strict_spec(4))
+def test_collision_report_bound_guard(monkeypatch):
+    evaluated = []
+    monkeypatch.setattr(engine, "evaluate", lambda tree, spec: evaluated.append(tree))
+    # delta-inv has colliding trees on 5 vertices, so a late refusal evaluates
+    for spec in (qsym_strict_spec(4), InvariantSpec("delta-inv", DELTA_INV, Polynomial.one(), 5)):
+        bound = spec.degree_bound
+        with pytest.raises(DomainError) as err:
+            collision_report(6, spec)
+        assert str(err.value) == f"tree on {bound + 1} vertices outgrows the degree bound {bound}"
+    assert evaluated == []
 
 
 def test_built_in_spec_lookup():

@@ -244,9 +244,9 @@ def test_enumeration_guards():
         enumerate_trees(0)
     with pytest.raises(DomainError):
         enumerate_forests(-1)
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError, match="trees on 17 vertices .* limit of 16$"):
         enumerate_trees(17)
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError, match="forests on 16 vertices .* limit of 15$"):
         enumerate_forests(16)
 
 
@@ -261,6 +261,43 @@ def test_parse_takes_deep_trees():
         with pytest.raises(ParseError) as err:
             parse_tree(bad)
         assert err.value.offset == offset
+
+
+def path_text(vertices):
+    return "(" * vertices + ")" * vertices
+
+
+def test_parse_forest_shares_one_key_budget(monkeypatch):
+    # the longest path under the limit writes 8191 * 8192 key characters
+    assert trees.KEY_CHAR_LIMIT == 2**26
+    forest = parse_forest(path_text(8191))
+    assert (len(forest), forest.vertex_count) == (1, 8191)
+    # three paths of 8000 write 3 * 8000 * 8001: refused while the second
+    # opens, so no vertex of it is built
+    built = []
+    tree_class = trees.RootedTree
+    monkeypatch.setattr(trees, "RootedTree", lambda kids: built.append(1) or tree_class(kids))
+    with pytest.raises(ResourceLimitError) as err:
+        parse_forest(path_text(8000) * 3)
+    assert len(built) == 7999
+    assert str(err.value).startswith("the forest's keys would hold at least ")
+    assert str(err.value).endswith(f"over the limit of {trees.KEY_CHAR_LIMIT}")
+
+
+@pytest.mark.parametrize(
+    "text, message, offset",
+    [
+        ("()(", "unbalanced input: missing ')'", 3),
+        ("())", "expected '(' but found ')'", 2),
+        ("()x()", "expected '(' but found 'x'", 2),
+        ("(()(x))", "expected '(' but found 'x'", 4),
+        ("(())((", "unbalanced input: missing ')'", 6),
+    ],
+)
+def test_parse_forest_errors(text, message, offset):
+    with pytest.raises(ParseError) as err:
+        parse_forest(text)
+    assert (err.value.offset, str(err.value)) == (offset, f"{message} (offset {offset})")
 
 
 NESTED = st.recursive(st.just([]), lambda kids: st.lists(kids, max_size=3), max_leaves=12)

@@ -132,9 +132,17 @@ _COLLISIONS = [
     for fmt in ("csv", "text")
 ] + [("collisions", "--operator", "lambda", "--max-n", "11")]
 
+# past the default sizes: the suites on the shared specs, and the census
+# that enumerates each class once
 _VERIFY = [("verify", "--suite", "all")] + _per_format(
     [("verify", "--suite", "grafting", "--max-n", "3")]
-)
+) + [
+    ("verify", "--suite", suite, "--max-n", max_n)
+    for suite, max_n in (
+        ("recurrence", "9"), ("functional-equation", "9"), ("collisions", "9"),
+        ("specialization", "7"),
+    )
+] + [("verify", "--suite", "census", "--max-n", "10", "--format", "csv")]
 
 _PLANAR = [
     ("planar", "--tree", "(a:)"),
