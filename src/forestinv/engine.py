@@ -145,11 +145,11 @@ def _count_text(count: int) -> str:
 class InvariantSpec:
     """An operator, the unit of its target algebra, and a value cache.
 
-    degree_bound, when set, is a cap that only refuses: evaluation
-    refuses trees on more vertices, and nothing is ever truncated.  guard,
-    set for the four built-in operators, is the operator's entry in the
-    cost-guard table, so evaluation refuses values estimated past its
-    limit before building them.
+    degree_bound, when set, is a cap that only refuses: no value on more
+    vertices is built, and nothing is ever truncated.  guard, set for the
+    four built-in operators, is the operator's entry in the cost-guard
+    table.  `check_cost` is the one place that reads either, and every
+    entry point that builds values asks it before any product.
     """
 
     def __init__(self, name: str, operator: LinearOperator, one, degree_bound=None):
@@ -171,10 +171,16 @@ class InvariantSpec:
 def check_cost(
     spec: InvariantSpec, vertices: int, height: int, subject="value of a tree on {} vertices"
 ) -> None:
-    """Raise ResourceLimitError, naming the estimate and the limit, when
-    the spec's guard estimates a value on a tree of this shape past its
-    limit; `subject`, filled in with the vertex count, names that value
-    in the message."""
+    """Refuse a value on a tree of this shape: DomainError when it has
+    more vertices than the spec's degree bound, then ResourceLimitError,
+    naming the estimate and the limit, when the spec's guard estimates it
+    past its limit.  `subject`, filled in with the vertex count, names
+    that value in the message."""
+    bound = spec.degree_bound
+    if bound is not None and vertices > bound:
+        raise DomainError(
+            f"the {spec.name} {subject.format(vertices)} outgrows the degree bound {bound}"
+        )
     if spec.guard is None:
         return
     estimate, limit, size_text = spec.guard
@@ -189,9 +195,9 @@ def check_cost(
 
 
 def check_recurrence_cost(spec: InvariantSpec, order: int) -> None:
-    """Raise ResourceLimitError, naming the estimate and the limit, when
-    U_order is estimated past the spec's guard as the value of a star on
-    `order` vertices (the largest of the trees it sums), or when a
+    """Refuse U_order as `check_cost` refuses the value of a star on
+    `order` vertices (the largest of the trees it sums), then raise
+    ResourceLimitError, naming the estimate and the limit, when a
     quasi-symmetric recurrence through U_order is estimated to multiply
     more than `QSYM_PAIR_LIMIT` pairs of operand terms."""
     check_cost(spec, order, 1, "term U_{}")
@@ -206,20 +212,11 @@ def check_recurrence_cost(spec: InvariantSpec, order: int) -> None:
         )
 
 
-def _outgrown(spec: InvariantSpec, vertices: int) -> DomainError:
-    """The refusal of a tree on more vertices than the spec's degree bound."""
-    return DomainError(
-        f"tree on {vertices} vertices outgrows the degree bound {spec.degree_bound}"
-    )
-
-
 def evaluate(tree: RootedTree, spec: InvariantSpec):
     """Value of a rooted tree: the operator applied to the product of the
     values of the subtrees hanging off the root.  Refuses a tree deeper
-    than `trees.DEPTH_LIMIT`, and one whose value is estimated past its
-    operator's cost guard."""
-    if spec.degree_bound is not None and tree.vertex_count > spec.degree_bound:
-        raise _outgrown(spec, tree.vertex_count)
+    than `trees.DEPTH_LIMIT`, then one that `check_cost` refuses; a
+    cached value passed both."""
     got = spec._cache.get(tree.key)
     if got is None:
         check_depth(tree.height)
@@ -382,14 +379,13 @@ def collision_report(n_max: int, spec: InvariantSpec) -> list[CollisionPair]:
     Equal values share a fingerprint (see `_MODULUS`), so only the trees
     that share one with another tree are evaluated, and they are grouped
     by value, which every carrier hashes and compares exactly.  Groups
-    come in the order of their first tree.  n_max is checked against the
-    enumeration cap and the degree bound first, and every built-in cost
-    guard passes every tree the cap admits, so skipping one skips no refusal."""
+    come in the order of their first tree.  Before the first class, n_max
+    is checked against the enumeration cap, then by `check_cost` on a
+    star, which has the largest estimate of its class."""
     if n_max < 1:
         raise DomainError("need n_max >= 1")
     check_enumeration(n_max)
-    if spec.degree_bound is not None and n_max > spec.degree_bound:
-        raise _outgrown(spec, spec.degree_bound + 1)
+    check_cost(spec, n_max, 1)
     fingerprint = _fingerprinter(spec, n_max)
     pairs = []
     for n in range(1, n_max + 1):

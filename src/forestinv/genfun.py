@@ -9,7 +9,8 @@ whose feedback map is X, so order N costs (N-1)(N-2)/2 carrier products; the
 per-term build, one fresh exp per U_n, lives in `oracles` as a test
 reference.  The enumeration build sums each U_n in one pass of
 `algebra.linear_combination` with the int weights n!/alpha(T), after
-`trees.check_enumeration` is asked about its largest class.  Its
+`trees.check_enumeration` and `engine.check_cost` are asked about its
+largest class.  Its
 last term applies X once, by the three facts behind the fixed-point
 equation: the tree B+(F) grafted from a forest F has the value X of F's
 value, alpha(B+(F)) = alpha(F), and X is linear.  So
@@ -29,7 +30,7 @@ from fractions import Fraction
 from math import factorial
 
 from .algebra import linear_combination, one_like, product
-from .engine import InvariantSpec, check_recurrence_cost, evaluate
+from .engine import InvariantSpec, check_cost, check_recurrence_cost, evaluate
 from .errors import DomainError
 from .series import Series, exp, is_noncommutative
 from .trees import automorphism_order, check_enumeration, enumerate_trees
@@ -39,13 +40,6 @@ def _require_commutative(spec: InvariantSpec) -> None:
     if is_noncommutative(spec.one):
         raise DomainError(
             "this layer needs a commutative algebra; use the planar layer instead"
-        )
-
-
-def _require_bound(spec: InvariantSpec, order: int) -> None:
-    if spec.degree_bound is not None and spec.degree_bound < order:
-        raise DomainError(
-            f"degree bound {spec.degree_bound} cannot hold order {order}"
         )
 
 
@@ -98,13 +92,12 @@ def u_by_recurrence(spec: InvariantSpec, order: int) -> USequence:
     coefficient E_(n-1) is S_(n-1)(U_1, ..., U_(n-1)), so each value the
     operator returns inside it is the next U_n, and the last is
     X(E_(order-1)).  Costs (N-1)(N-2)/2 carrier products at order N, plus one
-    operator call per term.  Refuses an order whose U_order, or whose
-    quasi-symmetric products, are estimated past the operator's cost
-    guard (`engine.check_recurrence_cost`)."""
+    operator call per term.  Refuses an order past the spec's degree
+    bound, or whose U_order or quasi-symmetric products are estimated
+    past the operator's cost guard (`engine.check_recurrence_cost`)."""
     if order < 1:
         raise DomainError("need order >= 1")
     _require_commutative(spec)
-    _require_bound(spec, order)
     check_recurrence_cost(spec, order)
     terms = []
 
@@ -128,12 +121,14 @@ def u_by_enumeration(spec: InvariantSpec, order: int) -> USequence:
     subtree values, all cache hits, and X is applied once to that sum,
     which is n! X(S_(n-1)) by linearity.  So no value of a tree on
     `order` vertices is built or cached.  The per-tree sum this replaces
-    is `oracles.u_by_tree_sums`."""
+    is `oracles.u_by_tree_sums`.  Before the first class, the order is
+    checked against the enumeration cap, then by `engine.check_cost` on a
+    star, which has the largest estimate of its class."""
     if order < 1:
         raise DomainError("need order >= 1")
     check_enumeration(order)
     _require_commutative(spec)
-    _require_bound(spec, order)
+    check_cost(spec, order, 1, "term U_{}")
 
     def class_sum(n, value):
         """n! times the sum of value(T)/alpha(T) over the trees on n vertices."""
@@ -150,9 +145,8 @@ def u_by_enumeration(spec: InvariantSpec, order: int) -> USequence:
         Fraction(1, factorial(n)) * class_sum(n, lambda tree: evaluate(tree, spec))
         for n in range(1, order)
     ]
-    # the depth and cost guards `evaluate` would apply to these trees pass
-    # every tree the enumeration cap admits, and the degree bound is
-    # checked above, so skipping them skips no refusal
+    # the star's check above stands for these trees, which the cap keeps
+    # far inside the depth limit
     top = spec.operator(class_sum(order, subtrees_value))
     terms.append(Fraction(1, factorial(order)) * top)
     return USequence(spec.name, tuple(terms), spec.one)

@@ -131,11 +131,13 @@ def automorphism_order_by_blocks(tree: RootedTree) -> int:
 def check_permutation_brute_force(vertices: int) -> None:
     """Refuse a permutation count on trees of this many vertices when it
     would scan more than a million permutations of the non-root ones."""
-    scanned, limit = math.factorial(max(vertices - 1, 0)), 1_000_000
+    # exact through 20!, past that a lower bound already over the limit,
+    # so no huge factorial is built
+    scanned, limit = math.factorial(min(max(vertices - 1, 0), 20)), 1_000_000
     if scanned > limit:
         raise ResourceLimitError(
             f"{vertices} vertices is too many for permutation brute force: "
-            f"{vertices - 1}! = {scanned} permutations, over the limit of {limit}"
+            f"{vertices - 1}! = {_count_text(scanned)} permutations, over the limit of {limit}"
         )
 
 

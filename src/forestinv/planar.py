@@ -24,6 +24,7 @@ alone.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
@@ -32,18 +33,20 @@ from .algebra import linear_combination, product
 from .errors import DomainError, ParseError, ResourceLimitError
 from .operators import LinearOperator, FREE_WORD, TENSOR
 from .series import Series, geometric_inverse
-from .trees import RootedForest, RootedTree, check_depth
+from .trees import RootedForest, RootedTree, check_depth, parse_forest, parse_tree
 from .words import FreeWord, TensorElement
 
 
 class PlanarTree:
-    """A rooted tree with labeled vertices and ordered children."""
+    """A rooted tree with labeled vertices and ordered children.  Labels
+    are free of '(', ')' and ':', so `serialize` is one-to-one, and
+    equality and hashing go through it, with no recursion."""
 
     __slots__ = ("label", "children", "vertex_count", "height")
 
     def __init__(self, label: str, children=()):
-        if not isinstance(label, str) or not label:
-            raise DomainError("labels must be non-empty strings")
+        if not isinstance(label, str) or not label or "(" in label or ")" in label or ":" in label:
+            raise DomainError("labels must be non-empty strings free of '(', ')', ':'")
         self.label = label
         self.children = tuple(children)
         self.vertex_count = 1 + sum(c.vertex_count for c in self.children)
@@ -64,14 +67,10 @@ class PlanarTree:
         return "".join(parts)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, PlanarTree)
-            and self.label == other.label
-            and self.children == other.children
-        )
+        return isinstance(other, PlanarTree) and self.serialize() == other.serialize()
 
     def __hash__(self):
-        return hash((self.label, self.children))
+        return hash(self.serialize())
 
     def __repr__(self):
         return f"PlanarTree({self.serialize()!r})"
@@ -231,13 +230,19 @@ def evaluate_planar_forest(forest: PlanarForest, family: OperatorFamily):
     return product((evaluate_planar(tree, family) for tree in forest), family.one)
 
 
+def _brackets(text: str) -> str:
+    """Serialized planar text with its labels and colons dropped."""
+    return re.sub(r"[^()]+", "", text)
+
+
 def underlying_tree(tree: PlanarTree) -> RootedTree:
-    """Forget labels and child order."""
-    return RootedTree(tuple(underlying_tree(c) for c in tree.children))
+    """Forget labels and child order, by parsing the bracket text, so
+    depth costs no stack and the parse's key guard applies."""
+    return parse_tree(_brackets(tree.serialize()))
 
 
 def underlying_forest(forest: PlanarForest) -> RootedForest:
-    return RootedForest(tuple(underlying_tree(t) for t in forest))
+    return parse_forest(_brackets(forest.serialize()))
 
 
 _PLANAR_GUARD = 1_000_000

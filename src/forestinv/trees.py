@@ -28,8 +28,8 @@ from .errors import DomainError, ParseError, ResourceLimitError
 # largest size whose full census fits comfortably in memory
 _ENUMERATION_CAP = 16
 
-# Most levels a tree may have for the recursive walkers (evaluation, planar
-# hashing and equality), which take one frame per level: well inside the
+# Most levels a tree may have for the recursive walkers (rooted and planar
+# evaluation), which take one frame per level: well inside the
 # interpreter's default limit of 1000 frames.
 DEPTH_LIMIT = 500
 

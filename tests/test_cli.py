@@ -2,7 +2,9 @@
 Everything runs in process through main(argv)."""
 
 import argparse
+import csv
 import importlib.util
+import io
 import json
 import os
 import subprocess
@@ -16,6 +18,7 @@ from forestinv import cli
 from forestinv.cli import main
 from forestinv.engine import POLY_DEGREE_LIMIT, QSYM_PAIR_LIMIT, QSYM_TERM_LIMIT
 from forestinv.trees import DEPTH_LIMIT, KEY_CHAR_LIMIT
+from forestinv.verify import SUITES
 
 
 def run(capsys, *argv):
@@ -183,6 +186,24 @@ def test_verify_automorphisms_refuses_before_its_first_class(capsys, monkeypatch
         "resource limit: 11 vertices is too many for permutation brute force: "
         "10! = 3628800 permutations, over the limit of 1000000\n"
     )
+    # past 20! the count is a lower bound, so no huge factorial is built
+    for max_n in ("2000", "1000000"):
+        code, out, err = run(capsys, "verify", "--suite", "automorphisms", "--max-n", max_n)
+        assert (code, out, counted) == (2, "", [])
+        assert err == (
+            f"resource limit: {max_n} vertices is too many for permutation brute force: "
+            f"{int(max_n) - 1}! = 2^61 or more permutations, over the limit of 1000000\n"
+        )
+
+
+def test_verify_all_runs_every_suite_in_order(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "all", "--max-n", "4", "--format", "csv")
+    assert (code, err) == (0, "")
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["suite", "passed", "detail"]
+    assert list(dict.fromkeys(row[0] for row in rows[1:])) == list(SUITES)
+    assert len(SUITES) == 12
+    assert all(row[1] == "True" for row in rows[1:])
 
 
 # whole-class runs past a limit: library calls, and verify suites by argv

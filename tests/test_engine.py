@@ -44,6 +44,7 @@ from forestinv.oracles import (
 from forestinv.render import render_value
 from forestinv.trees import (
     _ENUMERATION_CAP,
+    DEPTH_LIMIT,
     EMPTY_FOREST,
     SINGLETON,
     RootedForest,
@@ -223,8 +224,13 @@ def test_poly_degree_guard():
 
 def test_qsym_bound_too_small():
     cherry = parse_tree("(()())")
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError) as err:
         evaluate(cherry, qsym_strict_spec(2))
+    assert str(err.value) == "the lambda-bar value of a tree on 3 vertices outgrows the degree bound 2"
+    # the depth check comes first, as on a spec with no bound
+    deep = parse_tree("(" * (DEPTH_LIMIT + 1) + ")" * (DEPTH_LIMIT + 1))
+    with pytest.raises(ResourceLimitError, match=f"limit of {DEPTH_LIMIT} levels"):
+        evaluate(deep, qsym_strict_spec(2))
 
 
 def test_shared_qsym_specs_serve_every_size():
@@ -462,7 +468,9 @@ def test_collision_report_bound_guard(monkeypatch):
         bound = spec.degree_bound
         with pytest.raises(DomainError) as err:
             collision_report(6, spec)
-        assert str(err.value) == f"tree on {bound + 1} vertices outgrows the degree bound {bound}"
+        assert str(err.value) == (
+            f"the {spec.name} value of a tree on 6 vertices outgrows the degree bound {bound}"
+        )
     assert evaluated == []
 
 

@@ -7,7 +7,7 @@ from math import factorial
 
 import pytest
 
-from forestinv import genfun
+from forestinv import engine, genfun
 from forestinv.algebra import Polynomial, QSym, principal_specialization
 from forestinv.engine import (
     BUILT_IN_NAMES,
@@ -17,6 +17,7 @@ from forestinv.engine import (
     built_in_spec,
     check_cost,
     check_recurrence_cost,
+    collision_report,
     evaluate,
     qsym_strict_spec,
     qsym_weak_spec,
@@ -31,7 +32,7 @@ from forestinv.genfun import (
     u_by_recurrence,
     verify_functional_equation,
 )
-from forestinv.operators import POLYNOMIAL, LinearOperator, delta_inv
+from forestinv.operators import LAMBDA, POLYNOMIAL, LinearOperator, delta_inv
 from forestinv.oracles import (
     FiniteVarPoly,
     exp_by_power_sums,
@@ -240,9 +241,8 @@ def test_enumeration_applies_the_operator_once_to_the_largest_class():
 
 @pytest.mark.parametrize("name", BUILT_IN_NAMES)
 def test_cost_guards_pass_every_tree_up_to_the_enumeration_cap(name):
-    # so the largest class, which the enumeration build never evaluates,
-    # and the trees that `collision_report` never evaluates (alone in their
-    # fingerprint bucket) skip no refusal of `evaluate`
+    # so the star check that the enumeration build and `collision_report`
+    # make before their first class refuses nothing that runs
     spec = built_in_spec(name)
     for vertices in range(1, _ENUMERATION_CAP + 1):
         for height in range(vertices):
@@ -445,10 +445,46 @@ def test_guards():
     with pytest.raises(ResourceLimitError):
         cayley_check(17)
     with pytest.raises(DomainError):
-        u_by_recurrence(qsym_strict_spec(3), 5)
-    with pytest.raises(DomainError):
         verify_functional_equation(strict_order_spec(), 6, u_by_enumeration(strict_order_spec(), 4))
     # a residual through q^0 would need exp U through q^-1
     for sequence in (None, u_by_recurrence(strict_order_spec(), 3)):
         with pytest.raises(DomainError, match="need order >= 1"):
             verify_functional_equation(strict_order_spec(), 0, sequence)
+
+
+def small_guard_spec(degree_bound=None):
+    """lambda with its 2^(n-1)-term estimate held to 16 terms, so that a
+    tree on 6 vertices is refused."""
+    spec = InvariantSpec("lambda", LAMBDA, QSym.one(), degree_bound)
+    estimate, _, size_text = spec.guard
+    spec.guard = (estimate, 16, size_text)
+    return spec
+
+
+def test_both_builds_refuse_past_the_degree_bound_with_one_message():
+    for build in (u_by_recurrence, u_by_enumeration):
+        with pytest.raises(DomainError) as err:
+            build(qsym_strict_spec(3), 5)
+        assert str(err.value) == "the lambda-bar term U_5 outgrows the degree bound 3"
+        # the bound comes before the guard, and the enumeration cap before both
+        with pytest.raises(DomainError, match="outgrows the degree bound 5"):
+            build(small_guard_spec(5), 7)
+    with pytest.raises(ResourceLimitError, match="over the limit of 16$"):
+        u_by_enumeration(qsym_strict_spec(3), 17)
+
+
+def test_whole_class_builds_check_the_guard_before_any_evaluation(monkeypatch):
+    # the enumeration build never evaluates its largest class, so only the
+    # star check before its first class can refuse this order
+    evaluated = []
+    for module in (genfun, engine):
+        monkeypatch.setattr(module, "evaluate", lambda tree, spec: evaluated.append(tree))
+    with pytest.raises(ResourceLimitError) as err:
+        u_by_enumeration(small_guard_spec(), 6)
+    assert str(err.value) == "the lambda term U_6 has an estimated 32 terms, over the limit of 16"
+    with pytest.raises(ResourceLimitError) as err:
+        collision_report(6, small_guard_spec())
+    assert str(err.value) == (
+        "the lambda value of a tree on 6 vertices has an estimated 32 terms, over the limit of 16"
+    )
+    assert evaluated == []

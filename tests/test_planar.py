@@ -416,6 +416,33 @@ def test_parse_takes_deep_trees():
         assert err.value.offset == offset
 
 
+def test_deep_trees_compare_hash_and_forget_labels_without_recursion():
+    depth = 3000
+    text = "(a:" * depth + ")" * depth
+    tree, twin = parse_planar_tree(text), parse_planar_tree(text)
+    other = parse_planar_tree("(a:" * (depth - 1) + "(b:" + ")" * depth)
+    assert tree == twin and hash(tree) == hash(twin)
+    assert tree != other and len({tree, twin, other}) == 2
+    assert PlanarForest([tree, other]) == PlanarForest([twin, other])
+    shape = underlying_tree(tree)
+    assert (shape.vertex_count, shape.height) == (depth, depth - 1)
+    assert shape == underlying_tree(other)
+    assert underlying_forest(PlanarForest([tree, other])).vertex_count == 2 * depth
+    # evaluation walks one frame per level, so it keeps its depth refusal
+    with pytest.raises(ResourceLimitError, match="deeper than the limit"):
+        evaluate_planar(tree, free_word_family(["a", "b"]))
+
+
+def test_labels_are_refused_where_they_would_make_serialize_ambiguous():
+    # "(a:(b:)(c:))" would parse back to a root with two children
+    for label in ("b:)(c", "(", ")", ":", "x:y"):
+        with pytest.raises(DomainError, match="free of"):
+            PlanarTree(label)
+    tree = PlanarTree("a", (PlanarTree("b"), PlanarTree("c")))
+    assert tree.serialize() == "(a:(b:)(c:))"
+    assert parse_planar_tree(tree.serialize()) == tree
+
+
 PLANAR_LABELS = st.sampled_from(["a", "b", "xy", "é"])
 PLANAR_TREES = st.recursive(
     st.builds(PlanarTree, PLANAR_LABELS),

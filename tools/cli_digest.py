@@ -134,7 +134,10 @@ _COLLISIONS = [
 
 # past the default sizes: the suites on the shared specs, and the census
 # that enumerates each class once
-_VERIFY = [("verify", "--suite", "all")] + _per_format(
+_VERIFY = [
+    ("verify", "--suite", "all"),
+    ("verify", "--suite", "all", "--max-n", "4", "--format", "csv"),
+] + _per_format(
     [("verify", "--suite", "grafting", "--max-n", "3")]
 ) + [
     ("verify", "--suite", suite, "--max-n", max_n)
