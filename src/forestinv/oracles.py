@@ -158,8 +158,37 @@ def count_root_automorphisms(tree: RootedTree) -> int:
 _BRUTE_FORCE_LIMIT = 10_000_000
 
 
-def check_labeling_brute_force(vertices: int, labels: int) -> None:
-    """Refuse a labeling scan on trees of this many vertices by
+def _rooted_tree_counts():
+    """t_1, t_2, ...: the counts of rooted trees on n vertices, from the
+    recurrence n t_(n+1) = sum_(k=1..n) (sum_(d|k) d t_d) t_(n-k+1)."""
+    t, s = [0, 1], [0]
+    for n in itertools.count(1):
+        yield t[n]
+        s.append(sum(d * t[d] for d in range(1, n + 1) if n % d == 0))
+        t.append(sum(s[k] * t[n - k + 1] for k in range(1, n + 1)) // n)
+
+
+def check_labeling_brute_force(max_n: int, labels) -> None:
+    """Refuse a labeling scan over every class of trees on 1 .. max_n
+    vertices when it would try more than `_BRUTE_FORCE_LIMIT` assignments
+    in all: the sum over n of t_n labels(n)^n, for t_n trees on n vertices
+    and labels(n) labels on each of them.  Asked before the first class,
+    so a refused scan starts none."""
+    # through 64 vertices the sum is exact until it passes 2^64; past them,
+    # one label has already put it there and zero labels add nothing, so no
+    # huge count is built
+    total = 0
+    for n, trees in zip(range(1, min(max_n, 64) + 1), _rooted_tree_counts()):
+        total = min(total + trees * labels(n) ** n, _PAST_EVERY_LIMIT)
+    if total > _BRUTE_FORCE_LIMIT:
+        raise ResourceLimitError(
+            f"labeling brute force over the trees on 1 to {max_n} vertices would try "
+            f"{_count_text(total)} assignments, over the limit of {_BRUTE_FORCE_LIMIT}"
+        )
+
+
+def _check_tree_labelings(vertices: int, labels: int) -> None:
+    """Refuse a labeling scan of one tree of this many vertices by
     {1..labels} when it would try more than `_BRUTE_FORCE_LIMIT` of the
     labels^vertices assignments."""
     # exact through 64 vertices, past that a lower bound that two or more
@@ -177,9 +206,9 @@ def _order_preserving_labelings(tree: RootedTree, labels: int, strict: bool):
     """Every labeling of the vertices (in depth-first order) by {1..labels}
     that increases (strict) or does not decrease (weak) away from the root,
     found by scanning all labels^v assignments; refused up front by
-    `check_labeling_brute_force`."""
+    `_check_tree_labelings`."""
     v = tree.vertex_count
-    check_labeling_brute_force(v, labels)
+    _check_tree_labelings(v, labels)
     parents = _parent_array(tree)
     edges = [(parents[i], i) for i in range(1, v)]
     gap = 1 if strict else 0

@@ -20,6 +20,11 @@ The tensor-algebra operators at the end of the module extend a base
 family to tensor words by splitting off every prefix; they make the tree
 value of a grafted forest computable from the forest's tensor value
 alone.
+
+Word values stay in the letter codes of `words` from end to end: the
+free-word family's operators prepend their label's code to every key,
+and the tensor split joins the codes of the factors it eats.  Nothing
+here decodes; labels come back only where a value is read or written.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from .errors import DomainError, ParseError, ResourceLimitError
 from .operators import LinearOperator, FREE_WORD, TENSOR
 from .series import Series, geometric_inverse
 from .trees import RootedForest, RootedTree, check_depth, parse_forest, parse_tree
-from .words import FreeWord, TensorElement
+from .words import FreeWord, TensorElement, letter
 
 
 class PlanarTree:
@@ -188,6 +193,19 @@ class OperatorFamily:
         return LinearOperator("+".join(self.operators), self.algebra, run)
 
 
+def _prepend(code: str):
+    """The map sending w to g * w in the free word algebra, for the
+    generator g whose letter code is `code`: it prepends the code to every
+    key, as `operators.lambda_bar` prepends a part."""
+
+    def run(w: FreeWord) -> FreeWord:
+        return FreeWord._from_numerators(
+            {code + key: n for key, n in w.numerators.items()}, w.denominator
+        )
+
+    return run
+
+
 def free_word_family(labels) -> OperatorFamily:
     """The family sending w to g_label * w in the free word algebra; the
     test bed for everything planar, since values stay readable."""
@@ -195,11 +213,7 @@ def free_word_family(labels) -> OperatorFamily:
     if len(set(labels)) != len(labels):
         raise DomainError("labels must be distinct")
     ops = {
-        label: LinearOperator(
-            f"prepend-{label}",
-            FREE_WORD,
-            (lambda generator: lambda w: generator * w)(FreeWord.generator(label)),
-        )
+        label: LinearOperator(f"prepend-{label}", FREE_WORD, _prepend(letter(label)))
         for label in labels
     }
     return OperatorFamily(ops, FreeWord.one())
@@ -433,14 +447,15 @@ def tensor_cocycle_apply(
 
     On a pure tensor v_1 @ ... @ v_n this is the sum over j of
     v_1 @ ... @ v_j @ X(v_{j+1} ... v_n); j = n contributes the scalar
-    rule value X(1) appended as a final letter.
+    rule value X(1) appended as a final letter.  The factors are word
+    codes, so their product is their join.
     """
     if base.algebra != FREE_WORD:
         raise DomainError("the base family must act on the free word algebra")
     operator = base[label]
     # (numerator, prefix, image) per split, then one common denominator
     splits = [
-        (n, factors[:j], operator(FreeWord({sum(factors[j:], ()): 1})))
+        (n, factors[:j], operator(FreeWord._from_numerators({"".join(factors[j:]): 1}, 1)))
         for factors, n in element.numerators.items()
         for j in range(len(factors) + 1)
     ]

@@ -13,7 +13,11 @@ common denominator by one gcd, as the reprs write it.  A
 quasi-symmetric key code (see `algebra.code`) is decoded here, where it
 is written: one `str.translate` turns each of its characters into the
 part's digits and a separator, and codes sort like the compositions
-they encode.
+they encode.  A word or tensor key is decoded here too, from its letter
+codes to its tuple of labels, by the carrier's `decoded_numerators`
+(see `words`), which sorts the terms by length and then by those
+tuples: codes are given in first-seen order and do not sort like the
+labels.
 `render_payload` writes the CLI's objects around such values, and
 `render_value` is the parsed form of the same text.  Both match
 `json.dumps` with its default separators byte for byte.
@@ -45,14 +49,10 @@ class _PartText(dict):
 _PARTS = _PartText()
 
 
-def _shortlex(terms):
-    return sorted(terms, key=lambda key: (len(key), key))
-
-
-def _coefficient_texts(x) -> dict:
-    """Each key of a dict carrier mapped to its coefficient's text, or
-    over denominator 1 to the numerator itself, which !s writes alike."""
-    nums, den = x.numerators, x.denominator
+def _coefficient_texts(nums: dict, den: int) -> dict:
+    """Each key of a dict carrier's numerators mapped to its coefficient's
+    text, or over denominator 1 to the numerator itself, which !s writes
+    alike."""
     if den == 1:
         return nums
     return {key: ratio_text(n, den) for key, n in nums.items()}
@@ -69,22 +69,17 @@ def render_json(x) -> str:
         den = x.denominator
         return _array([f'"{ratio_text(n, den)}"' for n in x.numerators])
     if isinstance(x, QSym):
-        texts = _coefficient_texts(x)
+        texts = _coefficient_texts(x.numerators, x.denominator)
         return _array([
             f'{{"composition": [{key.translate(_PARTS)[:-2]}], "coefficient": "{texts[key]!s}"}}'
             for key in sorted(texts)
         ])
-    if isinstance(x, FreeWord):
-        texts = _coefficient_texts(x)
+    if isinstance(x, (FreeWord, TensorElement)):
+        field = "word" if isinstance(x, FreeWord) else "tensor"
+        texts = _coefficient_texts(x.decoded_numerators(), x.denominator)
         return _array([
-            f'{{"word": {json.dumps(word)}, "coefficient": "{texts[word]!s}"}}'
-            for word in _shortlex(texts)
-        ])
-    if isinstance(x, TensorElement):
-        texts = _coefficient_texts(x)
-        return _array([
-            f'{{"tensor": {json.dumps(factors)}, "coefficient": "{texts[factors]!s}"}}'
-            for factors in _shortlex(texts)
+            f'{{"{field}": {json.dumps(key)}, "coefficient": "{texts[key]!s}"}}'
+            for key in texts
         ])
     if isinstance(x, Series):
         return _array([render_json(c) for c in x.coeffs])

@@ -172,7 +172,8 @@ def exp(series: Series, feedback=None) -> Series:
     E = exp(f + q X(E)) through q^order: the same recurrence, with
     g_n = n! (f_n + X(E_(n-1))) at step n, the first step that needs it.
     X is called once per step, on E_0 .. E_(order-1) in turn, so a caller
-    can record its values.
+    can record its values, and f_n is added to its value only when it is
+    not zero, so a zero series, as the U recurrences pass, costs no copy.
 
     A scalar coefficient of a carrier series is taken as that multiple
     of the unit.  Costs N(N-1)/2 carrier products at order N, plus N calls
@@ -180,7 +181,8 @@ def exp(series: Series, feedback=None) -> Series:
     the unit."""
     if is_noncommutative(series.one):
         raise DomainError("exp needs a commutative coefficient algebra")
-    if series.coeffs[0] != series._zero():
+    zero = series._zero()
+    if series.coeffs[0] != zero:
         raise DomainError("exp needs a zero constant term")
     coeffs = _in_carrier(series.coeffs, series.one)
     labeled = [_integral(factorial(k) * c) for k, c in enumerate(coeffs)]
@@ -188,7 +190,10 @@ def exp(series: Series, feedback=None) -> Series:
     out = [series.one]
     for n in range(1, series.order + 1):
         if feedback is not None:
-            labeled[n] = _integral(factorial(n) * (feedback(out[n - 1]) + coeffs[n]))
+            fed = feedback(out[n - 1])
+            if coeffs[n] != zero:
+                fed = fed + coeffs[n]
+            labeled[n] = _integral(factorial(n) * fed)
         # k = n meets e_0, the unit: C(n-1, n-1) g_n e_0 is g_n
         pairs = [(comb(n - 1, k - 1), labeled[k] * e[n - k]) for k in range(1, n)]
         pairs.append((1, labeled[n]))
@@ -211,19 +216,24 @@ def geometric_inverse(series: Series, feedback=None) -> Series:
     G = 1/(1 - f - q X(G)) through q^order: the same recurrence, with
     f_n + X(G_(n-1)) in place of f_n from step n, the first step that
     needs it.  As in `exp`, X is called once per step, on G_0 ..
-    G_(order-1) in turn, so a caller can record its values.
+    G_(order-1) in turn, so a caller can record its values, and a zero
+    f_n is not added.
 
     A scalar coefficient of a carrier series is taken as that multiple
     of the unit.  Costs N(N-1)/2 carrier products at order N, plus N calls
     of X and N one-pass sums: the k = n term is f_n itself, since G_0 is
     the unit."""
-    if series.coeffs[0] != series._zero():
+    zero = series._zero()
+    if series.coeffs[0] != zero:
         raise DomainError("geometric inverse needs a zero constant term")
     f = _in_carrier(series.coeffs, series.one)
     out = [series.one]
     for n in range(1, series.order + 1):
         if feedback is not None:
-            f[n] = feedback(out[n - 1]) + f[n]
+            fed = feedback(out[n - 1])
+            if f[n] != zero:
+                fed = fed + f[n]
+            f[n] = fed
         # k = n meets G_0, the unit: f_n G_0 is f_n
         pairs = [(1, f[k] * out[n - k]) for k in range(1, n)]
         pairs.append((1, f[n]))

@@ -591,6 +591,45 @@ def test_series_geometric_inverse_feedback_sees_each_coefficient_once():
     assert seen == list(g.coeffs[:-1])
 
 
+def test_series_feedback_adds_only_the_non_zero_coefficients():
+    # zero coefficients between non-zero ones: the values are pinned from the
+    # recurrences that added every coefficient to the fed-back value
+    double = partial(mul, 2)
+    scalars = Series((0, 1, 0, Fraction(-1, 2), 0, 3), Fraction(1))
+    assert exp(scalars, double).coeffs == (
+        1, 3, Fraction(21, 2), 43, Fraction(1567, 8), Fraction(38041, 40)
+    )
+    assert geometric_inverse(scalars, double).coeffs == (
+        1, 3, 15, Fraction(185, 2), 641, Fraction(9521, 2)
+    )
+    a, b = FreeWord.generator("a"), FreeWord.generator("b")
+    zero = FreeWord.zero()
+    words = Series((zero, a, zero, Fraction(1, 2) * b * a, zero), FreeWord.one())
+    assert [pretty(c) for c in geometric_inverse(words, partial(mul, b)).coeffs] == [
+        "1*1",
+        "a + b",
+        "a.a + a.b + 2*b.a + 2*b.b",
+        "1/2*b.a + a.a.a + a.a.b + 2*a.b.a + 2*a.b.b + 3*b.a.a + 3*b.a.b + 5*b.b.a"
+        " + 5*b.b.b",
+        "1/2*a.b.a + 1/2*b.a.a + 1/2*b.a.b + b.b.a + a.a.a.a + a.a.a.b + 2*a.a.b.a"
+        " + 2*a.a.b.b + 3*a.b.a.a + 3*a.b.a.b + 5*a.b.b.a + 5*a.b.b.b + 4*b.a.a.a"
+        " + 4*b.a.a.b + 7*b.a.b.a + 7*b.a.b.b + 9*b.b.a.a + 9*b.b.a.b + 14*b.b.b.a"
+        " + 14*b.b.b.b",
+    ]
+    qsyms = Series(
+        (QSym.zero(), QSym.zero(), QSym({(2,): 1}), QSym.zero(), QSym({(1, 1): Fraction(1, 3)})),
+        QSym.one(),
+    )
+    assert [pretty(c) for c in exp(qsyms, lambda_bar).coeffs] == [
+        "1*1",
+        "M(1)",
+        "2*M(1,1) + 3/2*M(2)",
+        "6*M(1,1,1) + 4*M(1,2) + 5/2*M(2,1) + 7/6*M(3)",
+        "1/3*M(1,1) + 24*M(1,1,1,1) + 15*M(1,1,2) + 12*M(1,2,1) + 16/3*M(1,3)"
+        " + 8*M(2,1,1) + 21/4*M(2,2) + 8/3*M(3,1) + 25/24*M(4)",
+    ]
+
+
 def test_free_word_products():
     a = FreeWord.generator("a")
     b = FreeWord.generator("b")

@@ -223,6 +223,9 @@ _PAST_A_LIMIT = {
     "specialization": ("specialization", "17"),
     "order-oracle": ("order-oracle", "11"),
     "qsym-oracle": ("qsym-oracle", "8"),
+    # each class alone is admitted, but not all of them together
+    "order-oracle 8": ("order-oracle", "8"),
+    "qsym-oracle 7": ("qsym-oracle", "7"),
 }
 
 

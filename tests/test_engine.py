@@ -36,6 +36,8 @@ from forestinv.operators import DELTA_INV, LinearOperator, POLYNOMIAL, lambda_, 
 from forestinv.oracles import (
     brute_force_order_count,
     brute_force_qsym,
+    check_labeling_brute_force,
+    count_trees_by_level_sequence,
     count_root_automorphisms,
     qsym_to_finite,
     strict_terms_by_complement,
@@ -272,6 +274,24 @@ def test_brute_force_guard():
         brute_force_order_count(big, 10, strict=True)
     with pytest.raises(ResourceLimitError):
         brute_force_qsym(big, 10, strict=True)
+
+
+def test_labeling_guard_counts_every_class():
+    # t_n (n + 2)^n summed over the classes, with the tree counts from the
+    # level sequences: 48 trees on 7 vertices take 9^7 assignments each
+    estimate = sum(count_trees_by_level_sequence(n) * (n + 2) ** n for n in range(1, 8))
+    assert estimate == 234982108
+    with pytest.raises(
+        ResourceLimitError, match=f"would try {estimate} assignments, over the limit of 10000000"
+    ):
+        check_labeling_brute_force(7, lambda n: n + 2)
+    # the suites' default sizes stay admitted
+    check_labeling_brute_force(5, lambda n: n + 2)
+    check_labeling_brute_force(6, lambda n: 5)
+    # a huge size is refused from a bounded sum, and zero labels scan nothing
+    with pytest.raises(ResourceLimitError, match=r"2\^64 or more assignments"):
+        check_labeling_brute_force(10**9, lambda n: 1)
+    check_labeling_brute_force(10**9, lambda n: 0)
 
 
 def test_brute_force_takes_deep_trees():

@@ -1,6 +1,8 @@
 """Labeled planar trees: parsing, ordered evaluation, censuses, the
 geometric fixed point, and the tensor splitting operators."""
 
+import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -37,6 +39,7 @@ from forestinv.planar import (
     underlying_tree,
 )
 from forestinv.series import Series, geometric_inverse
+from forestinv.trees import DEPTH_LIMIT
 from forestinv.words import FreeWord, TensorElement
 
 
@@ -108,6 +111,40 @@ def test_free_word_evaluation():
     swapped = evaluate_planar(parse_planar_tree("(a:(a:)(b:))"), family)
     assert swapped == word("a", "a", "b")
     assert chain != swapped
+
+
+def preorder_word(tree):
+    """The labels of a planar tree in preorder, read off its text with no
+    carrier: each vertex opens as "(label:"."""
+    return tuple(re.findall(r"\(([^():]+):", tree.serialize()))
+
+
+def _seeded_deep_trees(labels, seed):
+    """A path and a broom (a handle whose last vertex holds a row of
+    leaves) with DEPTH_LIMIT levels each, labeled at random."""
+    rng = random.Random(seed)
+    path = PlanarTree(rng.choice(labels))
+    for _ in range(DEPTH_LIMIT - 1):
+        path = PlanarTree(rng.choice(labels), (path,))
+    broom = PlanarTree(rng.choice(labels), [PlanarTree(rng.choice(labels)) for _ in range(40)])
+    for _ in range(DEPTH_LIMIT - 2):
+        broom = PlanarTree(rng.choice(labels), (broom,))
+    return path, broom
+
+
+def test_free_word_values_are_preorder_words():
+    # labels out of sorted order: a fresh process enters "b" first in the
+    # letter table
+    labels = ("b", "a")
+    family = free_word_family(labels)
+    trees = [tree for n in range(1, 7) for tree in enumerate_planar(n, labels)]
+    for seed in range(3):
+        trees += _seeded_deep_trees(labels, seed)
+    assert max(tree.height for tree in trees) == DEPTH_LIMIT - 1
+    for tree in trees:
+        value = evaluate_planar(tree, family)
+        assert value.terms == {preorder_word(tree): 1}
+        assert value == FreeWord({preorder_word(tree): 1})
 
 
 def test_forest_evaluation_is_ordered_product():

@@ -127,6 +127,22 @@ def test_render_json_edge_values():
         assert_renders_as_the_oracle(x)
 
 
+def test_words_render_in_label_order_not_in_letter_table_order():
+    # labels new to the letter table, met latest-sorting first, so their
+    # codes sort the other way round
+    late, early = "render-order-z", "render-order-a"
+    x = FreeWord({(late,): 1, (early,): 1, (late, early): 2, (early, late): 3})
+    assert pretty(x) == f"{early} + {late} + 3*{early}.{late} + 2*{late}.{early}"
+    assert [term["word"] for term in render_value(x)] == [
+        [early], [late], [early, late], [late, early]
+    ]
+    t = TensorElement({((late,),): 1, ((early,), (late,)): 1, ((late,), (early,)): 1,
+                       ((early,),): 1})
+    assert pretty(t) == f"{early} + {late} + {early} @ {late} + {late} @ {early}"
+    for value in (x, t):
+        assert_renders_as_the_oracle(value)
+
+
 def test_polynomial_json_edge_values():
     cases = {
         Polynomial(): "[]",

@@ -139,7 +139,7 @@ _VERIFY = [
     ("verify", "--suite", "all", "--max-n", "4", "--format", "csv"),
 ] + _per_format(
     [("verify", "--suite", "grafting", "--max-n", "3")]
-) + [
+) + [("verify", "--suite", "grafting", "--max-n", "4")] + [
     ("verify", "--suite", suite, "--max-n", max_n)
     for suite, max_n in (
         ("recurrence", "9"), ("functional-equation", "9"), ("collisions", "9"),
@@ -153,6 +153,14 @@ _PLANAR = [
     ("planar", "--tree", "(b:(a:)(b:(a:)(a:)))", "--labels", "a,b"),
     ("planar", "--tree", "(x:(y:)(z:))", "--labels", "x,y,z,w"),
     ("planar", "--tree", _path(40, "a")),
+    # labels met in an order other than their sorted one, by the tree and
+    # by the label list; multi-letter labels that sort as words otherwise
+    # than letter by letter
+    ("planar", "--tree", "(z:(y:(x:))(x:)(y:))"),
+    ("planar", "--tree", "(n:(m:)(n:))", "--labels", "n,m"),
+    ("planar", "--tree", "(b:(ab:)(a:))"),
+    ("planar", "--tree", "(b:(ab:)(a:))", "--labels", "a,ab,b"),
+    ("planar", "--tree", "(ab:(b:(a:))(ab:))", "--labels", "b,ab,a", "--format", "text"),
     # labels that JSON must escape: a quote, a backslash, a space, non-ASCII
     *_per_format([("planar", "--tree", '(q"t:(b\\s:)(s p:(é:)(b\\s:)))')]),
     # malformed trees and a label outside the family
