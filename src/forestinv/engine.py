@@ -41,6 +41,7 @@ from .operators import (
 )
 from .trees import (
     _ENUMERATION_CAP,
+    _TREE_COUNTS,
     RootedForest,
     RootedTree,
     automorphism_order,
@@ -60,6 +61,12 @@ QSYM_TERM_LIMIT = 2**15
 # 2^16 admits lambda through order 14 and lambda-bar through order 15.
 # The memory is the quasi-shuffle table those pairs fill, not U_N.
 QSYM_PAIR_LIMIT = 2**16
+
+# Most terms the values a whole-class run caches may hold in all, by the
+# cost guard's star estimate summed over the cached classes: 2^23 admits
+# the enumeration build of lambda through order 12 and lambda-bar through
+# 13, at about 100 bytes of memory a term.
+CLASS_CACHE_TERM_LIMIT = 2**23
 
 # Highest degree a polynomial tree value may have before `evaluate`
 # builds it: delta-inv on a path of 256 vertices takes about 2.5 s.
@@ -209,6 +216,24 @@ def check_recurrence_cost(spec: InvariantSpec, order: int) -> None:
         raise ResourceLimitError(
             f"the {spec.name} recurrence through U_{order} multiplies an estimated "
             f"{_count_text(size)} pairs of terms, over the limit of {QSYM_PAIR_LIMIT}"
+        )
+
+
+def check_class_cache(spec: InvariantSpec, largest: int) -> None:
+    """Refuse a run that caches the value of every tree on 1 .. largest
+    vertices (at most the enumeration cap) when the cost guard's estimate
+    for a star, the largest of each class, summed over the trees of those
+    classes passes `CLASS_CACHE_TERM_LIMIT`; the message names the
+    estimate and the limit.  A polynomial's degree counts as its terms."""
+    if spec.guard is None:
+        return
+    estimate = spec.guard[0]
+    size = sum(_TREE_COUNTS[k] * estimate(k, 1) for k in range(1, largest + 1))
+    if size > CLASS_CACHE_TERM_LIMIT:
+        raise ResourceLimitError(
+            f"caching the {spec.name} values of every tree on 1 to {largest} vertices "
+            f"takes an estimated {_count_text(size)} terms, over the limit of "
+            f"{CLASS_CACHE_TERM_LIMIT}"
         )
 
 

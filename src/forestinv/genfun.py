@@ -7,20 +7,25 @@ where S_k is the elementary Schur polynomial (the weight-k coefficient of
 the exponential of a generic series).  The recurrence runs as one `exp`
 whose feedback map is X, so order N costs (N-1)(N-2)/2 carrier products; the
 per-term build, one fresh exp per U_n, lives in `oracles` as a test
-reference.  The enumeration build sums each U_n in one pass of
+reference.  The enumeration build sums each U_n through
 `algebra.linear_combination` with the int weights n!/alpha(T), after
 `trees.check_enumeration` and `engine.check_cost` are asked about its
-largest class.  Its
-last term applies X once, by the three facts behind the fixed-point
-equation: the tree B+(F) grafted from a forest F has the value X of F's
-value, alpha(B+(F)) = alpha(F), and X is linear.  So
+largest class and `engine.check_class_cache` about the smaller classes
+it caches.  Its last term applies X once, by the three facts behind the
+fixed-point equation: the tree B+(F) grafted from a forest F has the
+value X of F's value, alpha(B+(F)) = alpha(F), and X is linear.  So
 n! U_n = X(sum over the forests F on n-1 vertices of (n!/alpha(F)) times
-the value of F).  The cross-check of the two builds and the residual of
-the fixed-point equation q * X(exp U(q)) = U(q) are the main
-correctness evidence for the whole engine; the residual is computed
-from the enumeration build so it is not true by construction.  Through
-q^N it exponentiates U only through q^(N-1), all that q * X(exp U)
-keeps.
+the value of F).  That sum is factored by distributivity over the shared
+prefixes p of the sorted child lists, R(p) = w_p + sum over the next
+children c of value(c) R(p + c), with w_p the weight of the tree whose
+children are exactly p (0 if none), so it makes one carrier product per
+prefix that some forest extends, 116 for the 4766 trees on 12 vertices,
+where one product chain per forest made 5098.  The cross-check of the
+two builds and the residual of the fixed-point equation
+q * X(exp U(q)) = U(q) are the main correctness evidence for the whole
+engine; the residual is computed from the enumeration build so it is
+not true by construction.  Through q^N it exponentiates U only through
+q^(N-1), all that q * X(exp U) keeps.
 """
 
 from __future__ import annotations
@@ -29,8 +34,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .algebra import linear_combination, one_like, product
-from .engine import InvariantSpec, check_cost, check_recurrence_cost, evaluate
+from .algebra import linear_combination, one_like
+from .engine import (
+    InvariantSpec,
+    check_class_cache,
+    check_cost,
+    check_recurrence_cost,
+    evaluate,
+)
 from .errors import DomainError
 from .series import Series, exp, is_noncommutative
 from .trees import automorphism_order, check_enumeration, enumerate_trees
@@ -117,39 +128,68 @@ def u_by_enumeration(spec: InvariantSpec, order: int) -> USequence:
 
     The trees on fewer than `order` vertices are children of larger
     trees, so each is evaluated and cached.  The largest class is summed
-    before the operator: its weights go on the products of each tree's
-    subtree values, all cache hits, and X is applied once to that sum,
-    which is n! X(S_(n-1)) by linearity.  So no value of a tree on
-    `order` vertices is built or cached.  The per-tree sum this replaces
-    is `oracles.u_by_tree_sums`.  Before the first class, the order is
-    checked against the enumeration cap, then by `engine.check_cost` on a
-    star, which has the largest estimate of its class."""
+    before the operator, over the children's values, all cache hits, and
+    X is applied once to that sum, which is n! X(S_(n-1)) by linearity.
+    So no value of a tree on `order` vertices is built or cached.  The sum
+    is factored over shared child prefixes by `_extension_sum`, one
+    carrier product per prefix that some tree extends.  The per-tree sum
+    this replaces is `oracles.u_by_tree_sums`.  Before the first class,
+    the order is checked against the enumeration cap, then by
+    `engine.check_cost` on a star, which has the largest estimate of its
+    class, then by `engine.check_class_cache` on the classes it caches."""
     if order < 1:
         raise DomainError("need order >= 1")
     check_enumeration(order)
     _require_commutative(spec)
     check_cost(spec, order, 1, "term U_{}")
-
-    def class_sum(n, value):
-        """n! times the sum of value(T)/alpha(T) over the trees on n vertices."""
+    check_class_cache(spec, order - 1)
+    terms = []
+    for n in range(1, order):
         labelings = factorial(n)
-        return linear_combination(
-            ((labelings // automorphism_order(tree), value(tree)) for tree in enumerate_trees(n)),
+        total = linear_combination(
+            (
+                (labelings // automorphism_order(tree), evaluate(tree, spec))
+                for tree in enumerate_trees(n)
+            ),
             spec.one,
         )
-
-    def subtrees_value(tree):
-        return product((evaluate(child, spec) for child in tree.children), spec.one)
-
-    terms = [
-        Fraction(1, factorial(n)) * class_sum(n, lambda tree: evaluate(tree, spec))
-        for n in range(1, order)
-    ]
+        terms.append(Fraction(1, labelings) * total)
+    labelings = factorial(order)
     # the star's check above stands for these trees, which the cap keeps
-    # far inside the depth limit
-    top = spec.operator(class_sum(order, subtrees_value))
-    terms.append(Fraction(1, factorial(order)) * top)
+    # far inside the depth limit; the one tree on 1 vertex has no children,
+    # so its sum is the unit with weight 1
+    top = enumerate_trees(order)
+    total = _extension_sum(top, 0, labelings, spec) if order > 1 else spec.one
+    terms.append(Fraction(1, labelings) * spec.operator(total))
     return USequence(spec.name, tuple(terms), spec.one)
+
+
+def _extension_sum(trees, depth, labelings, spec):
+    """The sum over `trees`, a run in key order that shares its first
+    `depth` children, of (labelings / alpha(T)) times the product of the
+    values of each tree's later children.
+
+    A tree's children are in key order, so the trees that share one more
+    child are a run too: the sum is that child's value times the sum over
+    its run, one product per run.  A run whose child ends a tree's child
+    list is that tree alone, since the children of every tree in a class
+    hold the same number of vertices, so its child's value enters with the
+    tree's weight and no product."""
+    pairs = []
+    start = 0
+    while start < len(trees):
+        first = trees[start]
+        child = first.children[depth]
+        end = start + 1
+        while end < len(trees) and trees[end].children[depth].key == child.key:
+            end += 1
+        value = evaluate(child, spec)
+        if len(first.children) == depth + 1:
+            pairs.append((labelings // automorphism_order(first), value))
+        else:
+            pairs.append((1, value * _extension_sum(trees[start:end], depth + 1, labelings, spec)))
+        start = end
+    return linear_combination(pairs, spec.one)
 
 
 def verify_functional_equation(

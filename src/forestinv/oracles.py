@@ -50,7 +50,7 @@ from .algebra import Polynomial, QSym, linear_combination, parts, rat
 from .engine import _PAST_EVERY_LIMIT, _count_text, evaluate
 from .errors import DomainError, ResourceLimitError
 from .series import Series, is_noncommutative
-from .trees import RootedTree, automorphism_order, enumerate_trees
+from .trees import RootedTree, _rooted_tree_counts, automorphism_order, enumerate_trees
 from .words import FreeWord, TensorElement
 
 
@@ -158,28 +158,18 @@ def count_root_automorphisms(tree: RootedTree) -> int:
 _BRUTE_FORCE_LIMIT = 10_000_000
 
 
-def _rooted_tree_counts():
-    """t_1, t_2, ...: the counts of rooted trees on n vertices, from the
-    recurrence n t_(n+1) = sum_(k=1..n) (sum_(d|k) d t_d) t_(n-k+1)."""
-    t, s = [0, 1], [0]
-    for n in itertools.count(1):
-        yield t[n]
-        s.append(sum(d * t[d] for d in range(1, n + 1) if n % d == 0))
-        t.append(sum(s[k] * t[n - k + 1] for k in range(1, n + 1)) // n)
-
-
-def check_labeling_brute_force(max_n: int, labels) -> None:
+def check_labeling_brute_force(max_n: int, assignments) -> None:
     """Refuse a labeling scan over every class of trees on 1 .. max_n
     vertices when it would try more than `_BRUTE_FORCE_LIMIT` assignments
-    in all: the sum over n of t_n labels(n)^n, for t_n trees on n vertices
-    and labels(n) labels on each of them.  Asked before the first class,
-    so a refused scan starts none."""
+    in all: the sum over n of t_n assignments(n), for t_n trees on n
+    vertices and assignments(n) tried on each of them.  Asked before the
+    first class, so a refused scan starts none."""
     # through 64 vertices the sum is exact until it passes 2^64; past them,
-    # one label has already put it there and zero labels add nothing, so no
-    # huge count is built
+    # one assignment per tree has already put it there and none adds
+    # nothing, so no huge count is built
     total = 0
     for n, trees in zip(range(1, min(max_n, 64) + 1), _rooted_tree_counts()):
-        total = min(total + trees * labels(n) ** n, _PAST_EVERY_LIMIT)
+        total = min(total + trees * assignments(n), _PAST_EVERY_LIMIT)
     if total > _BRUTE_FORCE_LIMIT:
         raise ResourceLimitError(
             f"labeling brute force over the trees on 1 to {max_n} vertices would try "

@@ -38,6 +38,20 @@ DEPTH_LIMIT = 500
 KEY_CHAR_LIMIT = 2**26
 
 
+def _rooted_tree_counts():
+    """t_1, t_2, ...: the counts of rooted trees on n vertices, from the
+    recurrence n t_(n+1) = sum_(k=1..n) (sum_(d|k) d t_d) t_(n-k+1)."""
+    t, s = [0, 1], [0]
+    for n in itertools.count(1):
+        yield t[n]
+        s.append(sum(d * t[d] for d in range(1, n + 1) if n % d == 0))
+        t.append(sum(s[k] * t[n - k + 1] for k in range(1, n + 1)) // n)
+
+
+# t_n, the number of trees on n vertices, at index n, through the cap
+_TREE_COUNTS = (0, *itertools.islice(_rooted_tree_counts(), _ENUMERATION_CAP))
+
+
 def check_depth(height: int) -> None:
     """Refuse a tree of this height (edges on its longest root-to-leaf
     path) when its height + 1 levels are more than DEPTH_LIMIT."""

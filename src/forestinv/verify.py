@@ -17,6 +17,7 @@ from .algebra import principal_specialization
 from .engine import (
     BUILT_IN_NAMES,
     built_in_spec,
+    check_class_cache,
     collision_report,
     order_poly,
     qsym_strict,
@@ -99,9 +100,18 @@ def suite_cayley(max_n: int = 12) -> SuiteResult:
     return _result("cayley", [report.ok], lines)
 
 
+def _check_class_caches(largest: int) -> None:
+    """Ask `check_class_cache` of every built-in spec about caching the
+    classes 1 .. largest, none of them past the enumeration cap."""
+    for name in BUILT_IN_NAMES:
+        check_class_cache(built_in_spec(name), largest)
+
+
 def suite_recurrence(max_n: int = 8) -> SuiteResult:
     """Fixed-point recurrence against direct enumeration, all four
     shipped invariants."""
+    check_enumeration(max_n)
+    _check_class_caches(max_n - 1)
     lines, checks = [], []
     for spec in map(built_in_spec, BUILT_IN_NAMES):
         rec = u_by_recurrence(spec, max_n)
@@ -114,6 +124,8 @@ def suite_recurrence(max_n: int = 8) -> SuiteResult:
 
 def suite_functional_equation(max_n: int = 8) -> SuiteResult:
     """Residual of q * X(exp U(q)) - U(q) with U built by enumeration."""
+    check_enumeration(max_n)
+    _check_class_caches(max_n - 1)
     lines, checks = [], []
     for spec in map(built_in_spec, BUILT_IN_NAMES):
         residual = verify_functional_equation(spec, max_n)
@@ -125,7 +137,8 @@ def suite_functional_equation(max_n: int = 8) -> SuiteResult:
 
 def suite_order_oracle(max_n: int = 6, m_max: int = 5) -> SuiteResult:
     """Order polynomials against brute-force labeling counts."""
-    check_labeling_brute_force(max_n, lambda n: m_max)
+    # strict and weak, each over every label count m = 0 .. m_max
+    check_labeling_brute_force(max_n, lambda n: 2 * sum(m**n for m in range(m_max + 1)))
     lines, checks = [], []
     for n in range(1, max_n + 1):
         ok = True
@@ -145,7 +158,8 @@ def suite_order_oracle(max_n: int = 6, m_max: int = 5) -> SuiteResult:
 def suite_qsym_oracle(max_n: int = 5) -> SuiteResult:
     """Quasi-symmetric values against brute-force monomial sums in
     m = n + 2 variables."""
-    check_labeling_brute_force(max_n, lambda n: n + 2)
+    # strict and weak, each over n + 2 labels
+    check_labeling_brute_force(max_n, lambda n: 2 * (n + 2) ** n)
     lines, checks = [], []
     for n in range(1, max_n + 1):
         m = n + 2
@@ -164,6 +178,7 @@ def suite_specialization(max_n: int = 6, m_max: int = 6) -> SuiteResult:
     """Principal specialization of the quasi-symmetric refinements
     against the order polynomials."""
     check_enumeration(max_n)
+    _check_class_caches(max_n)
     lines, checks = [], []
     for n in range(1, max_n + 1):
         ok = True

@@ -214,6 +214,16 @@ _PAST_A_LIMIT = {
     "u_by_enumeration": lambda: forestinv.u_by_enumeration(
         forestinv.built_in_spec("lambda"), 17
     ),
+    # the values cached for the smaller classes pass the whole-class limit
+    "u_by_enumeration lambda 13": lambda: forestinv.u_by_enumeration(
+        forestinv.built_in_spec("lambda"), 13
+    ),
+    "u_by_enumeration lambda 14": lambda: forestinv.u_by_enumeration(
+        forestinv.built_in_spec("lambda"), 14
+    ),
+    "u_by_enumeration lambda-bar 14": lambda: forestinv.u_by_enumeration(
+        forestinv.built_in_spec("lambda-bar"), 14
+    ),
     "cayley_check": lambda: forestinv.cayley_check(17),
     "u_planar_by_enumeration": lambda: forestinv.u_planar_by_enumeration(
         forestinv.free_word_family(("a", "b")), 10
@@ -226,6 +236,12 @@ _PAST_A_LIMIT = {
     # each class alone is admitted, but not all of them together
     "order-oracle 8": ("order-oracle", "8"),
     "qsym-oracle 7": ("qsym-oracle", "7"),
+    # strict and weak scans, and the order oracle's every label count m
+    "order-oracle 7": ("order-oracle", "7"),
+    "qsym-oracle 6": ("qsym-oracle", "6"),
+    "specialization 12": ("specialization", "12"),
+    "recurrence 13": ("recurrence", "13"),
+    "functional-equation 13": ("functional-equation", "13"),
 }
 
 

@@ -15,10 +15,12 @@ from forestinv import engine
 from forestinv.algebra import Polynomial, QSym, principal_specialization
 from forestinv.engine import (
     BUILT_IN_NAMES,
+    CLASS_CACHE_TERM_LIMIT,
     POLY_DEGREE_LIMIT,
     QSYM_TERM_LIMIT,
     InvariantSpec,
     built_in_spec,
+    check_class_cache,
     collision_report,
     evaluate,
     evaluate_forest,
@@ -46,6 +48,7 @@ from forestinv.oracles import (
 from forestinv.render import render_value
 from forestinv.trees import (
     _ENUMERATION_CAP,
+    _TREE_COUNTS,
     DEPTH_LIMIT,
     EMPTY_FOREST,
     SINGLETON,
@@ -277,21 +280,74 @@ def test_brute_force_guard():
 
 
 def test_labeling_guard_counts_every_class():
-    # t_n (n + 2)^n summed over the classes, with the tree counts from the
-    # level sequences: 48 trees on 7 vertices take 9^7 assignments each
-    estimate = sum(count_trees_by_level_sequence(n) * (n + 2) ** n for n in range(1, 8))
-    assert estimate == 234982108
-    with pytest.raises(
-        ResourceLimitError, match=f"would try {estimate} assignments, over the limit of 10000000"
-    ):
-        check_labeling_brute_force(7, lambda n: n + 2)
+    # t_n times the assignments each suite tries on a tree of n vertices,
+    # with the tree counts from the level sequences: the qsym oracle scans
+    # (n + 2)^n strict and weak, the order oracle m^n for each m <= m_max
+    def estimate(max_n, assignments):
+        return sum(count_trees_by_level_sequence(n) * assignments(n) for n in range(1, max_n + 1))
+
+    def qsym_oracle(n):
+        return 2 * (n + 2) ** n
+
+    def order_oracle(n):
+        return 2 * sum(m**n for m in range(6))
+
+    for max_n, assignments, expected in ((6, qsym_oracle, 10799192), (7, order_oracle, 10204322)):
+        assert estimate(max_n, assignments) == expected
+        with pytest.raises(
+            ResourceLimitError,
+            match=f"would try {expected} assignments, over the limit of 10000000",
+        ):
+            check_labeling_brute_force(max_n, assignments)
     # the suites' default sizes stay admitted
-    check_labeling_brute_force(5, lambda n: n + 2)
-    check_labeling_brute_force(6, lambda n: 5)
-    # a huge size is refused from a bounded sum, and zero labels scan nothing
+    assert (estimate(5, qsym_oracle), estimate(6, order_oracle)) == (313432, 909122)
+    check_labeling_brute_force(5, qsym_oracle)
+    check_labeling_brute_force(6, order_oracle)
+    # a huge size is refused from a bounded sum, and no assignment scans nothing
     with pytest.raises(ResourceLimitError, match=r"2\^64 or more assignments"):
         check_labeling_brute_force(10**9, lambda n: 1)
     check_labeling_brute_force(10**9, lambda n: 0)
+
+
+# A000081: rooted trees on n = 1 .. 16 vertices
+A000081 = (1, 1, 2, 4, 9, 20, 48, 115, 286, 719, 1842, 4766, 12486, 32973, 87811, 235381)
+
+
+def test_tree_count_table_is_a000081_through_the_enumeration_cap():
+    assert _TREE_COUNTS == (0, *A000081[:_ENUMERATION_CAP])
+    assert [len(enumerate_trees(n)) for n in range(1, 11)] == list(A000081[:10])
+
+
+def test_class_cache_guard_sums_the_star_estimate_over_the_cached_classes():
+    # lambda values on k vertices have 2^(k-1) terms, a lambda-bar star 2^(k-2)
+    def weak(largest):
+        return sum(A000081[k - 1] << (k - 1) for k in range(1, largest + 1))
+
+    def strict(largest):
+        return 1 + sum(A000081[k - 1] << (k - 2) for k in range(2, largest + 1))
+
+    assert CLASS_CACHE_TERM_LIMIT == 2**23
+    # the enumeration build of lambda through order 12 and lambda-bar 13
+    assert (weak(11), strict(12)) == (2346171, 6053470)
+    check_class_cache(built_in_spec("lambda"), 11)
+    check_class_cache(built_in_spec("lambda-bar"), 12)
+    for name, largest, size in (
+        ("lambda", 12, weak(12)),
+        ("lambda", 13, weak(13)),
+        ("lambda-bar", 13, strict(13)),
+    ):
+        with pytest.raises(ResourceLimitError) as err:
+            check_class_cache(built_in_spec(name), largest)
+        assert str(err.value) == (
+            f"caching the {name} values of every tree on 1 to {largest} vertices takes "
+            f"an estimated {size} terms, over the limit of 8388608"
+        )
+    # a polynomial's degree stays far inside the limit, and a spec without
+    # a guard is never refused
+    for name in ("delta-inv", "nabla-inv"):
+        check_class_cache(built_in_spec(name), _ENUMERATION_CAP)
+    unguarded = LinearOperator("twice", POLYNOMIAL, lambda g: 2 * g)
+    check_class_cache(InvariantSpec("twice", unguarded, Polynomial.one()), _ENUMERATION_CAP)
 
 
 def test_brute_force_takes_deep_trees():

@@ -6,6 +6,8 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from forestinv import engine, genfun
 from forestinv.algebra import Polynomial, QSym, principal_specialization
@@ -201,8 +203,8 @@ def fresh_spec(name):
     [
         ("delta-inv", 10),
         ("nabla-inv", 10),
-        ("lambda-bar", 8),
-        ("lambda", 8),
+        ("lambda-bar", 9),
+        ("lambda", 9),
         ("twice-delta-inv", 10),
     ],
 )
@@ -213,6 +215,43 @@ def test_enumeration_matches_per_tree_sums(name, max_order):
     for order in range(1, max_order + 1):
         got = u_by_enumeration(fresh_spec(name), order).terms
         assert [exact_value(t) for t in got] == expected[:order]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4), min_size=1, max_size=2))
+def test_enumeration_matches_per_tree_sums_for_random_linear_operators(coeffs):
+    # X(p) = delta_inv(r p) for a random r of degree at most 1: linear, so
+    # the factored sum of the largest class is X applied to the same sum
+    r = Polynomial(coeffs)
+    operator = LinearOperator("random", POLYNOMIAL, lambda g: delta_inv(r * g))
+    spec = lambda: InvariantSpec(operator.name, operator, Polynomial.one())
+    expected = [exact_value(t) for t in u_by_tree_sums(spec(), 6)]
+    assert [exact_value(t) for t in u_by_enumeration(spec(), 6).terms] == expected
+
+
+def test_largest_class_makes_one_product_per_extended_child_prefix(monkeypatch):
+    # with every smaller class cached, the only carrier products left are
+    # those of the largest class: one per proper prefix of some tree's
+    # child list, 16 for the 115 trees on 8 vertices, 116 for the 4766 on 12
+    for order, prefixes in ((8, 16), (12, 116)):
+        spec = fresh_spec("delta-inv")
+        for n in range(1, order):
+            for tree in enumerate_trees(n):
+                evaluate(tree, spec)
+        assert prefixes == len({
+            tree.children[:k] for tree in enumerate_trees(order) for k in range(1, len(tree.children))
+        })
+        products = []
+        multiply = Polynomial.__mul__
+
+        def counting(a, b):
+            products.append(isinstance(b, Polynomial))
+            return multiply(a, b)
+
+        monkeypatch.setattr(Polynomial, "__mul__", counting)
+        u_by_enumeration(spec, order)
+        monkeypatch.undo()
+        assert products.count(True) == prefixes
 
 
 # A000081: rooted trees on n = 1, 2, ... vertices
@@ -402,24 +441,33 @@ def test_enumeration_matches_fraction_weighted_sums(name):
 
 def test_enumeration_weights_are_int_labeling_counts(monkeypatch):
     # every tree value is weighted by the int n!/alpha(T), the number of
-    # labelings of T, and these add up to n^(n-1) labeled trees
-    weights = []
+    # labelings of T, and these add up to n^(n-1) labeled trees; the
+    # largest class puts each tree's weight on the value of its last child
+    # and weight 1 on each product over a shared child prefix
+    calls = []
     kernel = genfun.linear_combination
 
     def recording(pairs, one):
         pairs = list(pairs)
-        weights.append([weight for weight, _ in pairs])
+        calls.append(pairs)
         return kernel(pairs, one)
 
     monkeypatch.setattr(genfun, "linear_combination", recording)
     spec = strict_order_spec()
-    terms = u_by_enumeration(spec, 7).terms
+    order = 7
+    terms = u_by_enumeration(spec, order).terms
     monkeypatch.undo()
-    assert terms == tuple(fraction_weighted_sum(spec, n) for n in range(1, 8))
-    assert len(weights) == 7
-    for n, weights_n in enumerate(weights, start=1):
-        assert all(type(w) is int for w in weights_n)
-        assert sum(weights_n) == n ** (n - 1)
+    assert terms == tuple(fraction_weighted_sum(spec, n) for n in range(1, order + 1))
+    assert all(type(w) is int for pairs in calls for w, _ in pairs)
+    for n, pairs in enumerate(calls[: order - 1], start=1):
+        assert len(pairs) == len(enumerate_trees(n))
+        assert sum(w for w, _ in pairs) == n ** (n - 1)
+    cached = {id(value) for value in spec._cache.values()}
+    top = [pair for pairs in calls[order - 1 :] for pair in pairs]
+    labelings = [w for w, value in top if id(value) in cached]
+    assert len(labelings) == len(enumerate_trees(order))
+    assert sum(labelings) == order ** (order - 1)
+    assert all(w == 1 for w, value in top if id(value) not in cached)
 
 
 def test_cayley_report_matches_fraction_weighted_counts():

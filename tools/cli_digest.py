@@ -95,7 +95,13 @@ _GENFUN_LARGE = [
     # the enumeration build where the largest tree class, summed before
     # the operator, holds most of the trees
     ("genfun", "--operator", op, "--terms", str(terms), "--mode", "enumerate")
-    for op, terms in (("delta-inv", 10), ("nabla-inv", 10), ("lambda-bar", 8), ("lambda", 8))
+    for op, terms in (
+        ("delta-inv", 10), ("nabla-inv", 10), ("lambda-bar", 8), ("lambda", 8),
+        ("lambda-bar", 10), ("lambda", 10),
+    )
+] + [
+    # the largest class summed over child prefixes four or more deep
+    ("genfun", "--operator", "nabla-inv", "--terms", "12", "--mode", "verify"),
 ]
 
 # many-term values, written term by term into the JSON text, up to the
