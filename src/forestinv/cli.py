@@ -151,6 +151,8 @@ def _cmd_genfun(args):
 
 
 def _cmd_verify(args):
+    if args.max_n is not None and args.max_n < 1:
+        raise DomainError("--max-n must be at least 1")
     results = run_suite(args.suite, args.max_n)
     passed = all(r.passed for r in results)
     if args.format == "json":

@@ -21,10 +21,12 @@ family to tensor words by splitting off every prefix; they make the tree
 value of a grafted forest computable from the forest's tensor value
 alone.
 
-Word values stay in the letter codes of `words` from end to end: the
-free-word family's operators prepend their label's code to every key,
-and the tensor split joins the codes of the factors it eats.  Nothing
-here decodes; labels come back only where a value is read or written.
+Word values stay in the word codes of `words` from end to end: the
+free-word family's operators prepend the code of their one-label word
+to every key, and the tensor split joins the codes of the factors it
+eats.  A code depends on its labels alone, so these joins are the codes
+of the joined words.  Nothing here decodes; labels come back only where
+a value is read or written.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .errors import DomainError, ParseError, ResourceLimitError
 from .operators import LinearOperator, FREE_WORD, TENSOR
 from .series import Series, geometric_inverse
 from .trees import RootedForest, RootedTree, check_depth, parse_forest, parse_tree
-from .words import FreeWord, TensorElement, letter
+from .words import FreeWord, TensorElement, encode
 
 
 class PlanarTree:
@@ -195,7 +197,7 @@ class OperatorFamily:
 
 def _prepend(code: str):
     """The map sending w to g * w in the free word algebra, for the
-    generator g whose letter code is `code`: it prepends the code to every
+    generator g whose word code is `code`: it prepends the code to every
     key, as `operators.lambda_bar` prepends a part."""
 
     def run(w: FreeWord) -> FreeWord:
@@ -213,7 +215,7 @@ def free_word_family(labels) -> OperatorFamily:
     if len(set(labels)) != len(labels):
         raise DomainError("labels must be distinct")
     ops = {
-        label: LinearOperator(f"prepend-{label}", FREE_WORD, _prepend(letter(label)))
+        label: LinearOperator(f"prepend-{label}", FREE_WORD, _prepend(encode((label,))))
         for label in labels
     }
     return OperatorFamily(ops, FreeWord.one())

@@ -13,11 +13,11 @@ common denominator by one gcd, as the reprs write it.  A
 quasi-symmetric key code (see `algebra.code`) is decoded here, where it
 is written: one `str.translate` turns each of its characters into the
 part's digits and a separator, and codes sort like the compositions
-they encode.  A word or tensor key is decoded here too, from its letter
-codes to its tuple of labels, by the carrier's `decoded_numerators`
+they encode.  A word or tensor key is decoded here too, from its word
+code to its tuple of labels, by the carrier's `decoded_numerators`
 (see `words`), which sorts the terms by length and then by those
-tuples: codes are given in first-seen order and do not sort like the
-labels.
+tuples: a word code spells each label's length before the label, so
+codes do not sort like the labels.
 `render_payload` writes the CLI's objects around such values, and
 `render_value` is the parsed form of the same text.  Both match
 `json.dumps` with its default separators byte for byte.

@@ -47,6 +47,10 @@ from .planar import (
 )
 from .trees import automorphism_order, check_enumeration, enumerate_forests, enumerate_trees
 
+# the largest label count m at which each suite checks its polynomials
+ORDER_ORACLE_M_MAX = 5
+SPECIALIZATION_M_MAX = 6
+
 
 @dataclass
 class SuiteResult:
@@ -135,9 +139,10 @@ def suite_functional_equation(max_n: int = 8) -> SuiteResult:
     return _result("functional-equation", checks, lines)
 
 
-def suite_order_oracle(max_n: int = 6, m_max: int = 5) -> SuiteResult:
+def suite_order_oracle(max_n: int = 6) -> SuiteResult:
     """Order polynomials against brute-force labeling counts."""
     # strict and weak, each over every label count m = 0 .. m_max
+    m_max = ORDER_ORACLE_M_MAX
     check_labeling_brute_force(max_n, lambda n: 2 * sum(m**n for m in range(m_max + 1)))
     lines, checks = [], []
     for n in range(1, max_n + 1):
@@ -174,9 +179,10 @@ def suite_qsym_oracle(max_n: int = 5) -> SuiteResult:
     return _result("qsym-oracle", checks, lines)
 
 
-def suite_specialization(max_n: int = 6, m_max: int = 6) -> SuiteResult:
+def suite_specialization(max_n: int = 6) -> SuiteResult:
     """Principal specialization of the quasi-symmetric refinements
     against the order polynomials."""
+    m_max = SPECIALIZATION_M_MAX
     check_enumeration(max_n)
     _check_class_caches(max_n)
     lines, checks = [], []

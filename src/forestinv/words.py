@@ -10,19 +10,18 @@ arithmetic and the rule that keys are checked once with `QSym` through
 truncated: a planar tree's word value is homogeneous of length its
 vertex count, so the generating functions are cut by their order alone.
 
-A word is stored as its code, one character per letter, so a product or
-a prepend concatenates two strs and a key's hash is computed once.  The
-codes come from one letter table for the whole process, which gives each
-label the next code point the first time `letter` meets it; a tensor
-key is the tuple of its factors' word codes.  Words come in as tuples of
-labels, through the public constructors, `generator`, `single` and
-`one`, and are encoded there once.  They go out as tuples of labels,
-decoded by `decode`, in the `terms` view, the reprs and
-`render.render_json`.  The table gives codes in first-seen order, which
-is not the order of the labels, so each of those decodes first and then
-sorts by (length, word) over the decoded tuples.  A code means nothing
-outside the process that made it, so values leave a process only as
-labels.
+A word is stored as its code, a str that spells each label as the
+character whose code point is the label's length followed by the label
+itself, as `algebra.code` spells a part as the character of its code
+point.  So a code is a pure function of its word, the codes of two words
+concatenate to the code of their product, and a product or a prepend
+concatenates two strs whose hash is computed once; a tensor key is the
+tuple of its factors' word codes.  Words come in as tuples of labels,
+through the public constructors, `generator`, `single` and `one`, and are
+encoded there once.  They go out as tuples of labels, decoded by
+`decode`, in the `terms` view, the reprs and `render.render_json`, each
+of which decodes first and then sorts by (length, word) over the decoded
+tuples: codes sort by label length before the labels.
 """
 
 from __future__ import annotations
@@ -32,37 +31,31 @@ import sys
 from .algebra import TermCarrier, ratio_text
 from .errors import DomainError
 
-# the letter table: each label's code and each code's label, one entry
-# per label ever encoded, in first-seen order
-_CODES: dict = {}
-_LABELS: dict = {}
 
-
-def letter(label: str) -> str:
-    """The one-character code of a label, entered into the letter table
-    the first time it is asked for."""
-    try:
-        return _CODES[label]
-    except (KeyError, TypeError):
-        pass
+def _spelled(label) -> str:
+    """A label's piece of a word code: the character whose code point is
+    the label's length, then the label."""
     if not isinstance(label, str) or not label:
         raise DomainError(f"generators must be non-empty strings: {label!r}")
-    if len(_CODES) > sys.maxunicode:
-        raise DomainError(f"more than {sys.maxunicode + 1} distinct generators")
-    code = _CODES[label] = chr(len(_CODES))
-    _LABELS[code] = label
-    return code
+    if len(label) > sys.maxunicode:
+        raise DomainError(f"generators must be at most {sys.maxunicode} characters long")
+    return chr(len(label)) + label
 
 
 def encode(word) -> str:
     """The code of a word given as a sequence of non-empty string labels;
     the empty word gives "", the unit."""
-    return "".join(map(letter, word))
+    return "".join(map(_spelled, word))
 
 
 def decode(code: str) -> tuple:
     """The word a code stands for, as a tuple of labels."""
-    return tuple(map(_LABELS.__getitem__, code))
+    labels, start = [], 0
+    while start < len(code):
+        end = start + 1 + ord(code[start])
+        labels.append(code[start + 1 : end])
+        start = end
+    return tuple(labels)
 
 
 def _decode_factors(factors: tuple) -> tuple:

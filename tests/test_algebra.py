@@ -169,8 +169,8 @@ def test_parts_past_the_largest_code_point_are_refused():
 
 
 def test_qsym_products():
-    m1 = QSym.monomial((1,), 6)
-    m2 = QSym.monomial((2,), 6)
+    m1 = QSym.monomial((1,))
+    m2 = QSym.monomial((2,))
     assert m1 * m1 == QSym({(1, 1): 2, (2,): 1})
     assert m1 * m2 == QSym({(1, 2): 1, (2, 1): 1, (3,): 1})
     assert QSym.one() * m2 == m2
@@ -245,14 +245,14 @@ def test_qsym_rejects_bad_compositions():
 
 
 def test_principal_specialization_examples():
-    m11 = QSym.monomial((1, 1), 4)
+    m11 = QSym.monomial((1, 1))
     assert principal_specialization(m11, 3) == 3
     assert principal_specialization(QSym.one(), 5) == 1
-    assert principal_specialization(QSym.monomial((2,), 4), 4) == 4
+    assert principal_specialization(QSym.monomial((2,)), 4) == 4
 
 
 def test_qsym_to_finite_expansion():
-    m12 = QSym.monomial((1, 2), 3)
+    m12 = QSym.monomial((1, 2))
     expanded = qsym_to_finite(m12, 2)
     x1 = FiniteVarPoly.variable(1, 2, 3)
     x2 = FiniteVarPoly.variable(2, 2, 3)
@@ -268,11 +268,9 @@ def test_qsym_product_matches_finite_model():
     m = 8
     for ca, cb in itertools.product(comps, repeat=2):
         bound = sum(ca) + sum(cb)
-        lhs = qsym_to_finite(
-            QSym.monomial(ca, bound) * QSym.monomial(cb, bound), m
-        )
-        rhs = qsym_to_finite(QSym.monomial(ca, bound), m, bound) * qsym_to_finite(
-            QSym.monomial(cb, bound), m, bound
+        lhs = qsym_to_finite(QSym.monomial(ca) * QSym.monomial(cb), m)
+        rhs = qsym_to_finite(QSym.monomial(ca), m, bound) * qsym_to_finite(
+            QSym.monomial(cb), m, bound
         )
         assert lhs == rhs, (ca, cb)
 

@@ -11,17 +11,21 @@ still refuse bad keys, and elements of different carriers, Polynomial
 included, must never compare equal or combine.  No carrier truncates;
 the QSym grading that makes this safe is pinned as a property.  The
 quasi-shuffle on key codes is checked against the one on tuples it
-replaced, codes against the tuples they encode, the integer-numerator
-QSym product against the Fraction-accumulating oracle, each
-carrier's one-pass `linear_combination` against the running sum it
-replaces, and `principal_specialization` and the tensor split, which
-read the numerators, against their bodies over the Fraction `terms`
-view."""
+replaced, codes against the tuples they encode, word codes against the
+label tuples they spell, the integer-numerator QSym product against the
+Fraction-accumulating oracle, each carrier's one-pass
+`linear_combination` against the running sum it replaces, and
+`principal_specialization` and the tensor split, which read the
+numerators, against their bodies over the Fraction `terms` view.  Word
+codes hold no state: labels that are dropped leave no memory behind."""
 
+import gc
 import itertools
 import math
 import operator
 import random
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -42,7 +46,7 @@ from forestinv.errors import DomainError
 from forestinv.operators import FREE_WORD, LinearOperator, lambda_, lambda_bar
 from forestinv.oracles import qsym_mul_by_fractions, quasi_shuffle_by_tuples
 from forestinv.planar import OperatorFamily, free_word_family, tensor_cocycle_apply
-from forestinv.words import FreeWord, TensorElement
+from forestinv.words import FreeWord, TensorElement, decode, encode
 
 PROPERTY = settings(max_examples=60, deadline=None)
 
@@ -442,6 +446,51 @@ def test_coded_quasi_shuffle_matches_the_tuple_reference_property(a, b):
 def test_codes_round_trip_and_sort_like_their_compositions_property(comps):
     assert [parts(code(comp)) for comp in comps] == comps
     assert [parts(key) for key in sorted(map(code, comps))] == sorted(comps)
+
+
+# labels of any non-empty text: the tree syntax's "(", ")" and ":", NUL,
+# characters past the BMP, and labels long enough that their length's
+# character is one of "(", ")" or ":" too
+LABELS = st.one_of(
+    st.text(
+        alphabet=st.one_of(st.sampled_from(["\0", "(", ")", ":", "a", "😀"]), st.characters()),
+        min_size=1,
+        max_size=4,
+    ),
+    st.text(alphabet="(:)\0a", min_size=39, max_size=59),
+)
+LABEL_WORDS = st.lists(LABELS, max_size=4).map(tuple)
+
+
+@PROPERTY
+@given(LABEL_WORDS, LABEL_WORDS, st.lists(LABEL_WORDS, max_size=8))
+def test_word_codes_round_trip_concatenate_and_are_injective_property(u, v, words):
+    assert decode(encode(u)) == u
+    # products, prepends and tensor splits join codes as strs
+    assert encode(u) + encode(v) == encode(u + v)
+    assert len({encode(word) for word in words}) == len(set(words))
+
+
+def test_distinct_labels_leave_nothing_behind():
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        generators = [FreeWord.generator(f"distinct-{i}") for i in range(20000)]
+        assert repr(generators[-1]) == "FreeWord(distinct-19999)"
+        del generators
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 2**20
+
+
+def test_labels_longer_than_the_largest_code_point_are_refused():
+    longest = "a" * sys.maxunicode
+    assert decode(encode((longest, "b"))) == (longest, "b")
+    with pytest.raises(DomainError, match="at most"):
+        FreeWord.generator(longest + "a")
 
 
 def random_qsym(rng, kind, max_degree, size=8):

@@ -206,6 +206,13 @@ def test_verify_all_runs_every_suite_in_order(capsys):
     assert all(row[1] == "True" for row in rows[1:])
 
 
+@pytest.mark.parametrize("max_n", ["0", "-1"])
+@pytest.mark.parametrize("suite", [*SUITES, "all"])
+def test_verify_refuses_sizes_below_one(suite, max_n, capsys):
+    code, out, err = run(capsys, "verify", "--suite", suite, "--max-n", max_n)
+    assert (code, out, err) == (1, "", "error: --max-n must be at least 1\n")
+
+
 # whole-class runs past a limit: library calls, and verify suites by argv
 _PAST_A_LIMIT = {
     "collision_report": lambda: forestinv.collision_report(

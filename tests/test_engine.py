@@ -282,7 +282,7 @@ def test_brute_force_guard():
 def test_labeling_guard_counts_every_class():
     # t_n times the assignments each suite tries on a tree of n vertices,
     # with the tree counts from the level sequences: the qsym oracle scans
-    # (n + 2)^n strict and weak, the order oracle m^n for each m <= m_max
+    # (n + 2)^n strict and weak, the order oracle m^n for each m <= ORDER_ORACLE_M_MAX
     def estimate(max_n, assignments):
         return sum(count_trees_by_level_sequence(n) * assignments(n) for n in range(1, max_n + 1))
 

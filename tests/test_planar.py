@@ -133,8 +133,8 @@ def _seeded_deep_trees(labels, seed):
 
 
 def test_free_word_values_are_preorder_words():
-    # labels out of sorted order: a fresh process enters "b" first in the
-    # letter table
+    # labels out of sorted order, so the family meets "b" first; a word's
+    # code depends on its labels alone, not on the order they are met in
     labels = ("b", "a")
     family = free_word_family(labels)
     trees = [tree for n in range(1, 7) for tree in enumerate_planar(n, labels)]

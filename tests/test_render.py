@@ -128,8 +128,9 @@ def test_render_json_edge_values():
 
 
 def test_words_render_in_label_order_not_in_letter_table_order():
-    # labels new to the letter table, met latest-sorting first, so their
-    # codes sort the other way round
+    # labels met latest-sorting first: the render sorts by the decoded
+    # label tuples, whatever order the labels are met in and whatever
+    # order their length-prefixed codes sort in
     late, early = "render-order-z", "render-order-a"
     x = FreeWord({(late,): 1, (early,): 1, (late, early): 2, (early, late): 3})
     assert pretty(x) == f"{early} + {late} + 3*{early}.{late} + 2*{late}.{early}"

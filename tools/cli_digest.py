@@ -167,6 +167,11 @@ _PLANAR = [
     ("planar", "--tree", "(b:(ab:)(a:))"),
     ("planar", "--tree", "(b:(ab:)(a:))", "--labels", "a,ab,b"),
     ("planar", "--tree", "(ab:(b:(a:))(ab:))", "--labels", "b,ab,a", "--format", "text"),
+    # labels of different lengths, whose codes spell each length first: a
+    # path of one three-letter label just under the depth limit, and three
+    # lengths given out of sorted order
+    ("planar", "--tree", _path(499, "abc")),
+    ("planar", "--tree", "(abc:(a:)(bc:(abc:))(a:))", "--labels", "bc,a,abc"),
     # labels that JSON must escape: a quote, a backslash, a space, non-ASCII
     *_per_format([("planar", "--tree", '(q"t:(b\\s:)(s p:(é:)(b\\s:)))')]),
     # malformed trees and a label outside the family
