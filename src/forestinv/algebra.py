@@ -14,7 +14,9 @@ arithmetic runs on Python ints.  `rat`, the one coefficient coercion,
 brings outside coefficients in at the public constructors, after which
 `_cleared` puts them over one denominator; reprs and renders write each
 coefficient from its numerator with `ratio_text`, and Fractions come
-back only in the `coeffs` and `terms` views.  Every carrier's +, -,
+back only in the `coeffs` and `terms` views.  The one exception is the
+private `_Samples`, a polynomial's integer values at t = 0 .. N, on
+which the polynomial enumeration build runs.  Every carrier's +, -,
 scaling and equality live once, in `_LinearSpace`, and the dict
 carriers' constructor once, in `TermCarrier`.  A product multiplies
 numerators and the two denominators; a quasi-symmetric product
@@ -37,7 +39,8 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, lcm
+from math import comb, factorial, gcd, lcm
+from operator import mul
 
 from .errors import DomainError
 
@@ -224,6 +227,34 @@ class Polynomial(_LinearSpace):
         return cls.from_numerators(acc, den)
 
     @classmethod
+    def from_values(cls, values, denominator: int = 1) -> "Polynomial":
+        """The polynomial of degree below len(values) whose value at t = k
+        is values[k] / denominator, for exact scalar values and a positive
+        int denominator.
+
+        The forward differences c_k of the values at 0 give the Newton
+        form p = sum of c_k C(t, k), and Horner steps over the factors
+        (t - k) expand d! p as integers, d the degree bound; the result is
+        reduced once."""
+        nums, den = _cleared([rat(v) for v in values])
+        d = len(nums) - 1
+        if d < 0:
+            return cls()
+        # in place: after pass k, nums[k] is the k-th difference at 0
+        for k in range(1, d + 1):
+            for i in range(d, k - 1, -1):
+                nums[i] -= nums[i - 1]
+        # d! p = sum of c_k (d!/k!) t (t - 1) ... (t - k + 1), from the top
+        acc, scale = [], 1
+        for k in range(d, -1, -1):
+            step = [0, *acc]
+            for i, a in enumerate(acc):
+                step[i] -= k * a
+            step[0] += nums[k] * scale
+            acc, scale = step, scale * k
+        return cls.from_numerators(acc, den * denominator * factorial(d))
+
+    @classmethod
     def zero(cls):
         return cls()
 
@@ -299,6 +330,37 @@ class Polynomial(_LinearSpace):
             else:
                 parts.append(f"{c}*t^{k}" if n != den else f"t^{k}")
         return "Polynomial(%s)" % " + ".join(parts)
+
+
+class _Samples:
+    """The integer values of a polynomial at t = 0, 1, ..., N, as one
+    tuple whose length all values of a build share: the carrier of the
+    polynomial enumeration build in `genfun`, where every value counts
+    maps and so is an integer at every t.  Evaluation at a point is a ring map, so a product is
+    pointwise, and a sum runs on ints with int weights, with no
+    denominator to clear or reduce.  `Polynomial.from_values` reads a
+    polynomial back from its samples."""
+
+    __slots__ = ("values",)
+
+    def __init__(self, values: tuple):
+        self.values = values
+
+    def __mul__(self, other):
+        if type(other) is not _Samples:
+            return NotImplemented
+        return _Samples(tuple(map(mul, self.values, other.values)))
+
+    @classmethod
+    def linear_combination(cls, pairs) -> "_Samples":
+        """The sum of c * x over (int weight, samples) pairs in one pass;
+        no pairs give the empty tuple."""
+        acc = ()
+        for c, x in pairs:
+            if type(c) is not int or type(x) is not cls:
+                raise TypeError(f"not an int weight and samples: {c!r}, {x!r}")
+            acc = [a + c * v for a, v in zip(acc, x.values)] if acc else [c * v for v in x.values]
+        return cls(tuple(acc))
 
 
 # Largest part a composition may have: its code point in a key code.

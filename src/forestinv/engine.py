@@ -363,7 +363,9 @@ _POINTS = tuple(itertools.accumulate(
     range(1, _ENUMERATION_CAP), lambda x, _: (x * x + 1) % _MODULUS, initial=0x1E3779B97F4A7C15
 ))
 
-# The unit, whether the suffix sum is weak, and the points of each operator.
+# The unit, whether the suffix sum is weak, and the points of each operator;
+# `genfun` takes the prefix-sum form of the polynomial operators on the
+# values at t = 0 .. N from the weak flag.
 _SUFFIX_MODELS = {
     DELTA_INV: (Polynomial.one(), False, (1,) * _ENUMERATION_CAP),
     NABLA_INV: (Polynomial.one(), True, (1,) * _ENUMERATION_CAP),

@@ -20,7 +20,11 @@ prefixes p of the sorted child lists, R(p) = w_p + sum over the next
 children c of value(c) R(p + c), with w_p the weight of the tree whose
 children are exactly p (0 if none), so it makes one carrier product per
 prefix that some forest extends, 116 for the 4766 trees on 12 vertices,
-where one product chain per forest made 5098.  The cross-check of the
+where one product chain per forest made 5098.  For delta-inv and
+nabla-inv the whole build runs on the integer values at t = 0 .. N
+(`algebra._Samples`, Stanley, EC1 3.12): a product is pointwise, the
+operator a prefix sum, and each U_n is read back once from its first
+n + 1 values, enough for its degree n.  The cross-check of the
 two builds and the residual of the fixed-point equation
 q * X(exp U(q)) = U(q) are the main correctness evidence for the whole
 engine; the residual is computed from the enumeration build so it is
@@ -32,10 +36,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import factorial
 
-from .algebra import linear_combination, one_like
+from .algebra import Polynomial, _Samples, linear_combination, one_like
 from .engine import (
+    _SUFFIX_MODELS,
     InvariantSpec,
     check_class_cache,
     check_cost,
@@ -43,6 +49,7 @@ from .engine import (
     evaluate,
 )
 from .errors import DomainError
+from .operators import POLYNOMIAL, LinearOperator
 from .series import Series, exp, is_noncommutative
 from .trees import automorphism_order, check_enumeration, enumerate_trees
 
@@ -136,32 +143,68 @@ def u_by_enumeration(spec: InvariantSpec, order: int) -> USequence:
     this replaces is `oracles.u_by_tree_sums`.  Before the first class,
     the order is checked against the enumeration cap, then by
     `engine.check_cost` on a star, which has the largest estimate of its
-    class, then by `engine.check_class_cache` on the classes it caches."""
+    class, then by `engine.check_class_cache` on the classes it caches,
+    all on the caller's spec.
+
+    For delta-inv and nabla-inv on the polynomial unit, every value is
+    built and cached as its samples at t = 0 .. order in a fresh spec of
+    this call (`_sample_spec`), so the caller's cache stays as it was, and
+    each U_n is interpolated once into a `Polynomial`; other specs build
+    and cache carrier values in their own cache."""
     if order < 1:
         raise DomainError("need order >= 1")
     check_enumeration(order)
     _require_commutative(spec)
     check_cost(spec, order, 1, "term U_{}")
     check_class_cache(spec, order - 1)
+    build = _sample_spec(spec, order) or spec
     terms = []
     for n in range(1, order):
         labelings = factorial(n)
         total = linear_combination(
             (
-                (labelings // automorphism_order(tree), evaluate(tree, spec))
+                (labelings // automorphism_order(tree), evaluate(tree, build))
                 for tree in enumerate_trees(n)
             ),
-            spec.one,
+            build.one,
         )
-        terms.append(Fraction(1, labelings) * total)
+        terms.append(_term(total, n, labelings))
     labelings = factorial(order)
     # the star's check above stands for these trees, which the cap keeps
     # far inside the depth limit; the one tree on 1 vertex has no children,
     # so its sum is the unit with weight 1
     top = enumerate_trees(order)
-    total = _extension_sum(top, 0, labelings, spec) if order > 1 else spec.one
-    terms.append(Fraction(1, labelings) * spec.operator(total))
+    total = _extension_sum(top, 0, labelings, build) if order > 1 else build.one
+    terms.append(_term(build.operator(total), order, labelings))
     return USequence(spec.name, tuple(terms), spec.one)
+
+
+def _sample_spec(spec: InvariantSpec, order: int):
+    """A fresh spec whose values are the samples at t = 0 .. order of the
+    spec's, when it is delta-inv or nabla-inv on the polynomial unit, else
+    None.  The operator is the grid form of its entry in
+    `engine._SUFFIX_MODELS`: Delta^-1 f(t) is the sum of g(j) over j < t,
+    and nabla^-1 f(t) the sum over 1 <= j <= t, each reading only samples
+    below t + 1, so every sample is exact."""
+    model = _SUFFIX_MODELS.get(spec.operator)
+    if model is None or spec.algebra != POLYNOMIAL or spec.one != model[0]:
+        return None
+    weak = model[1]
+
+    def prefix_sums(g: _Samples) -> _Samples:
+        values = g.values
+        return _Samples(tuple(accumulate(values[1:] if weak else values[:-1], initial=0)))
+
+    operator = LinearOperator(spec.name, POLYNOMIAL, prefix_sums)
+    return InvariantSpec(spec.name, operator, _Samples((1,) * (order + 1)))
+
+
+def _term(total, n: int, labelings: int):
+    """U_n from the sum n! U_n: interpolated from its first n + 1 samples,
+    enough for its degree n, or scaled when it is a carrier value."""
+    if type(total) is _Samples:
+        return Polynomial.from_values(total.values[: n + 1], labelings)
+    return Fraction(1, labelings) * total
 
 
 def _extension_sum(trees, depth, labelings, spec):

@@ -120,6 +120,27 @@ def test_newton_round_trip():
     assert to_newton(Polynomial.zero()) == []
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=12), max_size=8),
+    st.integers(1, 24),
+)
+def test_polynomial_from_values_round_trips_its_samples(values, denominator):
+    samples = [Fraction(v) / denominator for v in values]
+    p = Polynomial.from_values(values, denominator)
+    assert p.degree < len(values)
+    assert p == Polynomial(p.coeffs)
+    assert [p(k) for k in range(len(values))] == samples
+    # the Newton coefficients are the forward differences of the samples
+    differences, row = [], samples
+    while row:
+        differences.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    newton = to_newton(p)
+    assert newton == differences[: len(newton)]
+    assert not any(differences[len(newton) :])
+
+
 def test_quasi_shuffle_structure():
     # two singletons: both orders plus the merged part
     def shuffled(a, b):

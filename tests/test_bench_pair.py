@@ -1,7 +1,15 @@
-"""The summary step of tools/bench_pair.py, on canned run outputs.  Imports
-the script and starts no process."""
+"""tools/bench_pair.py: the summary step, on canned run outputs, imports
+the script and starts no process; a signal sent to the script in a
+stub repository ends its run and removes its copies."""
 
 import importlib.util
+import json
+import os
+import shutil
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -80,3 +88,75 @@ def test_summary_reads_the_direction_and_keeps_wrong_outputs(bench_pair):
     assert result["census"]["metrics"]["peak_rss_mb"]["pairs_won"] == 1
     last_side = runs[-1]["side"]
     assert result["census"][last_side] == {"correct": False, "attempted": 200, "failed": 3}
+
+
+STUB_RUN = """\
+import os, subprocess, sys, time
+worker = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(120)"])
+with open({pids!r}, "w") as out:
+    out.write(f"{{os.getpid()}} {{worker.pid}}")
+time.sleep(120)
+"""
+
+
+def alive(pid):
+    """Whether a process runs: not gone and no zombie."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    status = Path(f"/proc/{pid}/stat")
+    try:
+        return status.read_text().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return True
+
+
+def wait_until(condition, seconds=30):
+    deadline = time.monotonic() + seconds
+    while not condition():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.05)
+    return True
+
+
+@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT])
+def test_a_signal_ends_the_run_and_its_worker_and_removes_the_copies(tmp_path, signum):
+    # a repository of its own whose perfbench/run.py starts a worker and
+    # sleeps; the script is stopped while that run is going
+    repo, scratch, pids = tmp_path / "repo", tmp_path / "tmp", tmp_path / "pids"
+    (repo / "tools").mkdir(parents=True)
+    (repo / "perfbench").mkdir()
+    scratch.mkdir()
+    shutil.copy(PATH, repo / "tools" / "bench_pair.py")
+    (repo / "perfbench" / "run.py").write_text(STUB_RUN.format(pids=str(pids)))
+    (repo / "BENCHMARK.json").write_text(json.dumps(
+        {"workloads": [{"name": "census"}], "end_to_end": [{"name": "wall_s", "better": "lower"}]}
+    ))
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false"]
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "stub"]):
+        subprocess.run(git + args, cwd=repo, check=True, capture_output=True)
+    script = subprocess.Popen(
+        [sys.executable, "tools/bench_pair.py", "--seeds", "1", "--out", str(tmp_path / "out.json")],
+        cwd=repo, env={**os.environ, "TMPDIR": str(scratch)},
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    run_pid = worker_pid = None
+    try:
+        assert wait_until(lambda: pids.exists() and pids.read_text())
+        run_pid, worker_pid = map(int, pids.read_text().split())
+        assert list(scratch.glob("bench_pair-*"))
+        script.send_signal(signum)
+        _, err = script.communicate(timeout=30)
+        assert script.returncode == 128 + signum
+        assert signal.Signals(signum).name in err
+        assert wait_until(lambda: not alive(run_pid) and not alive(worker_pid))
+        assert list(scratch.iterdir()) == []
+    finally:
+        if script.poll() is None:
+            script.kill()
+            script.wait()
+        for pid in (run_pid, worker_pid):
+            if pid is not None and alive(pid):
+                os.kill(pid, signal.SIGKILL)

@@ -53,6 +53,7 @@ from forestinv.trees import (
     EMPTY_FOREST,
     SINGLETON,
     RootedForest,
+    automorphism_order,
     b_plus,
     enumerate_forests,
     enumerate_trees,
@@ -414,6 +415,25 @@ def test_order_polynomial_collision_on_five_vertices():
     assert qsym_strict(a) != qsym_strict(b)
     weak_pairs = collision_report(5, weak_order_spec())
     assert [(p.tree_a, p.tree_b) for p in weak_pairs] == [(pair.tree_a, pair.tree_b)]
+
+
+@pytest.mark.parametrize("spec", [strict_order_spec(), weak_order_spec()])
+def test_each_polynomial_collision_has_a_witness_at_different_alpha(spec):
+    # if T and T' share a value, so do B+(T, T'), B+(T, T) and B+(T', T'),
+    # the operator of one product; their alpha are alpha(T) alpha(T'),
+    # 2 alpha(T)^2 and 2 alpha(T')^2, and the doubled ones cannot both
+    # equal the first, so Psi is not finer than alpha on 2n + 1 vertices;
+    # 14 pairs through n = 7 for each operator
+    pairs = collision_report(7, spec)
+    assert len(pairs) == 14
+    for pair in pairs:
+        a, b = parse_tree(pair.tree_a), parse_tree(pair.tree_b)
+        mixed, doubled_a, doubled_b = (b_plus([x, y]) for x, y in ((a, b), (a, a), (b, b)))
+        assert mixed.vertex_count == 2 * pair.n + 1
+        assert evaluate(mixed, spec) == evaluate(doubled_a, spec) == evaluate(doubled_b, spec)
+        alphas = [automorphism_order(tree) for tree in (mixed, doubled_a, doubled_b)]
+        assert alphas == [pair.alpha_a * pair.alpha_b, 2 * pair.alpha_a**2, 2 * pair.alpha_b**2]
+        assert alphas[0] != alphas[1] or alphas[0] != alphas[2]
 
 
 def test_collision_report_flags_alpha():

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from forestinv import engine, genfun
-from forestinv.algebra import Polynomial, QSym, principal_specialization
+from forestinv.algebra import Polynomial, QSym, _Samples, principal_specialization
 from forestinv.engine import (
     BUILT_IN_NAMES,
     QSYM_PAIR_LIMIT,
@@ -217,6 +217,17 @@ def test_enumeration_matches_per_tree_sums(name, max_order):
         assert [exact_value(t) for t in got] == expected[:order]
 
 
+@pytest.mark.parametrize("name", ["delta-inv", "nabla-inv"])
+def test_enumeration_on_samples_matches_the_closed_form(name):
+    # the polynomial enumeration build runs on the values at t = 0 .. N;
+    # labeled-tree counting shares no code with it, and the per-tree sums
+    # above check it on the monomial carrier
+    closed = [exact_value(t) for t in u_closed_form(name, 10)]
+    for order in range(1, 11):
+        got = u_by_enumeration(fresh_spec(name), order).terms
+        assert [exact_value(t) for t in got] == closed[:order]
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4), min_size=1, max_size=2))
 def test_enumeration_matches_per_tree_sums_for_random_linear_operators(coeffs):
@@ -230,28 +241,37 @@ def test_enumeration_matches_per_tree_sums_for_random_linear_operators(coeffs):
 
 
 def test_largest_class_makes_one_product_per_extended_child_prefix(monkeypatch):
-    # with every smaller class cached, the only carrier products left are
-    # those of the largest class: one per proper prefix of some tree's
-    # child list, 16 for the 115 trees on 8 vertices, 116 for the 4766 on 12
+    # every smaller class is cached before the largest one is summed, so
+    # the only sample products from then on are those of the largest
+    # class: one per proper prefix of some tree's child list, 16 for the
+    # 115 trees on 8 vertices, 116 for the 4766 on 12
+    products = []
+    multiply = _Samples.__mul__
+
+    def counting(a, b):
+        products.append(b)
+        return multiply(a, b)
+
+    top_starts = []
+    extension_sum = genfun._extension_sum
+
+    def marking(trees, depth, labelings, spec):
+        if depth == 0:
+            top_starts.append(len(products))
+        return extension_sum(trees, depth, labelings, spec)
+
+    monkeypatch.setattr(_Samples, "__mul__", counting)
+    monkeypatch.setattr(genfun, "_extension_sum", marking)
     for order, prefixes in ((8, 16), (12, 116)):
-        spec = fresh_spec("delta-inv")
-        for n in range(1, order):
-            for tree in enumerate_trees(n):
-                evaluate(tree, spec)
         assert prefixes == len({
             tree.children[:k] for tree in enumerate_trees(order) for k in range(1, len(tree.children))
         })
-        products = []
-        multiply = Polynomial.__mul__
-
-        def counting(a, b):
-            products.append(isinstance(b, Polynomial))
-            return multiply(a, b)
-
-        monkeypatch.setattr(Polynomial, "__mul__", counting)
-        u_by_enumeration(spec, order)
-        monkeypatch.undo()
-        assert products.count(True) == prefixes
+        products.clear()
+        top_starts.clear()
+        u_by_enumeration(fresh_spec("delta-inv"), order)
+        assert len(top_starts) == 1
+        assert all(type(b) is _Samples for b in products)
+        assert len(products) - top_starts[0] == prefixes
 
 
 # A000081: rooted trees on n = 1, 2, ... vertices
@@ -443,7 +463,9 @@ def test_enumeration_weights_are_int_labeling_counts(monkeypatch):
     # every tree value is weighted by the int n!/alpha(T), the number of
     # labelings of T, and these add up to n^(n-1) labeled trees; the
     # largest class puts each tree's weight on the value of its last child
-    # and weight 1 on each product over a shared child prefix
+    # and weight 1 on each product over a shared child prefix.  The values
+    # are the samples of the run's own spec, which leaves the caller's
+    # cache empty
     calls = []
     kernel = genfun.linear_combination
 
@@ -452,17 +474,26 @@ def test_enumeration_weights_are_int_labeling_counts(monkeypatch):
         calls.append(pairs)
         return kernel(pairs, one)
 
+    cached = set()
+    tree_value = genfun.evaluate
+
+    def remembering(tree, spec):
+        value = tree_value(tree, spec)
+        cached.add(id(value))
+        return value
+
     monkeypatch.setattr(genfun, "linear_combination", recording)
-    spec = strict_order_spec()
+    monkeypatch.setattr(genfun, "evaluate", remembering)
+    spec = fresh_spec("delta-inv")
     order = 7
     terms = u_by_enumeration(spec, order).terms
     monkeypatch.undo()
+    assert spec._cache == {}
     assert terms == tuple(fraction_weighted_sum(spec, n) for n in range(1, order + 1))
-    assert all(type(w) is int for pairs in calls for w, _ in pairs)
+    assert all(type(w) is int and type(x) is _Samples for pairs in calls for w, x in pairs)
     for n, pairs in enumerate(calls[: order - 1], start=1):
         assert len(pairs) == len(enumerate_trees(n))
         assert sum(w for w, _ in pairs) == n ** (n - 1)
-    cached = {id(value) for value in spec._cache.values()}
     top = [pair for pairs in calls[order - 1 :] for pair in pairs]
     labelings = [w for w, value in top if id(value) in cached]
     assert len(labelings) == len(enumerate_trees(order))

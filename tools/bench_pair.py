@@ -15,6 +15,11 @@ parent's and the change's medians and quartiles and the pairs the change
 won (ties count for neither side), plus every run's summary, the seeds,
 the bytecode state, the interpreter and both commits.  Standard library
 only; the copies go to a temporary directory that is removed at the end.
+
+SIGTERM or SIGINT ends the script cleanly: the running `perfbench/run.py`
+and its worker, which run in a session of their own, are killed as one
+process group, the copies are removed, and the exit status is 128 plus
+the signal number.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ import io
 import json
 import os
 import platform
+import signal
 import statistics
 import subprocess
 import sys
@@ -56,10 +62,28 @@ def run_once(copy: Path, workload: str, seed: int, seconds: float) -> dict:
     """One `perfbench/run.py` run in a copy: its last stdout line."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
             "--seed", str(seed), "--seconds", str(seconds)]
-    done = subprocess.run(argv, cwd=copy, capture_output=True, text=True)
-    if done.returncode not in (0, 1):  # 1 still prints a summary: a wrong output
-        raise SystemExit(f"{copy.name} {workload} seed {seed}: {done.stderr.strip()}")
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    with subprocess.Popen(argv, cwd=copy, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          text=True, start_new_session=True) as run:
+        try:
+            stdout, stderr = run.communicate()
+        except BaseException:
+            # the run leads its own process group, which holds its worker too
+            try:
+                os.killpg(run.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            raise
+    if run.returncode not in (0, 1):  # 1 still prints a summary: a wrong output
+        raise SystemExit(f"{copy.name} {workload} seed {seed}: {stderr.strip()}")
+    return json.loads(stdout.strip().splitlines()[-1])
+
+
+def interrupted(signum, frame):
+    """Unwind on SIGTERM or SIGINT, so the running copy is killed and the
+    temporary directory removed on the way out."""
+    print(f"{signal.Signals(signum).name}: ending the run and removing the copies",
+          file=sys.stderr)
+    raise SystemExit(128 + signum)
 
 
 def quartiles(values) -> list:
@@ -129,6 +153,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=6, help="run.py --seconds")
     parser.add_argument("--out", type=Path, required=True, help="the BENCH_<tag>.json to write")
     args = parser.parse_args(argv)
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        signal.signal(signum, interrupted)
 
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in benchmark["workloads"]]

@@ -102,6 +102,11 @@ _GENFUN_LARGE = [
 ] + [
     # the largest class summed over child prefixes four or more deep
     ("genfun", "--operator", "nabla-inv", "--terms", "12", "--mode", "verify"),
+] + [
+    # the polynomial enumeration build on the values at t = 0 .. 12, each
+    # U_n read back from its samples
+    ("genfun", "--operator", op, "--terms", "12", "--mode", "enumerate")
+    for op in ("delta-inv", "nabla-inv")
 ]
 
 # many-term values, written term by term into the JSON text, up to the
