@@ -18,9 +18,18 @@ recurrence is also refused past an exact count of the operand-term
 pairs its products take.  The brute-force recounts of both from the
 definitions live in `oracles`.
 
+The two polynomial instances are not built in the carrier.  A value on
+n vertices is fixed by its values at t = 0 .. n, where a product is
+pointwise and each operator a prefix sum (Stanley, EC1 3.12), so
+`evaluate` walks the tree once on those exact ints and interpolates only
+the root's value from them.  The carrier operators in `operators` still
+serve the recurrence and any spec whose operator or unit differs.
+
 The collision search buckets each class by a fingerprint that equal
-values share, their images mod a prime at fixed points, and evaluates
-only the trees that share a bucket.
+values share: the quasi-symmetric values' images mod a prime at fixed
+points, after which only the trees that share a bucket are evaluated,
+and the polynomial values' exact values at t = 0 .. n_max, which fix
+them, so the buckets are the groups.
 """
 
 from __future__ import annotations
@@ -37,6 +46,7 @@ from .operators import (
     LAMBDA,
     LAMBDA_BAR,
     NABLA_INV,
+    POLYNOMIAL,
     LinearOperator,
 )
 from .trees import (
@@ -69,7 +79,9 @@ QSYM_PAIR_LIMIT = 2**16
 CLASS_CACHE_TERM_LIMIT = 2**23
 
 # Highest degree a polynomial tree value may have before `evaluate`
-# builds it: delta-inv on a path of 256 vertices takes about 2.5 s.
+# builds it: from its values at t = 0 .. 256, a path of 256 vertices takes
+# 0.011 s under delta-inv and 0.017 s under nabla-inv (Python 3.11, one
+# core of a 2-vCPU machine), where the carrier recursion took 1.3-1.5 s.
 POLY_DEGREE_LIMIT = 256
 
 
@@ -149,6 +161,33 @@ def _count_text(count: int) -> str:
     return f"2^{count.bit_length() - 1} or more"
 
 
+# A collision fingerprint of a value f is its evaluations on the suffixes
+# of m points, v_i = f(x_i, ..., x_m) for i = 1 .. m + 1 (so v_(m+1) is the
+# constant term and the unit is all ones).  Evaluation is a ring map, so a
+# product is pointwise, and each operator is one suffix sum, w_i = sum over
+# k >= i of x_k v_k (weak) or x_k v_(k+1) (strict).  A quasi-symmetric
+# value is evaluated mod this prime.  The polynomial operators have every
+# x_k = 1, so v_i is the value at t = m - i + 1, an exact int (Stanley,
+# EC1 3.12), and a value of degree at most m is fixed by its fingerprint.
+_MODULUS = (1 << 61) - 1
+
+# One residue per vertex count enumeration admits, none 0 or 1: the orbit
+# of x -> x^2 + 1 from an arbitrary start, so no low-degree relation holds.
+_POINTS = tuple(itertools.accumulate(
+    range(1, _ENUMERATION_CAP), lambda x, _: (x * x + 1) % _MODULUS, initial=0x1E3779B97F4A7C15
+))
+
+# The unit, whether the suffix sum is weak, and the points of each operator;
+# `genfun` takes the prefix-sum form of the polynomial operators on the
+# values at t = 0 .. N from the weak flag.
+_SUFFIX_MODELS = {
+    DELTA_INV: (Polynomial.one(), False, (1,) * _ENUMERATION_CAP),
+    NABLA_INV: (Polynomial.one(), True, (1,) * _ENUMERATION_CAP),
+    LAMBDA_BAR: (QSym.one(), False, _POINTS),
+    LAMBDA: (QSym.one(), True, _POINTS),
+}
+
+
 class InvariantSpec:
     """An operator, the unit of its target algebra, and a value cache.
 
@@ -157,6 +196,11 @@ class InvariantSpec:
     four built-in operators, is the operator's entry in the cost-guard
     table.  `check_cost` is the one place that reads either, and every
     entry point that builds values asks it before any product.
+
+    suffix_model is the operator's entry in `_SUFFIX_MODELS` when the unit
+    is that entry's, else None; on_grid is set when that entry is a
+    polynomial one, and `evaluate` then builds each value from its exact
+    values at t = 0 .. n.
     """
 
     def __init__(self, name: str, operator: LinearOperator, one, degree_bound=None):
@@ -165,6 +209,9 @@ class InvariantSpec:
         self.one = one
         self.degree_bound = degree_bound
         self.guard = _GUARDS.get(operator)
+        model = _SUFFIX_MODELS.get(operator)
+        self.suffix_model = model if model is not None and one == model[0] else None
+        self.on_grid = self.suffix_model is not None and operator.algebra == POLYNOMIAL
         self._cache: dict[str, object] = {}
 
     @property
@@ -241,17 +288,25 @@ def evaluate(tree: RootedTree, spec: InvariantSpec):
     """Value of a rooted tree: the operator applied to the product of the
     values of the subtrees hanging off the root.  Refuses a tree deeper
     than `trees.DEPTH_LIMIT`, then one that `check_cost` refuses; a
-    cached value passed both."""
+    cached value passed both.
+
+    On a spec that is on the grid, the value on n vertices is read back
+    once from its fingerprint on n points, its exact values at t = n .. 0,
+    and only the root's value is cached; any other spec evaluates and
+    caches every subtree in its carrier."""
     got = spec._cache.get(tree.key)
     if got is None:
         check_depth(tree.height)
         check_cost(spec, tree.vertex_count, tree.height)
-        # the loop of `product`, written out so that a level costs one frame
-        children = tree.children
-        value = evaluate(children[0], spec) if children else spec.one
-        for child in children[1:]:
-            value = value * evaluate(child, spec)
-        got = spec.operator(value)
+        if spec.on_grid:
+            got = Polynomial.from_values(_fingerprinter(spec, tree.vertex_count)(tree)[::-1])
+        else:
+            # the loop of `product`, written out so that a level costs one frame
+            children = tree.children
+            value = evaluate(children[0], spec) if children else spec.one
+            for child in children[1:]:
+                value = value * evaluate(child, spec)
+            got = spec.operator(value)
         spec._cache[tree.key] = got
     return got
 
@@ -349,39 +404,29 @@ class CollisionPair:
         }
 
 
-# A collision fingerprint of a value f is its evaluations mod this prime on
-# the suffixes of m points, v_i = f(x_i, ..., x_m) for i = 1 .. m + 1 (so
-# v_(m+1) is the constant term and the unit is all ones).  Evaluation is a
-# ring map, so a product is pointwise, and each operator is one suffix sum,
-# w_i = sum over k >= i of x_k v_k (weak) or x_k v_(k+1) (strict).  With
-# every x_k = 1, v_i of a polynomial is its value at t = m - i + 1.
-_MODULUS = (1 << 61) - 1
-
-# One residue per vertex count enumeration admits, none 0 or 1: the orbit
-# of x -> x^2 + 1 from an arbitrary start, so no low-degree relation holds.
-_POINTS = tuple(itertools.accumulate(
-    range(1, _ENUMERATION_CAP), lambda x, _: (x * x + 1) % _MODULUS, initial=0x1E3779B97F4A7C15
-))
-
-# The unit, whether the suffix sum is weak, and the points of each operator;
-# `genfun` takes the prefix-sum form of the polynomial operators on the
-# values at t = 0 .. N from the weak flag.
-_SUFFIX_MODELS = {
-    DELTA_INV: (Polynomial.one(), False, (1,) * _ENUMERATION_CAP),
-    NABLA_INV: (Polynomial.one(), True, (1,) * _ENUMERATION_CAP),
-    LAMBDA_BAR: (QSym.one(), False, _POINTS),
-    LAMBDA: (QSym.one(), True, _POINTS),
-}
-
-
 def _fingerprinter(spec: InvariantSpec, m: int):
     """Each tree's fingerprint under the spec on m points, memoized by key;
-    a spec outside `_SUFFIX_MODELS`, or with another unit, gives None."""
-    model = _SUFFIX_MODELS.get(spec.operator)
-    if model is None or spec.one != model[0]:
+    a spec with no suffix model gives None.  On the grid the values stay
+    exact ints, the values at t = m .. 0, and every point is 1."""
+    model = spec.suffix_model
+    if model is None:
         return lambda tree: None
     _, weak, points = model
-    points, unit, memo = points[m - 1 :: -1], (1,) * (m + 1), {}
+    unit, memo = (1,) * (m + 1), {}
+    if spec.on_grid:
+        # every point is 1, and no modulus: the values are plain ints
+        def times(a, b):
+            return tuple(map(mul, a, b))
+
+        suffix_sums = itertools.accumulate
+    else:
+        points = points[m - 1 :: -1]
+
+        def times(a, b):
+            return tuple([x * y % _MODULUS for x, y in zip(a, b)])
+
+        def suffix_sums(tail):
+            return [s % _MODULUS for s in itertools.accumulate(map(mul, points, tail))]
 
     def fingerprint(tree):
         got = memo.get(tree.key)
@@ -389,10 +434,9 @@ def _fingerprinter(spec: InvariantSpec, m: int):
             children = tree.children
             values = fingerprint(children[0]) if children else unit
             for child in children[1:]:
-                values = tuple([a * b % _MODULUS for a, b in zip(values, fingerprint(child))])
+                values = times(values, fingerprint(child))
             # the suffix sums, accumulated from x_m down to x_1
-            tail = values[m - 1 :: -1] if weak else values[:0:-1]
-            sums = [s % _MODULUS for s in itertools.accumulate(map(mul, points, tail))]
+            sums = list(suffix_sums(values[m - 1 :: -1] if weak else values[:0:-1]))
             got = memo[tree.key] = tuple(sums[::-1]) + (0,)
         return got
 
@@ -403,10 +447,12 @@ def collision_report(n_max: int, spec: InvariantSpec) -> list[CollisionPair]:
     """All pairs of distinct trees on up to n_max vertices whose values
     under the given invariant agree exactly.
 
-    Equal values share a fingerprint (see `_MODULUS`), so only the trees
-    that share one with another tree are evaluated, and they are grouped
-    by value, which every carrier hashes and compares exactly.  Groups
-    come in the order of their first tree.  Before the first class, n_max
+    Equal values share a fingerprint (see `_MODULUS`).  On the grid a
+    fingerprint is exact and fixes the value, so the buckets are the
+    groups and no tree is evaluated.  Otherwise only the trees that share
+    one with another tree are evaluated, and they are grouped by value,
+    which every carrier hashes and compares exactly.  Groups come in the
+    order of their first tree.  Before the first class, n_max
     is checked against the enumeration cap, then by `check_cost` on a
     star, which has the largest estimate of its class."""
     if n_max < 1:
@@ -420,13 +466,13 @@ def collision_report(n_max: int, spec: InvariantSpec) -> list[CollisionPair]:
         buckets: dict[object, list[int]] = {}
         for i, tree in enumerate(trees):
             buckets.setdefault(fingerprint(tree), []).append(i)
-        groups = []
-        for bucket in buckets.values():
-            if len(bucket) > 1:
-                exact: dict[object, list[int]] = {}
-                for i in bucket:
-                    exact.setdefault(evaluate(trees[i], spec), []).append(i)
-                groups.extend(group for group in exact.values() if len(group) > 1)
+        groups = [bucket for bucket in buckets.values() if len(bucket) > 1]
+        if not spec.on_grid:
+            # equal values share a bucket, so one grouping serves them all
+            exact: dict[object, list[int]] = {}
+            for i in itertools.chain.from_iterable(groups):
+                exact.setdefault(evaluate(trees[i], spec), []).append(i)
+            groups = [group for group in exact.values() if len(group) > 1]
         # groups are disjoint, so list order is the order of first indices
         groups.sort()
         for group in groups:

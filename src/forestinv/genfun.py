@@ -41,7 +41,6 @@ from math import factorial
 
 from .algebra import Polynomial, _Samples, linear_combination, one_like
 from .engine import (
-    _SUFFIX_MODELS,
     InvariantSpec,
     check_class_cache,
     check_cost,
@@ -181,15 +180,14 @@ def u_by_enumeration(spec: InvariantSpec, order: int) -> USequence:
 
 def _sample_spec(spec: InvariantSpec, order: int):
     """A fresh spec whose values are the samples at t = 0 .. order of the
-    spec's, when it is delta-inv or nabla-inv on the polynomial unit, else
-    None.  The operator is the grid form of its entry in
-    `engine._SUFFIX_MODELS`: Delta^-1 f(t) is the sum of g(j) over j < t,
-    and nabla^-1 f(t) the sum over 1 <= j <= t, each reading only samples
+    spec's, when it is on the grid (delta-inv or nabla-inv on the
+    polynomial unit), else None.  The operator is the prefix-sum form of
+    its suffix model: Delta^-1 f(t) is the sum of g(j) over j < t, and
+    nabla^-1 f(t) the sum over 1 <= j <= t, each reading only samples
     below t + 1, so every sample is exact."""
-    model = _SUFFIX_MODELS.get(spec.operator)
-    if model is None or spec.algebra != POLYNOMIAL or spec.one != model[0]:
+    if not spec.on_grid:
         return None
-    weak = model[1]
+    weak = spec.suffix_model[1]
 
     def prefix_sums(g: _Samples) -> _Samples:
         values = g.values

@@ -4,6 +4,7 @@ checked against the suffix evaluations built from each exact value."""
 
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -96,12 +97,31 @@ def test_forest_values():
     assert evaluate_forest(parse_forest("()"), spec) == QSym.monomial((1,))
 
 
+def monomial_spec(name):
+    """The built-in polynomial spec's operator function under a
+    LinearOperator of another name, which has no suffix model, so
+    `evaluate` takes the carrier recursion that the grid replaced."""
+    operator = LinearOperator(f"monomial-{name}", POLYNOMIAL, built_in_spec(name).operator.apply)
+    return InvariantSpec(name, operator, Polynomial.one())
+
+
+def monomial_strict_spec():
+    return monomial_spec("delta-inv")
+
+
+GRID_SPECS = {"delta-inv": strict_order_spec, "nabla-inv": weak_order_spec}
+POLYNOMIAL_NAMES = tuple(GRID_SPECS)
+
+
 @pytest.mark.parametrize(
-    "carrier, new_spec", [(Polynomial, strict_order_spec), (QSym, qsym_weak_spec)]
+    "carrier, new_spec",
+    [(Polynomial, strict_order_spec), (Polynomial, monomial_strict_spec), (QSym, qsym_weak_spec)],
 )
 def test_evaluation_never_multiplies_by_the_unit(monkeypatch, carrier, new_spec):
     # a root with k children makes k - 1 products, a forest of k trees
-    # k - 1 more, and a path none: the product starts from the first factor
+    # k - 1 more, and a path none: the product starts from the first factor;
+    # on the grid a tree's value is read back from its values, so the tree
+    # makes no carrier product at all
     count = [0]
     carrier_mul = carrier.__mul__
 
@@ -117,7 +137,7 @@ def test_evaluation_never_multiplies_by_the_unit(monkeypatch, carrier, new_spec)
         count[0] = 0
         star = parse_tree("(" + "()" * k + ")")
         evaluate(star, spec)
-        assert count[0] == max(k - 1, 0)
+        assert count[0] == (0 if spec.on_grid else max(k - 1, 0))
         count[0] = 0
         evaluate_forest(parse_forest("()" * k), spec)
         assert count[0] == max(k - 1, 0)
@@ -479,10 +499,11 @@ def test_collision_report_groups_as_the_rendered_values_do(name):
     assert reported_pairs(10, spec) == exact_pairs(10, spec)
 
 
-@pytest.mark.parametrize("name", BUILT_IN_NAMES)
+@pytest.mark.parametrize("name", ("lambda-bar", "lambda"))
 def test_collision_report_splits_buckets_that_collide_by_chance(monkeypatch, name):
-    # mod 3 most unequal values share a fingerprint, so confirmation must
-    # split buckets, and the output is still the exact grouping
+    # mod 3 most unequal quasi-symmetric values share a fingerprint, so
+    # confirmation must split buckets, and the output is still the exact
+    # grouping
     monkeypatch.setattr(engine, "_MODULUS", 3)
     spec = built_in_spec(name)
     fingerprint = engine._fingerprinter(spec, 7)
@@ -506,6 +527,21 @@ def test_fingerprints_are_the_suffix_values_of_the_exact_values(name):
             assert fingerprint(tree) == suffix_values(
                 evaluate(tree, spec), points, engine._MODULUS
             ), tree.key
+
+
+@pytest.mark.parametrize("name", POLYNOMIAL_NAMES)
+def test_polynomial_fingerprints_are_the_exact_values_at_t_m_down_to_0(monkeypatch, name):
+    # no modulus touches them, so mod 3 cannot make two of them collide,
+    # and the buckets of `collision_report` are the groups themselves
+    monkeypatch.setattr(engine, "_MODULUS", 3)
+    m = 9
+    fingerprint = engine._fingerprinter(built_in_spec(name), m)
+    monomial = monomial_spec(name)
+    for n in range(1, m + 1):
+        for tree in enumerate_trees(n):
+            value = evaluate(tree, monomial)
+            assert fingerprint(tree) == tuple(value(t) for t in range(m, -1, -1)), tree.key
+    assert collision_report(m, built_in_spec(name)) == collision_report(m, monomial)
 
 
 def test_fingerprint_points_are_distinct_residues_past_one():
@@ -554,6 +590,52 @@ def test_suffix_values_are_a_ring_map_that_commutes_with_the_prepends_property(a
     assert suffix_values(a * b, points, p) == tuple(x * y % p for x, y in zip(image_a, image_b))
     assert suffix_values(lambda_bar(a), points, p) == suffix_sums(image_a, points, weak=False)
     assert suffix_values(lambda_(a), points, p) == suffix_sums(image_a, points, weak=True)
+
+
+def tree_of_parents(parents):
+    """The tree of a parent array, parents[0] = -1 and parents[v] < v."""
+    children = [[] for _ in parents]
+    for v, p in enumerate(parents[1:], start=1):
+        children[p].append(v)
+
+    def build(v):
+        return b_plus(RootedForest([build(c) for c in children[v]]))
+
+    return build(0)
+
+
+@pytest.mark.parametrize("name", POLYNOMIAL_NAMES)
+def test_grid_values_equal_the_carrier_recursion_on_every_small_tree(name):
+    grid, monomial = GRID_SPECS[name](), monomial_spec(name)
+    assert grid.on_grid and not monomial.on_grid
+    for n in range(1, 10):
+        for tree in enumerate_trees(n):
+            assert evaluate(tree, grid) == evaluate(tree, monomial), tree.key
+    # only the roots evaluated are cached, not their subtrees
+    assert len(grid._cache) == sum(_TREE_COUNTS[1:10])
+
+
+PARENT_ARRAYS = st.integers(1, 40).flatmap(
+    lambda n: st.tuples(*(st.integers(0, v - 1) for v in range(1, n))).map(lambda ps: (-1, *ps))
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(PARENT_ARRAYS, st.sampled_from(POLYNOMIAL_NAMES))
+def test_grid_values_equal_the_carrier_recursion_property(parents, name):
+    tree = tree_of_parents(parents)
+    assert evaluate(tree, GRID_SPECS[name]()) == evaluate(tree, monomial_spec(name))
+
+
+def test_grid_values_of_paths_are_the_closed_forms():
+    # a path of n vertices has C(t, n) strict and C(t + n - 1, n) weak
+    # labelings from {1..t}, up to the degree limit
+    for n in (1, 2, 3, 17, 100, 255, POLY_DEGREE_LIMIT):
+        path = parse_tree("(" * n + ")" * n)
+        strict, weak = strict_order_spec(), weak_order_spec()
+        for t in (*range(0, n + 3), 2 * n, 1000):
+            assert evaluate(path, strict)(t) == math.comb(t, n), (n, t)
+            assert evaluate(path, weak)(t) == math.comb(t + n - 1, n), (n, t)
 
 
 def test_collision_report_bound_guard(monkeypatch):

@@ -54,6 +54,12 @@ def _caterpillar(vertices):
     return "(()" * legs + "()" + ")" * legs
 
 
+def _broom(vertices):
+    # a handle of n/2 vertices whose end carries the rest as leaves
+    handle = vertices // 2
+    return "(" * handle + "()" * (vertices - handle) + ")" * handle
+
+
 def _complete_binary(levels):
     return "()" if levels == 1 else "(" + _complete_binary(levels - 1) * 2 + ")"
 
@@ -189,6 +195,14 @@ _PLANAR = [
     ("planar", "--tree", "(a:)", "--operator", "tensor"),
 ]
 
+# polynomial values up to the degree limit, built from their values at
+# t = 0 .. n, and the path one vertex past it, refused
+_DEEP_POLYNOMIALS = [
+    ("invariant", "--tree", tree, "--operator", op)
+    for tree in (_path(256), _path(257), _broom(200), _caterpillar(200), _star(200))
+    for op in ("delta-inv", "nabla-inv")
+]
+
 _GUARDS = [
     # a path just under the depth limit: its lambda-bar estimate is one term
     ("invariant", "--tree", _path(499), "--operator", "lambda-bar"),
@@ -207,7 +221,7 @@ _GUARDS = [
 
 CALLS = (
     _EVERY_FORMAT + _INVARIANTS + _GENFUN + _GENFUN_LARGE + _MANY_TERMS + _ENUMERATE
-    + _COLLISIONS + _VERIFY + _PLANAR + _GUARDS
+    + _COLLISIONS + _VERIFY + _PLANAR + _DEEP_POLYNOMIALS + _GUARDS
 )
 
 
