@@ -15,8 +15,10 @@ brings outside coefficients in at the public constructors, after which
 `_cleared` puts them over one denominator; reprs and renders write each
 coefficient from its numerator with `ratio_text`, and Fractions come
 back only in the `coeffs` and `terms` views.  The one exception is the
-private `_Samples`, a polynomial's integer values at t = 0 .. N, on
-which the polynomial enumeration build runs.  Every carrier's +, -,
+private `_Samples`, a value's integer entries on a grid of points: a
+polynomial's values at t = 0 .. N, or a quasi-symmetric value's residues
+on the first j points, on which `engine` walks every fingerprint and the
+polynomial enumeration build runs.  Every carrier's +, -,
 scaling and equality live once, in `_LinearSpace`, and the dict
 carriers' constructor once, in `TermCarrier`.  A product multiplies
 numerators and the two denominators; a quasi-symmetric product
@@ -333,13 +335,14 @@ class Polynomial(_LinearSpace):
 
 
 class _Samples:
-    """The integer values of a polynomial at t = 0, 1, ..., N, as one
-    tuple whose length all values of a build share: the carrier of the
-    polynomial enumeration build in `genfun`, where every value counts
-    maps and so is an integer at every t.  Evaluation at a point is a ring map, so a product is
-    pointwise, and a sum runs on ints with int weights, with no
-    denominator to clear or reduce.  `Polynomial.from_values` reads a
-    polynomial back from its samples."""
+    """A value's integer entries on a grid of points, as one tuple whose
+    length all values of a walk share: the carrier of `engine._grid_spec`.
+    Entry j is a polynomial's exact value at t = j, which counts maps and
+    so is an integer, or a quasi-symmetric value's residue on the first
+    j points.  Evaluation at a point is a ring map, so a product is
+    pointwise and left unreduced, and a sum runs on ints with int
+    weights, with no denominator to clear or reduce.
+    `Polynomial.from_values` reads a polynomial back from its entries."""
 
     __slots__ = ("values",)
 

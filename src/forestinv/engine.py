@@ -18,18 +18,15 @@ recurrence is also refused past an exact count of the operand-term
 pairs its products take.  The brute-force recounts of both from the
 definitions live in `oracles`.
 
-The two polynomial instances are not built in the carrier.  A value on
-n vertices is fixed by its values at t = 0 .. n, where a product is
-pointwise and each operator a prefix sum (Stanley, EC1 3.12), so
-`evaluate` walks the tree once on those exact ints and interpolates only
-the root's value from them.  The carrier operators in `operators` still
-serve the recurrence and any spec whose operator or unit differs.
-
-The collision search buckets each class by a fingerprint that equal
-values share: the quasi-symmetric values' images mod a prime at fixed
-points, after which only the trees that share a bucket are evaluated,
-and the polynomial values' exact values at t = 0 .. n_max, which fix
-them, so the buckets are the groups.
+Every fingerprint is one `evaluate` walk in a second spec, `_grid_spec`:
+entry j of a tree's value there is its value on the first j of m
+points, so a product is pointwise and each operator a prefix sum.  The
+polynomial instances' points are all 1, so entry j is the exact value at
+t = j (Stanley, EC1 3.12), and a value on n vertices is read back from
+its entries on n points; the carrier operators in `operators` serve the
+recurrence and any other spec.  The quasi-symmetric instances' entries
+are taken mod a prime, and the collision search splits the buckets of
+equal fingerprints by value; a polynomial fingerprint fixes the value.
 """
 
 from __future__ import annotations
@@ -39,14 +36,13 @@ from dataclasses import dataclass
 from math import comb
 from operator import mul
 
-from .algebra import Polynomial, QSym, product
-from .errors import DomainError, ResourceLimitError
+from .algebra import Polynomial, QSym, _Samples, product
+from .errors import _PAST_EVERY_LIMIT, DomainError, ResourceLimitError, _count_text
 from .operators import (
     DELTA_INV,
     LAMBDA,
     LAMBDA_BAR,
     NABLA_INV,
-    POLYNOMIAL,
     LinearOperator,
 )
 from .trees import (
@@ -83,11 +79,6 @@ CLASS_CACHE_TERM_LIMIT = 2**23
 # 0.011 s under delta-inv and 0.017 s under nabla-inv (Python 3.11, one
 # core of a 2-vCPU machine), where the carrier recursion took 1.3-1.5 s.
 POLY_DEGREE_LIMIT = 256
-
-
-# Term estimates stop at 2^64, far past every limit, so an estimate from
-# a huge order is no huge int; `_count_text` prints it as a lower bound.
-_PAST_EVERY_LIMIT = 1 << 64
 
 
 def _weak_terms(vertices: int, height: int) -> int:
@@ -154,21 +145,12 @@ def _strict_pairs(order: int) -> int:
 _RECURRENCE_PAIRS = {LAMBDA_BAR: _strict_pairs, LAMBDA: _weak_pairs}
 
 
-def _count_text(count: int) -> str:
-    """A count in digits, or the power of two below it when it is long."""
-    if count < 10**12:
-        return str(count)
-    return f"2^{count.bit_length() - 1} or more"
-
-
-# A collision fingerprint of a value f is its evaluations on the suffixes
-# of m points, v_i = f(x_i, ..., x_m) for i = 1 .. m + 1 (so v_(m+1) is the
-# constant term and the unit is all ones).  Evaluation is a ring map, so a
-# product is pointwise, and each operator is one suffix sum, w_i = sum over
-# k >= i of x_k v_k (weak) or x_k v_(k+1) (strict).  A quasi-symmetric
-# value is evaluated mod this prime.  The polynomial operators have every
-# x_k = 1, so v_i is the value at t = m - i + 1, an exact int (Stanley,
-# EC1 3.12), and a value of degree at most m is fixed by its fingerprint.
+# Entry j of a fingerprint on m points is f(x_j, ..., x_1), x_j the least
+# variable, so the unit is all ones.  Evaluation is a ring map, so a
+# product is pointwise, and each operator is one prefix sum, w_j = sum
+# over k <= j of x_k v_k (weak) or x_k v_(k-1) (strict), mod this prime
+# for a quasi-symmetric value.  The polynomial points are all 1 with no
+# modulus: entry j is the value at t = j, and m + 1 entries fix it.
 _MODULUS = (1 << 61) - 1
 
 # One residue per vertex count enumeration admits, none 0 or 1: the orbit
@@ -177,12 +159,11 @@ _POINTS = tuple(itertools.accumulate(
     range(1, _ENUMERATION_CAP), lambda x, _: (x * x + 1) % _MODULUS, initial=0x1E3779B97F4A7C15
 ))
 
-# The unit, whether the suffix sum is weak, and the points of each operator;
-# `genfun` takes the prefix-sum form of the polynomial operators on the
-# values at t = 0 .. N from the weak flag.
-_SUFFIX_MODELS = {
-    DELTA_INV: (Polynomial.one(), False, (1,) * _ENUMERATION_CAP),
-    NABLA_INV: (Polynomial.one(), True, (1,) * _ENUMERATION_CAP),
+# The unit, whether the prefix sum is weak, and the points of each
+# operator's fingerprint; None stands for the polynomial grid's all ones.
+_GRID_MODELS = {
+    DELTA_INV: (Polynomial.one(), False, None),
+    NABLA_INV: (Polynomial.one(), True, None),
     LAMBDA_BAR: (QSym.one(), False, _POINTS),
     LAMBDA: (QSym.one(), True, _POINTS),
 }
@@ -197,10 +178,8 @@ class InvariantSpec:
     table.  `check_cost` is the one place that reads either, and every
     entry point that builds values asks it before any product.
 
-    suffix_model is the operator's entry in `_SUFFIX_MODELS` when the unit
-    is that entry's, else None; on_grid is set when that entry is a
-    polynomial one, and `evaluate` then builds each value from its exact
-    values at t = 0 .. n.
+    grid_model is the operator's entry in `_GRID_MODELS` when the unit is
+    that entry's; on_grid is set when that entry is a polynomial one.
     """
 
     def __init__(self, name: str, operator: LinearOperator, one, degree_bound=None):
@@ -209,9 +188,9 @@ class InvariantSpec:
         self.one = one
         self.degree_bound = degree_bound
         self.guard = _GUARDS.get(operator)
-        model = _SUFFIX_MODELS.get(operator)
-        self.suffix_model = model if model is not None and one == model[0] else None
-        self.on_grid = self.suffix_model is not None and operator.algebra == POLYNOMIAL
+        model = _GRID_MODELS.get(operator)
+        self.grid_model = model if model is not None and one == model[0] else None
+        self.on_grid = self.grid_model is not None and model[2] is None
         self._cache: dict[str, object] = {}
 
     @property
@@ -284,22 +263,42 @@ def check_class_cache(spec: InvariantSpec, largest: int) -> None:
         )
 
 
+def _grid_spec(spec: InvariantSpec, m: int) -> InvariantSpec | None:
+    """A fresh spec whose value of a tree is its fingerprint on m points
+    as `_Samples` (see `_MODULUS`), or None when the spec has no grid
+    model: Delta^-1 f(t) is the sum of f(j) over j < t, nabla^-1 f(t) over
+    1 <= j <= t.  Products stay unreduced."""
+    model = spec.grid_model
+    if model is None:
+        return None
+    _, weak, points = model
+
+    def prefix_sums(g: _Samples) -> _Samples:
+        values = g.values[1:] if weak else g.values[:-1]
+        if points is None:
+            return _Samples(tuple(itertools.accumulate(values, initial=0)))
+        sums = itertools.accumulate(map(mul, points, values), initial=0)
+        return _Samples(tuple([s % _MODULUS for s in sums]))
+
+    operator = LinearOperator(spec.name, spec.algebra, prefix_sums)
+    return InvariantSpec(spec.name, operator, _Samples((1,) * (m + 1)))
+
+
 def evaluate(tree: RootedTree, spec: InvariantSpec):
     """Value of a rooted tree: the operator applied to the product of the
     values of the subtrees hanging off the root.  Refuses a tree deeper
     than `trees.DEPTH_LIMIT`, then one that `check_cost` refuses; a
     cached value passed both.
 
-    On a spec that is on the grid, the value on n vertices is read back
-    once from its fingerprint on n points, its exact values at t = n .. 0,
-    and only the root's value is cached; any other spec evaluates and
-    caches every subtree in its carrier."""
+    On the grid, a value on n vertices is read back once from its value
+    on the grid spec of n points, and only the root's value is cached;
+    any other spec evaluates and caches every subtree in its carrier."""
     got = spec._cache.get(tree.key)
     if got is None:
         check_depth(tree.height)
         check_cost(spec, tree.vertex_count, tree.height)
         if spec.on_grid:
-            got = Polynomial.from_values(_fingerprinter(spec, tree.vertex_count)(tree)[::-1])
+            got = Polynomial.from_values(evaluate(tree, _grid_spec(spec, tree.vertex_count)).values)
         else:
             # the loop of `product`, written out so that a level costs one frame
             children = tree.children
@@ -404,52 +403,13 @@ class CollisionPair:
         }
 
 
-def _fingerprinter(spec: InvariantSpec, m: int):
-    """Each tree's fingerprint under the spec on m points, memoized by key;
-    a spec with no suffix model gives None.  On the grid the values stay
-    exact ints, the values at t = m .. 0, and every point is 1."""
-    model = spec.suffix_model
-    if model is None:
-        return lambda tree: None
-    _, weak, points = model
-    unit, memo = (1,) * (m + 1), {}
-    if spec.on_grid:
-        # every point is 1, and no modulus: the values are plain ints
-        def times(a, b):
-            return tuple(map(mul, a, b))
-
-        suffix_sums = itertools.accumulate
-    else:
-        points = points[m - 1 :: -1]
-
-        def times(a, b):
-            return tuple([x * y % _MODULUS for x, y in zip(a, b)])
-
-        def suffix_sums(tail):
-            return [s % _MODULUS for s in itertools.accumulate(map(mul, points, tail))]
-
-    def fingerprint(tree):
-        got = memo.get(tree.key)
-        if got is None:
-            children = tree.children
-            values = fingerprint(children[0]) if children else unit
-            for child in children[1:]:
-                values = times(values, fingerprint(child))
-            # the suffix sums, accumulated from x_m down to x_1
-            sums = list(suffix_sums(values[m - 1 :: -1] if weak else values[:0:-1]))
-            got = memo[tree.key] = tuple(sums[::-1]) + (0,)
-        return got
-
-    return fingerprint
-
-
 def collision_report(n_max: int, spec: InvariantSpec) -> list[CollisionPair]:
     """All pairs of distinct trees on up to n_max vertices whose values
     under the given invariant agree exactly.
 
-    Equal values share a fingerprint (see `_MODULUS`).  On the grid a
-    fingerprint is exact and fixes the value, so the buckets are the
-    groups and no tree is evaluated.  Otherwise only the trees that share
+    Equal values share a fingerprint, the value on one grid spec of
+    n_max points (see `_MODULUS`).  On the grid a fingerprint is exact and fixes the value, so the buckets are the
+    groups and no tree is evaluated in the carrier.  Otherwise only the trees that share
     one with another tree are evaluated, and they are grouped by value,
     which every carrier hashes and compares exactly.  Groups come in the
     order of their first tree.  Before the first class, n_max
@@ -459,13 +419,14 @@ def collision_report(n_max: int, spec: InvariantSpec) -> list[CollisionPair]:
         raise DomainError("need n_max >= 1")
     check_enumeration(n_max)
     check_cost(spec, n_max, 1)
-    fingerprint = _fingerprinter(spec, n_max)
+    grid = _grid_spec(spec, n_max)
     pairs = []
     for n in range(1, n_max + 1):
         trees = enumerate_trees(n)
         buckets: dict[object, list[int]] = {}
         for i, tree in enumerate(trees):
-            buckets.setdefault(fingerprint(tree), []).append(i)
+            fingerprint = None if grid is None else evaluate(tree, grid).values
+            buckets.setdefault(fingerprint, []).append(i)
         groups = [bucket for bucket in buckets.values() if len(bucket) > 1]
         if not spec.on_grid:
             # equal values share a bucket, so one grouping serves them all

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one way a refusal
+writes a count."""
 
 
 class ForestInvError(Exception):
@@ -19,3 +20,14 @@ class DomainError(ForestInvError, ValueError):
 
 class ResourceLimitError(ForestInvError, RuntimeError):
     """A brute-force guard was exceeded; oracles never approximate."""
+
+
+# Where estimates stop, so none from a huge size is a huge int
+_PAST_EVERY_LIMIT = 1 << 64
+
+
+def _count_text(count: int) -> str:
+    """A count in digits, or the power of two below it when it is long."""
+    if count < 10**12:
+        return str(count)
+    return f"2^{count.bit_length() - 1} or more"

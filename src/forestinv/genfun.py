@@ -21,14 +21,14 @@ children c of value(c) R(p + c), with w_p the weight of the tree whose
 children are exactly p (0 if none), so it makes one carrier product per
 prefix that some forest extends, 116 for the 4766 trees on 12 vertices,
 where one product chain per forest made 5098.  For delta-inv and
-nabla-inv the whole build runs on the integer values at t = 0 .. N
-(`algebra._Samples`, Stanley, EC1 3.12): a product is pointwise, the
-operator a prefix sum, and each U_n is read back once from its first
-n + 1 values, enough for its degree n.  The cross-check of the
-two builds and the residual of the fixed-point equation
-q * X(exp U(q)) = U(q) are the main correctness evidence for the whole
-engine; the residual is computed from the enumeration build so it is
-not true by construction.  Through q^N it exponentiates U only through
+nabla-inv the whole build runs on the integer values at t = 0 .. N,
+in the grid spec that `engine.evaluate` walks for a single tree
+(Stanley, EC1 3.12): a product is pointwise, the operator a prefix sum,
+and each U_n is read back once from its first n + 1 values, enough for
+its degree n.  The cross-check of the two builds and the residual of
+the fixed-point equation q * X(exp U(q)) = U(q) are the main
+correctness evidence for the whole engine; the residual is computed
+from the enumeration build so it is not true by construction.  Through q^N it exponentiates U only through
 q^(N-1), all that q * X(exp U) keeps.
 """
 
@@ -36,19 +36,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from math import factorial
 
 from .algebra import Polynomial, _Samples, linear_combination, one_like
 from .engine import (
     InvariantSpec,
+    _grid_spec,
     check_class_cache,
     check_cost,
     check_recurrence_cost,
     evaluate,
 )
 from .errors import DomainError
-from .operators import POLYNOMIAL, LinearOperator
 from .series import Series, exp, is_noncommutative
 from .trees import automorphism_order, check_enumeration, enumerate_trees
 
@@ -146,17 +145,17 @@ def u_by_enumeration(spec: InvariantSpec, order: int) -> USequence:
     all on the caller's spec.
 
     For delta-inv and nabla-inv on the polynomial unit, every value is
-    built and cached as its samples at t = 0 .. order in a fresh spec of
-    this call (`_sample_spec`), so the caller's cache stays as it was, and
-    each U_n is interpolated once into a `Polynomial`; other specs build
-    and cache carrier values in their own cache."""
+    built and cached as its values at t = 0 .. order in the grid spec of
+    this call (`engine._grid_spec`), so the caller's cache stays as it
+    was, and each U_n is interpolated once into a `Polynomial`; other
+    specs build and cache carrier values in their own cache."""
     if order < 1:
         raise DomainError("need order >= 1")
     check_enumeration(order)
     _require_commutative(spec)
     check_cost(spec, order, 1, "term U_{}")
     check_class_cache(spec, order - 1)
-    build = _sample_spec(spec, order) or spec
+    build = _grid_spec(spec, order) if spec.on_grid else spec
     terms = []
     for n in range(1, order):
         labelings = factorial(n)
@@ -176,25 +175,6 @@ def u_by_enumeration(spec: InvariantSpec, order: int) -> USequence:
     total = _extension_sum(top, 0, labelings, build) if order > 1 else build.one
     terms.append(_term(build.operator(total), order, labelings))
     return USequence(spec.name, tuple(terms), spec.one)
-
-
-def _sample_spec(spec: InvariantSpec, order: int):
-    """A fresh spec whose values are the samples at t = 0 .. order of the
-    spec's, when it is on the grid (delta-inv or nabla-inv on the
-    polynomial unit), else None.  The operator is the prefix-sum form of
-    its suffix model: Delta^-1 f(t) is the sum of g(j) over j < t, and
-    nabla^-1 f(t) the sum over 1 <= j <= t, each reading only samples
-    below t + 1, so every sample is exact."""
-    if not spec.on_grid:
-        return None
-    weak = spec.suffix_model[1]
-
-    def prefix_sums(g: _Samples) -> _Samples:
-        values = g.values
-        return _Samples(tuple(accumulate(values[1:] if weak else values[:-1], initial=0)))
-
-    operator = LinearOperator(spec.name, POLYNOMIAL, prefix_sums)
-    return InvariantSpec(spec.name, operator, _Samples((1,) * (order + 1)))
 
 
 def _term(total, n: int, labelings: int):

@@ -47,8 +47,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import Polynomial, QSym, linear_combination, parts, rat
-from .engine import _PAST_EVERY_LIMIT, _count_text, evaluate
-from .errors import DomainError, ResourceLimitError
+from .engine import evaluate
+from .errors import _PAST_EVERY_LIMIT, DomainError, ResourceLimitError, _count_text
 from .series import Series, is_noncommutative
 from .trees import RootedTree, _rooted_tree_counts, automorphism_order, enumerate_trees
 from .words import FreeWord, TensorElement
@@ -268,13 +268,24 @@ def euler_transform(counts) -> list[int]:
     return [b[n] for n in range(1, n_max + 1)]
 
 
+def check_dyck_scan(pairs: int) -> None:
+    """Refuse a balanced-word count that would scan more than five
+    million of the 4^pairs candidate words."""
+    # exact through 32 pairs, past that a lower bound over the limit
+    scanned, limit = 4 ** min(pairs, 32), 5_000_000
+    if scanned > limit:
+        raise ResourceLimitError(
+            f"{pairs} pairs is too many for a balanced-word scan: "
+            f"4^{pairs} = {_count_text(scanned)} candidate words, over the limit of {limit}"
+        )
+
+
 def count_dyck_words(pairs: int) -> int:
     """Count balanced parenthesis words with the given number of pairs by
     exhaustive generation (the Catalan number, computed the slow way)."""
     if pairs < 0:
         raise DomainError("need a non-negative pair count")
-    if 2 ** (2 * pairs) > 5_000_000:
-        raise ResourceLimitError("too many candidate words to scan")
+    check_dyck_scan(pairs)
     count = 0
     for steps in itertools.product((1, -1), repeat=2 * pairs):
         depth = 0

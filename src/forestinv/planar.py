@@ -37,7 +37,7 @@ from fractions import Fraction
 from math import comb, lcm
 
 from .algebra import linear_combination, product
-from .errors import DomainError, ParseError, ResourceLimitError
+from .errors import _PAST_EVERY_LIMIT, DomainError, ParseError, ResourceLimitError, _count_text
 from .operators import LinearOperator, FREE_WORD, TENSOR
 from .series import Series, geometric_inverse
 from .trees import RootedForest, RootedTree, check_depth, parse_forest, parse_tree
@@ -275,11 +275,18 @@ def planar_tree_count(n: int, label_count: int) -> int:
     return _catalan(n - 1) * label_count**n
 
 
-def _check_planar_count(count: int, kind: str, n: int) -> None:
-    """Refuse building more than `_PLANAR_GUARD` planar trees or forests."""
+def check_planar_count(n: int, label_count: int, kind: str) -> None:
+    """Refuse building more than `_PLANAR_GUARD` planar trees
+    (Catalan(n - 1) label_count^n) or forests (Catalan(n) label_count^n)
+    on n vertices; past 64 either is over 2^64 and is not built."""
+    if n > 64:
+        count = _PAST_EVERY_LIMIT
+    else:
+        count = _catalan(n - 1 if kind == "trees" else n) * label_count**n
     if count > _PLANAR_GUARD:
         raise ResourceLimitError(
-            f"{count} planar {kind} on {n} vertices exceed the limit {_PLANAR_GUARD}"
+            f"{_count_text(count)} planar {kind} on {n} vertices, "
+            f"over the limit of {_PLANAR_GUARD}"
         )
 
 
@@ -325,7 +332,7 @@ def enumerate_planar(n: int, labels) -> list[PlanarTree]:
     labels = _check_labels(labels)
     if n < 1:
         raise DomainError("need n >= 1")
-    _check_planar_count(planar_tree_count(n, len(labels)), "trees", n)
+    check_planar_count(n, len(labels), "trees")
     tree_level, _ = _planar_levels(labels)
     return tree_level(n)
 
@@ -336,7 +343,7 @@ def enumerate_planar_forests(n: int, labels) -> list[PlanarForest]:
     labels = _check_labels(labels)
     if n < 0:
         raise DomainError("need n >= 0")
-    _check_planar_count(_catalan(n) * len(labels) ** n, "forests", n)
+    check_planar_count(n, len(labels), "forests")
     _, forest_level = _planar_levels(labels)
     return [PlanarForest(trees) for trees in forest_level(n)]
 
@@ -395,7 +402,7 @@ def u_planar_by_enumeration(family: OperatorFamily, order: int) -> PlanarUSequen
     against the guard before the first."""
     if order < 1:
         raise DomainError("need order >= 1")
-    _check_planar_count(planar_tree_count(order, len(family.labels)), "trees", order)
+    check_planar_count(order, len(family.labels), "trees")
     per_label: dict = {label: [] for label in family.labels}
     for n in range(1, order + 1):
         trees = enumerate_planar(n, family.labels)

@@ -24,7 +24,7 @@ from .engine import (
     qsym_weak,
     strict_order_poly,
 )
-from .errors import DomainError
+from .errors import DomainError, ResourceLimitError
 from .genfun import cayley_check, u_by_enumeration, u_by_recurrence, verify_functional_equation
 from .oracles import (
     FiniteVarPoly,
@@ -36,6 +36,7 @@ from .oracles import (
     shift_s,
 )
 from .planar import (
+    check_planar_count,
     enumerate_planar,
     enumerate_planar_forests,
     free_word_family,
@@ -50,6 +51,10 @@ from .trees import automorphism_order, check_enumeration, enumerate_forests, enu
 # the largest label count m at which each suite checks its polynomials
 ORDER_ORACLE_M_MAX = 5
 SPECIALIZATION_M_MAX = 6
+
+# Most variables of the shift-identities suite, whose time is about their
+# square: 0.52 s at 256, 2.1 s at 512 (Python 3.11, a 2-vCPU machine).
+SHIFT_VARIABLE_LIMIT = 256
 
 
 @dataclass
@@ -220,6 +225,9 @@ def suite_collisions(max_n: int = 7) -> SuiteResult:
 def suite_planar(max_n: int = 6) -> SuiteResult:
     """Planar recurrence against planar enumeration and the census, for
     one and two labels, plus the geometric fixed-point residual."""
+    # before any work: the two-label census, then the balanced-word scan
+    check_planar_count(max_n, 2, "trees")
+    oracles.check_dyck_scan(max_n - 1)
     lines, checks = [], []
     for labels in (("a",), ("a", "b")):
         family = free_word_family(labels)
@@ -298,6 +306,11 @@ def suite_shift_identities(max_n: int = 10) -> SuiteResult:
     import random
 
     num_vars = max(max_n, 6)
+    if num_vars > SHIFT_VARIABLE_LIMIT:
+        raise ResourceLimitError(
+            f"the shift-identities suite works in {num_vars} variables, "
+            f"over the limit of {SHIFT_VARIABLE_LIMIT}"
+        )
     rng = random.Random(20260815)
     lines, checks = [], []
 

@@ -2,13 +2,16 @@
 Everything runs in process through main(argv)."""
 
 import argparse
+import contextlib
 import csv
 import importlib.util
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -18,7 +21,7 @@ from forestinv import cli
 from forestinv.cli import main
 from forestinv.engine import POLY_DEGREE_LIMIT, QSYM_PAIR_LIMIT, QSYM_TERM_LIMIT
 from forestinv.trees import DEPTH_LIMIT, KEY_CHAR_LIMIT
-from forestinv.verify import SUITES
+from forestinv.verify import SHIFT_VARIABLE_LIMIT, SUITES
 
 
 def run(capsys, *argv):
@@ -249,6 +252,15 @@ _PAST_A_LIMIT = {
     "specialization 12": ("specialization", "12"),
     "recurrence 13": ("recurrence", "13"),
     "functional-equation 13": ("functional-equation", "13"),
+    # the planar suite before its recurrence, and the suites whose sizes
+    # are no tree classes
+    "planar 12": ("planar", "12"),
+    "planar 14": ("planar", "14"),
+    "planar 5000": ("planar", "5000"),
+    "grafting 5000": ("grafting", "5000"),
+    "grafting 1000000": ("grafting", "1000000"),
+    "shift-identities 257": ("shift-identities", "257"),
+    "shift-identities 10000": ("shift-identities", "10000"),
 }
 
 
@@ -268,6 +280,15 @@ def test_whole_class_runs_refuse_before_their_first_class(case, capsys, monkeypa
     monkeypatch.setattr(
         forestinv.oracles, "_order_preserving_labelings", lambda *args: work.append(args) or ()
     )
+    # and every planar recurrence, planar level builder, balanced-word
+    # scan and variable shift begun
+    for module, name in (
+        (forestinv.verify, "u_planar_by_recurrence"),
+        (forestinv.planar, "_planar_levels"),
+        (forestinv.oracles, "count_dyck_words"),
+        (forestinv.verify, "shift_s"),
+    ):
+        monkeypatch.setattr(module, name, lambda *args, name=name: work.append((name, args)))
     call = _PAST_A_LIMIT[case]
     if callable(call):
         with pytest.raises(forestinv.ResourceLimitError):
@@ -277,6 +298,48 @@ def test_whole_class_runs_refuse_before_their_first_class(case, capsys, monkeypa
         code, out, err = run(capsys, "verify", "--suite", suite, "--max-n", max_n)
         assert (code, out) == (2, "") and err.startswith("resource limit: ")
     assert work == []
+
+
+@pytest.mark.parametrize("suite, kind", [("grafting", "forests"), ("planar", "trees")])
+@pytest.mark.parametrize("max_n", ["5000", "1000000"])
+def test_planar_counts_past_every_limit_are_refused_at_once(suite, kind, max_n, capsys):
+    # the count is no exact Catalan product, and is written as a power of two
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--suite", suite, "--max-n", max_n)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == (
+        f"resource limit: 2^64 or more planar {kind} on {max_n} vertices, "
+        "over the limit of 1000000\n"
+    )
+    assert not re.search(r"\d{13}", err)
+
+
+def test_planar_suite_refusals_name_the_count_and_the_limit(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "planar", "--max-n", "12")
+    assert (code, out) == (2, "")
+    # Catalan(11) 2^12 two-label trees
+    assert err == (
+        "resource limit: 240787456 planar trees on 12 vertices, over the limit of 1000000\n"
+    )
+    with pytest.raises(forestinv.ResourceLimitError) as refused:
+        forestinv.oracles.count_dyck_words(12)
+    assert str(refused.value) == (
+        "12 pairs is too many for a balanced-word scan: 4^12 = 16777216 candidate words, "
+        "over the limit of 5000000"
+    )
+    forestinv.oracles.check_dyck_scan(11)  # 4^11 words, inside the limit
+
+
+def test_shift_identities_refuse_past_the_variable_limit(capsys):
+    code, out, err = run(
+        capsys, "verify", "--suite", "shift-identities", "--max-n", str(SHIFT_VARIABLE_LIMIT + 1)
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        f"resource limit: the shift-identities suite works in {SHIFT_VARIABLE_LIMIT + 1} "
+        f"variables, over the limit of {SHIFT_VARIABLE_LIMIT}\n"
+    )
 
 
 def test_verify_unknown_suite(capsys):
@@ -584,12 +647,19 @@ def test_genfun_orders_past_the_guard_exit_with_the_estimate_and_the_limit(
     assert f"U_{terms}" in err and str(estimate) in err and str(limit) in err
 
 
-def test_cli_digest_covers_every_subcommand_and_format():
-    # imports the call list of tools/cli_digest.py and runs none of it
-    path = Path(__file__).resolve().parents[1] / "tools" / "cli_digest.py"
-    spec = importlib.util.spec_from_file_location("cli_digest", path)
+DIGEST_SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "cli_digest.py"
+
+
+def load_digest():
+    """tools/cli_digest.py as a module; importing it runs none of its calls."""
+    spec = importlib.util.spec_from_file_location("cli_digest", DIGEST_SCRIPT)
     digest = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(digest)
+    return digest
+
+
+def test_cli_digest_covers_every_subcommand_and_format():
+    digest = load_digest()
     subparsers = next(
         action for action in cli.build_parser()._actions
         if isinstance(action, argparse._SubParsersAction)
@@ -603,3 +673,25 @@ def test_cli_digest_covers_every_subcommand_and_format():
             if argv[0] == name and "--format" in argv
         }
         assert seen >= set(formats), name
+
+
+def test_cli_digest_matches_its_checked_in_output_under_two_hash_seeds():
+    # in this process, and at the same time in a fresh interpreter under
+    # a hash seed other than this process's
+    expected = Path(__file__).with_name("cli_digest.txt").read_text()
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    child = subprocess.Popen(
+        [sys.executable, str(DIGEST_SCRIPT)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=dict(os.environ, PYTHONHASHSEED=seed),
+    )
+    try:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert load_digest().main() == 0
+    finally:
+        child_out, child_err = child.communicate(timeout=300)
+    assert out.getvalue() == expected
+    assert (child.returncode, child_err, child_out) == (0, "", expected)

@@ -99,7 +99,7 @@ def test_forest_values():
 
 def monomial_spec(name):
     """The built-in polynomial spec's operator function under a
-    LinearOperator of another name, which has no suffix model, so
+    LinearOperator of another name, which has no grid model, so
     `evaluate` takes the carrier recursion that the grid replaced."""
     operator = LinearOperator(f"monomial-{name}", POLYNOMIAL, built_in_spec(name).operator.apply)
     return InvariantSpec(name, operator, Polynomial.one())
@@ -506,12 +506,12 @@ def test_collision_report_splits_buckets_that_collide_by_chance(monkeypatch, nam
     # grouping
     monkeypatch.setattr(engine, "_MODULUS", 3)
     spec = built_in_spec(name)
-    fingerprint = engine._fingerprinter(spec, 7)
+    grid = engine._grid_spec(spec, 7)
     split = 0
     for n in range(1, 8):
         buckets = {}
         for tree in enumerate_trees(n):
-            buckets.setdefault(fingerprint(tree), set()).add(evaluate(tree, spec))
+            buckets.setdefault(evaluate(tree, grid).values, set()).add(evaluate(tree, spec))
         split += sum(len(values) > 1 for values in buckets.values())
     assert split > 0
     assert reported_pairs(7, spec) == exact_pairs(7, spec)
@@ -519,28 +519,34 @@ def test_collision_report_splits_buckets_that_collide_by_chance(monkeypatch, nam
 
 @pytest.mark.parametrize("name", BUILT_IN_NAMES)
 def test_fingerprints_are_the_suffix_values_of_the_exact_values(name):
+    # entry j on m points is the value on the first j points, x_j the
+    # least variable: the suffix values on the points in reverse, read
+    # backwards; the polynomial points are all ones
     spec = built_in_spec(name)
-    fingerprint = engine._fingerprinter(spec, 8)
-    points = engine._SUFFIX_MODELS[spec.operator][2][:8]
-    for n in range(1, 9):
+    m = 8
+    grid = engine._grid_spec(spec, m)
+    points = engine._GRID_MODELS[spec.operator][2] or (1,) * m
+    points = points[m - 1 :: -1]
+    for n in range(1, m + 1):
         for tree in enumerate_trees(n):
-            assert fingerprint(tree) == suffix_values(
+            fingerprint = tuple(v % engine._MODULUS for v in evaluate(tree, grid).values)
+            assert fingerprint == suffix_values(
                 evaluate(tree, spec), points, engine._MODULUS
-            ), tree.key
+            )[::-1], tree.key
 
 
 @pytest.mark.parametrize("name", POLYNOMIAL_NAMES)
-def test_polynomial_fingerprints_are_the_exact_values_at_t_m_down_to_0(monkeypatch, name):
+def test_polynomial_fingerprints_are_the_exact_values_at_t_0_to_m(monkeypatch, name):
     # no modulus touches them, so mod 3 cannot make two of them collide,
     # and the buckets of `collision_report` are the groups themselves
     monkeypatch.setattr(engine, "_MODULUS", 3)
     m = 9
-    fingerprint = engine._fingerprinter(built_in_spec(name), m)
+    grid = engine._grid_spec(built_in_spec(name), m)
     monomial = monomial_spec(name)
     for n in range(1, m + 1):
         for tree in enumerate_trees(n):
             value = evaluate(tree, monomial)
-            assert fingerprint(tree) == tuple(value(t) for t in range(m, -1, -1)), tree.key
+            assert evaluate(tree, grid).values == tuple(map(value, range(m + 1))), tree.key
     assert collision_report(m, built_in_spec(name)) == collision_report(m, monomial)
 
 

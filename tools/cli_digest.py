@@ -11,6 +11,12 @@ this script on both checkouts and diffing:
     (cd ../parent && python tools/cli_digest.py) > before.txt
     diff before.txt after.txt
 
+The output is also checked in as `tests/cli_digest.txt`, which
+`tests/test_cli.py` compares with a fresh digest under two hash
+seeds.  A change that means to alter an output rewrites it:
+
+    python tools/cli_digest.py > tests/cli_digest.txt
+
 The package is imported from the `src` directory beside this script, and
 the demos run beside it with that directory on PYTHONPATH, so each
 checkout digests its own code.
@@ -213,6 +219,10 @@ _GUARDS = [
     ("invariant", "--tree", "((", "--operator", "delta-inv"),
     ("genfun", "--operator", "lambda", "--terms", "0"),
     ("verify", "--suite", "no-such-suite"),
+    # suites refused before any work, with counts too long to write out
+    ("verify", "--suite", "grafting", "--max-n", "5000"),
+    ("verify", "--suite", "planar", "--max-n", "12"),
+    ("verify", "--suite", "shift-identities", "--max-n", "10000"),
     # usage errors
     ("enumerate", "--vertices", "3", "--bogus"),
     ("enumerate", "--vertices", "3", "--format", "xml"),
