@@ -14,13 +14,11 @@ arithmetic runs on Python ints.  `rat`, the one coefficient coercion,
 brings outside coefficients in at the public constructors, after which
 `_cleared` puts them over one denominator; reprs and renders write each
 coefficient from its numerator with `ratio_text`, and Fractions come
-back only in the `coeffs` and `terms` views.  The one exception is the
-private `_Samples`, a value's integer entries on a grid of points: a
-polynomial's values at t = 0 .. N, or a quasi-symmetric value's residues
-on the first j points, on which `engine` walks every fingerprint and the
-polynomial enumeration build runs.  Every carrier's +, -,
-scaling and equality live once, in `_LinearSpace`, and the dict
-carriers' constructor once, in `TermCarrier`.  A product multiplies
+back only in the `coeffs` and `terms` views.  A polynomial's values at
+t = 0 .. N, on which `engine` walks the order polynomials, are plain int
+tuples there, read back here by `Polynomial.from_values`.  Every
+carrier's +, -, scaling and equality live once, in `_LinearSpace`, and
+the dict carriers' constructor once, in `TermCarrier`.  A product multiplies
 numerators and the two denominators; a quasi-symmetric product
 commutes, so the operand with more terms runs outside and goes first
 into the memoized `quasi_shuffle`, whose table then holds a pair of
@@ -42,7 +40,6 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd, lcm
-from operator import mul
 
 from .errors import DomainError
 
@@ -237,8 +234,10 @@ class Polynomial(_LinearSpace):
         The forward differences c_k of the values at 0 give the Newton
         form p = sum of c_k C(t, k), and Horner steps over the factors
         (t - k) expand d! p as integers, d the degree bound; the result is
-        reduced once."""
-        nums, den = _cleared([rat(v) for v in values])
+        reduced once.  Int values, such as counts, are taken as they are."""
+        nums, den = list(values), 1
+        if not all(type(v) is int for v in nums):
+            nums, den = _cleared([rat(v) for v in nums])
         d = len(nums) - 1
         if d < 0:
             return cls()
@@ -332,38 +331,6 @@ class Polynomial(_LinearSpace):
             else:
                 parts.append(f"{c}*t^{k}" if n != den else f"t^{k}")
         return "Polynomial(%s)" % " + ".join(parts)
-
-
-class _Samples:
-    """A value's integer entries on a grid of points, as one tuple whose
-    length all values of a walk share: the carrier of `engine._grid_spec`.
-    Entry j is a polynomial's exact value at t = j, which counts maps and
-    so is an integer, or a quasi-symmetric value's residue on the first
-    j points.  Evaluation at a point is a ring map, so a product is
-    pointwise and left unreduced, and a sum runs on ints with int
-    weights, with no denominator to clear or reduce.
-    `Polynomial.from_values` reads a polynomial back from its entries."""
-
-    __slots__ = ("values",)
-
-    def __init__(self, values: tuple):
-        self.values = values
-
-    def __mul__(self, other):
-        if type(other) is not _Samples:
-            return NotImplemented
-        return _Samples(tuple(map(mul, self.values, other.values)))
-
-    @classmethod
-    def linear_combination(cls, pairs) -> "_Samples":
-        """The sum of c * x over (int weight, samples) pairs in one pass;
-        no pairs give the empty tuple."""
-        acc = ()
-        for c, x in pairs:
-            if type(c) is not int or type(x) is not cls:
-                raise TypeError(f"not an int weight and samples: {c!r}, {x!r}")
-            acc = [a + c * v for a, v in zip(acc, x.values)] if acc else [c * v for v in x.values]
-        return cls(tuple(acc))
 
 
 # Largest part a composition may have: its code point in a key code.

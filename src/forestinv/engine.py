@@ -18,15 +18,15 @@ recurrence is also refused past an exact count of the operand-term
 pairs its products take.  The brute-force recounts of both from the
 definitions live in `oracles`.
 
-Every fingerprint is one `evaluate` walk in a second spec, `_grid_spec`:
-entry j of a tree's value there is its value on the first j of m
-points, so a product is pointwise and each operator a prefix sum.  The
-polynomial instances' points are all 1, so entry j is the exact value at
-t = j (Stanley, EC1 3.12), and a value on n vertices is read back from
-its entries on n points; the carrier operators in `operators` serve the
-recurrence and any other spec.  The quasi-symmetric instances' entries
-are taken mod a prime, and the collision search splits the buckets of
-equal fingerprints by value; a polynomial fingerprint fixes the value.
+Every fingerprint runs on one grid kernel of plain int tuples, entry j
+a tree's value on the first j of m points: a pointwise product, the
+prefix sums that stand for the operators, and an int-weighted sum.  One
+`_Grid` walk memoizes every subtree, so a whole class shares one walk.
+The polynomial instances' points are all 1, so entry j is the exact
+value at t = j (Stanley, EC1 3.12): a value on n vertices is read back
+once from its entries on n points, and `genfun`'s enumeration build runs
+on the same kernel.  The quasi-symmetric instances' entries are taken
+mod a prime, and the collision search splits equal fingerprints by value.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from math import comb
 from operator import mul
 
-from .algebra import Polynomial, QSym, _Samples, product
+from .algebra import Polynomial, QSym, product
 from .errors import _PAST_EVERY_LIMIT, DomainError, ResourceLimitError, _count_text
 from .operators import (
     DELTA_INV,
@@ -145,12 +145,13 @@ def _strict_pairs(order: int) -> int:
 _RECURRENCE_PAIRS = {LAMBDA_BAR: _strict_pairs, LAMBDA: _weak_pairs}
 
 
-# Entry j of a fingerprint on m points is f(x_j, ..., x_1), x_j the least
-# variable, so the unit is all ones.  Evaluation is a ring map, so a
-# product is pointwise, and each operator is one prefix sum, w_j = sum
-# over k <= j of x_k v_k (weak) or x_k v_(k-1) (strict), mod this prime
-# for a quasi-symmetric value.  The polynomial points are all 1 with no
-# modulus: entry j is the value at t = j, and m + 1 entries fix it.
+# The grid kernel: a tree's values on m points are an int tuple of m + 1
+# entries, entry j its value f(x_j, ..., x_1) on the first j points, so
+# the unit is all ones.  Evaluation is a ring map, so a product is
+# pointwise, and each operator is one prefix sum, w_j = sum over k <= j of
+# x_k v_k (weak) or x_k v_(k-1) (strict), reduced mod this prime for a
+# quasi-symmetric value.  The polynomial points are all 1 with no modulus:
+# entry j is the exact value at t = j, and n + 1 entries fix degree n.
 _MODULUS = (1 << 61) - 1
 
 # One residue per vertex count enumeration admits, none 0 or 1: the orbit
@@ -160,13 +161,63 @@ _POINTS = tuple(itertools.accumulate(
 ))
 
 # The unit, whether the prefix sum is weak, and the points of each
-# operator's fingerprint; None stands for the polynomial grid's all ones.
+# operator's grid; None stands for the polynomial grid's all ones.
 _GRID_MODELS = {
     DELTA_INV: (Polynomial.one(), False, None),
     NABLA_INV: (Polynomial.one(), True, None),
     LAMBDA_BAR: (QSym.one(), False, _POINTS),
     LAMBDA: (QSym.one(), True, _POINTS),
 }
+
+
+def _times(a: tuple, b: tuple) -> tuple:
+    """The pointwise product of two grid values."""
+    return tuple(map(mul, a, b))
+
+
+def _weighted_sum(pairs) -> tuple:
+    """The sum of c * v over (int weight, grid value) pairs, or ()."""
+    acc = ()
+    for c, v in pairs:
+        acc = [a + c * x for a, x in zip(acc, v)] if acc else [c * x for x in v]
+    return tuple(acc)
+
+
+def _prefix_sums(values: tuple, weak: bool, points) -> tuple:
+    """An operator on grid values: Delta^-1 f(t) sums f(j) over j < t,
+    nabla^-1 f(t) over 1 <= j <= t; the prepends weight by the points."""
+    values = values[1:] if weak else values[:-1]
+    if points is None:
+        return tuple(itertools.accumulate(values, initial=0))
+    sums = itertools.accumulate(map(mul, points, values), initial=0)
+    return tuple([s % _MODULUS for s in sums])
+
+
+class _Grid:
+    """One walk on m points for a `_GRID_MODELS` entry: `walk(tree)` is
+    the tree's values, memoized for every subtree by key in `_cache`, so
+    `evaluate(tree, grid)` reads back a walked tree; `apply` is the
+    operator.  Entries on k < m points are the first k + 1 of those on m."""
+
+    __slots__ = ("_cache", "one", "apply", "walk")
+
+    def __init__(self, model, m: int):
+        _, weak, points = model
+        memo = self._cache = {}
+        one = self.one = (1,) * (m + 1)
+        self.apply = lambda values: _prefix_sums(values, weak, points)
+
+        def walk(tree):
+            got = memo.get(tree.key)
+            if got is None:
+                children = tree.children
+                value = walk(children[0]) if children else one
+                for child in children[1:]:
+                    value = _times(value, walk(child))
+                got = memo[tree.key] = _prefix_sums(value, weak, points)
+            return got
+
+        self.walk = walk
 
 
 class InvariantSpec:
@@ -263,42 +314,22 @@ def check_class_cache(spec: InvariantSpec, largest: int) -> None:
         )
 
 
-def _grid_spec(spec: InvariantSpec, m: int) -> InvariantSpec | None:
-    """A fresh spec whose value of a tree is its fingerprint on m points
-    as `_Samples` (see `_MODULUS`), or None when the spec has no grid
-    model: Delta^-1 f(t) is the sum of f(j) over j < t, nabla^-1 f(t) over
-    1 <= j <= t.  Products stay unreduced."""
-    model = spec.grid_model
-    if model is None:
-        return None
-    _, weak, points = model
-
-    def prefix_sums(g: _Samples) -> _Samples:
-        values = g.values[1:] if weak else g.values[:-1]
-        if points is None:
-            return _Samples(tuple(itertools.accumulate(values, initial=0)))
-        sums = itertools.accumulate(map(mul, points, values), initial=0)
-        return _Samples(tuple([s % _MODULUS for s in sums]))
-
-    operator = LinearOperator(spec.name, spec.algebra, prefix_sums)
-    return InvariantSpec(spec.name, operator, _Samples((1,) * (m + 1)))
-
-
 def evaluate(tree: RootedTree, spec: InvariantSpec):
     """Value of a rooted tree: the operator applied to the product of the
     values of the subtrees hanging off the root.  Refuses a tree deeper
     than `trees.DEPTH_LIMIT`, then one that `check_cost` refuses; a
     cached value passed both.
 
-    On the grid, a value on n vertices is read back once from its value
-    on the grid spec of n points, and only the root's value is cached;
-    any other spec evaluates and caches every subtree in its carrier."""
+    On the grid, a value on n vertices is read back once from its values
+    at t = 0 .. n, walked with a memo of this call, and only the root's
+    value is cached; any other spec evaluates and caches every subtree in
+    its carrier."""
     got = spec._cache.get(tree.key)
     if got is None:
         check_depth(tree.height)
         check_cost(spec, tree.vertex_count, tree.height)
         if spec.on_grid:
-            got = Polynomial.from_values(evaluate(tree, _grid_spec(spec, tree.vertex_count)).values)
+            got = Polynomial.from_values(_Grid(spec.grid_model, tree.vertex_count).walk(tree))
         else:
             # the loop of `product`, written out so that a level costs one frame
             children = tree.children
@@ -407,10 +438,10 @@ def collision_report(n_max: int, spec: InvariantSpec) -> list[CollisionPair]:
     """All pairs of distinct trees on up to n_max vertices whose values
     under the given invariant agree exactly.
 
-    Equal values share a fingerprint, the value on one grid spec of
-    n_max points (see `_MODULUS`).  On the grid a fingerprint is exact and fixes the value, so the buckets are the
-    groups and no tree is evaluated in the carrier.  Otherwise only the trees that share
-    one with another tree are evaluated, and they are grouped by value,
+    Equal values share a fingerprint, their values on one `_Grid` walk
+    of n_max points.  A polynomial fingerprint fixes the value, so its
+    buckets are the groups.  Otherwise only the trees that share one
+    with another tree are evaluated, and they are grouped by value,
     which every carrier hashes and compares exactly.  Groups come in the
     order of their first tree.  Before the first class, n_max
     is checked against the enumeration cap, then by `check_cost` on a
@@ -419,13 +450,13 @@ def collision_report(n_max: int, spec: InvariantSpec) -> list[CollisionPair]:
         raise DomainError("need n_max >= 1")
     check_enumeration(n_max)
     check_cost(spec, n_max, 1)
-    grid = _grid_spec(spec, n_max)
+    grid = None if spec.grid_model is None else _Grid(spec.grid_model, n_max)
     pairs = []
     for n in range(1, n_max + 1):
         trees = enumerate_trees(n)
         buckets: dict[object, list[int]] = {}
         for i, tree in enumerate(trees):
-            fingerprint = None if grid is None else evaluate(tree, grid).values
+            fingerprint = None if grid is None else grid.walk(tree)
             buckets.setdefault(fingerprint, []).append(i)
         groups = [bucket for bucket in buckets.values() if len(bucket) > 1]
         if not spec.on_grid:

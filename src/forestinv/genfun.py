@@ -7,41 +7,36 @@ where S_k is the elementary Schur polynomial (the weight-k coefficient of
 the exponential of a generic series).  The recurrence runs as one `exp`
 whose feedback map is X, so order N costs (N-1)(N-2)/2 carrier products; the
 per-term build, one fresh exp per U_n, lives in `oracles` as a test
-reference.  The enumeration build sums each U_n through
-`algebra.linear_combination` with the int weights n!/alpha(T), after
-`trees.check_enumeration` and `engine.check_cost` are asked about its
-largest class and `engine.check_class_cache` about the smaller classes
-it caches.  Its last term applies X once, by the three facts behind the
-fixed-point equation: the tree B+(F) grafted from a forest F has the
-value X of F's value, alpha(B+(F)) = alpha(F), and X is linear.  So
-n! U_n = X(sum over the forests F on n-1 vertices of (n!/alpha(F)) times
-the value of F).  That sum is factored by distributivity over the shared
-prefixes p of the sorted child lists, R(p) = w_p + sum over the next
-children c of value(c) R(p + c), with w_p the weight of the tree whose
-children are exactly p (0 if none), so it makes one carrier product per
-prefix that some forest extends, 116 for the 4766 trees on 12 vertices,
-where one product chain per forest made 5098.  For delta-inv and
-nabla-inv the whole build runs on the integer values at t = 0 .. N,
-in the grid spec that `engine.evaluate` walks for a single tree
-(Stanley, EC1 3.12): a product is pointwise, the operator a prefix sum,
-and each U_n is read back once from its first n + 1 values, enough for
-its degree n.  The cross-check of the two builds and the residual of
-the fixed-point equation q * X(exp U(q)) = U(q) are the main
-correctness evidence for the whole engine; the residual is computed
-from the enumeration build so it is not true by construction.  Through q^N it exponentiates U only through
-q^(N-1), all that q * X(exp U) keeps.
+reference.  The enumeration build sums each n! U_n with the int weights
+n!/alpha(T), and applies X once to its last term: the tree B+(F)
+grafted from a forest F has the value X of F's value, alpha(B+(F)) =
+alpha(F), and X is linear, so n! U_n = X(sum over the forests F on n-1
+vertices of (n!/alpha(F)) times the value of F), a sum factored over
+the shared prefixes of the sorted child lists.  For delta-inv and
+nabla-inv the whole build runs on `engine`'s grid kernel, int tuples of
+the values at t = 0 .. N (Stanley, EC1 3.12), in one walk whose memo
+serves every class, and each U_n is read back once from its first n + 1
+values.  The cross-check of the two builds and the residual of the
+fixed-point equation q * X(exp U(q)) = U(q) are the main correctness
+evidence for the whole engine; the residual is computed from the
+enumeration build so it is not true by construction.  Through q^N it
+exponentiates U only through q^(N-1), all that q * X(exp U) keeps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import factorial
+from operator import mul
 
-from .algebra import Polynomial, _Samples, linear_combination, one_like
+from .algebra import Polynomial, linear_combination, one_like
 from .engine import (
     InvariantSpec,
-    _grid_spec,
+    _Grid,
+    _times,
+    _weighted_sum,
     check_class_cache,
     check_cost,
     check_recurrence_cost,
@@ -134,68 +129,65 @@ def u_by_enumeration(spec: InvariantSpec, order: int) -> USequence:
     The trees on fewer than `order` vertices are children of larger
     trees, so each is evaluated and cached.  The largest class is summed
     before the operator, over the children's values, all cache hits, and
-    X is applied once to that sum, which is n! X(S_(n-1)) by linearity.
-    So no value of a tree on `order` vertices is built or cached.  The sum
-    is factored over shared child prefixes by `_extension_sum`, one
-    carrier product per prefix that some tree extends.  The per-tree sum
-    this replaces is `oracles.u_by_tree_sums`.  Before the first class,
-    the order is checked against the enumeration cap, then by
-    `engine.check_cost` on a star, which has the largest estimate of its
-    class, then by `engine.check_class_cache` on the classes it caches,
-    all on the caller's spec.
+    X is applied once to that sum, which is n! X(S_(n-1)) by linearity,
+    so no value of a tree on `order` vertices is built or cached.  The
+    per-tree sum this replaces is `oracles.u_by_tree_sums`.  Before the
+    first class, the order is checked against the enumeration cap, then
+    by `engine.check_cost` on a star, which has the largest estimate of
+    its class, then by `engine.check_class_cache` on the classes it
+    caches, all on the caller's spec.
 
-    For delta-inv and nabla-inv on the polynomial unit, every value is
-    built and cached as its values at t = 0 .. order in the grid spec of
-    this call (`engine._grid_spec`), so the caller's cache stays as it
-    was, and each U_n is interpolated once into a `Polynomial`; other
-    specs build and cache carrier values in their own cache."""
+    On the polynomial grid the values are int tuples at t = 0 .. order
+    in one `engine._Grid` walk of this call, not in the caller's cache,
+    and each U_n is interpolated once; other specs cache in their own."""
     if order < 1:
         raise DomainError("need order >= 1")
     check_enumeration(order)
     _require_commutative(spec)
     check_cost(spec, order, 1, "term U_{}")
     check_class_cache(spec, order - 1)
-    build = _grid_spec(spec, order) if spec.on_grid else spec
+    if spec.on_grid:
+        build = _Grid(spec.grid_model, order)
+        value, apply, times, total = build.walk, build.apply, _times, _weighted_sum
+    else:
+        build, value, apply = spec, partial(evaluate, spec=spec), spec.operator
+        times, total = mul, partial(linear_combination, one=spec.one)
     terms = []
     for n in range(1, order):
         labelings = factorial(n)
-        total = linear_combination(
-            (
-                (labelings // automorphism_order(tree), evaluate(tree, build))
-                for tree in enumerate_trees(n)
-            ),
-            build.one,
+        class_sum = total(
+            (labelings // automorphism_order(tree), value(tree)) for tree in enumerate_trees(n)
         )
-        terms.append(_term(total, n, labelings))
+        terms.append(_term(class_sum, n, labelings))
     labelings = factorial(order)
     # the star's check above stands for these trees, which the cap keeps
     # far inside the depth limit; the one tree on 1 vertex has no children,
     # so its sum is the unit with weight 1
     top = enumerate_trees(order)
-    total = _extension_sum(top, 0, labelings, build) if order > 1 else build.one
-    terms.append(_term(build.operator(total), order, labelings))
+    class_sum = _extension_sum(top, 0, labelings, build, times, total) if order > 1 else build.one
+    terms.append(_term(apply(class_sum), order, labelings))
     return USequence(spec.name, tuple(terms), spec.one)
 
 
-def _term(total, n: int, labelings: int):
-    """U_n from the sum n! U_n: interpolated from its first n + 1 samples,
-    enough for its degree n, or scaled when it is a carrier value."""
-    if type(total) is _Samples:
-        return Polynomial.from_values(total.values[: n + 1], labelings)
-    return Fraction(1, labelings) * total
+def _term(class_sum, n: int, labelings: int):
+    """U_n from n! U_n: interpolated from its first n + 1 values, or scaled."""
+    if type(class_sum) is tuple:
+        return Polynomial.from_values(class_sum[: n + 1], labelings)
+    return Fraction(1, labelings) * class_sum
 
 
-def _extension_sum(trees, depth, labelings, spec):
+def _extension_sum(trees, depth, labelings, build, times, total):
     """The sum over `trees`, a run in key order that shares its first
-    `depth` children, of (labelings / alpha(T)) times the product of the
-    values of each tree's later children.
+    `depth` children, of (labelings / alpha(T)) times the product, by
+    `times`, of the values in `build` of each tree's later children,
+    summed by `total`; each child is smaller than its tree, so cached.
 
     A tree's children are in key order, so the trees that share one more
     child are a run too: the sum is that child's value times the sum over
-    its run, one product per run.  A run whose child ends a tree's child
-    list is that tree alone, since the children of every tree in a class
-    hold the same number of vertices, so its child's value enters with the
-    tree's weight and no product."""
+    its run, one product per run, 116 for the 4766 trees on 12 vertices.
+    A run whose child ends a tree's child list is that tree alone, since
+    the children of every tree in a class hold the same number of
+    vertices, so its child's value enters with the tree's weight."""
     pairs = []
     start = 0
     while start < len(trees):
@@ -204,13 +196,14 @@ def _extension_sum(trees, depth, labelings, spec):
         end = start + 1
         while end < len(trees) and trees[end].children[depth].key == child.key:
             end += 1
-        value = evaluate(child, spec)
+        value = evaluate(child, build)
         if len(first.children) == depth + 1:
             pairs.append((labelings // automorphism_order(first), value))
         else:
-            pairs.append((1, value * _extension_sum(trees[start:end], depth + 1, labelings, spec)))
+            rest = _extension_sum(trees[start:end], depth + 1, labelings, build, times, total)
+            pairs.append((1, times(value, rest)))
         start = end
-    return linear_combination(pairs, spec.one)
+    return total(pairs)
 
 
 def verify_functional_equation(

@@ -9,20 +9,21 @@ suite over the classes n <= max_n asks each limit about max_n first.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
+from operator import mul
 
 from . import oracles
-from .algebra import principal_specialization
 from .engine import (
     BUILT_IN_NAMES,
+    _Grid,
     built_in_spec,
     check_class_cache,
     collision_report,
-    order_poly,
     qsym_strict,
     qsym_weak,
-    strict_order_poly,
 )
 from .errors import DomainError, ResourceLimitError
 from .genfun import cayley_check, u_by_enumeration, u_by_recurrence, verify_functional_equation
@@ -48,7 +49,8 @@ from .planar import (
 )
 from .trees import automorphism_order, check_enumeration, enumerate_forests, enumerate_trees
 
-# the largest label count m at which each suite checks its polynomials
+# the largest label count m at which each suite checks its polynomials;
+# the specialization suite compares them whole, so holds at every m
 ORDER_ORACLE_M_MAX = 5
 SPECIALIZATION_M_MAX = 6
 
@@ -144,22 +146,25 @@ def suite_functional_equation(max_n: int = 8) -> SuiteResult:
     return _result("functional-equation", checks, lines)
 
 
+def _order_walks(m: int) -> list:
+    """One grid walk each of the strict and weak counts at t = 0 .. m."""
+    return [_Grid(built_in_spec(name).grid_model, m).walk for name in ("delta-inv", "nabla-inv")]
+
+
 def suite_order_oracle(max_n: int = 6) -> SuiteResult:
     """Order polynomials against brute-force labeling counts."""
     # strict and weak, each over every label count m = 0 .. m_max
     m_max = ORDER_ORACLE_M_MAX
     check_labeling_brute_force(max_n, lambda n: 2 * sum(m**n for m in range(m_max + 1)))
+    walks = tuple(zip(_order_walks(m_max), (True, False)))
     lines, checks = [], []
     for n in range(1, max_n + 1):
-        ok = True
-        for tree in enumerate_trees(n):
-            strict_poly = strict_order_poly(tree)
-            weak_poly = order_poly(tree)
-            for m in range(0, m_max + 1):
-                if strict_poly(m) != brute_force_order_count(tree, m, strict=True):
-                    ok = False
-                if weak_poly(m) != brute_force_order_count(tree, m, strict=False):
-                    ok = False
+        ok = all(
+            walk(tree)[m] == brute_force_order_count(tree, m, strict)
+            for tree in enumerate_trees(n)
+            for walk, strict in walks
+            for m in range(m_max + 1)
+        )
         checks.append(ok)
         lines.append(f"n={n}: strict and weak counts match brute force for m<={m_max}: {ok}")
     return _result("order-oracle", checks, lines)
@@ -186,25 +191,28 @@ def suite_qsym_oracle(max_n: int = 5) -> SuiteResult:
 
 def suite_specialization(max_n: int = 6) -> SuiteResult:
     """Principal specialization of the quasi-symmetric refinements
-    against the order polynomials."""
-    m_max = SPECIALIZATION_M_MAX
+    against the order polynomials, as polynomials in the label count t:
+    M_alpha specializes to C(t, l(alpha)), so a value whose numerators
+    sum to s_l over its compositions of l parts specializes to the sum of
+    s_l C(t, l) over its denominator.  On n vertices both sides have
+    degree n, so they are compared at t = 0 .. n."""
     check_enumeration(max_n)
     _check_class_caches(max_n)
+    binomials = [[comb(t, parts) for parts in range(max_n + 1)] for t in range(max_n + 1)]
+    walks = tuple(zip((qsym_strict, qsym_weak), _order_walks(max_n)))
     lines, checks = [], []
     for n in range(1, max_n + 1):
         ok = True
-        for tree in enumerate_trees(n):
-            ks = qsym_strict(tree)
-            kw = qsym_weak(tree)
-            sp = strict_order_poly(tree)
-            wp = order_poly(tree)
-            for m in range(0, m_max + 1):
-                if principal_specialization(ks, m) != sp(m):
-                    ok = False
-                if principal_specialization(kw, m) != wp(m):
-                    ok = False
+        for tree, (refine, walk) in itertools.product(enumerate_trees(n), walks):
+            value, sums = refine(tree), [0] * (n + 1)
+            for key, numerator in value.numerators.items():
+                sums[len(key)] += numerator
+            values = [value.denominator * count for count in walk(tree)[: n + 1]]
+            ok &= values == [sum(map(mul, sums, row)) for row in binomials[: n + 1]]
         checks.append(ok)
-        lines.append(f"n={n}: specializations match order polynomials for m<={m_max}: {ok}")
+        lines.append(
+            f"n={n}: specializations match order polynomials for m<={SPECIALIZATION_M_MAX}: {ok}"
+        )
     return _result("specialization", checks, lines)
 
 

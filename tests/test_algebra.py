@@ -141,6 +141,17 @@ def test_polynomial_from_values_round_trips_its_samples(values, denominator):
     assert not any(differences[len(newton) :])
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-10**30, 10**30), max_size=10), st.integers(1, 24))
+def test_polynomial_from_int_values_matches_the_same_values_as_fractions(values, denominator):
+    # int values skip the coefficient coercion; Fractions take it
+    p = Polynomial.from_values(tuple(values), denominator)
+    assert p == Polynomial.from_values([Fraction(v) for v in values], denominator)
+    assert (p.numerators, p.denominator) == (
+        Polynomial(p.coeffs).numerators, Polynomial(p.coeffs).denominator
+    )
+
+
 def test_quasi_shuffle_structure():
     # two singletons: both orders plus the merged part
     def shuffled(a, b):

@@ -2,6 +2,7 @@
 brute-force oracles, and collision reporting, with its fingerprints
 checked against the suffix evaluations built from each exact value."""
 
+import functools
 import itertools
 import json
 import math
@@ -506,12 +507,12 @@ def test_collision_report_splits_buckets_that_collide_by_chance(monkeypatch, nam
     # grouping
     monkeypatch.setattr(engine, "_MODULUS", 3)
     spec = built_in_spec(name)
-    grid = engine._grid_spec(spec, 7)
+    grid = engine._Grid(spec.grid_model, 7)
     split = 0
     for n in range(1, 8):
         buckets = {}
         for tree in enumerate_trees(n):
-            buckets.setdefault(evaluate(tree, grid).values, set()).add(evaluate(tree, spec))
+            buckets.setdefault(grid.walk(tree), set()).add(evaluate(tree, spec))
         split += sum(len(values) > 1 for values in buckets.values())
     assert split > 0
     assert reported_pairs(7, spec) == exact_pairs(7, spec)
@@ -524,12 +525,12 @@ def test_fingerprints_are_the_suffix_values_of_the_exact_values(name):
     # backwards; the polynomial points are all ones
     spec = built_in_spec(name)
     m = 8
-    grid = engine._grid_spec(spec, m)
+    grid = engine._Grid(spec.grid_model, m)
     points = engine._GRID_MODELS[spec.operator][2] or (1,) * m
     points = points[m - 1 :: -1]
     for n in range(1, m + 1):
         for tree in enumerate_trees(n):
-            fingerprint = tuple(v % engine._MODULUS for v in evaluate(tree, grid).values)
+            fingerprint = tuple(v % engine._MODULUS for v in grid.walk(tree))
             assert fingerprint == suffix_values(
                 evaluate(tree, spec), points, engine._MODULUS
             )[::-1], tree.key
@@ -541,13 +542,52 @@ def test_polynomial_fingerprints_are_the_exact_values_at_t_0_to_m(monkeypatch, n
     # and the buckets of `collision_report` are the groups themselves
     monkeypatch.setattr(engine, "_MODULUS", 3)
     m = 9
-    grid = engine._grid_spec(built_in_spec(name), m)
+    grid = engine._Grid(built_in_spec(name).grid_model, m)
     monomial = monomial_spec(name)
     for n in range(1, m + 1):
         for tree in enumerate_trees(n):
             value = evaluate(tree, monomial)
-            assert evaluate(tree, grid).values == tuple(map(value, range(m + 1))), tree.key
+            assert grid.walk(tree) == tuple(map(value, range(m + 1))), tree.key
     assert collision_report(m, built_in_spec(name)) == collision_report(m, monomial)
+
+
+# the largest forest size N at which each operator's forests are checked
+# against its trees on N + 1 vertices
+THEOREM_SIZES = {"delta-inv": 9, "nabla-inv": 9, "lambda-bar": 11, "lambda": 11}
+
+
+def colliding_pairs(values_by_key):
+    """The pairs of keys of each group of equal values, as sets."""
+    groups = {}
+    for key, value in values_by_key:
+        groups.setdefault(value, []).append(key)
+    return {frozenset(pair) for keys in groups.values() for pair in itertools.combinations(keys, 2)}
+
+
+@pytest.mark.parametrize("name", BUILT_IN_NAMES)
+def test_forests_on_n_vertices_separate_iff_the_trees_on_n_plus_1_do(name):
+    # the paper's theorem: the invariant separates the forests on at most N
+    # vertices iff it separates the trees on at most N + 1.  A forest's
+    # fingerprint is the pointwise product of its trees' fingerprints, a
+    # shared bucket is confirmed by the exact values, and grafting carries
+    # the colliding forests on n vertices onto the colliding trees on n + 1,
+    # so either set is empty iff the other is
+    spec, largest = built_in_spec(name), THEOREM_SIZES[name]
+    grid = engine._Grid(spec.grid_model, largest + 1)
+    grafted = set()
+    for n in range(1, largest + 1):
+        buckets = {}
+        for forest in enumerate_forests(n):
+            fingerprint = functools.reduce(engine._times, map(grid.walk, forest), grid.one)
+            buckets.setdefault(fingerprint, []).append(forest)
+        for forests in buckets.values():
+            if len(forests) > 1:
+                exact = colliding_pairs((f, evaluate_forest(f, spec)) for f in forests)
+                grafted |= {frozenset(b_plus(f).key for f in pair) for pair in exact}
+    trees = {frozenset((p.tree_a, p.tree_b)) for p in collision_report(largest + 1, spec)}
+    assert grafted == trees
+    if name in POLYNOMIAL_NAMES:
+        assert trees
 
 
 def test_fingerprint_points_are_distinct_residues_past_one():
@@ -631,6 +671,17 @@ PARENT_ARRAYS = st.integers(1, 40).flatmap(
 def test_grid_values_equal_the_carrier_recursion_property(parents, name):
     tree = tree_of_parents(parents)
     assert evaluate(tree, GRID_SPECS[name]()) == evaluate(tree, monomial_spec(name))
+
+
+@settings(max_examples=40, deadline=None)
+@given(PARENT_ARRAYS, st.sampled_from(BUILT_IN_NAMES), st.integers(0, 8), st.integers(1, 30))
+def test_grid_values_are_prefix_stable_property(parents, name, m, extra):
+    # a class walk on order + 1 points and a single tree's on n + 1 must
+    # agree: the values on m points are the first m + 1 on any larger grid
+    tree, model = tree_of_parents(parents), built_in_spec(name).grid_model
+    small = engine._Grid(model, m).walk(tree)
+    assert len(small) == m + 1
+    assert engine._Grid(model, m + extra).walk(tree)[: m + 1] == small
 
 
 def test_grid_values_of_paths_are_the_closed_forms():

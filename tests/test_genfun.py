@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from forestinv import engine, genfun
-from forestinv.algebra import Polynomial, QSym, _Samples, principal_specialization
+from forestinv.algebra import Polynomial, QSym, principal_specialization
 from forestinv.engine import (
     BUILT_IN_NAMES,
     QSYM_PAIR_LIMIT,
@@ -241,12 +241,12 @@ def test_enumeration_matches_per_tree_sums_for_random_linear_operators(coeffs):
 
 
 def test_largest_class_makes_one_product_per_extended_child_prefix(monkeypatch):
-    # every smaller class is cached before the largest one is summed, so
-    # the only sample products from then on are those of the largest
-    # class: one per proper prefix of some tree's child list, 16 for the
-    # 115 trees on 8 vertices, 116 for the 4766 on 12
+    # every smaller class is walked before the largest one is summed, so
+    # the only pointwise products of the grid kernel from then on are those
+    # of the largest class: one per proper prefix of some tree's child
+    # list, 16 for the 115 trees on 8 vertices, 116 for the 4766 on 12
     products = []
-    multiply = _Samples.__mul__
+    multiply = engine._times
 
     def counting(a, b):
         products.append(b)
@@ -255,12 +255,14 @@ def test_largest_class_makes_one_product_per_extended_child_prefix(monkeypatch):
     top_starts = []
     extension_sum = genfun._extension_sum
 
-    def marking(trees, depth, labelings, spec):
+    def marking(trees, depth, labelings, *ring):
         if depth == 0:
             top_starts.append(len(products))
-        return extension_sum(trees, depth, labelings, spec)
+        return extension_sum(trees, depth, labelings, *ring)
 
-    monkeypatch.setattr(_Samples, "__mul__", counting)
+    # the walk's products in `engine` and the prefix products in `genfun`
+    monkeypatch.setattr(engine, "_times", counting)
+    monkeypatch.setattr(genfun, "_times", counting)
     monkeypatch.setattr(genfun, "_extension_sum", marking)
     for order, prefixes in ((8, 16), (12, 116)):
         assert prefixes == len({
@@ -270,7 +272,7 @@ def test_largest_class_makes_one_product_per_extended_child_prefix(monkeypatch):
         top_starts.clear()
         u_by_enumeration(fresh_spec("delta-inv"), order)
         assert len(top_starts) == 1
-        assert all(type(b) is _Samples for b in products)
+        assert all(type(b) is tuple for b in products)
         assert len(products) - top_starts[0] == prefixes
 
 
@@ -464,15 +466,15 @@ def test_enumeration_weights_are_int_labeling_counts(monkeypatch):
     # labelings of T, and these add up to n^(n-1) labeled trees; the
     # largest class puts each tree's weight on the value of its last child
     # and weight 1 on each product over a shared child prefix.  The values
-    # are the samples of the run's own spec, which leaves the caller's
-    # cache empty
+    # are the int tuples of the run's own grid walk, which leaves the
+    # caller's cache empty
     calls = []
-    kernel = genfun.linear_combination
+    kernel = genfun._weighted_sum
 
-    def recording(pairs, one):
+    def recording(pairs):
         pairs = list(pairs)
         calls.append(pairs)
-        return kernel(pairs, one)
+        return kernel(pairs)
 
     cached = set()
     tree_value = genfun.evaluate
@@ -482,7 +484,7 @@ def test_enumeration_weights_are_int_labeling_counts(monkeypatch):
         cached.add(id(value))
         return value
 
-    monkeypatch.setattr(genfun, "linear_combination", recording)
+    monkeypatch.setattr(genfun, "_weighted_sum", recording)
     monkeypatch.setattr(genfun, "evaluate", remembering)
     spec = fresh_spec("delta-inv")
     order = 7
@@ -490,7 +492,7 @@ def test_enumeration_weights_are_int_labeling_counts(monkeypatch):
     monkeypatch.undo()
     assert spec._cache == {}
     assert terms == tuple(fraction_weighted_sum(spec, n) for n in range(1, order + 1))
-    assert all(type(w) is int and type(x) is _Samples for pairs in calls for w, x in pairs)
+    assert all(type(w) is int and type(x) is tuple for pairs in calls for w, x in pairs)
     for n, pairs in enumerate(calls[: order - 1], start=1):
         assert len(pairs) == len(enumerate_trees(n))
         assert sum(w for w, _ in pairs) == n ** (n - 1)

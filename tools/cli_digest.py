@@ -229,9 +229,17 @@ _GUARDS = [
     ("invariant", "--tree", "(())", "--operator", "noop"),
 ]
 
+# whole-class suites past their default sizes: the order oracle one class
+# past the brute-force limit, refused, and the specialization suite, whose
+# order polynomials come from one grid walk across the classes
+_WHOLE_CLASS_GRID = [
+    ("verify", "--suite", "order-oracle", "--max-n", "7"),
+    ("verify", "--suite", "specialization", "--max-n", "9"),
+]
+
 CALLS = (
     _EVERY_FORMAT + _INVARIANTS + _GENFUN + _GENFUN_LARGE + _MANY_TERMS + _ENUMERATE
-    + _COLLISIONS + _VERIFY + _PLANAR + _DEEP_POLYNOMIALS + _GUARDS
+    + _COLLISIONS + _VERIFY + _PLANAR + _DEEP_POLYNOMIALS + _GUARDS + _WHOLE_CLASS_GRID
 )
 
 
