@@ -29,9 +29,13 @@ A sum of weighted values, such as a series coefficient or a tree sum,
 goes through one carrier kernel, `linear_combination`, which
 accumulates every term into one integer list or dict over one common
 denominator and reduces once.  The module function of that name picks
-the kernel from the unit, and scalars just add.  `product` multiplies
-values left to right starting from the first, so no product has the
-unit as an operand.  There is no floating point anywhere in the package.
+the kernel from the unit, and scalars just add.  A sum of products,
+such as a geometric-inverse coefficient, goes through
+`sum_of_products`, which picks the word carriers' one-pass kernel in the
+same way and otherwise multiplies each pair and sums.  A scalar multiple
+is one pass over the numerators.  `product` multiplies values left to
+right starting from the first, so no product has the unit as an
+operand.  There is no floating point anywhere in the package.
 """
 
 from __future__ import annotations
@@ -81,6 +85,18 @@ def linear_combination(pairs, one):
     return sum((c * x for c, x in pairs), Fraction(0) * one)
 
 
+def sum_of_products(pairs, one):
+    """The sum of a * b over the (left, right) operand pairs, in the
+    algebra whose unit is `one`; no pairs give its zero.  A carrier with
+    its own one-pass kernel, `sum_of_products`, sums through it; scalars
+    and other carriers multiply each pair and sum the products through
+    `linear_combination`."""
+    kernel = getattr(type(one), "sum_of_products", None)
+    if kernel is not None:
+        return kernel(pairs)
+    return linear_combination([(1, a * b) for a, b in pairs], one)
+
+
 def product(values, one):
     """The ordered product of the values, left to right, or `one` when
     there are none; the unit is never an operand."""
@@ -120,9 +136,11 @@ def ratio_text(numerator: int, denominator: int) -> str:
 
 class _LinearSpace:
     """What every carrier's stored form, integer `numerators` over one
-    positive reduced `denominator`, gives alike: +, - and scaling are
-    each one call of the class's `linear_combination`, and equal elements
-    have equal stored forms.  Another carrier is no scalar."""
+    positive reduced `denominator`, gives alike: + and - are each one call
+    of the class's `linear_combination`, a scalar multiple and the
+    negative are one pass of the class's `_rescaled` over the numerators,
+    and equal elements have equal stored forms.  Another carrier is no
+    scalar."""
 
     __slots__ = ()
 
@@ -135,7 +153,7 @@ class _LinearSpace:
         return self.linear_combination(((1, self), (1, other)))
 
     def __neg__(self):
-        return self.linear_combination(((-1, self),))
+        return self._scaled(-1)
 
     def __sub__(self, other):
         if type(other) is not type(self):
@@ -143,9 +161,17 @@ class _LinearSpace:
         return self.linear_combination(((1, self), (-1, other)))
 
     def _scaled(self, other):
+        """other * self for an exact scalar p/q: the numerators times p
+        over the denominator times q.  The factor p shares with the
+        denominator cancels first, so only q can share one with the
+        numerators, and an int scalar leaves nothing to reduce."""
         if isinstance(other, _LinearSpace):
             return NotImplemented
-        return self.linear_combination(((other, self),))
+        p, q = _weight(other)
+        if not p:
+            return self.linear_combination(())
+        g = gcd(p, self.denominator)
+        return self._rescaled(p // g, self.denominator // g * q, q != 1)
 
     __rmul__ = _scaled
 
@@ -224,6 +250,17 @@ class Polynomial(_LinearSpace):
             for i, n in enumerate(p.numerators):
                 acc[i] += scale * n
         return cls.from_numerators(acc, den)
+
+    def _rescaled(self, p: int, denominator: int, reduce: bool) -> "Polynomial":
+        """The numerators times p over `denominator`, reduced only when
+        `reduce` says the two may share a factor."""
+        nums = self.numerators if p == 1 else tuple(p * n for n in self.numerators)
+        if reduce:
+            return Polynomial.from_numerators(nums, denominator)
+        out = object.__new__(Polynomial)
+        out.numerators = nums
+        out.denominator = denominator
+        return out
 
     @classmethod
     def from_values(cls, values, denominator: int = 1) -> "Polynomial":
@@ -477,6 +514,18 @@ class TermCarrier(_LinearSpace):
             for key, v in x.numerators.items():
                 acc[key] = get(key, 0) + scale * v
         return cls._from_numerators(acc, den)
+
+    def _rescaled(self, p: int, denominator: int, reduce: bool):
+        """The numerators times p, in a new dict, over `denominator`,
+        reduced only when `reduce` says the two may share a factor."""
+        nums = self.numerators
+        nums = dict(nums) if p == 1 else {key: p * n for key, n in nums.items()}
+        if reduce:
+            return self._from_numerators(nums, denominator)
+        out = object.__new__(type(self))
+        out.numerators = nums
+        out.denominator = denominator
+        return out
 
     @classmethod
     def zero(cls):

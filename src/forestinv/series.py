@@ -7,10 +7,13 @@ rational scalars; noncommutative carriers are fine everywhere except
 `exp`, which refuses them.  `times_q` knows q F one order further than
 F.  `exp` and `geometric_inverse` solve coefficient recurrences in
 N(N-1)/2 carrier products at order N, each optionally feeding a linear
-map of its own output back in; each coefficient sums its products in one
-pass of `algebra.linear_combination`, so a weight scales no operand, and
-the term that meets the q^0 coefficient, the unit, is added as it is, so
-no product has the unit as an operand.
+map of its own output back in.  An `exp` coefficient multiplies through
+the carrier's product and sums the weighted products in one pass of
+`algebra.linear_combination`, so a weight scales no operand, and its
+term that meets the q^0 coefficient, the unit, is added as it is.  A
+`geometric_inverse` coefficient hands its operand pairs, the one with
+the unit among them, to `algebra.sum_of_products`, which the word
+carriers answer in one pass with no product built on its own.
 `exp` runs on the labeled coefficients n! E_n, so a series with integral
 labeled coefficients, such as a tree generating function, is
 exponentiated by integer products and one division per output
@@ -23,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
-from .algebra import linear_combination
+from .algebra import linear_combination, sum_of_products
 from .errors import DomainError
 
 
@@ -219,10 +222,15 @@ def geometric_inverse(series: Series, feedback=None) -> Series:
     G_(order-1) in turn, so a caller can record its values, and a zero
     f_n is not added.
 
+    Each G_n is one call of `algebra.sum_of_products` on its n pairs
+    (f_k, G_(n-k)): the word carriers, which the planar recurrence runs
+    on, concatenate the keys of every pair straight into one accumulator
+    and reduce once, and other carriers multiply each pair and sum.
+
     A scalar coefficient of a carrier series is taken as that multiple
     of the unit.  Costs N(N-1)/2 carrier products at order N, plus N calls
-    of X and N one-pass sums: the k = n term is f_n itself, since G_0 is
-    the unit."""
+    of X: the other N of the N(N+1)/2 pairs meet G_0, the unit, which on
+    the word carriers only adds f_n's terms into the sum."""
     zero = series._zero()
     if series.coeffs[0] != zero:
         raise DomainError("geometric inverse needs a zero constant term")
@@ -234,8 +242,5 @@ def geometric_inverse(series: Series, feedback=None) -> Series:
             if f[n] != zero:
                 fed = fed + f[n]
             f[n] = fed
-        # k = n meets G_0, the unit: f_n G_0 is f_n
-        pairs = [(1, f[k] * out[n - k]) for k in range(1, n)]
-        pairs.append((1, f[n]))
-        out.append(linear_combination(pairs, series.one))
+        out.append(sum_of_products([(f[k], out[n - k]) for k in range(1, n + 1)], series.one))
     return Series(out, series.one)

@@ -25,7 +25,7 @@ from .engine import (
     qsym_strict,
     qsym_weak,
 )
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, ResourceLimitError, _count_text
 from .genfun import cayley_check, u_by_enumeration, u_by_recurrence, verify_functional_equation
 from .oracles import (
     FiniteVarPoly,
@@ -57,6 +57,12 @@ SPECIALIZATION_M_MAX = 6
 # Most variables of the shift-identities suite, whose time is about their
 # square: 0.52 s at 256, 2.1 s at 512 (Python 3.11, a 2-vCPU machine).
 SHIFT_VARIABLE_LIMIT = 256
+
+# Most planar trees the planar suite builds and evaluates, every tree on
+# one and on two labels with at most max_n vertices, at about 20-30 us a
+# tree: --max-n 8 is 130584 trees, 2.4-4 s, and --max-n 9 is 864174
+# trees, 21.5 s (Python 3.11, a 2-vCPU machine).
+PLANAR_SUITE_TREE_LIMIT = 200_000
 
 
 @dataclass
@@ -233,8 +239,15 @@ def suite_collisions(max_n: int = 7) -> SuiteResult:
 def suite_planar(max_n: int = 6) -> SuiteResult:
     """Planar recurrence against planar enumeration and the census, for
     one and two labels, plus the geometric fixed-point residual."""
-    # before any work: the two-label census, then the balanced-word scan
+    # before any work: the two-label census, every tree the suite
+    # evaluates, then the balanced-word scan
     check_planar_count(max_n, 2, "trees")
+    trees = sum(planar_tree_count(n, k) for k in (1, 2) for n in range(1, max_n + 1))
+    if trees > PLANAR_SUITE_TREE_LIMIT:
+        raise ResourceLimitError(
+            f"the planar suite evaluates {_count_text(trees)} planar trees on at most "
+            f"{max_n} vertices, over the limit of {PLANAR_SUITE_TREE_LIMIT}"
+        )
     oracles.check_dyck_scan(max_n - 1)
     lines, checks = [], []
     for labels in (("a",), ("a", "b")):

@@ -3,10 +3,11 @@
 FreeWord is a rational combination of words over string generators; the
 product concatenates.  TensorElement is a rational combination of tuples
 of words (tensor factors are FreeWord basis words); the product
-concatenates factor tuples.  Both take that product from
-`_Concatenation`, and share their constructor, their linear-space
-arithmetic and the rule that keys are checked once with `QSym` through
-`algebra.TermCarrier`; each supplies only its key check.  Neither is
+concatenates factor tuples.  Both take that product, and its one-pass
+sum over many operand pairs, `sum_of_products`, from `_Concatenation`,
+and share their constructor, their linear-space arithmetic and the rule
+that keys are checked once with `QSym` through `algebra.TermCarrier`;
+each supplies only its key check.  Neither is
 truncated: a planar tree's word value is homogeneous of length its
 vertex count, so the generating functions are cut by their order alone.
 
@@ -27,6 +28,7 @@ tuples: codes sort by label length before the labels.
 from __future__ import annotations
 
 import sys
+from math import lcm
 
 from .algebra import TermCarrier, ratio_text
 from .errors import DomainError
@@ -79,6 +81,35 @@ class _Concatenation(TermCarrier):
                     out[key] = out.get(key, 0) + ca * cb
             return self._from_numerators(out, self.denominator * other.denominator)
         return self._scaled(other)
+
+    @classmethod
+    def sum_of_products(cls, pairs):
+        """The sum of a * b over (left, right) operand pairs in one pass:
+        the keys of each pair concatenate straight into one dict of
+        integer numerators over one common denominator, rescaled to the
+        lcm when a new denominator comes, as in `linear_combination`, and
+        the result is reduced once.  No product is built on its own."""
+        acc, den = {}, 1
+        get = acc.get
+        for a, b in pairs:
+            if type(a) is not cls or type(b) is not cls:
+                raise TypeError(f"not a pair of {cls.__name__}: {a!r}, {b!r}")
+            if not a.numerators or not b.numerators:
+                continue
+            term_den = a.denominator * b.denominator
+            if den % term_den:
+                grown = lcm(den, term_den)
+                acc = {key: v * (grown // den) for key, v in acc.items()}
+                get = acc.get
+                den = grown
+            scale = den // term_den
+            right = b.numerators.items()
+            for ka, ca in a.numerators.items():
+                ca *= scale
+                for kb, cb in right:
+                    key = ka + kb
+                    acc[key] = get(key, 0) + ca * cb
+        return cls._from_numerators(acc, den)
 
     def decoded_numerators(self) -> dict:
         """The numerators keyed by the words or tensors as label tuples, in

@@ -458,19 +458,21 @@ def test_series_recurrences_match_power_sums(carrier):
 
 def test_series_recurrences_make_quadratically_many_products(monkeypatch):
     counts = {"poly": 0, "word": 0}
-    poly_mul, word_mul = Polynomial.__mul__, FreeWord.__mul__
+    poly_mul, word_sum = Polynomial.__mul__, FreeWord.sum_of_products
 
     def counting_poly_mul(self, other):
         if isinstance(other, Polynomial):  # scalar multiples are not counted
             counts["poly"] += 1
         return poly_mul(self, other)
 
-    def counting_word_mul(self, other):
-        counts["word"] += 1
-        return word_mul(self, other)
+    def counting_word_sum(pairs):
+        # the word products run inside the one-pass kernel: count its pairs
+        pairs = list(pairs)
+        counts["word"] += len(pairs)
+        return word_sum(pairs)
 
     monkeypatch.setattr(Polynomial, "__mul__", counting_poly_mul)
-    monkeypatch.setattr(FreeWord, "__mul__", counting_word_mul)
+    monkeypatch.setattr(FreeWord, "sum_of_products", staticmethod(counting_word_sum))
     order = 12
     rng = random.Random(29)
     poly = Series(
@@ -483,7 +485,8 @@ def test_series_recurrences_make_quadratically_many_products(monkeypatch):
     )
     exp(poly)
     geometric_inverse(words)
-    # N(N+1)/2 products at order N; summing powers needs O(N^3)
+    # N(N+1)/2 products or operand pairs at order N, N of the pairs with the
+    # unit; summing powers needs O(N^3)
     assert 0 < counts["poly"] <= order * (order + 1) // 2
     assert 0 < counts["word"] <= order * (order + 1) // 2
 
@@ -605,6 +608,42 @@ def test_series_geometric_inverse_with_feedback_solves_its_equation(case):
     assert g.order == f.order
     h = f + g.map(feedback).times_q()
     assert g == geometric_inverse(h) == geometric_inverse_by_powers(h)
+
+
+# word series for the one-pass kernel of `geometric_inverse`: words of mixed
+# lengths over two letters, so keys collide across the pairs of a sum, and
+# Fraction coefficients with unequal denominators; each with a feedback map
+# that multiplies by a generator from either side
+WORD_CARRIERS = {
+    FreeWord: (WORDS, FreeWord.generator("a"), FreeWord.generator("b")),
+    TensorElement: (
+        st.lists(WORDS, max_size=2).map(tuple),
+        TensorElement.single(("a",)),
+        TensorElement.single(("b", "a")),
+    ),
+}
+
+
+@st.composite
+def word_inverse_cases(draw):
+    carrier = draw(st.sampled_from(list(WORD_CARRIERS)))
+    keys, left, right = WORD_CARRIERS[carrier]
+    coefficients = st.one_of(st.integers(-3, 3), FRACTIONS)
+    element = st.dictionaries(keys, coefficients, max_size=3).map(carrier)
+    f = draw(series_with(element, carrier.one(), 5))
+    feedback = draw(st.sampled_from([None, partial(mul, left), lambda x: x * right]))
+    return f, feedback
+
+
+@PROPERTY
+@given(word_inverse_cases())
+def test_word_geometric_inverse_matches_power_sums_property(case):
+    # the coefficients summed by `_Concatenation.sum_of_products` against the
+    # ordered powers of the series solved for
+    f, feedback = case
+    g = geometric_inverse(f, feedback)
+    h = f if feedback is None else f + g.map(feedback).times_q()
+    assert g == geometric_inverse_by_powers(h)
 
 
 def test_series_geometric_inverse_feedback_sees_each_coefficient_once():

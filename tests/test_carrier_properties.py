@@ -41,6 +41,7 @@ from forestinv.algebra import (
     parts,
     principal_specialization,
     quasi_shuffle,
+    sum_of_products,
 )
 from forestinv.errors import DomainError
 from forestinv.operators import FREE_WORD, LinearOperator, lambda_, lambda_bar
@@ -358,6 +359,72 @@ def test_dict_carriers_keep_the_reduced_stored_form_property(data, carrier, k, f
         cases += [(lambda_bar(a), prepended), (lambda_(a), absorbed)]
     for result, raw in cases:
         assert_stored_form(result, carrier(raw))
+
+
+def operand_pairs(elements, zero):
+    """Lists of operand pairs with zero operands among them, and with each
+    list's first pair repeated and swapped, so keys collide across pairs."""
+    operands = st.one_of(elements, elements, st.just(zero))
+    return st.lists(st.tuples(operands, operands), max_size=4).map(
+        lambda pairs: pairs + pairs[:1] + [(b, a) for a, b in pairs[:1]]
+    )
+
+
+@PROPERTY
+@given(st.data(), st.sampled_from([FreeWord, TensorElement]))
+def test_sum_of_products_matches_the_products_it_fuses_property(data, carrier):
+    # words of mixed lengths and Fraction coefficients with unequal
+    # denominators, against each product built alone and then summed
+    elements = free_words() if carrier is FreeWord else tensors()
+    pairs = data.draw(operand_pairs(elements, carrier.zero()))
+    expected = carrier.linear_combination([(1, a * b) for a, b in pairs])
+    assert_stored_form(carrier.sum_of_products(pairs), expected)
+    assert_stored_form(sum_of_products(iter(pairs), carrier.one()), expected)
+
+
+def test_sum_of_products_rescales_to_the_lcm_of_the_pair_denominators():
+    half, third = FreeWord({("a",): Fraction(1, 2)}), FreeWord({("a",): Fraction(1, 3), (): 1})
+    pairs = [(half, third), (third, half), (third, FreeWord.zero()), (third, third)]
+    # a.a: 1/6 + 1/6 + 1/9, a: 1/2 + 1/2 + 2/3, 1: 1
+    assert FreeWord.sum_of_products(pairs).terms == {
+        ("a", "a"): Fraction(4, 9), ("a",): Fraction(5, 3), (): 1
+    }
+    assert FreeWord.sum_of_products([]) == FreeWord.zero()
+    with pytest.raises(TypeError):
+        FreeWord.sum_of_products([(half, TensorElement.single(("a",)))])
+
+
+# every carrier with a strategy for its elements; a scalar multiple is one
+# pass over the numerators, checked against the one-pair linear combination
+SCALED_CARRIERS = {
+    "polynomial": polynomials(),
+    "qsym": qsyms(),
+    "freeword": free_words(),
+    "tensor": tensors(),
+}
+SCALARS = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-4, max_value=4, max_denominator=8),
+)
+
+
+@PROPERTY
+@given(st.data(), st.sampled_from(sorted(SCALED_CARRIERS)), SCALARS)
+def test_scaling_matches_the_one_pair_linear_combination_property(data, name, c):
+    x = data.draw(SCALED_CARRIERS[name])
+    carrier = type(x)
+    for result, weight in ((c * x, c), (x * c, c), (-x, -1)):
+        expected = carrier.linear_combination(((weight, x),))
+        assert type(result) is carrier
+        assert (result.numerators, result.denominator) == (
+            expected.numerators, expected.denominator
+        )
+        nums = result.numerators
+        if carrier is not Polynomial:
+            assert nums is not x.numerators
+            nums = nums.values()
+        assert result.denominator > 0 and math.gcd(result.denominator, *nums) == 1
+        assert result == linear_combination(((weight, x),), x.one_like())
 
 
 def test_public_constructors_still_check_keys():

@@ -254,6 +254,7 @@ _PAST_A_LIMIT = {
     "functional-equation 13": ("functional-equation", "13"),
     # the planar suite before its recurrence, and the suites whose sizes
     # are no tree classes
+    "planar 9": ("planar", "9"),
     "planar 12": ("planar", "12"),
     "planar 14": ("planar", "14"),
     "planar 5000": ("planar", "5000"),
@@ -321,6 +322,14 @@ def test_planar_suite_refusals_name_the_count_and_the_limit(capsys):
     # Catalan(11) 2^12 two-label trees
     assert err == (
         "resource limit: 240787456 planar trees on 12 vertices, over the limit of 1000000\n"
+    )
+    # under that limit at every size, but not in sum: Catalan(n - 1) (1 + 2^n)
+    # trees for each n <= 9
+    code, out, err = run(capsys, "verify", "--suite", "planar", "--max-n", "9")
+    assert (code, out) == (2, "")
+    assert err == (
+        "resource limit: the planar suite evaluates 864174 planar trees on at most 9 "
+        "vertices, over the limit of 200000\n"
     )
     with pytest.raises(forestinv.ResourceLimitError) as refused:
         forestinv.oracles.count_dyck_words(12)

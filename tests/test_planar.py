@@ -424,17 +424,20 @@ def test_running_recurrence_matches_per_weight_inverses(labels):
 
 def test_running_recurrence_makes_quadratically_many_products(monkeypatch):
     count = [0]
-    word_mul = FreeWord.__mul__
+    word_sum = FreeWord.sum_of_products
 
-    def counting_word_mul(self, other):
-        count[0] += 1
-        return word_mul(self, other)
+    def counting_word_sum(pairs):
+        # the word products run inside the one-pass kernel: count its pairs
+        pairs = list(pairs)
+        count[0] += len(pairs)
+        return word_sum(pairs)
 
-    monkeypatch.setattr(FreeWord, "__mul__", counting_word_mul)
+    monkeypatch.setattr(FreeWord, "sum_of_products", staticmethod(counting_word_sum))
     labels, order = ("a", "b"), 10
     u_planar_by_recurrence(free_word_family(labels), order)
-    # N(N-1)/2 products for the coefficients of 1/(1 - U) and one prepend
-    # per label and weight; solving the inverse afresh per weight is O(N^3)
+    # N(N-1)/2 operand pairs for the coefficients of 1/(1 - U) through
+    # q^(N-1), N - 1 of them with the unit, and one prepend per label and
+    # weight; solving the inverse afresh per weight is O(N^3)
     assert 0 < count[0] <= order * (order - 1) // 2 + len(labels) * order
 
 

@@ -237,9 +237,18 @@ _WHOLE_CLASS_GRID = [
     ("verify", "--suite", "specialization", "--max-n", "9"),
 ]
 
+# the planar suite one size past its default, whose recurrence runs the
+# geometric inverse through q^6, and the first size refused on the trees
+# it would evaluate
+_PLANAR_SUITE = [
+    ("verify", "--suite", "planar", "--max-n", "7"),
+    ("verify", "--suite", "planar", "--max-n", "9"),
+]
+
 CALLS = (
     _EVERY_FORMAT + _INVARIANTS + _GENFUN + _GENFUN_LARGE + _MANY_TERMS + _ENUMERATE
     + _COLLISIONS + _VERIFY + _PLANAR + _DEEP_POLYNOMIALS + _GUARDS + _WHOLE_CLASS_GRID
+    + _PLANAR_SUITE
 )
 
 
