@@ -8,6 +8,12 @@ Exit codes: 0 success, 1 domain or parse error (message on stderr),
 The JSON of invariant, genfun and planar, whose payloads hold algebra
 values, is written by `render.render_payload` straight from the values'
 terms; the other payloads go through `json.dumps`.
+
+Parsing: a request whose first argument names a subcommand goes
+straight to that subcommand's parser, as the top parser would hand it
+on, so it is parsed once.  Any other request (no arguments, --help, an
+unknown name, options before the subcommand) goes through the top
+parser.  This paragraph is left out of --help.
 """
 
 from __future__ import annotations
@@ -44,8 +50,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="forestinv", description=__doc__)
+    parser = _Parser(prog="forestinv", description=__doc__.partition("\n\nParsing:")[0])
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    # each subcommand's parser by name, for `_parse`
+    parser.subcommands = sub.choices
 
     def add_format(p):
         p.add_argument("--format", choices=("json", "csv", "text"), default="json")
@@ -89,6 +97,19 @@ def _parser() -> _Parser:
     # built on first use and shared by every later call: parse_args keeps no
     # state between calls, and building costs more than most commands
     return build_parser()
+
+
+def _parse(argv):
+    """argv parsed in one argparse pass: the top parser would scan every
+    argument, then hand all after a subcommand's name, unchanged, to that
+    subcommand's parser, and report what it leaves with the same message."""
+    parser = _parser()
+    sub = parser.subcommands.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    args = sub.parse_args(argv[1:])
+    args.subcommand = argv[0]
+    return args
 
 
 def _emit_csv(header, rows) -> str:
@@ -223,13 +244,12 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = _parser().parse_args(argv)
+        args = _parse(argv)
         outcome = _COMMANDS[args.subcommand](args)
-    except _UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except (ParseError, DomainError) as err:
+    except (_UsageError, ParseError, DomainError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except ResourceLimitError as err:

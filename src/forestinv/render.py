@@ -20,13 +20,18 @@ tuples: a word code spells each label's length before the label, so
 codes do not sort like the labels.
 `render_payload` writes the CLI's objects around such values, and
 `render_value` is the parsed form of the same text.  Both match
-`json.dumps` with its default separators byte for byte.
+`json.dumps` with its default separators byte for byte.  The payload's
+field names and str fields are written by `encode_basestring_ascii`, and
+its int fields (not bools) by `int.__repr__`: those are the calls
+`json.dumps` makes for a str and an int, without its own dispatch.
+Bools, and any other int subclass, still go through `json.dumps`.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from .algebra import Polynomial, QSym, ratio_text
 from .errors import DomainError
 from .series import Series
@@ -97,13 +102,17 @@ def render_payload(fields) -> str:
     given.  An int here is plain JSON, a count, not a carrier value."""
     parts = []
     for key, value in fields.items():
-        if isinstance(value, (str, int)):
+        if isinstance(value, str):
+            text = encode_basestring_ascii(value)
+        elif type(value) is int:
+            text = int.__repr__(value)
+        elif isinstance(value, int):
             text = json.dumps(value)
         elif isinstance(value, (list, tuple)):
             text = _array([render_json(item) for item in value])
         else:
             text = render_json(value)
-        parts.append(f"{json.dumps(key)}: {text}")
+        parts.append(f"{encode_basestring_ascii(key)}: {text}")
     return "{" + ", ".join(parts) + "}"
 
 

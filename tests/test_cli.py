@@ -15,11 +15,18 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import forestinv
 from forestinv import cli
 from forestinv.cli import main
-from forestinv.engine import POLY_DEGREE_LIMIT, QSYM_PAIR_LIMIT, QSYM_TERM_LIMIT
+from forestinv.engine import (
+    BUILT_IN_NAMES,
+    POLY_DEGREE_LIMIT,
+    QSYM_PAIR_LIMIT,
+    QSYM_TERM_LIMIT,
+)
 from forestinv.trees import DEPTH_LIMIT, KEY_CHAR_LIMIT
 from forestinv.verify import SHIFT_VARIABLE_LIMIT, SUITES
 
@@ -549,6 +556,111 @@ def test_parser_is_built_once(capsys, monkeypatch):
         cli._parser.cache_clear()
 
 
+# the argv property: sizes below, at and past every guard
+SIZES = st.sampled_from(("1", "2", "3", "4", "0", "-1", "30", "1000000"))
+ROOTED_TREES = st.recursive(
+    st.just("()"),
+    lambda children: st.lists(children, max_size=3).map(lambda c: "(" + "".join(c) + ")"),
+    max_leaves=5,
+)
+LABELS = st.sampled_from(("a", "b", "ab", 'q"t', "é"))
+PLANAR_TREES = st.recursive(
+    LABELS.map(lambda label: f"({label}:)"),
+    lambda children: st.tuples(LABELS, st.lists(children, max_size=3)).map(
+        lambda node: f"({node[0]}:" + "".join(node[1]) + ")"
+    ),
+    max_leaves=5,
+)
+# strings over the trees' letters, balanced or not
+SCRAMBLED = st.text(alphabet="()a:", max_size=8)
+OPERATORS = st.sampled_from((*BUILT_IN_NAMES, "noop"))
+# each subcommand's options and the values drawn for them
+SUBCOMMAND_OPTIONS = {
+    "enumerate": {"--vertices": SIZES},
+    "invariant": {"--tree": st.one_of(ROOTED_TREES, SCRAMBLED), "--operator": OPERATORS},
+    "genfun": {
+        "--operator": OPERATORS,
+        "--terms": SIZES,
+        "--mode": st.sampled_from(("recurrence", "enumerate", "verify", "bogus")),
+    },
+    "verify": {"--suite": st.sampled_from((*SUITES, "all", "bogus")), "--max-n": SIZES},
+    "collisions": {"--operator": OPERATORS, "--max-n": SIZES},
+    "planar": {
+        "--tree": st.one_of(PLANAR_TREES, SCRAMBLED),
+        # every label, or a few, which may leave some of the tree's out
+        "--labels": st.one_of(st.just('a,b,ab,q"t,é'), st.lists(LABELS, max_size=3).map(",".join)),
+        "--operator": st.sampled_from(("free-words", "free-words", "tensor")),
+    },
+}
+FORMATS = st.sampled_from(("json", "csv", "text", "xml"))
+# how one option is written: mostly as usual, else as --opt=value,
+# abbreviated, twice, without its value, or left out (verify's --max-n is
+# never left out: its default sizes take up to a second, and the digest
+# pins them)
+WRITINGS = ("usual",) * 4 + ("equals", "abbreviated", "twice", "no value", "left out")
+# at most one unknown flag, stray positional or help flag after the subcommand
+EXTRAS = ((),) * 6 + (("--bogus",), ("--bogus=1",), ("-x",), ("stray",), ("-h",), ("--help",))
+
+
+@st.composite
+def cli_argvs(draw):
+    name = draw(st.sampled_from((*SUBCOMMAND_OPTIONS, "bogus")))
+    options = {**SUBCOMMAND_OPTIONS.get(name, {}), "--format": FORMATS}
+    chunks = []
+    for flag, values in options.items():
+        writings = WRITINGS[:-1] if (name, flag) == ("verify", "--max-n") else WRITINGS
+        writing = draw(st.sampled_from(writings))
+        value = draw(values)
+        if writing == "usual":
+            chunks.append([flag, value])
+        elif writing == "equals":
+            chunks.append([f"{flag}={value}"])
+        elif writing == "abbreviated":
+            chunks.append([flag[: draw(st.integers(3, len(flag) - 1))], value])
+        elif writing == "twice":
+            chunks += [[flag, draw(values)], [flag, value]]
+        elif writing == "no value":
+            chunks.append([flag])
+    chunks.append(draw(st.sampled_from(EXTRAS)))
+    chunks = draw(st.permutations(chunks))
+    # the subcommand first, or after one of its options or a help flag
+    lead = draw(st.sampled_from((0,) * 7 + (1,)))
+    head = draw(st.sampled_from(((),) * 9 + (("--help",),)))
+    # and now and then abbreviated, which no parser accepts
+    written = draw(st.sampled_from((name,) * 9 + (name[:3],)))
+    return [arg for chunk in [head, *chunks[:lead], [written], *chunks[lead:]] for arg in chunk]
+
+
+def parse_outcome(parse, argv):
+    """What one parse of argv gives: its fields, its usage message, or
+    its exit code and the help it printed."""
+    printed = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(printed):
+            return "fields", vars(parse(argv))
+    except cli._UsageError as err:
+        return "usage error", str(err)
+    except SystemExit as err:
+        return "exit", err.code, printed.getvalue()
+
+
+@settings(max_examples=120, deadline=None)
+@given(cli_argvs())
+def test_every_argv_exits_with_a_code_and_a_message_property(argv):
+    dispatched = parse_outcome(cli._parse, argv)
+    assert dispatched == parse_outcome(cli._parser().parse_args, argv)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert err.getvalue().startswith("error: ")
+    elif code == 2:
+        assert err.getvalue().startswith("resource limit: ")
+    elif dispatched[0] == "fields" and dispatched[1]["format"] == "json":
+        json.loads(out.getvalue())
+
+
 def path_text(vertices, label=None):
     opening = "(" if label is None else f"({label}:"
     return opening * vertices + ")" * vertices
@@ -679,7 +791,7 @@ def test_cli_digest_covers_every_subcommand_and_format():
         seen = {
             argv[argv.index("--format") + 1]
             for argv in digest.CALLS
-            if argv[0] == name and "--format" in argv
+            if argv[:1] == (name,) and "--format" in argv
         }
         assert seen >= set(formats), name
 

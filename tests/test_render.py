@@ -167,25 +167,29 @@ def test_unrenderable_types_are_domain_errors(x):
 @PROPERTY
 @given(
     st.text(),
-    st.integers(0, 10**6),
+    st.text(),
+    st.integers(-10**30, 10**30),
     st.booleans(),
     st.one_of(polynomials(), qsyms(), free_words(), tensors()),
     st.lists(qsyms(), max_size=4),
     series_of(polynomials(), Polynomial.one()),
 )
-def test_render_payload_matches_json_dumps_property(text, count, flag, value, terms, residual):
-    # the shapes of the CLI's invariant, genfun and planar payloads
+def test_render_payload_matches_json_dumps_property(
+    name, text, count, flag, value, terms, residual
+):
+    # the shapes of the CLI's invariant, genfun and planar payloads, with
+    # one field name drawn as freely as the str fields
     payloads = [
-        ({"tree": text, "operator": "lambda", "alpha": count, "value": value},
-         {"tree": text, "operator": "lambda", "alpha": count,
+        ({"tree": text, name: "lambda", "alpha": count, "value": value},
+         {"tree": text, name: "lambda", "alpha": count,
           "value": render_by_structure(value)}),
-        ({"operator": text, "mode": "recurrence", "terms": terms},
+        ({"operator": text, "mode": "recurrence", name: terms},
          {"operator": text, "mode": "recurrence",
-          "terms": [render_by_structure(t) for t in terms]}),
-        ({"residual": residual, "residual_zero": flag},
-         {"residual": render_by_structure(residual), "residual_zero": flag}),
-        ({"tree": text, "value": tuple(terms)},
-         {"tree": text, "value": [render_by_structure(t) for t in terms]}),
+          name: [render_by_structure(t) for t in terms]}),
+        ({name: residual, "residual_zero": flag},
+         {name: render_by_structure(residual), "residual_zero": flag}),
+        ({"tree": text, name: count, "value": tuple(terms)},
+         {"tree": text, name: count, "value": [render_by_structure(t) for t in terms]}),
     ]
     for payload, expected in payloads:
         assert render_payload(payload) == json.dumps(expected)

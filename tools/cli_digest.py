@@ -245,10 +245,26 @@ _PLANAR_SUITE = [
     ("verify", "--suite", "planar", "--max-n", "9"),
 ]
 
+# the parser's paths: requests the top parser answers (no subcommand, an
+# unknown one, an option before it) and ones handed to a subcommand's
+# parser (a missing option, an abbreviation, --opt=value, a repeated
+# option, a stray positional); --help is left out, since argparse wraps
+# it to the terminal width
+_PARSER_PATHS = [
+    (),
+    ("bogus",),
+    ("invariant", "--tree", "(())"),
+    ("enumerate", "--vert", "3"),
+    ("enumerate", "--vertices=3"),
+    ("enumerate", "--vertices", "2", "--vertices", "3"),
+    ("invariant", "stray", "--tree", "(())", "--operator", "lambda"),
+    ("--format", "json", "enumerate", "--vertices", "3"),
+]
+
 CALLS = (
     _EVERY_FORMAT + _INVARIANTS + _GENFUN + _GENFUN_LARGE + _MANY_TERMS + _ENUMERATE
     + _COLLISIONS + _VERIFY + _PLANAR + _DEEP_POLYNOMIALS + _GUARDS + _WHOLE_CLASS_GRID
-    + _PLANAR_SUITE
+    + _PLANAR_SUITE + _PARSER_PATHS
 )
 
 
