@@ -3,21 +3,23 @@
 Each operator is a named callable with an algebra tag, so pipelines can
 refuse to mix carriers.  The polynomial operators are the right
 inverses of the forward and backward differences, pinned down by
-vanishing at zero; the quasi-symmetric operators prepend a part to each
-composition, with the second one also merging into the head part, and
-both work on the key codes of `algebra.code` as they are: the part 1 is
-the character "\x01", and merging adds 1 to the head's code point.  The
-four inverses and prepends raise the degree of every non-zero input by
-exactly one and drop no term.  The differences themselves and the
-index-shift realizations of the prepends in finitely many variables,
-which check them, live in `oracles`.
+vanishing at zero: each is one integer product with a cached table of
+the power sums sum_{j<t} j^k, whose row k is read back by interpolation
+from its prefix sums at t = 0 .. k + 1.  The quasi-symmetric operators
+prepend a part to each composition, with the second one also merging
+into the head part, and both work on the key codes of `algebra.code` as
+they are: the part 1 is the character "\x01", and merging adds 1 to the
+head's code point.  The four inverses and prepends raise the degree of
+every non-zero input by exactly one and drop no term.  The differences
+themselves and the index-shift realizations of the prepends in finitely
+many variables, which check them, live in `oracles`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from math import comb, lcm
+from itertools import accumulate
+from math import lcm
 from typing import Any, Callable
 
 from .algebra import MAX_PART, Polynomial, QSym
@@ -53,26 +55,15 @@ def _power_sums(degree: int) -> tuple:
     rows, den = _POWER_SUMS
     if degree < len(rows):
         return _POWER_SUMS
-    # Faulhaber: (k+1) sum_{j<t} j^k = sum_i C(k+1, i) B_i t^(k+1-i), with
-    # B_1 = -1/2; B_k is the linear coefficient of row k.
-    bernoulli = [Fraction(row[1], den) for row in rows]
-    grown = []
-    for k in range(len(rows), degree + 1):
-        if k == 0:
-            bernoulli.append(Fraction(1))
-        else:
-            total = sum(comb(k + 1, i) * b for i, b in enumerate(bernoulli) if b)
-            bernoulli.append(-total / (k + 1))
-        row = [Fraction(0)] * (k + 2)
-        for i, b in enumerate(bernoulli):
-            row[k + 1 - i] = comb(k + 1, i) * b / (k + 1)
-        grown.append(row)
-    new_den = lcm(den, *(c.denominator for row in grown for c in row))
+    # row k has degree k + 1, so its prefix sums at t = 0 .. k + 1 fix it
+    grown = [
+        Polynomial.from_values(accumulate((j**k for j in range(k + 1)), initial=0))
+        for k in range(len(rows), degree + 1)
+    ]
+    new_den = lcm(den, *(p.denominator for p in grown))
     scale = new_den // den
     rows = tuple(tuple(a * scale for a in row) for row in rows) if scale != 1 else rows
-    rows += tuple(
-        tuple(c.numerator * (new_den // c.denominator) for c in row) for row in grown
-    )
+    rows += tuple(tuple(a * (new_den // p.denominator) for a in p.numerators) for p in grown)
     _POWER_SUMS = (rows, new_den)
     return _POWER_SUMS
 

@@ -1,14 +1,21 @@
 """Named verification suites.
 
 Each suite cross-checks one layer of the package against an independent
-oracle or a closed-form identity and reports pass/fail lines.  The CLI
-`verify` subcommand runs these; the acceptance tests run the same
-routines at their contractual sizes, on the shared built-in specs; a
-suite over the classes n <= max_n asks each limit about max_n first.
+oracle or a closed-form identity.  It is written as a generator of
+(ok, line) pairs, one pair per reported line, and `_suite(name)`
+registers it in `SUITES`, in definition order, as a function of the same
+arguments that returns one `SuiteResult`: its lines, passed when every
+ok is true.  The whole generator runs inside that call, so a suite's
+guards, which come first in its body, refuse before any work, and an
+error leaves no partial result.  The CLI `verify` subcommand runs these;
+the acceptance tests run the same routines at their contractual sizes,
+on the shared built-in specs; a suite over the classes n <= max_n asks
+each limit about max_n first.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -75,16 +82,32 @@ class SuiteResult:
         return {"suite": self.suite, "passed": self.passed, "lines": self.lines}
 
 
-def _result(suite, checks, lines):
-    return SuiteResult(suite=suite, passed=all(checks), lines=lines)
+# every suite by name, in definition order; `_suite` fills it
+SUITES: dict = {}
 
 
-def suite_census(max_n: int = 8) -> SuiteResult:
+def _suite(name: str):
+    """Register a generator of (ok, line) pairs as the suite `name`."""
+
+    def register(checks):
+        @functools.wraps(checks)
+        def run(*args, **kwargs) -> SuiteResult:
+            pairs = list(checks(*args, **kwargs))
+            return SuiteResult(name, all(ok for ok, _ in pairs), [line for _, line in pairs])
+
+        SUITES[name] = run
+        return run
+
+    return register
+
+
+@_suite("census")
+def suite_census(max_n: int = 8):
     """Tree and forest counts against the level-sequence oracle and the
     Euler transform."""
     # largest first: the forests on max_n need the trees on max_n + 1
     forest_counts = [len(enumerate_forests(n)) for n in range(max_n, 0, -1)][::-1]
-    lines, checks, tree_counts = [], [], []
+    tree_counts = []
     for n in range(1, max_n + 1):
         trees = enumerate_trees(n)
         count = len(trees)
@@ -93,28 +116,25 @@ def suite_census(max_n: int = 8) -> SuiteResult:
         same_keys = sorted(t.key for t in trees) == sorted(
             oracles.tree_from_level_sequence(seq).key for seq in oracles.level_sequences(n)
         )
-        ok = count == independent and same_keys
-        checks.append(ok)
-        lines.append(
+        yield count == independent and same_keys, (
             f"trees n={n}: {count} canonical vs {independent} by level sequences "
             f"({'same classes' if same_keys else 'CLASS MISMATCH'})"
         )
     expected = oracles.euler_transform(tree_counts)
-    ok = forest_counts == expected
-    checks.append(ok)
-    lines.append(f"forests n=1..{max_n}: {forest_counts} vs Euler transform {expected}")
-    return _result("census", checks, lines)
+    yield forest_counts == expected, (
+        f"forests n=1..{max_n}: {forest_counts} vs Euler transform {expected}"
+    )
 
 
-def suite_cayley(max_n: int = 12) -> SuiteResult:
+@_suite("cayley")
+def suite_cayley(max_n: int = 12):
     """Automorphism-weighted tree counts against n^(n-1)/n!."""
     report = cayley_check(max_n)
-    lines = [
-        f"n={row['n']}: sum 1/alpha = {row['tree_sum']} vs {row['closed_form']}"
-        for row in report.rows
-    ]
-    lines.append(f"series residual q*exp(u) - u zero: {report.residual_zero}")
-    return _result("cayley", [report.ok], lines)
+    for row in report.rows:
+        yield row["equal"], (
+            f"n={row['n']}: sum 1/alpha = {row['tree_sum']} vs {row['closed_form']}"
+        )
+    yield report.residual_zero, f"series residual q*exp(u) - u zero: {report.residual_zero}"
 
 
 def _check_class_caches(largest: int) -> None:
@@ -124,32 +144,25 @@ def _check_class_caches(largest: int) -> None:
         check_class_cache(built_in_spec(name), largest)
 
 
-def suite_recurrence(max_n: int = 8) -> SuiteResult:
+@_suite("recurrence")
+def suite_recurrence(max_n: int = 8):
     """Fixed-point recurrence against direct enumeration, all four
     shipped invariants."""
     check_enumeration(max_n)
     _check_class_caches(max_n - 1)
-    lines, checks = [], []
     for spec in map(built_in_spec, BUILT_IN_NAMES):
-        rec = u_by_recurrence(spec, max_n)
-        enu = u_by_enumeration(spec, max_n)
-        ok = rec.terms == enu.terms
-        checks.append(ok)
-        lines.append(f"{spec.name}: recurrence == enumeration through n={max_n}: {ok}")
-    return _result("recurrence", checks, lines)
+        ok = u_by_recurrence(spec, max_n).terms == u_by_enumeration(spec, max_n).terms
+        yield ok, f"{spec.name}: recurrence == enumeration through n={max_n}: {ok}"
 
 
-def suite_functional_equation(max_n: int = 8) -> SuiteResult:
+@_suite("functional-equation")
+def suite_functional_equation(max_n: int = 8):
     """Residual of q * X(exp U(q)) - U(q) with U built by enumeration."""
     check_enumeration(max_n)
     _check_class_caches(max_n - 1)
-    lines, checks = [], []
     for spec in map(built_in_spec, BUILT_IN_NAMES):
-        residual = verify_functional_equation(spec, max_n)
-        ok = residual.is_zero()
-        checks.append(ok)
-        lines.append(f"{spec.name}: residual zero through q^{max_n}: {ok}")
-    return _result("functional-equation", checks, lines)
+        ok = verify_functional_equation(spec, max_n).is_zero()
+        yield ok, f"{spec.name}: residual zero through q^{max_n}: {ok}"
 
 
 def _order_walks(m: int) -> list:
@@ -157,13 +170,13 @@ def _order_walks(m: int) -> list:
     return [_Grid(built_in_spec(name).grid_model, m).walk for name in ("delta-inv", "nabla-inv")]
 
 
-def suite_order_oracle(max_n: int = 6) -> SuiteResult:
+@_suite("order-oracle")
+def suite_order_oracle(max_n: int = 6):
     """Order polynomials against brute-force labeling counts."""
     # strict and weak, each over every label count m = 0 .. m_max
     m_max = ORDER_ORACLE_M_MAX
     check_labeling_brute_force(max_n, lambda n: 2 * sum(m**n for m in range(m_max + 1)))
     walks = tuple(zip(_order_walks(m_max), (True, False)))
-    lines, checks = [], []
     for n in range(1, max_n + 1):
         ok = all(
             walk(tree)[m] == brute_force_order_count(tree, m, strict)
@@ -171,31 +184,27 @@ def suite_order_oracle(max_n: int = 6) -> SuiteResult:
             for walk, strict in walks
             for m in range(m_max + 1)
         )
-        checks.append(ok)
-        lines.append(f"n={n}: strict and weak counts match brute force for m<={m_max}: {ok}")
-    return _result("order-oracle", checks, lines)
+        yield ok, f"n={n}: strict and weak counts match brute force for m<={m_max}: {ok}"
 
 
-def suite_qsym_oracle(max_n: int = 5) -> SuiteResult:
+@_suite("qsym-oracle")
+def suite_qsym_oracle(max_n: int = 5):
     """Quasi-symmetric values against brute-force monomial sums in
     m = n + 2 variables."""
     # strict and weak, each over n + 2 labels
     check_labeling_brute_force(max_n, lambda n: 2 * (n + 2) ** n)
-    lines, checks = [], []
     for n in range(1, max_n + 1):
         m = n + 2
-        ok = True
-        for tree in enumerate_trees(n):
-            if qsym_to_finite(qsym_strict(tree), m) != brute_force_qsym(tree, m, True):
-                ok = False
-            if qsym_to_finite(qsym_weak(tree), m) != brute_force_qsym(tree, m, False):
-                ok = False
-        checks.append(ok)
-        lines.append(f"n={n}: strict and weak expansions match brute force in {m} vars: {ok}")
-    return _result("qsym-oracle", checks, lines)
+        ok = all(
+            qsym_to_finite(refine(tree), m) == brute_force_qsym(tree, m, strict)
+            for tree in enumerate_trees(n)
+            for refine, strict in ((qsym_strict, True), (qsym_weak, False))
+        )
+        yield ok, f"n={n}: strict and weak expansions match brute force in {m} vars: {ok}"
 
 
-def suite_specialization(max_n: int = 6) -> SuiteResult:
+@_suite("specialization")
+def suite_specialization(max_n: int = 6):
     """Principal specialization of the quasi-symmetric refinements
     against the order polynomials, as polynomials in the label count t:
     M_alpha specializes to C(t, l(alpha)), so a value whose numerators
@@ -206,7 +215,6 @@ def suite_specialization(max_n: int = 6) -> SuiteResult:
     _check_class_caches(max_n)
     binomials = [[comb(t, parts) for parts in range(max_n + 1)] for t in range(max_n + 1)]
     walks = tuple(zip((qsym_strict, qsym_weak), _order_walks(max_n)))
-    lines, checks = [], []
     for n in range(1, max_n + 1):
         ok = True
         for tree, (refine, walk) in itertools.product(enumerate_trees(n), walks):
@@ -215,28 +223,29 @@ def suite_specialization(max_n: int = 6) -> SuiteResult:
                 sums[len(key)] += numerator
             values = [value.denominator * count for count in walk(tree)[: n + 1]]
             ok &= values == [sum(map(mul, sums, row)) for row in binomials[: n + 1]]
-        checks.append(ok)
-        lines.append(
+        yield ok, (
             f"n={n}: specializations match order polynomials for m<={SPECIALIZATION_M_MAX}: {ok}"
         )
-    return _result("specialization", checks, lines)
 
 
-def suite_collisions(max_n: int = 7) -> SuiteResult:
+@_suite("collisions")
+def suite_collisions(max_n: int = 7):
     """Distinguishing-power survey of the strict quasi-symmetric
     invariant.  Collisions are findings to report, not failures."""
     pairs = collision_report(max_n, built_in_spec("lambda-bar"))
-    lines = [f"lambda-bar invariant over all trees with n <= {max_n}: {len(pairs)} collision pairs"]
+    yield True, (
+        f"lambda-bar invariant over all trees with n <= {max_n}: {len(pairs)} collision pairs"
+    )
     for pair in pairs:
-        lines.append(
+        yield True, (
             f"n={pair.n}: {pair.tree_a} vs {pair.tree_b} "
             f"(alpha {pair.alpha_a} vs {pair.alpha_b}, "
             f"alpha collides: {pair.alpha_collision})"
         )
-    return _result("collisions", [True], lines)
 
 
-def suite_planar(max_n: int = 6) -> SuiteResult:
+@_suite("planar")
+def suite_planar(max_n: int = 6):
     """Planar recurrence against planar enumeration and the census, for
     one and two labels, plus the geometric fixed-point residual."""
     # before any work: the two-label census, every tree the suite
@@ -249,17 +258,14 @@ def suite_planar(max_n: int = 6) -> SuiteResult:
             f"{max_n} vertices, over the limit of {PLANAR_SUITE_TREE_LIMIT}"
         )
     oracles.check_dyck_scan(max_n - 1)
-    lines, checks = [], []
     for labels in (("a",), ("a", "b")):
         family = free_word_family(labels)
         rec = u_planar_by_recurrence(family, max_n)
         enu = u_planar_by_enumeration(family, max_n)
         ok = rec.per_label == enu.per_label
-        checks.append(ok)
-        lines.append(f"labels {list(labels)}: recurrence == enumeration through n={max_n}: {ok}")
-        residual = planar_equation_residual(family, max_n, sequence=enu)
-        checks.append(residual.is_zero())
-        lines.append(f"labels {list(labels)}: fixed-point residual zero: {residual.is_zero()}")
+        yield ok, f"labels {list(labels)}: recurrence == enumeration through n={max_n}: {ok}"
+        ok = planar_equation_residual(family, max_n, sequence=enu).is_zero()
+        yield ok, f"labels {list(labels)}: fixed-point residual zero: {ok}"
         census_ok = all(
             len(enumerate_planar(n, labels)) == planar_tree_count(n, len(labels))
             for n in range(1, max_n + 1)
@@ -268,15 +274,15 @@ def suite_planar(max_n: int = 6) -> SuiteResult:
             planar_tree_count(n, 1) == oracles.count_dyck_words(n - 1)
             for n in range(1, max_n + 1)
         )
-        checks.append(census_ok and dyck_ok)
-        lines.append(
+        ok = census_ok and dyck_ok
+        yield ok, (
             f"labels {list(labels)}: census matches Catalan * labelings "
-            f"(and brute-force balanced words): {census_ok and dyck_ok}"
+            f"(and brute-force balanced words): {ok}"
         )
-    return _result("planar", checks, lines)
 
 
-def suite_grafting(max_n: int = 4) -> SuiteResult:
+@_suite("grafting")
+def suite_grafting(max_n: int = 4):
     """Tensor-valued grafting identity and multiplicativity over every
     two-label planar forest with at most max_n vertices."""
     # the largest size first, so that a size past the planar guard is
@@ -287,25 +293,24 @@ def suite_grafting(max_n: int = 4) -> SuiteResult:
     report = check_tensor_grafting(samples, base, product_vertex_cap=max_n)
     graft_ok = all(c["ok"] for c in report.graft_checks)
     product_ok = all(c["ok"] for c in report.product_checks)
-    lines = [
-        f"graft split identity on {len(report.graft_checks)} forest/label pairs: {graft_ok}",
-        f"multiplicativity on {len(report.product_checks)} ordered pairs: {product_ok}",
-    ]
-    return _result("grafting", [report.ok], lines)
+    yield graft_ok, (
+        f"graft split identity on {len(report.graft_checks)} forest/label pairs: {graft_ok}"
+    )
+    yield product_ok, (
+        f"multiplicativity on {len(report.product_checks)} ordered pairs: {product_ok}"
+    )
 
 
-def suite_automorphisms(max_n: int = 7) -> SuiteResult:
+@_suite("automorphisms")
+def suite_automorphisms(max_n: int = 7):
     """Automorphism orders against permutation brute force."""
     oracles.check_permutation_brute_force(max_n)
-    lines, checks = [], []
     for n in range(1, max_n + 1):
         ok = all(
             automorphism_order(tree) == oracles.count_root_automorphisms(tree)
             for tree in enumerate_trees(n)
         )
-        checks.append(ok)
-        lines.append(f"n={n}: recursive alpha == permutation count for all trees: {ok}")
-    return _result("automorphisms", checks, lines)
+        yield ok, f"n={n}: recursive alpha == permutation count for all trees: {ok}"
 
 
 # fixed basis monomials beside the random inputs; with max_n <= 6 the
@@ -320,7 +325,8 @@ _FIXED_SHIFT_INPUTS = [
 ]
 
 
-def suite_shift_identities(max_n: int = 10) -> SuiteResult:
+@_suite("shift-identities")
+def suite_shift_identities(max_n: int = 10):
     """Operator identities in the finite-variable model: the variable and
     shift commutation x_m S^k = S^k x_{m-k}, and (1 - S) after the strict
     prepend operator equals multiplication by x_1 after one shift."""
@@ -333,7 +339,6 @@ def suite_shift_identities(max_n: int = 10) -> SuiteResult:
             f"over the limit of {SHIFT_VARIABLE_LIMIT}"
         )
     rng = random.Random(20260815)
-    lines, checks = [], []
 
     def random_poly():
         terms = {}
@@ -359,8 +364,7 @@ def suite_shift_identities(max_n: int = 10) -> SuiteResult:
                 )
                 if lhs != rhs:
                     commute_ok = False
-    checks.append(commute_ok)
-    lines.append(f"x_m S^k == S^k x_(m-k) for 1 <= k < m <= 6: {commute_ok}")
+    yield commute_ok, f"x_m S^k == S^k x_(m-k) for 1 <= k < m <= 6: {commute_ok}"
 
     telescope_ok = True
     for p in fixed + [random_poly() for _ in range(40)]:
@@ -369,31 +373,13 @@ def suite_shift_identities(max_n: int = 10) -> SuiteResult:
         rhs = FiniteVarPoly.variable(1, num_vars, 4 + 1) * shift_s(p)
         if lhs != rhs:
             telescope_ok = False
-    checks.append(telescope_ok)
-    lines.append(f"(1 - S) after the strict prepend equals x_1 S: {telescope_ok}")
-    return _result("shift-identities", checks, lines)
+    yield telescope_ok, f"(1 - S) after the strict prepend equals x_1 S: {telescope_ok}"
 
 
 def _iterate_shift(p: FiniteVarPoly, k: int) -> FiniteVarPoly:
     for _ in range(k):
         p = shift_s(p)
     return p
-
-
-SUITES = {
-    "census": suite_census,
-    "cayley": suite_cayley,
-    "recurrence": suite_recurrence,
-    "functional-equation": suite_functional_equation,
-    "order-oracle": suite_order_oracle,
-    "qsym-oracle": suite_qsym_oracle,
-    "specialization": suite_specialization,
-    "collisions": suite_collisions,
-    "planar": suite_planar,
-    "grafting": suite_grafting,
-    "automorphisms": suite_automorphisms,
-    "shift-identities": suite_shift_identities,
-}
 
 
 def available_suites() -> list:
@@ -410,8 +396,5 @@ def run_suite(name: str, max_n=None) -> list[SuiteResult]:
         raise DomainError(
             f"unknown suite {name!r}; choose from {', '.join(SUITES)} or 'all'"
         )
-    out = []
-    for suite_name in names:
-        runner = SUITES[suite_name]
-        out.append(runner() if max_n is None else runner(max_n))
-    return out
+    args = () if max_n is None else (max_n,)
+    return [SUITES[suite_name](*args) for suite_name in names]

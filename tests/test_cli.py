@@ -185,6 +185,52 @@ def test_verify_census_csv(capsys):
     ]
 
 
+# one check per suite broken on the trees of 3 vertices: the module and
+# name it is read through, the broken stand-in for it, and the indices of
+# the lines that change (cayley's row feeds its series residual too)
+BROKEN_CHECKS = {
+    "census": (
+        forestinv.oracles,
+        "count_trees_by_level_sequence",
+        lambda real: lambda n: real(n) + (n == 3),
+        [2],
+    ),
+    "order-oracle": (
+        forestinv.verify,
+        "brute_force_order_count",
+        lambda real: lambda tree, m, strict: real(tree, m, strict) + (tree.vertex_count == 3),
+        [2],
+    ),
+    "automorphisms": (
+        forestinv.oracles,
+        "count_root_automorphisms",
+        lambda real: lambda tree: real(tree) + (tree.vertex_count == 3),
+        [2],
+    ),
+    "cayley": (
+        forestinv.genfun,
+        "automorphism_order",
+        lambda real: lambda tree: real(tree) * (1 + (tree.vertex_count == 3)),
+        [2, 5],
+    ),
+}
+
+
+@pytest.mark.parametrize("suite", BROKEN_CHECKS)
+def test_a_suite_with_a_broken_check_fails_on_its_lines_alone(suite, capsys, monkeypatch):
+    module, name, broken, changed = BROKEN_CHECKS[suite]
+    kept = SUITES[suite](5)
+    assert kept.passed is True
+    monkeypatch.setattr(module, name, broken(getattr(module, name)))
+    failed = SUITES[suite](5)
+    assert failed.passed is False
+    assert len(failed.lines) == len(kept.lines)
+    assert [i for i, (a, b) in enumerate(zip(kept.lines, failed.lines)) if a != b] == changed
+    code, out, err = run(capsys, "verify", "--suite", suite, "--max-n", "5", "--format", "text")
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [f"[FAIL] {suite}", *("    " + line for line in failed.lines)]
+
+
 def test_verify_automorphisms_refuses_before_its_first_class(capsys, monkeypatch):
     counted = []
     monkeypatch.setattr(
@@ -631,6 +677,33 @@ def cli_argvs(draw):
     return [arg for chunk in [head, *chunks[:lead], [written], *chunks[lead:]] for arg in chunk]
 
 
+# paths of one level fewer than, as many as, and one more than the depth limit
+DEEP_LEVELS = st.sampled_from((DEPTH_LIMIT - 1, DEPTH_LIMIT, DEPTH_LIMIT + 1))
+PAST_SIZES = st.sampled_from(("30", "1000000"))
+# the values that take each subcommand to its guards
+AT_THE_GUARDS = {
+    ("enumerate", "--vertices"): PAST_SIZES,
+    ("invariant", "--tree"): DEEP_LEVELS.map(lambda levels: "(" * levels + ")" * levels),
+    ("genfun", "--terms"): PAST_SIZES,
+    ("verify", "--max-n"): PAST_SIZES,
+    ("collisions", "--max-n"): PAST_SIZES,
+    ("planar", "--tree"): st.tuples(LABELS, DEEP_LEVELS).map(
+        lambda path: f"({path[0]}:" * path[1] + ")" * path[1]
+    ),
+}
+
+
+@st.composite
+def guarded_argvs(draw):
+    """A subcommand with each option written plainly, its sizes past the
+    guards and its trees about the depth limit, so that many reach a refusal."""
+    name = draw(st.sampled_from(tuple(SUBCOMMAND_OPTIONS)))
+    argv = [name]
+    for flag, values in SUBCOMMAND_OPTIONS[name].items():
+        argv += [flag, draw(AT_THE_GUARDS.get((name, flag), values))]
+    return argv
+
+
 def parse_outcome(parse, argv):
     """What one parse of argv gives: its fields, its usage message, or
     its exit code and the help it printed."""
@@ -644,8 +717,8 @@ def parse_outcome(parse, argv):
         return "exit", err.code, printed.getvalue()
 
 
-@settings(max_examples=120, deadline=None)
-@given(cli_argvs())
+@settings(max_examples=180, deadline=None)
+@given(st.one_of(cli_argvs(), guarded_argvs()))
 def test_every_argv_exits_with_a_code_and_a_message_property(argv):
     dispatched = parse_outcome(cli._parse, argv)
     assert dispatched == parse_outcome(cli._parser().parse_args, argv)
@@ -657,6 +730,9 @@ def test_every_argv_exits_with_a_code_and_a_message_property(argv):
         assert err.getvalue().startswith("error: ")
     elif code == 2:
         assert err.getvalue().startswith("resource limit: ")
+        # counts are written in full only up to 12 digits, or as argv gave them
+        written = " ".join(argv)
+        assert all(digits in written for digits in re.findall(r"\d{13,}", err.getvalue()))
     elif dispatched[0] == "fields" and dispatched[1]["format"] == "json":
         json.loads(out.getvalue())
 

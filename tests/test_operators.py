@@ -169,9 +169,10 @@ def test_power_sum_table_grows_to_the_highest_degree(monkeypatch):
     assert [len(row) for row in rows] == [k + 2 for k in range(21)]
     assert type(den) is int and den > 0
     assert all(type(a) is int for row in rows for a in row)
+    # row k is built from its values at t = 0 .. k + 1; k + 2 and k + 3 lie past them
     for k, row in enumerate(rows):
         power_sum = Polynomial.from_numerators(row, den)
-        for t in range(6):
+        for t in (*range(6), k + 2, k + 3):
             assert power_sum(t) == sum(j**k for j in range(t))
 
 
