@@ -6,7 +6,14 @@ algebra (order polynomials, quasi-symmetric refinements), checks the
 generating-function identities they satisfy, and extends the whole story
 to labeled planar forests over noncommutative algebras.  All arithmetic
 is exact rational.
+
+The brute-force oracles (`forestinv.oracles`) and the verification
+suites (`forestinv.verify`), with the names re-exported from them, load
+on first access: only `forestinv verify` and the tests read them, and
+each command starts a fresh process that would otherwise pay for them.
 """
+
+from importlib import import_module as _import_module
 
 from .algebra import (
     Polynomial,
@@ -56,17 +63,6 @@ from .operators import (
     lambda_bar,
     nabla_inv,
 )
-from .oracles import (
-    FiniteVarPoly,
-    brute_force_order_count,
-    brute_force_qsym,
-    delta,
-    finite_lambda,
-    finite_lambda_bar,
-    nabla,
-    qsym_to_finite,
-    shift_s,
-)
 from .planar import (
     GraftCheckReport,
     OperatorFamily,
@@ -107,7 +103,26 @@ from .trees import (
     parse_tree,
     remove_root,
 )
-from .verify import SuiteResult, available_suites, run_suite
 from .words import FreeWord, TensorElement
 
 __version__ = "0.1.0"
+
+# name -> the submodule that defines it, imported on first access
+_LAZY = dict.fromkeys(
+    ("oracles", "FiniteVarPoly", "brute_force_order_count", "brute_force_qsym", "delta",
+     "finite_lambda", "finite_lambda_bar", "nabla", "qsym_to_finite", "shift_s"), "oracles"
+) | dict.fromkeys(("verify", "SuiteResult", "available_suites", "run_suite"), "verify")
+__all__ = [name for name in globals() if not name.startswith("_")] + list(_LAZY)
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _import_module(f"{__name__}.{_LAZY[name]}")
+    value = module if name == _LAZY[name] else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | _LAZY.keys())

@@ -19,7 +19,6 @@ parser.  This paragraph is left out of --help.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
@@ -36,7 +35,6 @@ from .genfun import u_by_enumeration, u_by_recurrence, verify_functional_equatio
 from .planar import evaluate_planar, free_word_family, parse_planar_tree
 from .render import pretty, render_payload
 from .trees import automorphism_order, enumerate_trees, parse_tree
-from .verify import available_suites, run_suite
 
 
 class _UsageError(Exception):
@@ -47,6 +45,16 @@ class _Parser(argparse.ArgumentParser):
     # unknown flags and bad values are ordinary errors, exit code 1
     def error(self, message):
         raise _UsageError(message)
+
+
+class _SuiteHelp(argparse.HelpFormatter):
+    # names the suites in --suite's help, so `verify` loads only for it
+    def _get_help_string(self, action):
+        if action.dest != "suite":
+            return action.help
+        from .verify import available_suites
+
+        return action.help + ", ".join(available_suites())
 
 
 def build_parser() -> _Parser:
@@ -73,8 +81,8 @@ def build_parser() -> _Parser:
     p.add_argument("--mode", choices=("recurrence", "enumerate", "verify"), default="recurrence")
     add_format(p)
 
-    p = sub.add_parser("verify", help="run a named verification suite")
-    p.add_argument("--suite", default="all", help="suite name or 'all': " + ", ".join(available_suites()))
+    p = sub.add_parser("verify", help="run a named verification suite", formatter_class=_SuiteHelp)
+    p.add_argument("--suite", default="all", help="suite name or 'all': ")
     p.add_argument("--max-n", type=int, default=None)
     add_format(p)
 
@@ -113,6 +121,8 @@ def _parse(argv):
 
 
 def _emit_csv(header, rows) -> str:
+    import csv
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
@@ -174,6 +184,8 @@ def _cmd_genfun(args):
 def _cmd_verify(args):
     if args.max_n is not None and args.max_n < 1:
         raise DomainError("--max-n must be at least 1")
+    from .verify import run_suite
+
     results = run_suite(args.suite, args.max_n)
     passed = all(r.passed for r in results)
     if args.format == "json":

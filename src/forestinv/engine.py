@@ -32,9 +32,9 @@ mod a prime, and the collision search splits equal fingerprints by value.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import comb
 from operator import mul
+from typing import NamedTuple
 
 from .algebra import Polynomial, QSym, product
 from .errors import _PAST_EVERY_LIMIT, DomainError, ResourceLimitError, _count_text
@@ -412,8 +412,7 @@ def built_in_spec(name: str) -> InvariantSpec:
 BUILT_IN_NAMES = tuple(_SHARED)
 
 
-@dataclass(frozen=True)
-class CollisionPair:
+class CollisionPair(NamedTuple):
     """Two non-isomorphic trees that share an invariant value."""
 
     n: int

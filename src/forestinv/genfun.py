@@ -25,11 +25,11 @@ exponentiates U only through q^(N-1), all that q * X(exp U) keeps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import factorial
 from operator import mul
+from typing import NamedTuple
 
 from .algebra import Polynomial, linear_combination, one_like
 from .engine import (
@@ -79,8 +79,7 @@ def elementary_schur(values, n: int, one=None):
     return exp(generic).coefficient(n)
 
 
-@dataclass
-class USequence:
+class USequence(NamedTuple):
     """Leading terms U_1 .. U_order of the tree generating function."""
 
     spec_name: str
@@ -225,8 +224,7 @@ def verify_functional_equation(
     return grown - u_series
 
 
-@dataclass
-class CayleyReport:
+class CayleyReport(NamedTuple):
     """Exact comparison of tree sums against n^(n-1)/n!."""
 
     rows: list

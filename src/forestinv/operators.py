@@ -17,10 +17,9 @@ many variables, which check them, live in `oracles`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import accumulate
 from math import lcm
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from .algebra import MAX_PART, Polynomial, QSym
 from .errors import DomainError
@@ -31,16 +30,18 @@ FREE_WORD = "free-word"
 TENSOR = "tensor"
 
 
-@dataclass(frozen=True)
-class LinearOperator:
+class LinearOperator(NamedTuple):
     """A named linear map on one algebra carrier."""
 
     name: str
     algebra: str
-    apply: Callable[[Any], Any] = field(repr=False)
+    apply: Callable[[Any], Any]
 
     def __call__(self, x):
         return self.apply(x)
+
+    def __repr__(self):
+        return f"LinearOperator(name={self.name!r}, algebra={self.algebra!r})"
 
 
 # Power sums sum_{j<t} j^k = A_k(t) / L for k = 0..d: the integer

@@ -32,9 +32,9 @@ a value is read or written.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
+from typing import NamedTuple
 
 from .algebra import linear_combination, product
 from .errors import _PAST_EVERY_LIMIT, DomainError, ParseError, ResourceLimitError, _count_text
@@ -348,8 +348,7 @@ def enumerate_planar_forests(n: int, labels) -> list[PlanarForest]:
     return [PlanarForest(trees) for trees in forest_level(n)]
 
 
-@dataclass
-class PlanarUSequence:
+class PlanarUSequence(NamedTuple):
     """Per-label leading terms of the planar generating function."""
 
     per_label: dict
@@ -493,8 +492,7 @@ def tensor_family(base: OperatorFamily) -> OperatorFamily:
     return OperatorFamily(ops, TensorElement.one())
 
 
-@dataclass
-class GraftCheckReport:
+class GraftCheckReport(NamedTuple):
     """Outcome of the grafting and multiplicativity checks on samples."""
 
     graft_checks: list

@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from operator import mul
+from typing import NamedTuple
 
 from . import oracles
 from .engine import (
@@ -72,8 +72,7 @@ SHIFT_VARIABLE_LIMIT = 256
 PLANAR_SUITE_TREE_LIMIT = 200_000
 
 
-@dataclass
-class SuiteResult:
+class SuiteResult(NamedTuple):
     suite: str
     passed: bool
     lines: list

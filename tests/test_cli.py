@@ -518,6 +518,30 @@ def test_help_exits_zero(capsys):
     assert "enumerate" in out
 
 
+# `verify --help` at 80 columns as it read when the parser named the
+# suites as it was built; it names them only when the help is printed now
+VERIFY_HELP = """\
+usage: forestinv verify [-h] [--suite SUITE] [--max-n MAX_N]
+                        [--format {json,csv,text}]
+
+options:
+  -h, --help            show this help message and exit
+  --suite SUITE         suite name or 'all': census, cayley, recurrence,
+                        functional-equation, order-oracle, qsym-oracle,
+                        specialization, collisions, planar, grafting,
+                        automorphisms, shift-identities
+  --max-n MAX_N
+  --format {json,csv,text}
+"""
+
+
+def test_verify_help_names_every_suite_in_registry_order(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(capsys, "verify", "--help") == (0, VERIFY_HELP, "")
+    listed = VERIFY_HELP.partition("'all': ")[2].partition("--max-n")[0]
+    assert " ".join(listed.split()) == ", ".join(SUITES)
+
+
 def test_all_formats_are_valid_json_when_asked(capsys):
     commands = [
         ("enumerate", "--vertices", "5"),

@@ -7,8 +7,10 @@ change, which is the working tree (its tracked and staged files, through
 `git stash create`) unless --change names a revision.  For each seed
 1..k and each workload of BENCHMARK.json it runs `perfbench/run.py` once
 in each copy, alternating which side goes first from one pair to the
-next.  Both copies run in one bytecode state: `compileall` compiles each
-before the first run, so no run depends on what an earlier one wrote.
+next.  Each run has PYTHONDONTWRITEBYTECODE=1 in its environment, so it
+writes no bytecode and compiles the package from source in every
+process, as a fresh checkout under that setting does: no run reads what
+an earlier one wrote, and `setup_s` counts compile time on both sides.
 
 The JSON written to --out holds, per workload and end-to-end metric, the
 parent's and the change's medians and quartiles and the pairs the change
@@ -62,8 +64,9 @@ def run_once(copy: Path, workload: str, seed: int, seconds: float) -> dict:
     """One `perfbench/run.py` run in a copy: its last stdout line."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
             "--seed", str(seed), "--seconds", str(seconds)]
-    with subprocess.Popen(argv, cwd=copy, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                          text=True, start_new_session=True) as run:
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    with subprocess.Popen(argv, cwd=copy, env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True, start_new_session=True) as run:
         try:
             stdout, stderr = run.communicate()
         except BaseException:
@@ -169,8 +172,6 @@ def main(argv=None) -> int:
         copies = {side: Path(scratch) / side for side in SIDES}
         for side in SIDES:
             export(commits[side], copies[side])
-            subprocess.run([sys.executable, "-m", "compileall", "-q", str(copies[side])],
-                           check=True)
         pair = 0
         for seed in range(1, args.seeds + 1):
             for workload in workloads:
@@ -189,7 +190,7 @@ def main(argv=None) -> int:
                    "working_tree": working_tree},
         "seeds": list(range(1, args.seeds + 1)),
         "seconds": args.seconds,
-        "bytecode": "compiled before the first run",
+        "bytecode": "none written; compiled from source in every process",
         "interpreter": {"implementation": platform.python_implementation(),
                         "version": platform.python_version()},
         "machine": {"system": platform.system(), "arch": platform.machine(),
