@@ -9,11 +9,17 @@ The JSON of invariant, genfun and planar, whose payloads hold algebra
 values, is written by `render.render_payload` straight from the values'
 terms; the other payloads go through `json.dumps`.
 
-Parsing: a request whose first argument names a subcommand goes
-straight to that subcommand's parser, as the top parser would hand it
-on, so it is parsed once.  Any other request (no arguments, --help, an
-unknown name, options before the subcommand) goes through the top
-parser.  This paragraph is left out of --help.
+Parsing: a request is parsed once.  One in the plain form, a
+subcommand's name followed only by `--option value` pairs (each flag in
+full and once, each value non-empty, not led by "-", of its option's
+type and among its choices, every required option given), is read
+straight from that subcommand's declared options, without argparse.  Any
+other request whose first argument names a subcommand goes to that
+subcommand's parser, as the top parser would hand it on; the rest (no
+arguments, --help, an unknown name, options before the subcommand) go
+through the top parser.  So help, usage errors, abbreviations,
+--opt=value, repeated options and values led by "-" are argparse's
+alone.  This paragraph is left out of --help.
 """
 
 from __future__ import annotations
@@ -97,6 +103,14 @@ def build_parser() -> _Parser:
     p.add_argument("--operator", default="free-words", help="operator family name")
     add_format(p)
 
+    # each subparser's options that take one value, by flag, for `_read_plain`
+    for p in sub.choices.values():
+        p.plain_options = {
+            flag: action
+            for action in p._actions
+            if isinstance(action, argparse._StoreAction) and action.nargs is None
+            for flag in action.option_strings
+        }
     return parser
 
 
@@ -107,15 +121,48 @@ def _parser() -> _Parser:
     return build_parser()
 
 
+def _read_plain(sub, args):
+    """The Namespace that `sub.parse_args(args)` returns when args are
+    plain `--option value` pairs (see "Parsing:" above), else None."""
+    if len(args) % 2:
+        return None
+    given = {}
+    for flag, text in zip(args[::2], args[1::2]):
+        action = sub.plain_options.get(flag)
+        if action is None or action in given or not text or text[0] == "-":
+            return None
+        value = text
+        if action.type is not None:
+            try:
+                value = action.type(text)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        given[action] = value
+    namespace = argparse.Namespace()
+    for action in sub._actions:
+        if action in given:
+            setattr(namespace, action.dest, given[action])
+        elif action.required:
+            return None
+        elif action.default is not argparse.SUPPRESS:
+            setattr(namespace, action.dest, action.default)
+    return namespace
+
+
 def _parse(argv):
-    """argv parsed in one argparse pass: the top parser would scan every
-    argument, then hand all after a subcommand's name, unchanged, to that
-    subcommand's parser, and report what it leaves with the same message."""
+    """argv parsed once: read plainly, or in one argparse pass, where the
+    top parser would scan every argument, then hand all after a
+    subcommand's name, unchanged, to that subcommand's parser, and report
+    what it leaves with the same message."""
     parser = _parser()
     sub = parser.subcommands.get(argv[0]) if argv else None
     if sub is None:
         return parser.parse_args(argv)
-    args = sub.parse_args(argv[1:])
+    args = _read_plain(sub, argv[1:])
+    if args is None:
+        args = sub.parse_args(argv[1:])
     args.subcommand = argv[0]
     return args
 

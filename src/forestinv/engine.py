@@ -274,7 +274,8 @@ def check_cost(
     if size > limit:
         raise ResourceLimitError(
             f"the {spec.name} {subject.format(vertices)} has an estimated "
-            f"{size_text.format(_count_text(size))}, over the limit of {limit}"
+            f"{size_text.format(_count_text(size))}, over the limit of {limit}",
+            size, limit,
         )
 
 
@@ -292,7 +293,8 @@ def check_recurrence_cost(spec: InvariantSpec, order: int) -> None:
     if size > QSYM_PAIR_LIMIT:
         raise ResourceLimitError(
             f"the {spec.name} recurrence through U_{order} multiplies an estimated "
-            f"{_count_text(size)} pairs of terms, over the limit of {QSYM_PAIR_LIMIT}"
+            f"{_count_text(size)} pairs of terms, over the limit of {QSYM_PAIR_LIMIT}",
+            size, QSYM_PAIR_LIMIT,
         )
 
 
@@ -310,7 +312,8 @@ def check_class_cache(spec: InvariantSpec, largest: int) -> None:
         raise ResourceLimitError(
             f"caching the {spec.name} values of every tree on 1 to {largest} vertices "
             f"takes an estimated {_count_text(size)} terms, over the limit of "
-            f"{CLASS_CACHE_TERM_LIMIT}"
+            f"{CLASS_CACHE_TERM_LIMIT}",
+            size, CLASS_CACHE_TERM_LIMIT,
         )
 
 

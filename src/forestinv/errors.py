@@ -19,7 +19,18 @@ class DomainError(ForestInvError, ValueError):
 
 
 class ResourceLimitError(ForestInvError, RuntimeError):
-    """A brute-force guard was exceeded; oracles never approximate."""
+    """A brute-force guard was exceeded; oracles never approximate.
+    Carries the guard's estimate of the work and the limit it passed,
+    the two numbers the message writes."""
+
+    def __init__(self, message, estimate, limit):
+        super().__init__(message)
+        self.estimate = estimate
+        self.limit = limit
+
+    def __reduce__(self):
+        # so that it pickles and copies with its numbers, as with its message alone
+        return type(self), (str(self), self.estimate, self.limit)
 
 
 # Where estimates stop, so none from a huge size is a huge int

@@ -137,7 +137,8 @@ def check_permutation_brute_force(vertices: int) -> None:
     if scanned > limit:
         raise ResourceLimitError(
             f"{vertices} vertices is too many for permutation brute force: "
-            f"{vertices - 1}! = {_count_text(scanned)} permutations, over the limit of {limit}"
+            f"{vertices - 1}! = {_count_text(scanned)} permutations, over the limit of {limit}",
+            scanned, limit,
         )
 
 
@@ -173,7 +174,8 @@ def check_labeling_brute_force(max_n: int, assignments) -> None:
     if total > _BRUTE_FORCE_LIMIT:
         raise ResourceLimitError(
             f"labeling brute force over the trees on 1 to {max_n} vertices would try "
-            f"{_count_text(total)} assignments, over the limit of {_BRUTE_FORCE_LIMIT}"
+            f"{_count_text(total)} assignments, over the limit of {_BRUTE_FORCE_LIMIT}",
+            total, _BRUTE_FORCE_LIMIT,
         )
 
 
@@ -188,7 +190,8 @@ def _check_tree_labelings(vertices: int, labels: int) -> None:
         raise ResourceLimitError(
             f"{vertices} vertices is too many for labeling brute force: "
             f"{labels}^{vertices} = {_count_text(scanned)} assignments, "
-            f"over the limit of {_BRUTE_FORCE_LIMIT}"
+            f"over the limit of {_BRUTE_FORCE_LIMIT}",
+            scanned, _BRUTE_FORCE_LIMIT,
         )
 
 
@@ -276,7 +279,8 @@ def check_dyck_scan(pairs: int) -> None:
     if scanned > limit:
         raise ResourceLimitError(
             f"{pairs} pairs is too many for a balanced-word scan: "
-            f"4^{pairs} = {_count_text(scanned)} candidate words, over the limit of {limit}"
+            f"4^{pairs} = {_count_text(scanned)} candidate words, over the limit of {limit}",
+            scanned, limit,
         )
 
 

@@ -286,7 +286,8 @@ def check_planar_count(n: int, label_count: int, kind: str) -> None:
     if count > _PLANAR_GUARD:
         raise ResourceLimitError(
             f"{_count_text(count)} planar {kind} on {n} vertices, "
-            f"over the limit of {_PLANAR_GUARD}"
+            f"over the limit of {_PLANAR_GUARD}",
+            count, _PLANAR_GUARD,
         )
 
 

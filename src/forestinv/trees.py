@@ -58,7 +58,8 @@ def check_depth(height: int) -> None:
     if height >= DEPTH_LIMIT:
         raise ResourceLimitError(
             f"a tree of depth {height + 1} is deeper than the limit of "
-            f"{DEPTH_LIMIT} levels"
+            f"{DEPTH_LIMIT} levels",
+            height + 1, DEPTH_LIMIT,
         )
 
 
@@ -66,7 +67,9 @@ def check_enumeration(vertices: int) -> None:
     """Refuse a census of the trees on this many vertices past the cap."""
     if vertices > _ENUMERATION_CAP:
         raise ResourceLimitError(
-            f"enumerating all trees on {vertices} vertices is over the limit of {_ENUMERATION_CAP}"
+            f"enumerating all trees on {vertices} vertices is over the limit of "
+            f"{_ENUMERATION_CAP}",
+            vertices, _ENUMERATION_CAP,
         )
 
 
@@ -210,7 +213,8 @@ def _parse_at(text, pos, key_chars=0, whose="tree's"):
             if key_chars > KEY_CHAR_LIMIT:
                 raise ResourceLimitError(
                     f"the {whose} keys would hold at least {key_chars} characters, "
-                    f"over the limit of {KEY_CHAR_LIMIT}"
+                    f"over the limit of {KEY_CHAR_LIMIT}",
+                    key_chars, KEY_CHAR_LIMIT,
                 )
         elif ch == ")":
             kids = open_vertices.pop()
@@ -262,7 +266,8 @@ def enumerate_forests(n: int) -> list[RootedForest]:
     # forests on n vertices biject with trees on n + 1, so cap one lower
     if n >= _ENUMERATION_CAP:
         raise ResourceLimitError(
-            f"enumerating all forests on {n} vertices is over the limit of {_ENUMERATION_CAP - 1}"
+            f"enumerating all forests on {n} vertices is over the limit of {_ENUMERATION_CAP - 1}",
+            n, _ENUMERATION_CAP - 1,
         )
     # a tree's key is its forest's key in parentheses, so the order holds
     return [remove_root(tree) for tree in enumerate_trees(n + 1)]

@@ -254,7 +254,8 @@ def suite_planar(max_n: int = 6):
     if trees > PLANAR_SUITE_TREE_LIMIT:
         raise ResourceLimitError(
             f"the planar suite evaluates {_count_text(trees)} planar trees on at most "
-            f"{max_n} vertices, over the limit of {PLANAR_SUITE_TREE_LIMIT}"
+            f"{max_n} vertices, over the limit of {PLANAR_SUITE_TREE_LIMIT}",
+            trees, PLANAR_SUITE_TREE_LIMIT,
         )
     oracles.check_dyck_scan(max_n - 1)
     for labels in (("a",), ("a", "b")):
@@ -335,7 +336,8 @@ def suite_shift_identities(max_n: int = 10):
     if num_vars > SHIFT_VARIABLE_LIMIT:
         raise ResourceLimitError(
             f"the shift-identities suite works in {num_vars} variables, "
-            f"over the limit of {SHIFT_VARIABLE_LIMIT}"
+            f"over the limit of {SHIFT_VARIABLE_LIMIT}",
+            num_vars, SHIFT_VARIABLE_LIMIT,
         )
     rng = random.Random(20260815)
 

@@ -8,6 +8,7 @@ import importlib.util
 import io
 import json
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -643,22 +644,33 @@ PLANAR_TREES = st.recursive(
 )
 # strings over the trees' letters, balanced or not
 SCRAMBLED = st.text(alphabet="()a:", max_size=8)
+# values led by "-": argparse reads "-" and "-1" as values, "-x" as a flag,
+# and the plain reader declines all three
+DASH_LED = st.sampled_from(("-", "-1", "-x"))
 OPERATORS = st.sampled_from((*BUILT_IN_NAMES, "noop"))
 # each subcommand's options and the values drawn for them
 SUBCOMMAND_OPTIONS = {
     "enumerate": {"--vertices": SIZES},
-    "invariant": {"--tree": st.one_of(ROOTED_TREES, SCRAMBLED), "--operator": OPERATORS},
+    "invariant": {
+        "--tree": st.one_of(ROOTED_TREES, SCRAMBLED, DASH_LED),
+        "--operator": OPERATORS,
+    },
     "genfun": {
         "--operator": OPERATORS,
         "--terms": SIZES,
         "--mode": st.sampled_from(("recurrence", "enumerate", "verify", "bogus")),
     },
-    "verify": {"--suite": st.sampled_from((*SUITES, "all", "bogus")), "--max-n": SIZES},
+    "verify": {
+        "--suite": st.one_of(st.sampled_from((*SUITES, "all", "bogus")), DASH_LED),
+        "--max-n": SIZES,
+    },
     "collisions": {"--operator": OPERATORS, "--max-n": SIZES},
     "planar": {
-        "--tree": st.one_of(PLANAR_TREES, SCRAMBLED),
+        "--tree": st.one_of(PLANAR_TREES, SCRAMBLED, DASH_LED),
         # every label, or a few, which may leave some of the tree's out
-        "--labels": st.one_of(st.just('a,b,ab,q"t,é'), st.lists(LABELS, max_size=3).map(",".join)),
+        "--labels": st.one_of(
+            st.just('a,b,ab,q"t,é'), st.lists(LABELS, max_size=3).map(",".join), DASH_LED
+        ),
         "--operator": st.sampled_from(("free-words", "free-words", "tensor")),
     },
 }
@@ -668,8 +680,11 @@ FORMATS = st.sampled_from(("json", "csv", "text", "xml"))
 # never left out: its default sizes take up to a second, and the digest
 # pins them)
 WRITINGS = ("usual",) * 4 + ("equals", "abbreviated", "twice", "no value", "left out")
-# at most one unknown flag, stray positional or help flag after the subcommand
-EXTRAS = ((),) * 6 + (("--bogus",), ("--bogus=1",), ("-x",), ("stray",), ("-h",), ("--help",))
+# at most one unknown flag, stray positional, help flag or "--" after the
+# subcommand
+EXTRAS = ((),) * 6 + (
+    ("--bogus",), ("--bogus=1",), ("-x",), ("stray",), ("-h",), ("--help",), ("--",)
+)
 
 
 @st.composite
@@ -759,6 +774,89 @@ def test_every_argv_exits_with_a_code_and_a_message_property(argv):
         assert all(digits in written for digits in re.findall(r"\d{13,}", err.getvalue()))
     elif dispatched[0] == "fields" and dispatched[1]["format"] == "json":
         json.loads(out.getvalue())
+
+
+# per subcommand: one plain argv with every option given, one with its
+# required options alone, and its options that argparse converts to int
+PLAIN_ARGVS = {
+    "enumerate": (("--vertices", "3", "--format", "csv"), ("--vertices", "3"), ("--vertices",)),
+    "invariant": (
+        ("--tree", "(())", "--operator", "lambda", "--format", "text"),
+        ("--tree", "(())", "--operator", "lambda"),
+        (),
+    ),
+    "genfun": (
+        ("--operator", "lambda", "--terms", "3", "--mode", "verify", "--format", "csv"),
+        ("--operator", "lambda", "--terms", "3"),
+        ("--terms",),
+    ),
+    "verify": (("--suite", "census", "--max-n", "3", "--format", "text"), (), ("--max-n",)),
+    "collisions": (
+        ("--operator", "lambda", "--max-n", "3", "--format", "csv"),
+        ("--operator", "lambda", "--max-n", "3"),
+        ("--max-n",),
+    ),
+    "planar": (
+        ("--tree", "(a:)", "--labels", "a,b", "--operator", "free-words", "--format", "text"),
+        ("--tree", "(a:)"),
+        (),
+    ),
+}
+
+
+def with_value(args, flag, value):
+    at = args.index(flag) + 1
+    return (*args[:at], value, *args[at + 1:])
+
+
+def only_argparse_reads(name):
+    """The subcommand's argvs, by what makes each one not plain."""
+    every, required, ints = PLAIN_ARGVS[name]
+    flag, value = every[:2]
+    yield "abbreviated flag", (flag[:-2], value, *every[2:])
+    yield "--opt=value", (f"{flag}={value}", *every[2:])
+    yield "repeated option", (*every, flag, value)
+    yield "value -1", with_value(every, flag, "-1")
+    yield "value -x", with_value(every, flag, "-x")
+    yield "empty value", with_value(every, flag, "")
+    yield "missing value", every[:-1]
+    if required:
+        yield "missing required option", required[2:]
+    yield "unknown flag", (*every, "--bogus", "1")
+    yield "-h", (*every, "-h")
+    yield "--help", ("--help", *every)
+    yield "--", ("--", *every)
+    yield "bad choice", with_value(every, "--format", "xml")
+    if name in ("invariant", "genfun", "collisions"):
+        yield "bad operator", with_value(every, "--operator", "noop")
+    for flag in ints:
+        yield f"bad int {flag}", with_value(every, flag, "x")
+
+
+@pytest.mark.parametrize(
+    "name, plain, args",
+    [
+        pytest.param(name, True, args, id=f"{name} {what}")
+        for name, (every, required, _) in PLAIN_ARGVS.items()
+        for what, args in (("every option", every), ("required options", required))
+    ] + [
+        pytest.param(name, False, args, id=f"{name} {what}")
+        for name in PLAIN_ARGVS
+        for what, args in only_argparse_reads(name)
+    ],
+)
+def test_plain_reader_hands_argparse_what_only_it_reads(name, plain, args):
+    argv = [name, *args]
+    read = cli._read_plain(cli._parser().subcommands[name], args)
+    if plain:
+        # argparse's Namespace exactly: the same fields, values and types
+        read.subcommand = name
+        expected = cli._parser().parse_args(argv)
+        assert repr(sorted(vars(read).items())) == repr(sorted(vars(expected).items()))
+        assert cli._parse(argv) == expected
+    else:
+        assert read is None
+        assert parse_outcome(cli._parse, argv) == parse_outcome(cli._parser().parse_args, argv)
 
 
 def path_text(vertices, label=None):
@@ -866,6 +964,30 @@ def test_genfun_orders_past_the_guard_exit_with_the_estimate_and_the_limit(
     assert (code, out) == (2, "")
     assert err.startswith("resource limit:")
     assert f"U_{terms}" in err and str(estimate) in err and str(limit) in err
+
+
+@pytest.mark.parametrize(
+    "argv, estimate, limit",
+    [
+        (("enumerate", "--vertices", "30"), 30, 16),
+        (("invariant", "--tree", path_text(600), "--operator", "lambda-bar"), 600, DEPTH_LIMIT),
+        (("genfun", "--operator", "lambda", "--terms", "16"), 212993, QSYM_PAIR_LIMIT),
+        (("verify", "--suite", "automorphisms", "--max-n", "12"), 39916800, 1_000_000),
+        (("collisions", "--operator", "lambda", "--max-n", "30"), 30, 16),
+        (("planar", "--tree", path_text(600, "a")), 600, DEPTH_LIMIT),
+    ],
+    ids=lambda value: value[0] if isinstance(value, tuple) else None,
+)
+def test_each_command_refuses_with_the_estimate_and_the_limit_as_attributes(
+    capsys, argv, estimate, limit
+):
+    args = cli._parse(argv)
+    with pytest.raises(forestinv.ResourceLimitError) as refusal:
+        cli._COMMANDS[args.subcommand](args)
+    assert (refusal.value.estimate, refusal.value.limit) == (estimate, limit)
+    copied = pickle.loads(pickle.dumps(refusal.value))
+    assert (str(copied), copied.estimate, copied.limit) == (str(refusal.value), estimate, limit)
+    assert run(capsys, *argv) == (2, "", f"resource limit: {refusal.value}\n")
 
 
 DIGEST_SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "cli_digest.py"

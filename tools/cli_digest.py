@@ -261,10 +261,28 @@ _PARSER_PATHS = [
     ("--format", "json", "enumerate", "--vertices", "3"),
 ]
 
+# requests the plain reader declines, so argparse alone answers them: values
+# led by "-" (argparse reads "-1" as a value, "-x" as a flag), a missing
+# value, a bad int, "--" before and after the options, and an unknown flag
+# given a value
+_PLAIN_BOUNDARY = [
+    ("enumerate", "--vertices", "-1"),
+    ("enumerate", "--vertices"),
+    ("enumerate", "--vertices", "x"),
+    ("genfun", "--operator", "lambda", "--terms", "x"),
+    ("invariant", "--tree", "-x", "--operator", "lambda"),
+    ("invariant", "--tree", "-1", "--operator", "lambda"),
+    ("planar", "--tree", "(a:)", "--labels", "-x"),
+    ("verify", "--suite", "-x"),
+    ("enumerate", "--", "--vertices", "3"),
+    ("enumerate", "--vertices", "3", "--"),
+    ("enumerate", "--vertices", "3", "--bogus", "1"),
+]
+
 CALLS = (
     _EVERY_FORMAT + _INVARIANTS + _GENFUN + _GENFUN_LARGE + _MANY_TERMS + _ENUMERATE
     + _COLLISIONS + _VERIFY + _PLANAR + _DEEP_POLYNOMIALS + _GUARDS + _WHOLE_CLASS_GRID
-    + _PLANAR_SUITE + _PARSER_PATHS
+    + _PLANAR_SUITE + _PARSER_PATHS + _PLAIN_BOUNDARY
 )
 
 
