@@ -13,6 +13,10 @@ class ParseError(ForestInvError, ValueError):
         super().__init__(f"{message} (offset {offset})")
         self.offset = offset
 
+    def __reduce__(self):
+        # replays the bare message and the offset, which `__init__` needs
+        return type(self), (str(self).removesuffix(f" (offset {self.offset})"), self.offset)
+
 
 class DomainError(ForestInvError, ValueError):
     """Input outside an operation's domain."""

@@ -11,13 +11,18 @@ through `json.dumps` for escaping.  Every coefficient is written from
 its integer numerator by `algebra.ratio_text`, reduced against the
 common denominator by one gcd, as the reprs write it.  A
 quasi-symmetric key code (see `algebra.code`) is decoded here, where it
-is written: one `str.translate` turns each of its characters into the
-part's digits and a separator, and codes sort like the compositions
-they encode.  A word or tensor key is decoded here too, from its word
-code to its tuple of labels, by the carrier's `decoded_numerators`
-(see `words`), which sorts the terms by length and then by those
-tuples: a word code spells each label's length before the label, so
-codes do not sort like the labels.
+is written, and codes sort like the compositions they encode.  Each
+code's text ("1, 2, 3") is written once, by one `str.translate` of its
+characters, into a table keyed by the code, so a render reads it with
+one dict lookup per term.  Values share their keys: every lambda value
+on 12 vertices has all 2048 compositions of 12 as keys.  That table,
+and the table of part texts `str.translate` reads, each hold at most
+`engine.QSYM_TERM_LIMIT` entries, as many keys as the guard lets one
+value have, and are emptied when full.  A word or tensor key is
+decoded here too, from its word code to its tuple of labels, by the
+carrier's `decoded_numerators` (see `words`), which sorts the terms by
+length and then by those tuples: a word code spells each label's length
+before the label, so codes do not sort like the labels.
 `render_payload` writes the CLI's objects around such values, and
 `render_value` is the parsed form of the same text.  Both match
 `json.dumps` with its default separators byte for byte.  The payload's
@@ -33,6 +38,7 @@ import json
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from .algebra import Polynomial, QSym, ratio_text
+from .engine import QSYM_TERM_LIMIT
 from .errors import DomainError
 from .series import Series
 from .words import FreeWord, TensorElement
@@ -44,14 +50,31 @@ def _array(items) -> str:
 
 class _PartText(dict):
     """Code point -> the JSON text of that part and a separator, "k, ";
-    one entry per part size ever rendered, made on first use."""
+    made on first use, and emptied first when it holds QSYM_TERM_LIMIT
+    parts."""
 
     def __missing__(self, point):
+        if len(self) >= QSYM_TERM_LIMIT:
+            self.clear()
         text = self[point] = f"{point}, "
         return text
 
 
 _PARTS = _PartText()
+
+
+class _CompositionText(dict):
+    """Composition code -> the JSON text of its parts, "1, 2, 3"; made on
+    first use, and emptied first when it holds QSYM_TERM_LIMIT codes."""
+
+    def __missing__(self, key):
+        if len(self) >= QSYM_TERM_LIMIT:
+            self.clear()
+        text = self[key] = key.translate(_PARTS)[:-2]
+        return text
+
+
+_COMPOSITIONS = _CompositionText()
 
 
 def _coefficient_texts(nums: dict, den: int) -> dict:
@@ -76,7 +99,7 @@ def render_json(x) -> str:
     if isinstance(x, QSym):
         texts = _coefficient_texts(x.numerators, x.denominator)
         return _array([
-            f'{{"composition": [{key.translate(_PARTS)[:-2]}], "coefficient": "{texts[key]!s}"}}'
+            f'{{"composition": [{_COMPOSITIONS[key]}], "coefficient": "{texts[key]!s}"}}'
             for key in sorted(texts)
         ])
     if isinstance(x, (FreeWord, TensorElement)):

@@ -73,10 +73,10 @@ def check_enumeration(vertices: int) -> None:
         )
 
 
-def shortlex(value) -> tuple[int, str]:
-    """Canonical order on trees and forests: by key length, then by key."""
-    key = value.key
-    return (len(key), key)
+# Canonical order on trees and forests: by key length, then by key.  A
+# key has 2 * vertex_count characters, so vertex_count stands for its
+# length and the sort key is read in C.
+shortlex = attrgetter("vertex_count", "key")
 
 
 class RootedTree:

@@ -12,11 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from forestinv.algebra import Polynomial, QSym, TermCarrier, ratio_text
+from forestinv import render
+from forestinv.algebra import MAX_PART, Polynomial, QSym, TermCarrier, ratio_text
+from forestinv.engine import qsym_weak
 from forestinv.errors import DomainError
 from forestinv.oracles import render_by_structure
 from forestinv.render import pretty, render_json, render_payload, render_value
 from forestinv.series import Series
+from forestinv.trees import parse_tree
 from forestinv.words import FreeWord, TensorElement
 
 PROPERTY = settings(max_examples=80, deadline=None)
@@ -29,7 +32,9 @@ COEFFS = st.one_of(
     st.integers(-50, 50),
     st.fractions(min_value=-20, max_value=20, max_denominator=12),
 )
-COMPOSITIONS = st.lists(st.integers(1, 12), max_size=5).map(tuple)
+# one-digit, multi-digit and any parts up to the largest a code holds
+PARTS = st.one_of(st.integers(1, 12), st.integers(10, 10**4), st.integers(1, MAX_PART))
+COMPOSITIONS = st.lists(PARTS, max_size=5).map(tuple)
 # letters that JSON must escape or write as \\u escapes, among plain ones
 LETTERS = st.text(
     alphabet=st.one_of(
@@ -116,6 +121,7 @@ def test_render_json_edge_values():
         0, -7, 10**40, Fraction(-1, 6), Fraction(4, 2), True,
         Polynomial(), Polynomial((0, 0, -3)), Polynomial((Fraction(-1, 2), 0, Fraction(2, 3))),
         QSym.one(), QSym.zero(), QSym({(1, 2): Fraction(-3, 4), (3,): 2, (): Fraction(1, 3)}),
+        QSym({(): Fraction(-1, 3), (10, 2): Fraction(5, 2), (MAX_PART,): 4}),
         FreeWord.one(), FreeWord.zero(),
         FreeWord({('a"b', "c\\d"): Fraction(-1, 2), ("s p", "é"): 3, ("😀",): -1}),
         TensorElement.one(),
@@ -125,6 +131,60 @@ def test_render_json_edge_values():
     ]
     for x in cases:
         assert_renders_as_the_oracle(x)
+
+
+def _path_lambda():
+    """The 2048-term lambda value of the 12-vertex path."""
+    return qsym_weak(parse_tree("(" * 12 + ")" * 12))
+
+
+def test_a_many_term_value_renders_alike_from_an_empty_and_a_full_table():
+    x = _path_lambda()
+    render._COMPOSITIONS.clear()
+    text = render_json(x)
+    assert len(render._COMPOSITIONS) == 2048
+    assert render_json(x) == text == json.dumps(render_by_structure(x))
+    render._COMPOSITIONS.clear()
+    assert render_json(x) == text
+
+
+def _watched(table_class):
+    """An empty table of this class that keeps the most entries it held."""
+
+    class Watched(table_class):
+        most = 0
+
+        def __setitem__(self, key, text):
+            super().__setitem__(key, text)
+            self.most = max(self.most, len(self))
+
+    return Watched()
+
+
+def _render_with_bound(bound, values):
+    """The most entries the part and composition tables held while
+    rendering these values, each checked, under this bound."""
+    parts, compositions = _watched(render._PartText), _watched(render._CompositionText)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(render, "QSYM_TERM_LIMIT", bound)
+        patch.setattr(render, "_PARTS", parts)
+        patch.setattr(render, "_COMPOSITIONS", compositions)
+        for x in values:
+            assert_renders_as_the_oracle(x)
+    return parts.most, compositions.most
+
+
+@PROPERTY
+@given(st.integers(1, 4), st.lists(qsyms(), max_size=4))
+def test_the_text_tables_never_outgrow_their_bound_property(bound, values):
+    assert max(_render_with_bound(bound, values)) <= bound
+
+
+def test_a_value_with_more_keys_than_the_bound_renders_through_clears():
+    x = _path_lambda()
+    assert _render_with_bound(5, [x, x]) == (5, 5)
+    # under the bound, one value's 12 parts and 2048 codes all stay
+    assert _render_with_bound(4096, [x, x]) == (12, 2048)
 
 
 def test_words_render_in_label_order_not_in_letter_table_order():

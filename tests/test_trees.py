@@ -1,5 +1,7 @@
 """Tree core: parsing, canonical form, grafting, automorphisms, census."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -42,6 +44,15 @@ def test_parse_rejects_bad_input():
         with pytest.raises(ParseError) as err:
             parse_tree(text)
         assert err.value.offset == offset
+
+
+@pytest.mark.parametrize("text", ["", "((", "(()(x))", ")"])
+def test_parse_errors_pickle_and_copy_with_their_offset(text):
+    with pytest.raises(ParseError) as err:
+        parse_tree(text)
+    for copied in (pickle.loads(pickle.dumps(err.value)), copy.copy(err.value)):
+        assert type(copied) is ParseError
+        assert (str(copied), copied.offset) == (str(err.value), err.value.offset)
 
 
 def test_parse_round_trip_all_small_trees():
@@ -324,6 +335,17 @@ def test_parse_serialize_round_trip_property(forest):
     parsed = parse_forest("".join(nested_text(nested) for nested in forest))
     assert parsed == RootedForest(trees)
     assert parse_forest(parsed.key) == parsed
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(NESTED, max_size=8))
+def test_constructors_sort_children_in_shortlex_order_property(forest):
+    # the constructors sort by (vertex_count, key), which must give the
+    # order by key length, then by key
+    kids = [nested_tree(nested) for nested in forest]
+    order = sorted([t.key for t in kids], key=lambda key: (len(key), key))
+    assert [t.key for t in RootedTree(kids).children] == order
+    assert [t.key for t in RootedForest(kids).trees] == order
 
 
 @settings(max_examples=80, deadline=None)
