@@ -392,23 +392,43 @@ def parts(key: str) -> tuple:
     return tuple(map(ord, key))
 
 
+def _merged(x: str, y: str) -> str:
+    """The code of one part that is the sum of two."""
+    try:
+        return chr(ord(x) + ord(y))
+    except ValueError:
+        raise DomainError(f"merged composition part is above {MAX_PART}") from None
+
+
 @lru_cache(maxsize=None)
 def quasi_shuffle(a: str, b: str):
     """Overlapping shuffles of two composition codes, with multiplicities.
 
     Each step either takes the head of one argument or merges both heads
     into their sum; this is the structure constant table of the monomial
-    basis product.  The pairs come in no fixed order.
+    basis product.  The pairs come in no fixed order.  A one-part
+    argument takes its closed form, with no recursion: the part goes in
+    before each part of the other or after the last, or merges into one
+    of them.  So only two arguments of two parts or more recurse, one
+    level per head they take.
     """
     if not a:
         return ((b, 1),)
     if not b:
         return ((a, 1),)
+    if len(a) == 1 or len(b) == 1:
+        part, other = (a, b) if len(a) == 1 else (b, a)
+        acc = {}
+        get = acc.get
+        for i in range(len(other) + 1):
+            comp = other[:i] + part + other[i:]
+            acc[comp] = get(comp, 0) + 1
+        # each merge grows a different part, so no two of them meet
+        for i, head in enumerate(other):
+            acc[other[:i] + _merged(head, part) + other[i + 1 :]] = 1
+        return tuple(acc.items())
     head_a, rest_a, head_b, rest_b = a[0], a[1:], b[0], b[1:]
-    try:
-        merged = chr(ord(head_a) + ord(head_b))
-    except ValueError:
-        raise DomainError(f"merged composition part is above {MAX_PART}") from None
+    merged = _merged(head_a, head_b)
     acc = {}
     get = acc.get
     for comp, m in quasi_shuffle(rest_a, b):

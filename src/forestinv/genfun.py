@@ -6,8 +6,8 @@ or by the recurrence U_1 = X(1), U_n = X(S_{n-1}(U_1, ..., U_{n-1}))
 where S_k is the elementary Schur polynomial (the weight-k coefficient of
 the exponential of a generic series).  The recurrence runs as one `exp`
 whose feedback map is X, so order N costs (N-1)(N-2)/2 carrier products; the
-per-term build, one fresh exp per U_n, lives in `oracles` as a test
-reference.  The enumeration build sums each n! U_n with the int weights
+per-term build, one fresh exp per U_n, lives in `tests/references.py`
+as a test reference.  The enumeration build sums each n! U_n with the int weights
 n!/alpha(T), and applies X once to its last term: the tree B+(F)
 grafted from a forest F has the value X of F's value, alpha(B+(F)) =
 alpha(F), and X is linear, so n! U_n = X(sum over the forests F on n-1
@@ -130,11 +130,12 @@ def u_by_enumeration(spec: InvariantSpec, order: int) -> USequence:
     before the operator, over the children's values, all cache hits, and
     X is applied once to that sum, which is n! X(S_(n-1)) by linearity,
     so no value of a tree on `order` vertices is built or cached.  The
-    per-tree sum this replaces is `oracles.u_by_tree_sums`.  Before the
-    first class, the order is checked against the enumeration cap, then
-    by `engine.check_cost` on a star, which has the largest estimate of
-    its class, then by `engine.check_class_cache` on the classes it
-    caches, all on the caller's spec.
+    per-tree sum this replaces is `u_by_tree_sums` in
+    `tests/references.py`.  Before the first class, the order is checked
+    against the enumeration cap, then by `engine.check_cost` on a star,
+    which has the largest estimate of its class, then by
+    `engine.check_class_cache` on the classes it caches, all on the
+    caller's spec.
 
     On the polynomial grid the values are int tuples at t = 0 .. order
     in one `engine._Grid` walk of this call, not in the caller's cache,

@@ -17,8 +17,8 @@ carriers answer in one pass with no product built on its own.
 `exp` runs on the labeled coefficients n! E_n, so a series with integral
 labeled coefficients, such as a tree generating function, is
 exponentiated by integer products and one division per output
-coefficient.  The power sums they replaced live in `oracles` as test
-references.
+coefficient.  The power sums they replaced live in
+`tests/references.py` as test references.
 """
 
 from __future__ import annotations

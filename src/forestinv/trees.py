@@ -29,8 +29,11 @@ from .errors import DomainError, ParseError, ResourceLimitError
 _ENUMERATION_CAP = 16
 
 # Most levels a tree may have for the recursive walkers (rooted and planar
-# evaluation), which take one frame per level: well inside the
-# interpreter's default limit of 1000 frames.
+# evaluation), which take one frame per level, inside the interpreter's
+# default limit of 1000 frames.  A product on the way up takes frames of
+# its own: `algebra.quasi_shuffle` recurses only when both compositions
+# have two parts or more, and past 256 levels the lambda-bar cost guard
+# admits one vertex off the longest path at most, so no such product.
 DEPTH_LIMIT = 500
 
 # Most key characters a parse may write across its subtrees.  Each vertex's

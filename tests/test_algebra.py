@@ -25,19 +25,17 @@ from forestinv.algebra import (
 )
 from forestinv.errors import DomainError
 from forestinv.operators import delta_inv, lambda_, lambda_bar
-from forestinv.oracles import (
-    FiniteVarPoly,
-    binomial_basis,
-    exp_by_power_sums,
-    geometric_inverse_by_powers,
-    qsym_to_finite,
-    render_by_structure,
-    shift,
-    to_newton,
-)
+from forestinv.oracles import FiniteVarPoly, qsym_to_finite, shift
 from forestinv.render import pretty, render_value
 from forestinv.series import Series, exp, geometric_inverse, is_noncommutative
 from forestinv.words import FreeWord, TensorElement
+from references import (
+    binomial_basis,
+    exp_by_power_sums,
+    geometric_inverse_by_powers,
+    render_by_structure,
+    to_newton,
+)
 
 
 def random_polynomial(rng, max_degree=12):

@@ -45,9 +45,9 @@ from forestinv.algebra import (
 )
 from forestinv.errors import DomainError
 from forestinv.operators import FREE_WORD, LinearOperator, lambda_, lambda_bar
-from forestinv.oracles import qsym_mul_by_fractions, quasi_shuffle_by_tuples
 from forestinv.planar import OperatorFamily, free_word_family, tensor_cocycle_apply
 from forestinv.words import FreeWord, TensorElement, decode, encode
+from references import qsym_mul_by_fractions, quasi_shuffle_by_tuples
 
 PROPERTY = settings(max_examples=60, deadline=None)
 
@@ -447,7 +447,7 @@ def test_public_constructors_still_check_keys():
 
 
 # The QSym product accumulates integer numerators over the product of the
-# operands' denominators; oracles.qsym_mul_by_fractions accumulates the
+# operands' denominators; references.qsym_mul_by_fractions accumulates the
 # coefficients as they are.  The two must agree term by term, coefficient
 # types included.
 INT_COEFFS = st.integers(-5, 5)

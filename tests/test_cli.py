@@ -911,6 +911,23 @@ def test_trees_at_the_depth_limit_are_evaluated(capsys):
     assert str(DEPTH_LIMIT + 1) in err and str(DEPTH_LIMIT) in err
 
 
+def test_a_deep_fork_at_the_depth_limit_is_evaluated(capsys):
+    # a root over a path of k vertices and a leaf: height DEPTH_LIMIT, and
+    # its product multiplies a composition of k + 1 parts by M_(1)
+    k = DEPTH_LIMIT - 1
+    code, out, err = run(
+        capsys, "invariant", "--tree", f"({path_text(k)}())", "--operator", "lambda-bar"
+    )
+    assert (code, err) == (0, "")
+    # the root holds the smallest label alone; the leaf's label falls in
+    # one of the k + 1 gaps of the path's labels, or ties the j-th of them
+    ties = [[1] * j + [2] + [1] * (k - j) for j in range(k, 0, -1)]
+    assert json.loads(out)["value"] == [
+        {"composition": [1] * (k + 2), "coefficient": str(k + 1)},
+        *({"composition": composition, "coefficient": "1"} for composition in ties),
+    ]
+
+
 def test_huge_quasi_symmetric_values_exit_with_the_estimate_and_the_limit(capsys):
     star = "(" + "()" * 20 + ")"
     for argv, estimate in (

@@ -44,8 +44,6 @@ from forestinv.oracles import (
     count_trees_by_level_sequence,
     count_root_automorphisms,
     qsym_to_finite,
-    strict_terms_by_complement,
-    suffix_values,
 )
 from forestinv.render import render_value
 from forestinv.trees import (
@@ -63,6 +61,7 @@ from forestinv.trees import (
     parse_tree,
     remove_root,
 )
+from references import strict_terms_by_complement, suffix_values
 
 T = Polynomial.t()
 

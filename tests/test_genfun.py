@@ -35,17 +35,12 @@ from forestinv.genfun import (
     verify_functional_equation,
 )
 from forestinv.operators import LAMBDA, POLYNOMIAL, LinearOperator, delta_inv
-from forestinv.oracles import (
-    FiniteVarPoly,
-    exp_by_power_sums,
-    u_by_per_term_exp,
-    u_by_tree_sums,
-    u_closed_form,
-)
+from forestinv.oracles import FiniteVarPoly
 from forestinv.planar import free_word_family
 from forestinv.series import Series
 from forestinv.trees import _ENUMERATION_CAP, automorphism_order, check_depth, enumerate_trees
 from forestinv.words import FreeWord
+from references import exp_by_power_sums, u_by_per_term_exp, u_by_tree_sums, u_closed_form
 
 T = Polynomial.t()
 

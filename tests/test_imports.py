@@ -4,9 +4,10 @@ Every name a module imports is used in that module, so a deletion
 leaves no stale import behind.  The package's `__init__.py` imports to
 re-export, so it is left out.  `import forestinv, forestinv.cli` loads
 neither the oracles nor the verify suites, nor `dataclasses` or `csv`,
-and every name re-exported from a module it skips still resolves.  The
-records are NamedTuples that keep the fields, equality and hashes they
-had as dataclasses."""
+and every name re-exported from a module it skips still resolves.
+`forestinv.oracles` defines nothing that only the tests read: those
+references live in `tests/references.py`.  The records are NamedTuples
+that keep the fields, equality and hashes they had as dataclasses."""
 
 import ast
 import importlib
@@ -48,6 +49,45 @@ def test_every_imported_name_is_used(module):
     tree = ast.parse((ROOT / module).read_text(encoding="utf-8"))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert [(name, line) for name, line in imported_names(tree) if name not in used] == []
+
+
+def named(tree):
+    """Every name a tree of code reads, as a name, an attribute, an
+    imported name or a whole string, such as the keys of `_LAZY`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def test_oracles_define_only_what_a_shipped_module_reads():
+    package = ROOT / "src/forestinv"
+    shipped = {
+        name
+        for path in package.glob("*.py")
+        if path.name != "oracles.py"
+        for name in named(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    # each top-level function, class and table, with the code that defines it
+    defined = {}
+    for node in ast.parse((package / "oracles.py").read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined[node.name] = node
+        elif isinstance(node, ast.Assign):
+            defined.update((target.id, node) for target in node.targets)
+    # what another module names, then what those definitions name in turn
+    read, reached = set(), [name for name in defined if name in shipped]
+    while reached:
+        name = reached.pop()
+        if name not in read:
+            read.add(name)
+            reached.extend(other for other in named(defined[name]) if other in defined)
+    assert sorted(defined.keys() - read) == []
 
 
 # the names `forestinv` re-exports from the modules it loads on first use

@@ -1,7 +1,7 @@
 """The JSON text written from the carriers' terms.
 
 `render_json` must return exactly the bytes `json.dumps` writes for the
-structure-building render in `oracles`, `render_value` must parse back
+structure-building render in `references`, `render_value` must parse back
 to that structure, and `render_payload` must match `json.dumps` of a CLI
 payload whose values the oracle has rendered."""
 
@@ -16,11 +16,11 @@ from forestinv import render
 from forestinv.algebra import MAX_PART, Polynomial, QSym, TermCarrier, ratio_text
 from forestinv.engine import qsym_weak
 from forestinv.errors import DomainError
-from forestinv.oracles import render_by_structure
 from forestinv.render import pretty, render_json, render_payload, render_value
 from forestinv.series import Series
 from forestinv.trees import parse_tree
 from forestinv.words import FreeWord, TensorElement
+from references import render_by_structure
 
 PROPERTY = settings(max_examples=80, deadline=None)
 
