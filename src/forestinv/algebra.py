@@ -34,8 +34,13 @@ such as a geometric-inverse coefficient, goes through
 `sum_of_products`, which picks the word carriers' one-pass kernel in the
 same way and otherwise multiplies each pair and sums.  A scalar multiple
 is one pass over the numerators.  `product` multiplies values left to
-right starting from the first, so no product has the unit as an
-operand.  There is no floating point anywhere in the package.
+right starting from the first, and x ** m, for an int m >= 1, is m - 1
+products from x, so no product has the unit as an operand.  A one-term,
+one-part quasi-symmetric element c M_(h) takes its power in closed form
+instead, by the multinomial theorem (Hoffman, "Quasi-shuffle products",
+J. Algebraic Combin. 11 (2000)): no product and no quasi-shuffle, so a
+vertex's run of leaves, whose value is M_(1), leaves nothing in the pair
+table.  There is no floating point anywhere in the package.
 """
 
 from __future__ import annotations
@@ -159,6 +164,17 @@ class _LinearSpace:
         if type(other) is not type(self):
             return NotImplemented
         return self.linear_combination(((1, self), (-1, other)))
+
+    def __pow__(self, m):
+        """self to an int power m >= 1: m - 1 products from the first
+        factor, so the unit is never an operand.  Any other exponent is
+        no power here, so `**` raises TypeError."""
+        if type(m) is not int or m < 1:
+            return NotImplemented
+        out = self
+        for _ in range(m - 1):
+            out = out * self
+        return out
 
     def _scaled(self, other):
         """other * self for an exact scalar p/q: the numerators times p
@@ -611,6 +627,44 @@ class QSym(TermCarrier):
                         out[comp] = out.get(comp, 0) + m * v
             return QSym._from_numerators(out, self.denominator * other.denominator)
         return self._scaled(other)
+
+    def __pow__(self, m):
+        """A one-term, one-part element c M_(h) to an int power m >= 2 in
+        closed form, by the multinomial theorem: c^m times the sum over
+        the compositions a of m of (m! / a_1! ... a_r!) M_(h a_1, ..., h a_r),
+        with no product and no quasi-shuffle.  Level r holds the
+        compositions of r, from M_(h, h) twice and M_(2h) once at r = 2:
+        appending a part h multiplies a coefficient by r, and growing the
+        last part a_k h by h multiplies it by r / (a_k + 1).  Any other
+        element or exponent takes the chain of `_LinearSpace`."""
+        nums = self.numerators
+        if len(nums) != 1 or type(m) is not int or m < 2:
+            return super().__pow__(m)
+        (key,) = nums
+        if len(key) != 1:
+            return super().__pow__(m)
+        h = ord(key)
+        if h * m > MAX_PART:
+            raise DomainError(f"merged composition part is above {MAX_PART}")
+        level = {key + key: 2, chr(2 * h): 1}
+        for r in range(3, m + 1):
+            grown = {}
+            for comp, c in level.items():
+                c *= r
+                grown[comp + key] = c
+                last = ord(comp[-1])
+                grown[comp[:-1] + chr(last + h)] = c // (last // h + 1)
+            level = grown
+        n = nums[key]
+        if n != 1:
+            scale = n**m
+            level = {comp: scale * c for comp, c in level.items()}
+        # the one-part term M_(m h) has coefficient n^m, coprime to the
+        # denominator's power, so the power is already reduced
+        out = object.__new__(QSym)
+        out.numerators = level
+        out.denominator = self.denominator**m
+        return out
 
     def __repr__(self):
         nums, den = self.numerators, self.denominator

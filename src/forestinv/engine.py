@@ -5,8 +5,11 @@ algebra.  The value of a tree is X applied to the product of the values
 of the root's subtrees (a leaf gets X(1)); the value of a forest is the
 product over its components, with the empty forest mapping to 1.  A
 product starts from its first factor, so none has the unit as an
-operand.  Values depend only on the isomorphism class, so each spec
-memoizes by canonical key.
+operand.  Leaves sort first among a vertex's children, and their run is
+one power of the leaf value, which the carrier's `**` builds: for both
+quasi-symmetric instances X(1) = M_(1), whose power has a closed form.
+Values depend only on the isomorphism class, so each spec memoizes by
+canonical key.
 
 The two polynomial instances count strict and weak order-preserving
 labelings; the two quasi-symmetric instances refine them.  A value on n
@@ -326,7 +329,9 @@ def evaluate(tree: RootedTree, spec: InvariantSpec):
     On the grid, a value on n vertices is read back once from its values
     at t = 0 .. n, walked with a memo of this call, and only the root's
     value is cached; any other spec evaluates and caches every subtree in
-    its carrier."""
+    its carrier.  There a run of j >= 2 leaf children, which sort first,
+    is the leaf value ** j, and the other children multiply in one by
+    one."""
     got = spec._cache.get(tree.key)
     if got is None:
         check_depth(tree.height)
@@ -334,10 +339,17 @@ def evaluate(tree: RootedTree, spec: InvariantSpec):
         if spec.on_grid:
             got = Polynomial.from_values(_Grid(spec.grid_model, tree.vertex_count).walk(tree))
         else:
-            # the loop of `product`, written out so that a level costs one frame
+            # the loop of `product`, written out so that a level costs one
+            # frame; leaves sort first, and a run of them is one power
             children = tree.children
             value = evaluate(children[0], spec) if children else spec.one
-            for child in children[1:]:
+            run = 1
+            if len(children) > 1 and not children[1].children:
+                run = 2
+                while run < len(children) and not children[run].children:
+                    run += 1
+                value = value**run
+            for child in children[run:]:
                 value = value * evaluate(child, spec)
             got = spec.operator(value)
         spec._cache[tree.key] = got

@@ -16,6 +16,9 @@ tree through `engine`, shares no code with the path it checks:
   running build in `genfun`;
 - the sums of U_n over every tree value, which check the enumeration
   build in `genfun`, whose largest class applies the operator once;
+- the chain evaluation, each vertex's children multiplied one at a time,
+  which checks the one power that `engine.evaluate` takes for a run of
+  leaves;
 - the Newton-basis delta inverse (with its helpers `binomial_basis` and
   `to_newton`), which checks the power-sum table in `operators`;
 - the quasi-shuffle on tuples of ints and the Fraction-accumulating
@@ -126,6 +129,27 @@ def u_by_tree_sums(spec, order: int) -> list:
         )
         terms.append(Fraction(1, labelings) * total)
     return terms
+
+
+def evaluate_by_chain(tree: RootedTree, spec):
+    """The value of a tree in its spec's carrier, with each vertex's
+    children multiplied one at a time from the first, leaves included:
+    the chain of products that `engine.evaluate` replaces by one power
+    for a run of leaves.  Memoizes subtrees for this call only, and
+    never reads or fills the spec's cache."""
+    memo = {}
+
+    def walk(t):
+        got = memo.get(t.key)
+        if got is None:
+            values = [walk(child) for child in t.children]
+            value = values[0] if values else spec.one
+            for other in values[1:]:
+                value = value * other
+            got = memo[t.key] = spec.operator(value)
+        return got
+
+    return walk(tree)
 
 
 # operator name -> (labels may repeat along an edge, value is a polynomial)

@@ -305,6 +305,19 @@ def test_qsym_product_matches_finite_model():
         assert lhs == rhs, (ca, cb)
 
 
+def test_leaf_value_power_matches_finite_model():
+    # M_(1) is p_1 = x_1 + ... + x_m, so its m-th power in closed form
+    # must expand to p_1^m in m variables, multiplied out there
+    for m in range(1, 10):
+        p1 = FiniteVarPoly.zero(m, m)
+        for i in range(1, m + 1):
+            p1 = p1 + FiniteVarPoly.variable(i, m, m)
+        expected = p1
+        for _ in range(m - 1):
+            expected = expected * p1
+        assert qsym_to_finite(QSym.monomial((1,)) ** m, m) == expected, m
+
+
 def test_finite_var_poly_shift():
     x1 = FiniteVarPoly.variable(1, 3, 4)
     x2 = FiniteVarPoly.variable(2, 3, 4)

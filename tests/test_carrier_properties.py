@@ -17,7 +17,10 @@ Fraction-accumulating oracle, each carrier's one-pass
 `linear_combination` against the running sum it replaces, and
 `principal_specialization` and the tensor split, which read the
 numerators, against their bodies over the Fraction `terms` view.  Word
-codes hold no state: labels that are dropped leave no memory behind."""
+codes hold no state: labels that are dropped leave no memory behind.
+Every carrier's `**` is the chain of products it stands for, and the
+closed-form power of a one-term, one-part QSym matches that chain on
+the Fraction-accumulating oracle."""
 
 import gc
 import itertools
@@ -717,3 +720,56 @@ def test_tensor_cocycle_matches_the_terms_view_property(x, label):
     expected = cocycle_by_terms(label, x, WEIGHTED_FAMILY)
     assert exact(got) == exact(expected)
     assert (got.numerators, got.denominator) == (expected.numerators, expected.denominator)
+
+
+# `**`: a one-term, one-part QSym takes the closed form of the multinomial
+# theorem, every other element the chain of m - 1 products it replaces.
+
+
+def chain_power(x, m, times=operator.mul):
+    out = x
+    for _ in range(m - 1):
+        out = times(out, x)
+    return out
+
+
+@PROPERTY
+@given(
+    st.one_of(st.integers(-4, 4), FRACTION_COEFFS),
+    st.sampled_from([1, 2, 3, None]),
+    st.integers(1, 9),
+)
+def test_one_part_power_matches_the_fraction_oracle_chain_property(c, h, m):
+    # None stands for the largest part whose m-th power stays a code
+    x = c * QSym.monomial((MAX_PART // m if h is None else h,))
+    got = x**m
+    assert_matches(got, chain_power(x, m, qsym_mul_by_fractions))
+    assert (got.numerators, got.denominator) == (chain_power(x, m).numerators, x.denominator**m)
+
+
+@PROPERTY
+@given(st.data(), st.sampled_from(sorted(LINEAR_CARRIERS, key=lambda c: c.__name__)))
+def test_power_is_the_chain_of_products_property(data, carrier):
+    x, m = data.draw(LINEAR_CARRIERS[carrier][0]), data.draw(st.integers(1, 4))
+    assert exact_value(x**m) == exact_value(chain_power(x, m))
+
+
+def test_one_part_power_refuses_a_part_above_the_largest_code_point():
+    h = MAX_PART // 3
+    assert (QSym.monomial((h,)) ** 3).numerators[code((3 * h,))] == 1
+    x = QSym.monomial((h + 1,))
+    for power in (lambda: x**3, lambda: chain_power(x, 3)):
+        with pytest.raises(DomainError, match=f"merged composition part is above {MAX_PART}"):
+            power()
+
+
+@pytest.mark.parametrize(
+    "x",
+    [Polynomial.t(), QSym.monomial((1,)), QSym({(1, 2): 1, (3,): 2}), FreeWord.generator("a"),
+     TensorElement.single(("a",))],
+    ids=repr,
+)
+def test_power_takes_only_a_positive_int(x):
+    for m in (0, -1, -3, 2.0, Fraction(1, 2), "2"):
+        with pytest.raises(TypeError):
+            x**m

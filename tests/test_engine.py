@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from forestinv import engine
-from forestinv.algebra import Polynomial, QSym, principal_specialization
+from forestinv.algebra import Polynomial, QSym, principal_specialization, quasi_shuffle
 from forestinv.engine import (
     BUILT_IN_NAMES,
     CLASS_CACHE_TERM_LIMIT,
@@ -61,7 +61,7 @@ from forestinv.trees import (
     parse_tree,
     remove_root,
 )
-from references import strict_terms_by_complement, suffix_values
+from references import evaluate_by_chain, strict_terms_by_complement, suffix_values
 
 T = Polynomial.t()
 
@@ -121,7 +121,9 @@ def test_evaluation_never_multiplies_by_the_unit(monkeypatch, carrier, new_spec)
     # a root with k children makes k - 1 products, a forest of k trees
     # k - 1 more, and a path none: the product starts from the first factor;
     # on the grid a tree's value is read back from its values, so the tree
-    # makes no carrier product at all
+    # makes no carrier product at all.  A QSym run of leaves is one
+    # closed-form power, which makes no product either, so there each
+    # child is a two-vertex path, not a leaf
     count = [0]
     carrier_mul = carrier.__mul__
 
@@ -131,11 +133,12 @@ def test_evaluation_never_multiplies_by_the_unit(monkeypatch, carrier, new_spec)
         return carrier_mul(self, other)
 
     monkeypatch.setattr(carrier, "__mul__", counting_mul)
+    child = "()" if carrier is Polynomial else "(())"
     for k in range(5):
         spec = new_spec()
-        evaluate(parse_tree("()"), spec)  # the leaf value, cached
+        evaluate(parse_tree(child), spec)  # the child value, cached
         count[0] = 0
-        star = parse_tree("(" + "()" * k + ")")
+        star = parse_tree("(" + child * k + ")")
         evaluate(star, spec)
         assert count[0] == (0 if spec.on_grid else max(k - 1, 0))
         count[0] = 0
@@ -681,6 +684,53 @@ def test_grid_values_are_prefix_stable_property(parents, name, m, extra):
     small = engine._Grid(model, m).walk(tree)
     assert len(small) == m + 1
     assert engine._Grid(model, m + extra).walk(tree)[: m + 1] == small
+
+
+QSYM_SPECS = {"lambda-bar": qsym_strict_spec, "lambda": qsym_weak_spec}
+
+
+def broom(vertices):
+    """A handle of n/2 vertices whose end carries the rest as leaves."""
+    handle = vertices // 2
+    return parse_tree("(" * handle + "()" * (vertices - handle) + ")" * handle)
+
+
+@pytest.mark.parametrize("name", sorted(QSYM_SPECS))
+def test_leaf_runs_equal_the_chain_on_stars_and_brooms(name):
+    # a run of leaves is one closed-form power; the chain multiplies them
+    # one at a time; brooms up to 16 vertices, the most the lambda guard
+    # admits
+    stars = [parse_tree("(" + "()" * k + ")") for k in range(12)]
+    for tree in stars + [broom(n) for n in range(1, 17)]:
+        spec = QSYM_SPECS[name]()
+        assert evaluate(tree, spec) == evaluate_by_chain(tree, spec), tree.key
+
+
+# parent arrays where each vertex often hangs from one of the first
+# three, so most trees have runs of leaves beside larger children
+LEAFY_PARENT_ARRAYS = st.integers(1, 12).flatmap(
+    lambda n: st.tuples(
+        *(st.integers(0, min(v - 1, 2)) | st.integers(0, v - 1) for v in range(1, n))
+    ).map(lambda ps: (-1, *ps))
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(LEAFY_PARENT_ARRAYS, st.sampled_from(sorted(QSYM_SPECS)))
+def test_leaf_runs_equal_the_chain_property(parents, name):
+    tree, spec = tree_of_parents(parents), QSYM_SPECS[name]()
+    assert evaluate(tree, spec) == evaluate_by_chain(tree, spec)
+
+
+@pytest.mark.parametrize("name", sorted(QSYM_SPECS))
+def test_a_star_fills_no_quasi_shuffle_entry(name):
+    # the 11 leaves of the 12-vertex star are one power, with no product;
+    # the table is emptied first, since other tests fill the pairs that
+    # the chain would take
+    star = parse_tree("(" + "()" * 11 + ")")
+    quasi_shuffle.cache_clear()
+    evaluate(star, QSYM_SPECS[name]())
+    assert quasi_shuffle.cache_info().currsize == 0
 
 
 def test_grid_values_of_paths_are_the_closed_forms():

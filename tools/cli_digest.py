@@ -133,6 +133,14 @@ _MANY_TERMS = [
 ] + [
     ("invariant", "--tree", _star(12), "--operator", "lambda-bar"),
     ("genfun", "--operator", "lambda", "--terms", "7"),
+] + [
+    # runs of leaves, each one closed-form power: the star and the broom
+    # on 16 vertices, the most the lambda guard admits, a broom past both
+    # guards, refused, and a tree whose root has leaves beside larger
+    # children
+    ("invariant", "--tree", tree, "--operator", op)
+    for tree in (_star(16), _broom(16), _broom(24), "(()()()()(())(()())(()))")
+    for op in ("lambda-bar", "lambda")
 ]
 
 # whole classes with their automorphism orders, as the enumeration writes them,
